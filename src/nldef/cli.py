@@ -9,16 +9,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .energy import EnergyRequest, energy, residual_energy
+from .energy import energy, residual_energy
 from .errors import ConfigError, NldefError
-from .lab import SweepConfig, report_write, run_sweep, run_weakstar
-from .mollifiers import MollifierSpec
+from .lab import (
+    SweepConfig,
+    _fmt,
+    _json_text,
+    _request,
+    report_write,
+    run_sweep,
+    run_weakstar,
+)
 from .symnorm import SymMatrix, make_sphere_rule, q_norm
 
 
@@ -45,12 +51,6 @@ def _load_config(path: str) -> SweepConfig:
     return SweepConfig.from_dict(raw)
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    return f"{x:.17g}"
-
-
 def _cmd_qnorm(args) -> int:
     m = SymMatrix(_parse_matrix(args.matrix))
     if m.dim != args.dim:
@@ -64,32 +64,9 @@ def _cmd_qnorm(args) -> int:
 
 def _cmd_energy(args) -> int:
     cfg = _load_config(args.config)
-    req = EnergyRequest(
-        field=cfg.field,
-        domain=cfg.domain,
-        p=cfg.p,
-        mollifier=MollifierSpec(cfg.family, cfg.eps_list[0], cfg.dim),
-        outer_grid=cfg.outer_n or max(cfg.outer_n_min, math.ceil(cfg.outer_c / cfg.eps_list[0])),
-        inner_mode=cfg.inner_mode,
-        inner_level=cfg.inner_level,
-        trunc_tol=cfg.trunc_tol,
-        workers=cfg.workers,
-    )
+    req = _request(cfg, cfg.eps_list[0])[0]
     res = residual_energy(req) if cfg.residual else energy(req)
-    print(
-        "{"
-        + ", ".join(
-            [
-                f'"value": {_fmt(res.value)}',
-                f'"truncation_radius": {_fmt(res.truncation_radius)}',
-                f'"samples_outer": {res.samples_outer}',
-                f'"samples_inner": {res.samples_inner}',
-                f'"elapsed": {_fmt(res.elapsed)}',
-                f'"est_quadrature_error": {_fmt(res.est_quadrature_error)}',
-            ]
-        )
-        + "}"
-    )
+    print(_json_text(res))
     return 0
 
 

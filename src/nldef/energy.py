@@ -24,17 +24,25 @@ symmetric-gradient measure.
 from __future__ import annotations
 
 import atexit
-import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, ModelError, ParameterError
-from .fields import DomainBox, FieldSpec, PlanarJumpField, SampledField, ground_truth
-from .mollifiers import SURFACE_AREA, MollifierSpec
+from .fields import (
+    DomainBox,
+    FieldSpec,
+    PlanarJumpField,
+    SampledField,
+    _polar_rule,
+    _tensor_grid,
+    ground_truth,
+)
+from .mollifiers import MollifierSpec
 from .symnorm import make_sphere_rule
 
 __all__ = [
@@ -78,8 +86,13 @@ class EnergyRequest:
     workers: int | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.p, (int, float)) and self.p >= 1):
-            raise ParameterError(f"p must be >= 1, got {self.p}")
+        p_ok = isinstance(self.p, (int, float)) and not isinstance(self.p, bool)
+        if not (p_ok and self.p >= 1):
+            raise ParameterError(f"p must be a number >= 1, got {self.p!r}")
+        for name in ("outer_grid", "inner_level"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {v!r}")
         if self.outer_grid < 2:
             raise ParameterError(f"outer grid needs N >= 2, got {self.outer_grid}")
         if not 0 < self.trunc_tol <= 1e-2:
@@ -146,43 +159,14 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
 # quadrature assembly
 
 
-def _radial_spherical_nodes(mollifier: MollifierSpec, level: int, trunc_tol: float):
-    """Inner nodes H (K, d), weights W (K,), inverse square radii (K,)."""
-    dim = mollifier.dim
-    sphere = make_sphere_rule(dim, level)
-    n_rad = max(2, level // 4)
-    z, gw = np.polynomial.legendre.leggauss(n_rad)
-    radii = []
-    rweights = []
-    for a, b in mollifier.radial_bands(trunc_tol):
-        r = 0.5 * (b - a) * z + 0.5 * (a + b)
-        w = 0.5 * (b - a) * gw
-        radii.append(r)
-        rweights.append(
-            SURFACE_AREA[dim] * w * r ** (dim - 1) * mollifier.radial_profile(r)
-        )
-    r_all = np.concatenate(radii)
-    wr_all = np.concatenate(rweights)
-    h = (r_all[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, dim)
-    w = (wr_all[:, None] * sphere.weights[None, :]).reshape(-1)
-    inv_r2 = np.repeat(1.0 / (r_all * r_all), len(sphere))
-    return h, w, inv_r2
-
-
 def _tensor_nodes(mollifier: MollifierSpec, level: int, trunc_tol: float):
     """Gauss grid on the truncation cube [-R, R]^d weighted by rho_eps."""
     dim = mollifier.dim
     radius = mollifier.support_radius(trunc_tol)
     n = level + (level & 1)  # even count keeps h = 0 off the grid
     z, gw = np.polynomial.legendre.leggauss(n)
-    x1 = radius * z
-    w1 = radius * gw
-    grids = np.meshgrid(*([x1] * dim), indexing="ij")
-    h = np.stack([g.ravel() for g in grids], axis=1)
-    w = w1
-    for _ in range(dim - 1):
-        w = np.multiply.outer(w, w1)
-    w = w.ravel() * mollifier.eval(h)
+    h, w = _tensor_grid([radius * z] * dim, [radius * gw] * dim)
+    w = w * mollifier.eval(h)
     keep = w > 0.0
     h = h[keep]
     w = w[keep]
@@ -191,9 +175,12 @@ def _tensor_nodes(mollifier: MollifierSpec, level: int, trunc_tol: float):
 
 
 def _inner_nodes(req: EnergyRequest, level: int):
+    """Inner nodes H (K, d), weights W (K,), inverse square radii (K,)."""
     if req.inner_mode == "tensor":
         return _tensor_nodes(req.mollifier, level, req.trunc_tol)
-    return _radial_spherical_nodes(req.mollifier, level, req.trunc_tol)
+    h, w, r = _polar_rule(req.mollifier, level, max(2, level // 4), req.trunc_tol)
+    inv_r2 = np.repeat(1.0 / (r * r), h.shape[1])
+    return h.reshape(-1, req.mollifier.dim), w.reshape(-1), inv_r2
 
 
 def _midpoints(box: DomainBox, n: int):
@@ -201,9 +188,7 @@ def _midpoints(box: DomainBox, n: int):
         box.lo[i] + (box.hi[i] - box.lo[i]) * (np.arange(n) + 0.5) / n
         for i in range(box.dim)
     ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts, box.volume() / n**box.dim
+    return _tensor_grid(axes), box.volume() / n**box.dim
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +238,7 @@ def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool):
             masses[s:e] = _tile_masses(
                 req.field, req.domain, pts[s:e], h, w, inv_r2, req.p, residual, cellvol
             )
-        return masses, pts, cellvol, k_inner
+        return masses, pts, k_inner
     tasks = [
         (req.field, req.domain, pts[s:e], h, w, inv_r2, req.p, residual, cellvol, s)
         for s, e in spans
@@ -261,33 +246,39 @@ def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool):
     pool = _get_pool(workers)
     for start, part in pool.map(_run_span, tasks):
         masses[start : start + part.shape[0]] = part
-    return masses, pts, cellvol, k_inner
+    return masses, pts, k_inner
 
 
-def _check_residual_ok(req: EnergyRequest):
-    if req.p != 1.0:
-        raise ParameterError("residual energy is defined for p = 1 only")
-    if isinstance(req.field, SampledField):
-        raise ModelError("residual energy needs a closed-form gradient")
+def _masses(req: EnergyRequest, residual: bool):
+    """(midpoints, masses, inner node count, est_quadrature_error).
+
+    The masses and the node count come from the finer inner level
+    (2 x inner_level); the error estimate is the gap between the totals
+    of the two levels.
+    """
+    if residual:
+        if req.p != 1.0:
+            raise ParameterError("residual energy is defined for p = 1 only")
+        if isinstance(req.field, SampledField):
+            raise ModelError("residual energy needs a closed-form gradient")
+    workers = _resolve_workers(req.workers)
+    if req.domain.is_empty:
+        return np.zeros((0, req.domain.dim)), np.zeros(0), 0, 0.0
+    coarse, _, _ = _all_masses(req, req.inner_level, workers, residual)
+    fine, pts, k_fine = _all_masses(req, 2 * req.inner_level, workers, residual)
+    return pts, fine, k_fine, abs(pairwise_total(fine) - pairwise_total(coarse))
 
 
 def _evaluate(req: EnergyRequest, residual: bool) -> EnergyResult:
     t0 = time.perf_counter()
-    workers = _resolve_workers(req.workers)
-    radius = req.mollifier.support_radius(req.trunc_tol)
-    if req.domain.is_empty:
-        return EnergyResult(0.0, radius, 0, 0, time.perf_counter() - t0, 0.0)
-    coarse_masses, _, _, _ = _all_masses(req, req.inner_level, workers, residual)
-    fine_masses, _, _, k_fine = _all_masses(req, 2 * req.inner_level, workers, residual)
-    coarse = pairwise_total(coarse_masses)
-    fine = pairwise_total(fine_masses)
+    _, masses, k_fine, est = _masses(req, residual)
     return EnergyResult(
-        value=fine,
-        truncation_radius=radius,
-        samples_outer=fine_masses.shape[0],
+        value=pairwise_total(masses),
+        truncation_radius=req.mollifier.support_radius(req.trunc_tol),
+        samples_outer=masses.shape[0],
         samples_inner=k_fine,
         elapsed=time.perf_counter() - t0,
-        est_quadrature_error=abs(fine - coarse),
+        est_quadrature_error=est,
     )
 
 
@@ -302,7 +293,6 @@ def energy(req: EnergyRequest) -> EnergyResult:
 
 def residual_energy(req: EnergyRequest) -> EnergyResult:
     """Same engine with the first-order term subtracted (p = 1 only)."""
-    _check_residual_ok(req)
     return _evaluate(req, residual=True)
 
 
@@ -326,16 +316,8 @@ def density_masses(req: EnergyRequest, residual: bool = False):
     Shares the energy pipeline so pairwise_total(masses) equals
     energy(req).value bit for bit.
     """
-    if residual:
-        _check_residual_ok(req)
-    workers = _resolve_workers(req.workers)
-    if req.domain.is_empty:
-        d = req.domain.dim
-        return np.zeros((0, d)), np.zeros(0), 0.0
-    coarse_masses, _, _, _ = _all_masses(req, req.inner_level, workers, residual)
-    fine_masses, pts, _, _ = _all_masses(req, 2 * req.inner_level, workers, residual)
-    est = abs(pairwise_total(fine_masses) - pairwise_total(coarse_masses))
-    return pts, fine_masses, est
+    pts, masses, _, est = _masses(req, residual)
+    return pts, masses, est
 
 
 def upper_bound_rhs(
@@ -367,7 +349,3 @@ def upper_bound_rhs(
 
     u_term = _adaptive_box_integral(norm_p, box)
     return grad_term + (2.0 / radius**p) * u_term * tail
-
-
-def with_workers(req: EnergyRequest, workers: int | None) -> EnergyRequest:
-    return replace(req, workers=workers)

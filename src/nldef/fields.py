@@ -486,20 +486,29 @@ def exact_sym_gradient(f: FieldSpec, x) -> SymMatrix:
 # ground truth
 
 
+def _tensor_grid(axes, weights=None):
+    """Points (n, d) of the tensor grid over per-axis arrays, first axis slowest.
+
+    With per-axis `weights` also returns the product weights (n,) in the
+    same order.
+    """
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    if weights is None:
+        return pts
+    wts = weights[0]
+    for w in weights[1:]:
+        wts = np.multiply.outer(wts, w)
+    return pts, wts.ravel()
+
+
 def _tensor_gauss_nodes(box: DomainBox, n: int):
     z, w = np.polynomial.legendre.leggauss(n)
-    pts_1d = []
-    wts_1d = []
-    for i in range(box.dim):
-        a, b = box.lo[i], box.hi[i]
-        pts_1d.append(0.5 * (b - a) * z + 0.5 * (a + b))
-        wts_1d.append(0.5 * (b - a) * w)
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wts = wts_1d[0]
-    for i in range(1, box.dim):
-        wts = np.multiply.outer(wts, wts_1d[i])
-    return pts, wts.ravel()
+    edges = list(zip(box.lo, box.hi))
+    return _tensor_grid(
+        [0.5 * (b - a) * z + 0.5 * (a + b) for a, b in edges],
+        [0.5 * (b - a) * w for a, b in edges],
+    )
 
 
 _GAUSS_CAP = {1: 4096, 2: 512, 3: 128}
@@ -622,17 +631,22 @@ def _interface_nodes(box: DomainBox, normal: np.ndarray, offset: float, n: int):
     raise ModelError("general jump normals are unsupported in d=3 ground truth")
 
 
+def _interface_density(f: PlanarJumpField, pts: np.ndarray, rule: SphereRule) -> np.ndarray:
+    """Q_1(a ⊙ normal) at interface points: the singular part's density."""
+    a = f.jump_at(pts)
+    m = 0.5 * (
+        a[:, :, None] * f.normal[None, None, :]
+        + f.normal[None, :, None] * a[:, None, :]
+    )
+    return _qp_pow_of_sym(m, 1.0, rule)
+
+
 def _jump_singular_value(f: PlanarJumpField, box: DomainBox, rule: SphereRule) -> float:
     def patch_integral(n: int) -> float:
         pts, wts = _interface_nodes(box, f.normal, f.offset, n)
         if len(wts) == 0:
             return 0.0
-        a = f.jump_at(pts)
-        m = 0.5 * (
-            a[:, :, None] * f.normal[None, None, :]
-            + f.normal[None, :, None] * a[:, None, :]
-        )
-        return float(wts @ _qp_pow_of_sym(m, 1.0, rule))
+        return float(wts @ _interface_density(f, pts, rule))
 
     n = 8
     prev = patch_integral(n)
@@ -681,6 +695,32 @@ def ground_truth(f: FieldSpec, box: DomainBox, p: float, rule: SphereRule) -> Gr
 # mollification
 
 
+def _polar_rule(mollifier: MollifierSpec, sphere_level: int, n_radial: int, trunc_tol: float):
+    """Radius x sphere quadrature of rho over its truncated support.
+
+    Gauss nodes in radius on each of the mollifier's radial bands, crossed
+    with a sphere rule in direction, so integrals of g(h) rho(h) dh become
+    sums of weights times g(offsets). Returns offsets (R, M, d), weights
+    (R, M) and the radii (R,).
+    """
+    dim = mollifier.dim
+    sphere = make_sphere_rule(dim, sphere_level)
+    z, gw = np.polynomial.legendre.leggauss(n_radial)
+    radii = []
+    rweights = []
+    for a, b in mollifier.radial_bands(trunc_tol):
+        r = 0.5 * (b - a) * z + 0.5 * (a + b)
+        w = 0.5 * (b - a) * gw
+        radii.append(r)
+        rweights.append(
+            SURFACE_AREA[dim] * w * r ** (dim - 1) * mollifier.radial_profile(r)
+        )
+    r_all = np.concatenate(radii)
+    w_all = np.concatenate(rweights)
+    offsets = r_all[:, None, None] * sphere.nodes[None, :, :]
+    return offsets, w_all[:, None] * sphere.weights[None, :], r_all
+
+
 def mollify(
     f: FieldSpec,
     eta: float,
@@ -711,28 +751,12 @@ def mollify(
             raise DomainError("target box exceeds the sampled domain eroded by eta")
     counts = [max(2, math.ceil((box.hi[i] - box.lo[i]) / spacing)) + 1 for i in range(box.dim)]
     axes = [np.linspace(box.lo[i], box.hi[i], counts[i]) for i in range(box.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = _tensor_grid(axes)
     step = np.array([ax[1] - ax[0] for ax in axes])
-
-    rule = make_sphere_rule(f.dim, angular_level)
-    z, gw = np.polynomial.legendre.leggauss(radial_nodes)
-    radii = []
-    rweights = []
-    for a, b in kernel.radial_bands(1e-12):
-        r = 0.5 * (b - a) * z + 0.5 * (a + b)
-        w = 0.5 * (b - a) * gw
-        radii.append(r)
-        rweights.append(
-            SURFACE_AREA[f.dim] * w * r ** (f.dim - 1) * kernel.radial_profile(r)
-        )
-    radii = np.concatenate(radii)
-    rweights = np.concatenate(rweights)
 
     values = np.zeros((pts.shape[0], f.dim))
     # offsets z = r * omega; u_eta(x) = sum_w u(x - z); chunk over sample points
-    offsets = radii[:, None, None] * rule.nodes[None, :, :]  # (R, M, d)
-    wmat = rweights[:, None] * rule.weights[None, :]  # (R, M)
+    offsets, wmat, _ = _polar_rule(kernel, angular_level, radial_nodes, 1e-12)
     chunk = max(1, (1 << 20) // max(1, offsets.shape[0] * offsets.shape[1]))
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]  # (B, d)

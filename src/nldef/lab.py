@@ -3,14 +3,16 @@
 A sweep runs the energy (or residual) engine over a decreasing eps list with
 the outer resolution coupled to eps (N >= c / eps), compares against the
 closed-form ground truth, fits an empirical convergence order to the gaps and
-Richardson-extrapolates the eps -> 0 limit. Reports serialize to CSV or JSON
-with a fixed column set and 17-significant-digit floats so reruns diff clean.
+Richardson-extrapolates the eps -> 0 limit. Reports serialize to CSV with a
+fixed column set and 17-significant-digit floats, or to JSON with floats
+written as their shortest round-trip repr, so reruns diff clean either way.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .fields import (
     ground_truth,
 )
 from .measures import TestFunction, weakstar_gap
-from .mollifiers import FAMILIES, MollifierSpec
+from .mollifiers import MollifierSpec
 from .symnorm import make_sphere_rule
 
 __all__ = [
@@ -53,12 +55,14 @@ _MISSING = object()
 
 
 def _want(d: dict, key: str, types, path: str, default=_MISSING):
+    """d[key], type-checked; JSON true/false pass only where `types` names bool."""
     if key not in d:
         if default is _MISSING:
             raise ConfigError(f"{path}.{key}: missing")
         return default
     v = d[key]
-    if not isinstance(v, types):
+    types = types if isinstance(types, tuple) else (types,)
+    if not isinstance(v, types) or (isinstance(v, bool) and bool not in types):
         raise ConfigError(f"{path}.{key}: wrong type {type(v).__name__}")
     return v
 
@@ -119,10 +123,10 @@ class SweepConfig:
         eps_list = [eps_raw] if isinstance(eps_raw, (int, float)) else eps_raw
         if not eps_list:
             raise ConfigError("config.eps: empty list")
-        try:
-            eps_list = [float(e) for e in eps_list]
-        except (TypeError, ValueError):
-            raise ConfigError("config.eps: entries must be numbers") from None
+        for i, e in enumerate(eps_list):
+            if isinstance(e, bool) or not isinstance(e, (int, float)):
+                raise ConfigError(f"config.eps[{i}]: entries must be numbers")
+        eps_list = [float(e) for e in eps_list]
         if any(e <= 0 for e in eps_list):
             raise ConfigError("config.eps: entries must be positive")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -243,15 +247,32 @@ def _aligned_n(cfg: SweepConfig, n: int):
     return n, False
 
 
-def _outer_for(cfg: SweepConfig, eps: float):
+def _request(cfg: SweepConfig, eps: float):
+    """(request, under_policy, aligned_exact): the config's energy request at eps.
+
+    The outer grid is outer.n when given, else the policy max(n_min,
+    ceil(c / eps)); aligned configs then bump it so a jump interface lands on
+    cell boundaries. Every command builds its requests here, so one config
+    gives the same grid everywhere.
+    """
     policy = _policy_n(cfg, eps)
     n = cfg.outer_n if cfg.outer_n is not None else policy
     under_policy = n < policy
+    exact = True
     if cfg.aligned:
         n, exact = _aligned_n(cfg, n)
-    else:
-        exact = True
-    return n, under_policy, exact
+    req = EnergyRequest(
+        field=cfg.field,
+        domain=cfg.domain,
+        p=cfg.p,
+        mollifier=MollifierSpec(cfg.family, eps, cfg.dim),
+        outer_grid=n,
+        inner_mode=cfg.inner_mode,
+        inner_level=cfg.inner_level,
+        trunc_tol=cfg.trunc_tol,
+        workers=cfg.workers,
+    )
+    return req, under_policy, exact
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
@@ -260,20 +281,9 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     warned_policy = False
     aligned_ok = True
     for eps in cfg.eps_list:
-        n, under_policy, exact = _outer_for(cfg, eps)
+        req, under_policy, exact = _request(cfg, eps)
         warned_policy = warned_policy or under_policy
         aligned_ok = aligned_ok and exact
-        req = EnergyRequest(
-            field=cfg.field,
-            domain=cfg.domain,
-            p=cfg.p,
-            mollifier=MollifierSpec(cfg.family, eps, cfg.dim),
-            outer_grid=n,
-            inner_mode=cfg.inner_mode,
-            inner_level=cfg.inner_level,
-            trunc_tol=cfg.trunc_tol,
-            workers=cfg.workers,
-        )
         try:
             res = residual_energy(req) if cfg.residual else energy(req)
         except ModelError as exc:
@@ -285,7 +295,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                 est_quadrature_error=res.est_quadrature_error,
                 runtime_ms=res.elapsed * 1e3,
                 truncation_radius=res.truncation_radius,
-                n_outer=n,
+                n_outer=req.outer_grid,
             )
         )
     rule = make_sphere_rule(cfg.dim, 64)
@@ -360,20 +370,32 @@ def rate_estimate(records):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    """A float as %.17g, which parses back bitwise; NaN as NaN."""
     x = float(x)
     if math.isnan(x):
         return "NaN"
     return f"{x:.17g}"
 
 
+def _json_text(obj, indent=None) -> str:
+    """A dataclass as JSON; floats are written as their repr, NaN as NaN."""
+    return json.dumps(asdict(obj), indent=indent, default=lambda v: v.item())
+
+
+def _write_lines(path, lines, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from None
+
+
 def _report_rows(r: SweepReport):
     rows = []
     for rec in r.records:
-        rel = abs(rec.value - r.reference_value) / max(r.reference_value, 1e-300)
+        # relative to a zero reference (a smooth field's residual) is undefined
+        ref = r.reference_value
+        rel = abs(rec.value - ref) / ref if ref != 0.0 else math.nan
         rows.append(
             [
                 _fmt(rec.eps),
@@ -390,57 +412,15 @@ def _report_rows(r: SweepReport):
     return rows
 
 
-def _report_json(r: SweepReport) -> str:
-    recs = []
-    for rec in r.records:
-        recs.append(
-            "    {"
-            + ", ".join(
-                [
-                    f'"eps": {_fmt(rec.eps)}',
-                    f'"value": {_fmt(rec.value)}',
-                    f'"est_quadrature_error": {_fmt(rec.est_quadrature_error)}',
-                    f'"runtime_ms": {_fmt(rec.runtime_ms)}',
-                    f'"truncation_radius": {_fmt(rec.truncation_radius)}',
-                    f'"n_outer": {rec.n_outer}',
-                ]
-            )
-            + "}"
-        )
-    ref = r.reference
-    flags = ", ".join(f'"{k}": {_fmt(v)}' for k, v in r.flags.items())
-    parts = [
-        "{",
-        f'  "p": {_fmt(r.p)},',
-        '  "records": [',
-        ",\n".join(recs),
-        "  ],",
-        '  "reference": {'
-        + f'"p": {_fmt(ref.p)}, "ac_value": {_fmt(ref.ac_value)}, '
-        + f'"singular_value": {_fmt(ref.singular_value)}, "total": {_fmt(ref.total)}'
-        + "},",
-        f'  "reference_value": {_fmt(r.reference_value)},',
-        f'  "extrapolated_limit": {_fmt(r.extrapolated_limit)},',
-        f'  "empirical_order": {_fmt(r.empirical_order)},',
-        f'  "flags": {{{flags}}}',
-        "}",
-    ]
-    return "\n".join(parts) + "\n"
-
-
 def report_write(r: SweepReport, path, fmt: str = "csv") -> None:
     """Write the report; CSV columns are fixed, JSON mirrors the field names."""
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
     if fmt == "csv":
-        text = "\n".join([CSV_HEADER] + [",".join(row) for row in _report_rows(r)]) + "\n"
+        lines = [CSV_HEADER] + [",".join(row) for row in _report_rows(r)]
     else:
-        text = _report_json(r)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from None
+        lines = [_json_text(r, indent=2)]
+    _write_lines(path, lines, "report")
 
 
 WEAKSTAR_HEADER = "eps,phi,gap,pair_value,ref_value,est_quad_err"
@@ -450,19 +430,8 @@ def run_weakstar(cfg: SweepConfig, path) -> list:
     """Dictionary gap table for the config's field, written as CSV."""
     if not cfg.dictionary:
         raise ConfigError("config.weakstar.dictionary: missing or empty")
-    rows = weakstar_gap(
-        cfg.field,
-        cfg.domain,
-        cfg.family,
-        cfg.eps_list,
-        cfg.dictionary,
-        inner_level=cfg.inner_level,
-        outer_c=cfg.outer_c,
-        n_min=cfg.outer_n_min,
-        outer_n=cfg.outer_n,
-        trunc_tol=cfg.trunc_tol,
-        workers=cfg.workers,
-    )
+    requests = [replace(_request(cfg, eps)[0], p=1.0) for eps in cfg.eps_list]
+    rows = weakstar_gap(requests, cfg.dictionary)
     lines = [WEAKSTAR_HEADER]
     for row in rows:
         lines.append(
@@ -477,9 +446,5 @@ def run_weakstar(cfg: SweepConfig, path) -> list:
                 ]
             )
         )
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write gaps to {path}: {exc}") from None
+    _write_lines(path, lines, "gaps")
     return rows

@@ -23,11 +23,12 @@ from .fields import (
     FieldSpec,
     PlanarJumpField,
     SampledField,
+    _interface_density,
     _interface_nodes,
     _qp_pow_of_sym,
     _side_volumes,
+    _tensor_grid,
 )
-from .mollifiers import MollifierSpec
 from .symnorm import SphereRule, make_sphere_rule
 
 __all__ = [
@@ -167,9 +168,7 @@ def _cell_gauss_masses(f: FieldSpec, box: DomainBox, n: int, g: int, rule: Spher
         (box.lo[i] + step[i] * (np.arange(n)[:, None] + 0.5 * (z[None, :] + 1.0))).ravel()
         for i in range(d)
     ]
-    grids = np.meshgrid(*ax_nodes, indexing="ij")
-    pts = np.stack([gr.ravel() for gr in grids], axis=1)
-    vals = _qp_pow_of_sym(f.sym_gradient(pts), 1.0, rule)
+    vals = _qp_pow_of_sym(f.sym_gradient(_tensor_grid(ax_nodes)), 1.0, rule)
     vals = vals.reshape(tuple(itertools.chain(*[(n, g)] * d)))
     jac = float(np.prod(step / 2.0))
     masses = np.zeros((n,) * d)
@@ -207,12 +206,7 @@ def _interface_atoms(f: PlanarJumpField, box: DomainBox, rule: SphereRule):
     pts, wts = _interface_nodes(box, f.normal, f.offset, n)
     if len(wts) == 0:
         return pts, wts
-    a = f.jump_at(pts)
-    m = 0.5 * (
-        a[:, :, None] * f.normal[None, None, :]
-        + f.normal[None, :, None] * a[:, None, :]
-    )
-    return pts, wts * _qp_pow_of_sym(m, 1.0, rule)
+    return pts, wts * _interface_density(f, pts, rule)
 
 
 def ground_truth_measure(
@@ -227,9 +221,7 @@ def ground_truth_measure(
         raise DimensionError("field, box and rule dimensions must agree")
     n = n_cells
     step = (box.hi - box.lo) / n
-    mids_1d = [box.lo[i] + step[i] * (np.arange(n) + 0.5) for i in range(box.dim)]
-    grids = np.meshgrid(*mids_1d, indexing="ij")
-    mids = np.stack([g.ravel() for g in grids], axis=1)
+    mids = _tensor_grid([box.lo[i] + step[i] * (np.arange(n) + 0.5) for i in range(box.dim)])
     if isinstance(f, PlanarJumpField):
         cell_masses = _jump_cell_masses(f, box, n, rule)
         ipts, imasses = _interface_atoms(f, box, rule)
@@ -257,51 +249,35 @@ def pair(m: DiscreteMeasure, phi: TestFunction) -> float:
     return pairwise_total(m.masses * phi.eval(m.points))
 
 
-def weakstar_gap(
-    f: FieldSpec,
-    box: DomainBox,
-    family: str,
-    eps_list,
-    phis,
-    *,
-    inner_level: int = 16,
-    outer_c: float = 8.0,
-    n_min: int = 64,
-    outer_n: int | None = None,
-    trunc_tol: float = 1e-10,
-    workers: int | None = None,
-):
-    """Per-(eps, phi) pairing gaps against the limit measure.
+def weakstar_gap(requests, phis):
+    """Per-(request, phi) pairing gaps of density measures against the limit measure.
 
-    Returns a list of row dicts with keys eps, phi, gap, pair_value,
-    ref_value, est_quad_err, ordered by the given eps list then by phi.
+    The requests are p = 1 energy requests on one field and one domain (the
+    same objects), typically one per eps. Returns a list of row dicts with
+    keys eps, phi, gap, pair_value, ref_value, est_quad_err, ordered by the
+    given requests then by phi.
     """
-    eps_list = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_list):
-        raise ParameterError("eps values must be positive")
+    requests = list(requests)
+    if not requests:
+        raise ParameterError("weakstar gaps need at least one request")
+    f, box = requests[0].field, requests[0].domain
+    for req in requests:
+        if req.p != 1.0:
+            raise ParameterError(f"weakstar gaps need p = 1 requests, got p = {req.p}")
+        if req.field is not f or req.domain is not box:
+            raise ParameterError("weakstar requests must share one field and one domain")
     phis = list(phis)
     ref = ground_truth_measure(f, box)
     ref_pairs = [pair(ref, phi) for phi in phis]
     rows = []
-    for eps in eps_list:
-        n_outer = outer_n if outer_n is not None else max(n_min, math.ceil(outer_c / eps))
-        req = EnergyRequest(
-            field=f,
-            domain=box,
-            p=1.0,
-            mollifier=MollifierSpec(family, eps, f.dim),
-            outer_grid=n_outer,
-            inner_level=inner_level,
-            trunc_tol=trunc_tol,
-            workers=workers,
-        )
+    for req in requests:
         pts, masses, est = density_masses(req)
         mu = DiscreteMeasure(box, pts, masses)
         for phi, ref_val in zip(phis, ref_pairs):
             val = pair(mu, phi)
             rows.append(
                 {
-                    "eps": eps,
+                    "eps": float(req.mollifier.eps),
                     "phi": phi.label(),
                     "gap": abs(val - ref_val),
                     "pair_value": val,

@@ -269,21 +269,6 @@ def q2_closed(a: SymMatrix) -> float:
     return float(np.sqrt((2.0 * f2 + t * t) / (d * (d + 2))))
 
 
-def _q1_closed_d2(lam1: float, lam2: float) -> float:
-    """Exact Q_1 for a 2x2 symmetric matrix from its eigenvalues.
-
-    With m = (lam1+lam2)/2 and s = |lam1-lam2|/2 the circle average of
-    |m + s cos(phi)| is |m| when |m| >= s and otherwise
-    (2/pi)(m asin(m/s) + s sqrt(1 - (m/s)^2)).
-    """
-    m = 0.5 * (lam1 + lam2)
-    s = 0.5 * abs(lam1 - lam2)
-    if abs(m) >= s:
-        return abs(m)
-    t = m / s
-    return (2.0 / np.pi) * (m * np.arcsin(t) + s * np.sqrt(1.0 - t * t))
-
-
 def qp_pow_eigs(eigs: np.ndarray, p: float, rule: SphereRule | None) -> np.ndarray:
     """Q_p(A)^p for a batch of matrices given by eigenvalue rows (n, d).
 

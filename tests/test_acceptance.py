@@ -248,7 +248,14 @@ def test_criterion_09_weakstar_dictionary():
         TestFunction.tent([0.15, 0.5], 0.1),
         TestFunction.cosine([1.0, 0.0]),
     ]
-    rows = me.weakstar_gap(jump, OMEGA, "shell", EPS_SCHEDULE, phis, workers=1)
+    requests = [
+        en.EnergyRequest(field=jump, domain=OMEGA, p=1.0,
+                         mollifier=MollifierSpec("shell", eps, 2),
+                         outer_grid=max(64, math.ceil(8.0 / eps)),
+                         inner_level=16, trunc_tol=1e-10, workers=1)
+        for eps in EPS_SCHEDULE
+    ]
+    rows = me.weakstar_gap(requests, phis)
     budget = 0.03 / math.pi
     by_phi = {}
     for r in rows:

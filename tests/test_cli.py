@@ -87,6 +87,46 @@ def test_energy_json_line(tmp_path, capsys):
     assert doc["samples_outer"] == 64
 
 
+@pytest.mark.parametrize("path, override", [
+    ("config.schema", {"schema": True}),
+    ("config.dim", {"dim": True}),
+    ("config.p", {"p": True}),
+    ("config.eps", {"eps": True}),
+    ("config.eps[1]", {"eps": [0.2, True]}),
+    ("config.outer.c", {"outer": {"c": True}}),
+    ("config.outer.n_min", {"outer": {"n_min": True}}),
+    ("config.outer.n", {"outer": {"n": True}}),
+    ("config.inner.level", {"inner": {"level": True}}),
+    ("config.trunc_tol", {"trunc_tol": True}),
+    ("config.tol_accept", {"tol_accept": True}),
+    ("config.workers", {"workers": True}),
+])
+def test_bool_for_number_is_config_error(tmp_path, capsys, path, override):
+    # JSON true is an int to isinstance; it must not pass as 1
+    rc = cli.main(["energy", "--config", _write_cfg(tmp_path, **override)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+
+def test_energy_sweep_weakstar_share_one_grid(tmp_path, capsys):
+    # aligned jump at x = 0.5: every command bumps outer.n = 21 to N = 22
+    cfg = _write_cfg(tmp_path, field=JUMP_FIELD, aligned=True, outer={"n": 21},
+                     eps=[0.2, 0.1, 0.05], inner={"level": 4},
+                     weakstar={"dictionary": [{"id": "const_one"}]})
+    assert cli.main(["energy", "--config", cfg]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    sweep_out, gaps_out = tmp_path / "sweep.json", tmp_path / "gaps.csv"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(sweep_out),
+                     "--format", "json"]) == 0
+    first = json.loads(sweep_out.read_text())["records"][0]
+    assert first["n_outer"] == 22
+    assert first["value"] == value
+    assert cli.main(["weakstar", "--config", cfg, "--out", str(gaps_out)]) == 0
+    eps, phi, _, pair_value = gaps_out.read_text().splitlines()[1].split(",")[:4]
+    assert (float(eps), phi) == (0.2, "const_one")
+    assert float(pair_value) == value
+
+
 # -- sweep and residual ------------------------------------------------------
 
 def test_sweep_writes_csv(tmp_path):

@@ -85,6 +85,18 @@ def test_request_validation():
         _req(domain=DomainBox([0.0] * 3, [1.0] * 3))
 
 
+@pytest.mark.parametrize("kw", [
+    {"p": True},
+    {"outer_grid": 8.5},
+    {"outer_grid": True},
+    {"inner_level": 4.0},
+    {"inner_level": True},
+])
+def test_request_rejects_bools_and_fractional_sizes(kw):
+    with pytest.raises(ParameterError):
+        _req(**kw)
+
+
 def test_pairwise_total():
     assert en.pairwise_total([]) == 0.0
     assert en.pairwise_total([3.5]) == 3.5
@@ -196,12 +208,6 @@ def test_worker_count_does_not_change_totals():
     pooled = en.energy(en.EnergyRequest(**base, workers=2))
     assert serial.value == pooled.value
     assert serial.est_quadrature_error == pooled.est_quadrature_error
-
-
-def test_with_workers_helper():
-    req = _req()
-    assert en.with_workers(req, 4).workers == 4
-    assert en.with_workers(req, 4).field is req.field
 
 
 def test_thread_env_override(monkeypatch):

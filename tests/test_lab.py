@@ -14,6 +14,7 @@ Core claims:
     - weak-star runs write the dictionary gap table next to the report
 """
 
+import dataclasses
 import importlib
 import json
 import math
@@ -312,6 +313,16 @@ def test_report_golden_bytes(tmp_path):
     path = tmp_path / "golden.csv"
     lab.report_write(rep, path, "csv")
     assert path.read_bytes() == (DATA / "golden_report.csv").read_bytes()
+
+
+def test_report_rel_err_nan_for_zero_reference(tmp_path):
+    # a residual sweep of a smooth field has reference 0: no relative error
+    rep = dataclasses.replace(_synthetic_report(), reference_value=0.0)
+    path = tmp_path / "zero.csv"
+    lab.report_write(rep, path, "csv")
+    rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]]
+    assert [row[4] for row in rows] == ["NaN"] * len(rep.records)
+    assert [float(row[2]) for row in rows] == [r.value for r in rep.records]
 
 
 def test_report_write_errors(tmp_path):

@@ -54,6 +54,13 @@ def _req(field, **kw):
     return en.EnergyRequest(**base)
 
 
+def _gap_reqs(field, eps_list, outer_n=None):
+    """One request per eps on the grid N = max(64, ceil(8 / eps)) or outer_n."""
+    return [_req(field, mollifier=MollifierSpec("shell", eps, 2),
+                 outer_grid=outer_n or max(64, math.ceil(8.0 / eps)))
+            for eps in eps_list]
+
+
 # -- density measure ---------------------------------------------------------
 
 def test_density_requires_p1():
@@ -184,7 +191,7 @@ def test_pair_zero_measure():
 
 def test_weakstar_rows_shape_and_shrink():
     phis = [TestFunction.const_one(), TestFunction.tent([0.5, 0.5], 0.25)]
-    rows = me.weakstar_gap(_jump(), BOX, "shell", [0.2, 0.1, 0.05], phis, workers=1)
+    rows = me.weakstar_gap(_gap_reqs(_jump(), [0.2, 0.1, 0.05]), phis)
     assert len(rows) == 6
     for r in rows:
         assert set(r) == {"eps", "phi", "gap", "pair_value", "ref_value", "est_quad_err"}
@@ -198,17 +205,28 @@ def test_weakstar_rows_shape_and_shrink():
 
 def test_weakstar_rigid_all_zero():
     f = RigidField(np.array([[0.0, 0.5], [-0.5, 0.0]]), np.array([1.0, 0.0]))
-    rows = me.weakstar_gap(f, BOX, "shell", [0.2, 0.1], [TestFunction.const_one()],
-                           workers=1)
+    rows = me.weakstar_gap(_gap_reqs(f, [0.2, 0.1]), [TestFunction.const_one()])
     for r in rows:
         assert r["gap"] == 0.0
         assert r["pair_value"] == 0.0
         assert r["ref_value"] == 0.0
 
 
+def test_weakstar_rejects_bad_request_lists():
+    f, one = _jump(), [TestFunction.const_one()]
+    with pytest.raises(ParameterError):
+        me.weakstar_gap([], one)
+    with pytest.raises(ParameterError):
+        me.weakstar_gap([_req(f), _req(f, p=2.0)], one)
+    with pytest.raises(ParameterError):
+        me.weakstar_gap([_req(f), _req(_jump())], one)
+    with pytest.raises(ParameterError):
+        me.weakstar_gap([_req(f), _req(f, domain=DomainBox([0.0, 0.0], [1.0, 1.0]))], one)
+
+
 def test_weakstar_const_one_gap_is_total_error():
-    rows = me.weakstar_gap(LinearField(np.eye(2), np.zeros(2)), BOX, "shell",
-                           [0.2], [TestFunction.const_one()], outer_n=32, workers=1)
+    rows = me.weakstar_gap(_gap_reqs(LinearField(np.eye(2), np.zeros(2)), [0.2], outer_n=32),
+                           [TestFunction.const_one()])
     r = rows[0]
     assert abs(r["gap"] - abs(r["pair_value"] - r["ref_value"])) < 1e-15
     assert abs(r["ref_value"] - 1.0) < 1e-6
