@@ -29,6 +29,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -219,34 +220,17 @@ def _tile_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol):
     return np.where(inside, contrib, 0.0).sum(axis=1) * cellvol
 
 
-def _run_span(args):
-    field, domain, x_span, h, w, inv_r2, p, residual, cellvol, start = args
-    return start, _tile_masses(field, domain, x_span, h, w, inv_r2, p, residual, cellvol)
-
-
 def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool):
     """Masses mu^p(x_i) * cellvol for every outer cell, in fixed cell order."""
     h, w, inv_r2 = _inner_nodes(req, level)
     pts, cellvol = _midpoints(req.domain, req.outer_grid)
-    n_outer = pts.shape[0]
     k_inner = h.shape[0]
     tile = max(1, _TILE_NODE_BUDGET // max(1, k_inner))
-    spans = [(s, min(s + tile, n_outer)) for s in range(0, n_outer, tile)]
-    masses = np.empty(n_outer)
-    if workers <= 1 or len(spans) == 1:
-        for s, e in spans:
-            masses[s:e] = _tile_masses(
-                req.field, req.domain, pts[s:e], h, w, inv_r2, req.p, residual, cellvol
-            )
-        return masses, pts, k_inner
-    tasks = [
-        (req.field, req.domain, pts[s:e], h, w, inv_r2, req.p, residual, cellvol, s)
-        for s, e in spans
-    ]
-    pool = _get_pool(workers)
-    for start, part in pool.map(_run_span, tasks):
-        masses[start : start + part.shape[0]] = part
-    return masses, pts, k_inner
+    tiles = [pts[s : s + tile] for s in range(0, pts.shape[0], tile)]
+    run = _get_pool(workers).map if workers > 1 and len(tiles) > 1 else map
+    shared = [repeat(a) for a in (h, w, inv_r2, req.p, residual, cellvol)]
+    parts = run(_tile_masses, repeat(req.field), repeat(req.domain), tiles, *shared)
+    return np.concatenate(list(parts)), pts, k_inner
 
 
 def _masses(req: EnergyRequest, residual: bool):

@@ -545,28 +545,31 @@ def _axis_of(normal: np.ndarray) -> int | None:
     return None
 
 
-def _side_volumes(box: DomainBox, normal: np.ndarray, offset: float):
-    """Volumes of box ∩ {<x,nu> < s} and box ∩ {<x,nu> > s}."""
-    total = box.volume()
+def _side_volumes(lo: np.ndarray, hi: np.ndarray, normal: np.ndarray, offset: float):
+    """Volumes (m,) of each cell [lo_k, hi_k] ∩ {<x,nu> < s} and ∩ {<x,nu> > s}.
+
+    `lo` and `hi` are cell corners of shape (m, d).
+    """
+    widths = hi - lo
+    total = np.prod(widths, axis=1)
     j = _axis_of(normal)
     if j is not None:
         sign = normal[j]
         cut = offset / sign
-        lo, hi = box.lo[j], box.hi[j]
-        below = np.clip(cut, lo, hi) - lo  # length where x_j < cut
-        rest = float(np.prod(np.delete(box.hi - box.lo, j)))
+        below = np.clip(cut, lo[:, j], hi[:, j]) - lo[:, j]  # length where x_j < cut
+        rest = np.prod(np.delete(widths, j, axis=1), axis=1)
         if sign > 0:
             return below * rest, total - below * rest
         return total - below * rest, below * rest
-    if box.dim == 2:
-        minus = _halfplane_area(box, normal, offset)
+    if lo.shape[1] == 2:
+        minus = np.array([_halfplane_area(a, b, normal, offset) for a, b in zip(lo, hi)])
         return minus, total - minus
     raise ModelError("general jump normals are unsupported in d=3 ground truth")
 
 
-def _halfplane_area(box: DomainBox, nu: np.ndarray, s: float) -> float:
-    """Area of the rectangle clipped to {<x,nu> <= s} (Sutherland-Hodgman)."""
-    (x0, y0), (x1, y1) = box.lo, box.hi
+def _halfplane_area(lo: np.ndarray, hi: np.ndarray, nu: np.ndarray, s: float) -> float:
+    """Area of the rectangle [lo, hi] clipped to {<x,nu> <= s} (Sutherland-Hodgman)."""
+    (x0, y0), (x1, y1) = lo, hi
     poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
     out: list[tuple[float, float]] = []
     for i in range(len(poly)):
@@ -631,6 +634,21 @@ def _interface_nodes(box: DomainBox, normal: np.ndarray, offset: float, n: int):
     raise ModelError("general jump normals are unsupported in d=3 ground truth")
 
 
+def _jump_volume_masses(
+    f: PlanarJumpField, box: DomainBox, lo: np.ndarray, hi: np.ndarray, rule: SphereRule
+) -> np.ndarray:
+    """Volume part of the limit measure on cells [lo_k, hi_k] inside box, shape (m,).
+
+    Both sides of a jump field are affine, so Q_1 of each side's symmetric
+    gradient is a constant, taken at the box center.
+    """
+    probe = box.center()
+    q_minus = _qp_pow_of_sym(f.minus.sym_gradient(probe)[None], 1.0, rule)[0]
+    q_plus = _qp_pow_of_sym(f.plus.sym_gradient(probe)[None], 1.0, rule)[0]
+    vol_minus, vol_plus = _side_volumes(lo, hi, f.normal, f.offset)
+    return q_minus * vol_minus + q_plus * vol_plus
+
+
 def _interface_density(f: PlanarJumpField, pts: np.ndarray, rule: SphereRule) -> np.ndarray:
     """Q_1(a ⊙ normal) at interface points: the singular part's density."""
     a = f.jump_at(pts)
@@ -675,14 +693,7 @@ def ground_truth(f: FieldSpec, box: DomainBox, p: float, rule: SphereRule) -> Gr
     if isinstance(f, PlanarJumpField):
         if p > 1:
             raise ModelError("jump fields are not in W^{1,p} for p > 1")
-        probe = box.center()
-        e_minus = f.minus.sym_gradient(probe)
-        e_plus = f.plus.sym_gradient(probe)
-        vol_minus, vol_plus = _side_volumes(box, f.normal, f.offset)
-        ac = float(
-            vol_minus * _qp_pow_of_sym(e_minus[None], p, rule)[0]
-            + vol_plus * _qp_pow_of_sym(e_plus[None], p, rule)[0]
-        )
+        ac = float(_jump_volume_masses(f, box, box.lo[None], box.hi[None], rule)[0])
         sing = _jump_singular_value(f, box, rule)
         return GroundTruth(p=p, ac_value=ac, singular_value=sing, total=ac + sing)
     ac = _adaptive_box_integral(
@@ -771,28 +782,32 @@ def mollify(
 # config catalog
 
 
-def _cfg_vec(params: dict, key: str, dim: int, path: str) -> np.ndarray:
+def _has_bool(v) -> bool:
+    if isinstance(v, list):
+        return any(_has_bool(x) for x in v)
+    return isinstance(v, bool)
+
+
+def _cfg_array(params: dict, key: str, shape: tuple, path: str) -> np.ndarray:
     if key not in params:
         raise ConfigError(f"{path}.{key}: missing")
+    # np.asarray would read JSON true/false as 1.0/0.0
+    if _has_bool(params[key]):
+        raise ConfigError(f"{path}.{key}: expected numbers, got a boolean")
     try:
         v = np.asarray(params[key], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.{key}: not numeric ({exc})") from None
-    if v.shape != (dim,):
-        raise ConfigError(f"{path}.{key}: expected {dim} numbers, got shape {v.shape}")
+    if v.shape != shape:
+        raise ConfigError(f"{path}.{key}: expected shape {shape}, got {v.shape}")
     return v
 
 
-def _cfg_mat(params: dict, key: str, dim: int, path: str) -> np.ndarray:
-    if key not in params:
-        raise ConfigError(f"{path}.{key}: missing")
-    try:
-        m = np.asarray(params[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{key}: not numeric ({exc})") from None
-    if m.shape != (dim, dim):
-        raise ConfigError(f"{path}.{key}: expected a {dim}x{dim} matrix")
-    return m
+def _cfg_num(params: dict, key: str, path: str) -> float:
+    v = params.get(key)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{path}.{key}: expected a number")
+    return float(v)
 
 
 def field_from_config(cfg, dim: int, path: str = "field") -> FieldSpec:
@@ -805,46 +820,41 @@ def field_from_config(cfg, dim: int, path: str = "field") -> FieldSpec:
         raise ConfigError(f"{path}.params: expected an object")
     try:
         if fid == "rigid":
-            m = _cfg_mat(params, "spin", dim, f"{path}.params")
+            m = _cfg_array(params, "spin", (dim, dim), f"{path}.params")
             shift = (
-                _cfg_vec(params, "shift", dim, f"{path}.params")
+                _cfg_array(params, "shift", (dim,), f"{path}.params")
                 if "shift" in params
                 else np.zeros(dim)
             )
             return RigidField.from_general(m, shift)
         if fid == "linear":
-            m = _cfg_mat(params, "matrix", dim, f"{path}.params")
+            m = _cfg_array(params, "matrix", (dim, dim), f"{path}.params")
             shift = (
-                _cfg_vec(params, "shift", dim, f"{path}.params")
+                _cfg_array(params, "shift", (dim,), f"{path}.params")
                 if "shift" in params
                 else np.zeros(dim)
             )
             return LinearField(m, shift)
         if fid == "sin":
             return SinField(
-                _cfg_vec(params, "amplitude", dim, f"{path}.params"),
-                _cfg_mat(params, "waves", dim, f"{path}.params"),
+                _cfg_array(params, "amplitude", (dim,), f"{path}.params"),
+                _cfg_array(params, "waves", (dim, dim), f"{path}.params"),
             )
         if fid == "bump":
-            radius = params.get("radius")
-            if not isinstance(radius, (int, float)):
-                raise ConfigError(f"{path}.params.radius: expected a number")
             return BumpField(
-                _cfg_vec(params, "amplitude", dim, f"{path}.params"),
-                _cfg_vec(params, "center", dim, f"{path}.params"),
-                float(radius),
+                _cfg_array(params, "amplitude", (dim,), f"{path}.params"),
+                _cfg_array(params, "center", (dim,), f"{path}.params"),
+                _cfg_num(params, "radius", f"{path}.params"),
             )
         if fid == "planar_jump":
-            nu = _cfg_vec(params, "normal", dim, f"{path}.params")
+            nu = _cfg_array(params, "normal", (dim,), f"{path}.params")
             norm = float(np.sqrt(nu @ nu))
             if norm == 0.0:
                 raise ConfigError(f"{path}.params.normal: zero vector")
-            offset = params.get("offset")
-            if not isinstance(offset, (int, float)):
-                raise ConfigError(f"{path}.params.offset: expected a number")
+            offset = _cfg_num(params, "offset", f"{path}.params")
             minus = field_from_config(params.get("minus"), dim, f"{path}.params.minus")
             plus = field_from_config(params.get("plus"), dim, f"{path}.params.plus")
-            return PlanarJumpField(nu / norm, float(offset), minus, plus)
+            return PlanarJumpField(nu / norm, offset, minus, plus)
     except (ParameterError, DimensionError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(

@@ -313,7 +313,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     flags = {
         "n_policy_warning": warned_policy,
         "aligned_exact": aligned_ok,
-        "converged": len(records) >= 3 and math.isnan(order),
+        "converged": len(records) >= 3 and _settled(records),
         "monotone_gap": monotone,
         "limit_within_tol": abs(limit - ref_value) <= cfg.tol_accept,
     }
@@ -328,27 +328,33 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     )
 
 
+def _settled(records) -> bool:
+    """The last step is under twice the larger of the last two error bars."""
+    a, b = records[-2], records[-1]
+    return abs(b.value - a.value) <= 2.0 * max(b.est_quadrature_error, a.est_quadrature_error)
+
+
 def rate_estimate(records):
     """(order, extrapolated limit) from >= 3 records on a decreasing eps list.
 
     Seeds order and limit from the last three values (Aitken on a geometric
     schedule), then refits the order as the least-squares slope of
     log|value - limit| against log eps and redoes the Richardson step.
-    Returns (nan, last value) when the gaps sit below twice the quadrature
-    error bars: the sequence has already converged.
+    Returns (nan, last value) when the last step sits below twice the
+    quadrature error bars (the sequence has converged), when the last two
+    steps stall or change sign, or when the seed order leaves (0.05, 10).
     """
     recs = list(records)
     if len(recs) < 3:
         raise InsufficientDataError("rate estimation needs at least 3 records")
     eps = np.array([r.eps for r in recs])
     vals = np.array([r.value for r in recs])
-    ests = np.array([r.est_quadrature_error for r in recs])
     if len(set(eps.tolist())) != len(recs):
         raise InsufficientDataError("eps values must be distinct")
+    if _settled(recs):
+        return math.nan, float(vals[-1])
     d1 = vals[-2] - vals[-3]
     d2 = vals[-1] - vals[-2]
-    if abs(d2) <= 2.0 * max(ests[-1], ests[-2]):
-        return math.nan, float(vals[-1])
     if d1 == 0.0 or d2 == 0.0 or (d1 > 0) != (d2 > 0):
         return math.nan, float(vals[-1])
     rho = eps[-2] / eps[-1]

@@ -10,7 +10,6 @@ bounded continuous test functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +24,8 @@ from .fields import (
     SampledField,
     _interface_density,
     _interface_nodes,
+    _jump_volume_masses,
     _qp_pow_of_sym,
-    _side_volumes,
     _tensor_grid,
 )
 from .symnorm import SphereRule, make_sphere_rule
@@ -168,35 +167,10 @@ def _cell_gauss_masses(f: FieldSpec, box: DomainBox, n: int, g: int, rule: Spher
         (box.lo[i] + step[i] * (np.arange(n)[:, None] + 0.5 * (z[None, :] + 1.0))).ravel()
         for i in range(d)
     ]
-    vals = _qp_pow_of_sym(f.sym_gradient(_tensor_grid(ax_nodes)), 1.0, rule)
-    vals = vals.reshape(tuple(itertools.chain(*[(n, g)] * d)))
-    jac = float(np.prod(step / 2.0))
-    masses = np.zeros((n,) * d)
-    for combo in itertools.product(range(g), repeat=d):
-        weight = jac * float(np.prod([w[c] for c in combo]))
-        idx = tuple(
-            itertools.chain(*[(slice(None), combo[i]) for i in range(d)])
-        )
-        masses += weight * vals[idx]
-    return masses.ravel()
-
-
-def _jump_cell_masses(f: PlanarJumpField, box: DomainBox, n: int, rule: SphereRule):
-    """Exact AC cell masses for a jump field: sidewise constant Q_1 x side volume."""
-    d = box.dim
-    probe = box.center()
-    q_minus = float(_qp_pow_of_sym(f.minus.sym_gradient(probe)[None], 1.0, rule)[0])
-    q_plus = float(_qp_pow_of_sym(f.plus.sym_gradient(probe)[None], 1.0, rule)[0])
-    step = (box.hi - box.lo) / n
-    masses = np.zeros((n,) * d)
-    for combo in itertools.product(range(n), repeat=d):
-        lo = box.lo + step * np.array(combo)
-        cell = DomainBox(lo, lo + step)
-        if q_minus == 0.0 and q_plus == 0.0:
-            break
-        vol_minus, vol_plus = _side_volumes(cell, f.normal, f.offset)
-        masses[combo] = q_minus * vol_minus + q_plus * vol_plus
-    return masses.ravel()
+    ax_weights = [np.tile(0.5 * step[i] * w, n) for i in range(d)]
+    pts, wts = _tensor_grid(ax_nodes, ax_weights)
+    vals = _qp_pow_of_sym(f.sym_gradient(pts), 1.0, rule)
+    return (vals * wts).reshape((n, g) * d).sum(axis=tuple(range(1, 2 * d, 2))).ravel()
 
 
 def _interface_atoms(f: PlanarJumpField, box: DomainBox, rule: SphereRule):
@@ -223,7 +197,8 @@ def ground_truth_measure(
     step = (box.hi - box.lo) / n
     mids = _tensor_grid([box.lo[i] + step[i] * (np.arange(n) + 0.5) for i in range(box.dim)])
     if isinstance(f, PlanarJumpField):
-        cell_masses = _jump_cell_masses(f, box, n, rule)
+        lo = box.lo + step * _tensor_grid([np.arange(n)] * box.dim)
+        cell_masses = _jump_volume_masses(f, box, lo, lo + step, rule)
         ipts, imasses = _interface_atoms(f, box, rule)
         points = np.vstack([mids, ipts]) if len(imasses) else mids
         masses = np.concatenate([cell_masses, imasses])

@@ -30,6 +30,7 @@ __all__ = [
 
 # PSD test: smallest eigenvalue may dip slightly negative in floating point
 PSD_TOL = 1e-12
+_SPHERE_NODE_BUDGET = 1 << 20  # matrix rows x sphere nodes per block in qp_pow_eigs
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -300,14 +301,27 @@ def qp_pow_eigs(eigs: np.ndarray, p: float, rule: SphereRule | None) -> np.ndarr
             else:
                 if rule is None or rule.dim != d:
                     raise DimensionError("need a matching sphere rule for d=3, p=1")
-                w2 = rule.nodes * rule.nodes
-                vals = eigs[rest] @ w2.T
-                out[rest] = np.abs(vals) @ rule.weights
+                out[rest] = _sphere_pow_sum(eigs[rest], p, rule)
         return out
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     if rule is None or rule.dim != d:
         raise DimensionError(f"need a matching sphere rule for d={d}, p={p}")
+    return _sphere_pow_sum(eigs, p, rule)
+
+
+def _sphere_pow_sum(eigs: np.ndarray, p: float, rule: SphereRule) -> np.ndarray:
+    """sum_k w_k |sum_i lam_i (n_k)_i^2|^p per eigenvalue row, in row blocks.
+
+    Blocks bound the (rows x nodes) temporaries to _SPHERE_NODE_BUDGET
+    entries. Each row takes the same operations as in one whole-batch
+    product; BLAS may still round a row differently in its last bit when it
+    falls at another position within a block.
+    """
     w2 = rule.nodes * rule.nodes
-    vals = eigs @ w2.T
-    return (np.abs(vals) ** p) @ rule.weights
+    rows = max(1, _SPHERE_NODE_BUDGET // w2.shape[0])
+    out = np.empty(eigs.shape[0])
+    for s in range(0, eigs.shape[0], rows):
+        vals = np.abs(eigs[s : s + rows] @ w2.T)
+        out[s : s + rows] = vals**p @ rule.weights
+    return out

@@ -100,6 +100,30 @@ def test_energy_json_line(tmp_path, capsys):
     ("config.trunc_tol", {"trunc_tol": True}),
     ("config.tol_accept", {"tol_accept": True}),
     ("config.workers", {"workers": True}),
+    ("config.field.params.offset",
+     {"field": {**JUMP_FIELD, "params": {**JUMP_FIELD["params"], "offset": True}}}),
+    ("config.field.params.normal",
+     {"field": {**JUMP_FIELD, "params": {**JUMP_FIELD["params"], "normal": [True, 0.0]}}}),
+    ("config.field.params.minus.params.spin",
+     {"field": {**JUMP_FIELD, "params": {**JUMP_FIELD["params"], "minus": {
+         "id": "rigid", "params": {"spin": [[0.0, True], [0.0, 0.0]]}}}}}),
+    ("config.field.params.shift",
+     {"field": {"id": "rigid", "params": {"spin": [[0.0, 0.0], [0.0, 0.0]],
+                                          "shift": [0.0, False]}}}),
+    ("config.field.params.matrix",
+     {"field": {"id": "linear", "params": {"matrix": [[True, 0.0], [0.0, 1.0]]}}}),
+    ("config.field.params.amplitude",
+     {"field": {"id": "sin", "params": {"amplitude": [True, 0.2],
+                                        "waves": [[3.0, 1.0], [1.0, 2.0]]}}}),
+    ("config.field.params.waves",
+     {"field": {"id": "sin", "params": {"amplitude": [0.3, 0.2],
+                                        "waves": [[3.0, 1.0], [True, 2.0]]}}}),
+    ("config.field.params.center",
+     {"field": {"id": "bump", "params": {"amplitude": [0.3, 0.2], "center": [0.5, True],
+                                         "radius": 0.3}}}),
+    ("config.field.params.radius",
+     {"field": {"id": "bump", "params": {"amplitude": [0.3, 0.2], "center": [0.5, 0.5],
+                                         "radius": True}}}),
 ])
 def test_bool_for_number_is_config_error(tmp_path, capsys, path, override):
     # JSON true is an int to isinstance; it must not pass as 1

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nldef import ConfigError, GroundTruth, InsufficientDataError
+from nldef import ConfigError, EnergyResult, GroundTruth, InsufficientDataError
 
 lab = importlib.import_module("nldef.lab")
 
@@ -171,6 +171,19 @@ def test_rigid_sweep_all_zero():
     assert rep.flags["converged"]
     assert rep.flags["aligned_exact"] and not rep.flags["n_policy_warning"]
     assert [r.truncation_radius for r in rep.records] == [0.2, 0.1, 0.05]
+
+
+def test_oscillating_sweep_is_not_converged(monkeypatch):
+    # the order is NaN because the steps change sign, not because they sit
+    # under the (zero) error bars
+    values = iter([1.0, 1.2, 1.1])
+    monkeypatch.setattr(lab, "energy", lambda req: EnergyResult(
+        value=next(values), truncation_radius=req.mollifier.eps, samples_outer=1,
+        samples_inner=1, elapsed=0.0, est_quadrature_error=0.0))
+    rep = lab.run_sweep(_cfg())
+    assert [r.value for r in rep.records] == [1.0, 1.2, 1.1]
+    assert math.isnan(rep.empirical_order)
+    assert not rep.flags["converged"]
 
 
 # -- rate estimation ---------------------------------------------------------

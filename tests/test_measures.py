@@ -121,6 +121,25 @@ def test_reference_measure_smooth_matches_ground_truth():
     assert abs(m.total() - gt.total) < 1e-8
 
 
+@pytest.mark.parametrize("normal, offset, box, n_cells, ac", [
+    # {x_1 > -0.37} holds 0.87 of the centred unit cube; the plane cuts
+    # the cells over [-0.375, -0.25]
+    ([-1.0, 0.0, 0.0], 0.37, DomainBox([-0.5] * 3, [0.5] * 3), 8, 0.87 + 0.13 * 2.0),
+    # the chord from (0, 0.875) to (1, 0.125) halves the unit square
+    ([0.6, 0.8], 0.7, BOX, 64, 0.5 + 0.5 * 2.0),
+])
+def test_reference_measure_jump_cells_sum_to_ground_truth(normal, offset, box, n_cells, ac):
+    # linear sides with Q_1 = 1 (minus) and Q_1 = 2 (plus)
+    d = box.dim
+    f = PlanarJumpField(np.array(normal), offset, LinearField(np.eye(d), np.zeros(d)),
+                        LinearField(2.0 * np.eye(d), np.full(d, 0.1)))
+    rule = make_sphere_rule(d, 64)
+    gt = ground_truth(f, box, 1.0, rule)
+    m = me.ground_truth_measure(f, box, rule, n_cells=n_cells)
+    assert abs(m.masses[: n_cells**d].sum() - gt.ac_value) <= 1e-12 * gt.ac_value
+    assert abs(gt.ac_value - ac) <= 1e-12 * ac
+
+
 def test_reference_measure_rejects_sampled():
     samp = SampledField(np.zeros(2), np.ones(2), np.zeros((3, 3, 2)))
     with pytest.raises(ModelError):

@@ -12,6 +12,7 @@ Core claims:
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,24 @@ def test_qp_pow_eigs_needs_rule_for_open_cases():
         qp_pow_eigs(eigs, 3.0, None)
     with pytest.raises(ParameterError):
         qp_pow_eigs(eigs, 0.5, make_sphere_rule(3, 8))
+
+def test_qp_pow_eigs_sphere_rows_bounded_memory():
+    # 50k indefinite 3-d rows against 512 nodes: one (rows x nodes) array
+    # would be ~200 MB, the row blocks keep the peak far below it
+    rng = np.random.default_rng(31)
+    mags = rng.uniform(0.1, 1.0, (50_000, 3))
+    eigs = np.stack([mags[:, 0], 0.5 * (mags[:, 1] - 0.5), -mags[:, 2]], axis=1)
+    rule = make_sphere_rule(3, 16)
+    tracemalloc.start()
+    try:
+        out = qp_pow_eigs(eigs, 1.0, rule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    w2 = rule.nodes * rule.nodes
+    ref = np.abs(eigs[:1000] @ w2.T) @ rule.weights
+    np.testing.assert_allclose(out[:1000], ref, rtol=1e-13, atol=0.0)
 
 
 # -- invariance --------------------------------------------------------------
