@@ -10,11 +10,24 @@ the mollifier's support bands crossed with a sphere rule in direction, so the
 singular |h| factors cancel analytically and only the angular variation is
 resolved. Inner nodes leaving U are rejected (zero mask).
 
+Per tile of t outer cells and K inner nodes, the work is on (t, K) arrays:
+
+- the mask is `DomainBox.contains_offsets`, an AND over the axes of
+  lo_k <= x_k + h_k <= hi_k, bitwise equal to testing the points x + h;
+- the pair kernel is the field's `delta_dot_h`, which is a closed form in
+  (x, h) for rigid, linear, sin and planar-jump fields (no evaluation at
+  x + h; exactly zero for rigid fields); bump and sampled fields take the
+  generic difference u(x + h) - u(x);
+- the residual term is one (t, d^2) x (d^2, K) contraction;
+- |q|^p, the weights and the mask are applied in place before the row sum.
+
 Determinism: outer cells are split into fixed-size contiguous tiles, each
-tile's per-cell masses are computed with elementwise kernels in a fixed node
-order, and the final reduction is one pairwise tree over the full cell array.
-The tiling does not depend on the worker count, so results are bitwise
-reproducible across 1, 2 or 8 workers.
+tile's per-cell masses are computed with kernels that see only the tile, in
+a fixed node order, and the final reduction is one pairwise tree over the
+full cell array. The tiling does not depend on the worker count, so results
+are bitwise reproducible across 1, 2 or 8 workers. The default worker count
+is the number of CPUs this process may run on. A pool whose worker died is
+rebuilt once; a second death raises WorkerError.
 
 The residual variant subtracts the first-order term <Eu(x) h, h>/|h|^2 before
 taking absolute values; its small-eps limit isolates the singular part of the
@@ -28,12 +41,20 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, ModelError, ParameterError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    DomainError,
+    ModelError,
+    ParameterError,
+    WorkerError,
+)
 from .fields import (
     DomainBox,
     FieldSpec,
@@ -133,7 +154,10 @@ def _resolve_workers(explicit: int | None) -> int:
         if n < 1:
             raise ConfigError(f"NLD_THREADS={env!r} must be >= 1")
         return n
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
 
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
@@ -154,6 +178,23 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
         ex = ProcessPoolExecutor(max_workers=workers)
         _POOLS[workers] = ex
     return ex
+
+
+def _pool_map(workers: int, fn, *args) -> list:
+    """list(map(fn, *args)) on the cached pool of `workers` processes.
+
+    A pool with a dead worker raises BrokenProcessPool from then on, so it
+    is dropped from the cache and rebuilt once; if the rebuilt pool breaks
+    too, WorkerError is raised.
+    """
+    for _ in range(2):
+        try:
+            return list(_get_pool(workers).map(fn, *args))
+        except BrokenProcessPool:
+            _POOLS.pop(workers).shutdown(wait=False, cancel_futures=True)
+    raise WorkerError(
+        f"a worker of the {workers}-process pool died, and again after a rebuild"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -197,27 +238,33 @@ def _midpoints(box: DomainBox, n: int):
 
 
 def _abs_pow(q: np.ndarray, p: float) -> np.ndarray:
-    if p == 1.0:
-        return np.abs(q)
+    """|q|^p, written over q."""
     if p == 2.0:
-        return q * q
-    return np.abs(q) ** p
+        return np.multiply(q, q, out=q)
+    np.abs(q, out=q)
+    if p != 1.0:
+        np.power(q, p, out=q)
+    return q
 
 
 def _tile_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol):
-    """Per-cell masses (densities times cell volume) for one outer tile."""
-    x = x_tile[:, None, :]
-    hh = h[None, :, :]
-    inside = domain.contains(x + hh)
-    q = np.asarray(field.delta_dot_h(x, hh)) * inv_r2
+    """Per-cell masses (densities times cell volume) for one outer tile.
+
+    Pair arrays are (t, K); only the generic kernel (bump and sampled
+    fields) builds the (t, K, d) points x + h.
+    """
+    inside = domain.contains_offsets(x_tile, h)
+    q = np.multiply(field.delta_dot_h(x_tile[:, None, :], h[None, :, :]), inv_r2)
     if residual:
-        e = field.sym_gradient(x_tile)  # (t, d, d)
-        d = h.shape[1]
-        for i in range(d):
-            for j in range(d):
-                q = q - e[:, i, j, None] * (h[:, i] * h[:, j] * inv_r2)[None, :]
-    contrib = _abs_pow(q, p) * w
-    return np.where(inside, contrib, 0.0).sum(axis=1) * cellvol
+        # sum_ij e_ij(x) h_i h_j / |h|^2 as one (t, d^2) x (d^2, K) contraction
+        t, d = x_tile.shape
+        e = field.sym_gradient(x_tile).reshape(t, d * d)
+        hh = (h[:, :, None] * h[:, None, :]).reshape(-1, d * d) * inv_r2[:, None]
+        q -= e @ hh.T
+    contrib = _abs_pow(q, p)
+    contrib *= w
+    np.copyto(contrib, 0.0, where=~inside)
+    return contrib.sum(axis=1) * cellvol
 
 
 def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool):
@@ -227,10 +274,13 @@ def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool):
     k_inner = h.shape[0]
     tile = max(1, _TILE_NODE_BUDGET // max(1, k_inner))
     tiles = [pts[s : s + tile] for s in range(0, pts.shape[0], tile)]
-    run = _get_pool(workers).map if workers > 1 and len(tiles) > 1 else map
     shared = [repeat(a) for a in (h, w, inv_r2, req.p, residual, cellvol)]
-    parts = run(_tile_masses, repeat(req.field), repeat(req.domain), tiles, *shared)
-    return np.concatenate(list(parts)), pts, k_inner
+    args = (_tile_masses, repeat(req.field), repeat(req.domain), tiles, *shared)
+    if workers > 1 and len(tiles) > 1:
+        parts = _pool_map(workers, *args)
+    else:
+        parts = list(map(*args))
+    return np.concatenate(parts), pts, k_inner
 
 
 def _masses(req: EnergyRequest, residual: bool):

@@ -32,3 +32,7 @@ class ConfigError(NldefError):
 
 class InsufficientDataError(NldefError):
     """Not enough records for the requested estimate."""
+
+
+class WorkerError(NldefError):
+    """A pool worker process died, and so did one of the rebuilt pool."""

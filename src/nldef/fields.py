@@ -6,10 +6,11 @@ Fields are immutable dataclasses sharing a small interface:
   delta_dot_h(x, h)  <u(x+h) - u(x), h>, the engine's pair kernel
   sym_gradient(x)    the symmetric part of the Jacobian, where defined
 
-The structured variants (rigid, linear, planar jump with affine sides)
-hand-code `delta_dot_h` so algebraic identities hold exactly in floating
-point; in particular a rigid field reports an exactly zero kernel, which is
-what makes the zero-energy test bitwise.
+The closed-form variants (rigid, linear, sin, planar jump with affine sides)
+hand-code `delta_dot_h` so no field is evaluated at x + h and algebraic
+identities hold exactly in floating point; in particular a rigid field
+reports an exactly zero kernel, which is what makes the zero-energy test
+bitwise. Bump and sampled fields use the generic difference.
 
 `ground_truth` returns the limit value the energy sweep converges to: the
 volume integral of Q_p of the symmetric gradient plus, for jump fields at
@@ -101,6 +102,20 @@ class DomainBox:
         x = np.asarray(x, dtype=np.float64)
         return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
 
+    def contains_offsets(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Mask (n, K): whether x_i + h_j lies in the box, for x (n, d) and h (K, d).
+
+        One axis at a time on (n, K) slices, with the same add and compares
+        as `contains(x[:, None] + h[None])`, so the mask is bitwise equal to
+        it without building the (n, K, d) sum.
+        """
+        inside = np.ones((x.shape[0], h.shape[0]), dtype=bool)
+        for k in range(self.dim):
+            y = np.add.outer(x[:, k], h[:, k])
+            inside &= y >= self.lo[k]
+            inside &= y <= self.hi[k]
+        return inside
+
     def dilate(self, r: float) -> "DomainBox":
         if r < 0:
             raise ParameterError("dilate radius must be >= 0")
@@ -131,7 +146,13 @@ class FieldSpec:
         raise ModelError(f"{type(self).__name__} has no closed-form gradient")
 
     def delta_dot_h(self, x, h) -> np.ndarray:
-        """<u(x+h) - u(x), h>, broadcast over leading axes."""
+        """<u(x+h) - u(x), h>, broadcast over leading axes.
+
+        This generic form evaluates the field at x + h. A subclass may
+        override it with a closed form in (x, h); the override must agree
+        with this difference to roundoff and must be exactly zero for a
+        rigid field, so that rigid energies stay bitwise zero.
+        """
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
         du = self.eval(x + h) - self.eval(x)
@@ -187,7 +208,7 @@ class RigidField(FieldSpec):
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
         shape = np.broadcast_shapes(x.shape[:-1], h.shape[:-1])
-        return np.zeros(shape)
+        return np.broadcast_to(0.0, shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,6 +285,24 @@ class SinField(FieldSpec):
         cos = np.cos(x @ self.waves.T)  # (..., d), column i is cos(k_i . x)
         du = cos[..., :, None] * (self.amplitude[:, None] * self.waves)
         return 0.5 * (du + np.swapaxes(du, -1, -2))
+
+    def delta_dot_h(self, x, h) -> np.ndarray:
+        # sin(k.x + k.h) - sin(k.x) = sin(k.x) (cos(k.h) - 1) + cos(k.x) sin(k.h),
+        # with cos(k.h) - 1 = -2 sin^2(k.h / 2) to avoid the cancellation
+        x = np.asarray(x, dtype=np.float64)
+        h = np.asarray(h, dtype=np.float64)
+        kx = x @ self.waves.T
+        kh = h @ self.waves.T
+        sin_x = self.amplitude * np.sin(kx)
+        cos_x = self.amplitude * np.cos(kx)
+        half = np.sin(0.5 * kh)
+        h_cos = -2.0 * half * half * h
+        h_sin = np.sin(kh) * h
+        q = sin_x[..., 0] * h_cos[..., 0] + cos_x[..., 0] * h_sin[..., 0]
+        for i in range(1, self.dim):
+            q += sin_x[..., i] * h_cos[..., i]
+            q += cos_x[..., i] * h_sin[..., i]
+        return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,18 +402,23 @@ class PlanarJumpField(FieldSpec):
         return self.plus.eval(x) - self.minus.eval(x)
 
     def delta_dot_h(self, x, h) -> np.ndarray:
+        # with y = x + h on side s_y: u(y) - u(x) = (u_{s_y}(x + h) - u_{s_y}(x))
+        # + (u_{s_y}(x) - u_{s_x}(x)), and the second term is (p_y - p_x) a(x)
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
-        y = x + h
         px = self._plus_side(x)
-        py = self._plus_side(y)
-        q_minus = self.minus.delta_dot_h(x, h)
-        q_plus = self.plus.delta_dot_h(x, h)
-        uy = np.where(py[..., None], self.plus.eval(y), self.minus.eval(y))
-        ux = np.where(px[..., None], self.plus.eval(x), self.minus.eval(x))
-        q_cross = ((uy - ux) * h).sum(axis=-1)
-        same = px == py
-        return np.where(same, np.where(px, q_plus, q_minus), q_cross)
+        # x.nu + h.nu equals (x + h).nu bitwise for normals +-e_j
+        py = (x @ self.normal + h @ self.normal) - self.offset > 0.0
+        q = np.where(py, self.plus.delta_dot_h(x, h), self.minus.delta_dot_h(x, h))
+        if not np.any(py != px):  # no pair crosses the plane
+            return q
+        a = self.jump_at(x)
+        a_dot_h = a[..., 0] * h[..., 0]
+        for k in range(1, self.dim):
+            a_dot_h += a[..., k] * h[..., k]
+        a_dot_h *= np.subtract(py, px, dtype=np.float64)
+        q += a_dot_h
+        return q
 
 
 @dataclass(frozen=True, eq=False)

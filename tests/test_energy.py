@@ -8,6 +8,8 @@ Core claims:
     - the energy is monotone in the domain, blind to added spin, and
       invariant under quarter-turn frame rotations
     - totals are bitwise reproducible across reruns and worker counts
+    - a pool whose worker died is rebuilt once, then a typed error is raised;
+      the default worker count is the CPU affinity of the process
     - the residual variant subtracts the local linearization and accepts
       only p = 1
     - the tensor inner mode converges to the radial-spherical value
@@ -16,6 +18,10 @@ Core claims:
 
 import importlib
 import math
+import multiprocessing
+import os
+import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +38,9 @@ from nldef import (
     PlanarJumpField,
     RigidField,
     SampledField,
+    SinField,
     SymMatrix,
+    WorkerError,
     make_sphere_rule,
     q_norm,
 )
@@ -208,6 +216,69 @@ def test_worker_count_does_not_change_totals():
     pooled = en.energy(en.EnergyRequest(**base, workers=2))
     assert serial.value == pooled.value
     assert serial.est_quadrature_error == pooled.est_quadrature_error
+
+
+def test_sin_residual_bitwise_across_reruns_and_workers():
+    sin = SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]]))
+    base = dict(field=sin, domain=BOX, p=1.0, mollifier=SHELL,
+                outer_grid=128, inner_level=16)
+    first = en.residual_energy(en.EnergyRequest(**base, workers=1))
+    rerun = en.residual_energy(en.EnergyRequest(**base, workers=1))
+    pooled = en.residual_energy(en.EnergyRequest(**base, workers=2))
+    for res in (rerun, pooled):
+        assert res.value == first.value
+        assert res.est_quadrature_error == first.est_quadrature_error
+
+
+def _pooled_req():
+    # 4 tiles at the fine level, so workers=2 goes through the pool
+    return en.EnergyRequest(field=_jump(), domain=BOX, p=1.0, mollifier=SHELL,
+                            outer_grid=128, inner_level=16, workers=2)
+
+
+def test_killed_pool_worker_is_replaced():
+    en._shutdown_pools()
+    for child in multiprocessing.active_children():
+        child.join(timeout=30)
+    first = en.energy(_pooled_req())
+    workers = multiprocessing.active_children()
+    assert len(workers) == 2
+    os.kill(workers[0].pid, signal.SIGKILL)
+    workers[0].join(timeout=30)
+    assert not workers[0].is_alive()
+    again = en.energy(_pooled_req())
+    assert again.value == first.value
+    assert again.est_quadrature_error == first.est_quadrature_error
+
+
+_PARENT_PID = os.getpid()
+_TILE_MASSES = en._tile_masses
+
+
+def _die_in_worker(*args):
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return _TILE_MASSES(*args)
+
+
+def test_pool_that_keeps_dying_raises_worker_error(monkeypatch):
+    monkeypatch.setattr(en, "_tile_masses", _die_in_worker)
+    with pytest.raises(WorkerError):
+        en.energy(_pooled_req())
+    assert 2 not in en._POOLS  # no broken pool stays cached
+    monkeypatch.undo()
+    assert en.energy(_pooled_req()).value > 0.0
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("NLD_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert en._resolve_workers(None) == 1
+    assert en._resolve_workers(2) == 2  # an explicit count is kept
+    res = en.energy(replace(_pooled_req(), workers=None))
+    assert res.value == en.energy(_pooled_req()).value
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert en._resolve_workers(None) == (os.cpu_count() or 1)
 
 
 def test_thread_env_override(monkeypatch):
