@@ -10,7 +10,14 @@ the mollifier's support bands crossed with a sphere rule in direction, so the
 singular |h| factors cancel analytically and only the angular variation is
 resolved. Inner nodes leaving U are rejected (zero mask).
 
-Per tile of t outer cells and K inner nodes, the work is on (t, K) arrays:
+Per tile of t outer cells and K inner nodes, cells first fall into classes
+whose pair rows are identical: equal `FieldSpec.kernel_classes` ids (rigid
+and linear fields, and jump cells whose whole stencil stays on one side, have
+a kernel that does not involve x) and equal `DomainBox.offset_classes` ids
+(the same mask row). One representative per class is evaluated and its mass
+copied, which gives the same bits as evaluating every cell. Fields whose
+kernel depends on x (sin, bump, sampled) skip the step. For the evaluated
+cells the work is on (t, K) arrays:
 
 - the mask is `DomainBox.contains_offsets`, an AND over the axes of
   lo_k <= x_k + h_k <= hi_k, bitwise equal to testing the points x + h;
@@ -250,8 +257,26 @@ def _abs_pow(q: np.ndarray, p: float) -> np.ndarray:
 def _tile_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol):
     """Per-cell masses (densities times cell volume) for one outer tile.
 
-    Pair arrays are (t, K); only the generic kernel (bump and sampled
-    fields) builds the (t, K, d) points x + h.
+    Cells with equal kernel classes (`field.kernel_classes`) and equal mask
+    classes (`domain.offset_classes`) have bitwise-equal pair rows, so one
+    representative per class goes through `_row_masses` and its mass is
+    copied to the rest. A field without kernel classes computes every cell.
+    """
+    kernel = field.kernel_classes(x_tile, h)
+    if kernel is None:
+        return _row_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol)
+    n = x_tile.shape[0]
+    _, mask = np.unique(domain.offset_classes(x_tile, h), return_inverse=True)
+    _, first, inv = np.unique(kernel * n + mask, return_index=True, return_inverse=True)
+    reps = _row_masses(field, domain, x_tile[first], h, w, inv_r2, p, residual, cellvol)
+    return reps[inv]
+
+
+def _row_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol):
+    """Per-cell masses of the cells x_tile, one (t, K) pair row per cell.
+
+    Only the generic kernel (bump and sampled fields) builds the (t, K, d)
+    points x + h.
     """
     inside = domain.contains_offsets(x_tile, h)
     q = np.multiply(field.delta_dot_h(x_tile[:, None, :], h[None, :, :]), inv_r2)

@@ -2,9 +2,10 @@
 
 Fields are immutable dataclasses sharing a small interface:
 
-  eval(x)            values at points, vectorized over leading axes
-  delta_dot_h(x, h)  <u(x+h) - u(x), h>, the engine's pair kernel
-  sym_gradient(x)    the symmetric part of the Jacobian, where defined
+  eval(x)              values at points, vectorized over leading axes
+  delta_dot_h(x, h)    <u(x+h) - u(x), h>, the engine's pair kernel
+  sym_gradient(x)      the symmetric part of the Jacobian, where defined
+  kernel_classes(x, h) ids of cells with identical kernel rows, or None
 
 The closed-form variants (rigid, linear, sin, planar jump with affine sides)
 hand-code `delta_dot_h` so no field is evaluated at x + h and algebraic
@@ -116,6 +117,25 @@ class DomainBox:
             inside &= y <= self.hi[k]
         return inside
 
+    def offset_classes(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Ids (n,) such that equal ids have bitwise-equal `contains_offsets` rows.
+
+        Per axis, fl(x_k + h_k) is nondecreasing in h_k, so the nodes with
+        x_k + h_k >= lo_k are the ones with the largest h_k, and how many pass
+        fixes which; likewise for hi_k. Each distinct x_k is keyed by the two
+        counts (same add and compares as the mask), the keys are dense-ranked
+        per axis, and the per-axis ranks combine in mixed radix (ids < n^d).
+        """
+        ids = np.zeros(x.shape[0], dtype=np.int64)
+        for k in range(self.dim):
+            vals, at = np.unique(x[:, k], return_inverse=True)
+            y = np.add.outer(vals, h[:, k])
+            key = (y >= self.lo[k]).sum(axis=1) * (h.shape[0] + 1)
+            key += (y <= self.hi[k]).sum(axis=1)
+            ranks, rank = np.unique(key, return_inverse=True)
+            ids = ids * len(ranks) + rank[at]
+        return ids
+
     def dilate(self, r: float) -> "DomainBox":
         if r < 0:
             raise ParameterError("dilate radius must be >= 0")
@@ -135,7 +155,12 @@ class DomainBox:
 
 
 class FieldSpec:
-    """Base class; subclasses fill in dim, eval, sym_gradient."""
+    """Base class; subclasses fill in dim, eval, sym_gradient.
+
+    `kernel_classes(x, h)` contract: cells with equal ids get bitwise-equal
+    `delta_dot_h` rows and `sym_gradient`, and the engine evaluates one cell
+    per class; the default None (the kernel depends on x) evaluates them all.
+    """
 
     dim: int
 
@@ -157,6 +182,18 @@ class FieldSpec:
         h = np.asarray(h, dtype=np.float64)
         du = self.eval(x + h) - self.eval(x)
         return (du * h).sum(axis=-1)
+
+    def kernel_classes(self, x: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+        """Kernel classes (n,) of cells x (n, d) against offsets h (K, d), or None.
+
+        Contract: cells with equal ids get bitwise-equal rows of
+        `delta_dot_h(x[:, None, :], h[None, :, :])` and bitwise-equal
+        `sym_gradient(x)`, so their residual rows agree too; an id may be any
+        int64. The engine then evaluates one cell per class (refined by the
+        domain's mask classes) and copies its mass to the others. None, the
+        default, means the kernel depends on x: every cell is evaluated.
+        """
+        return None
 
     def _check_points(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -210,6 +247,9 @@ class RigidField(FieldSpec):
         shape = np.broadcast_shapes(x.shape[:-1], h.shape[:-1])
         return np.broadcast_to(0.0, shape)
 
+    def kernel_classes(self, x, h) -> np.ndarray:
+        return np.zeros(len(x), dtype=np.int64)  # the kernel is 0 everywhere
+
 
 @dataclass(frozen=True, eq=False)
 class LinearField(FieldSpec):
@@ -249,6 +289,9 @@ class LinearField(FieldSpec):
         q = ((h @ self.a.T) * h).sum(axis=-1)
         shape = np.broadcast_shapes(x.shape[:-1], h.shape[:-1])
         return np.broadcast_to(q, shape)
+
+    def kernel_classes(self, x, h) -> np.ndarray:
+        return np.zeros(len(x), dtype=np.int64)  # <A h, h> does not involve x
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,6 +462,24 @@ class PlanarJumpField(FieldSpec):
         a_dot_h *= np.subtract(py, px, dtype=np.float64)
         q += a_dot_h
         return q
+
+    def kernel_classes(self, x, h) -> np.ndarray:
+        """x's side (0 minus, 1 plus) where every x + h stays on it, else 2 + i.
+
+        Such a cell's kernel row is its side's affine kernel, which does not
+        involve x. The side test of `delta_dot_h` is nondecreasing in h.nu,
+        so it is evaluated at the extremes of h.nu (and 0, which is x's own
+        test), with the products shaped as the engine's (t, 1, d) cells and
+        (1, K, d) offsets; `sym_gradient` must pick the same side.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        h = np.asarray(h, dtype=np.float64)
+        xn = (x[:, None, :] @ self.normal)[:, 0]
+        hn = (h[None, :, :] @ self.normal)[0]
+        low = (xn + hn.min(initial=0.0)) - self.offset > 0.0
+        high = (xn + hn.max(initial=0.0)) - self.offset > 0.0
+        one_sided = (low == high) & (self._plus_side(x) == low)
+        return np.where(one_sided, low, 2 + np.arange(x.shape[0]))
 
 
 @dataclass(frozen=True, eq=False)

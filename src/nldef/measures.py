@@ -157,20 +157,31 @@ def density_measure(req: EnergyRequest) -> DiscreteMeasure:
     return DiscreteMeasure(req.domain, pts, masses)
 
 
+_CELL_NODE_BUDGET = 1 << 16  # Gauss points per block of cells in _cell_gauss_masses
+
+
 def _cell_gauss_masses(f: FieldSpec, box: DomainBox, n: int, g: int, rule: SphereRule):
-    """Per-cell integrals of Q_1(sym grad) by g-point tensor Gauss in each cell."""
+    """Per-cell integrals of Q_1(sym grad) by g-point tensor Gauss in each cell.
+
+    Cells are taken in blocks of at most _CELL_NODE_BUDGET Gauss points (at
+    least one cell), in the order of `_tensor_grid`, so memory stays flat in n.
+    """
     d = box.dim
     step = (box.hi - box.lo) / n
     z, w = np.polynomial.legendre.leggauss(g)
-    # node layout: axis i flattened as (cell, gauss) of length n*g
-    ax_nodes = [
-        (box.lo[i] + step[i] * (np.arange(n)[:, None] + 0.5 * (z[None, :] + 1.0))).ravel()
-        for i in range(d)
-    ]
-    ax_weights = [np.tile(0.5 * step[i] * w, n) for i in range(d)]
-    pts, wts = _tensor_grid(ax_nodes, ax_weights)
-    vals = _qp_pow_of_sym(f.sym_gradient(pts), 1.0, rule)
-    return (vals * wts).reshape((n, g) * d).sum(axis=tuple(range(1, 2 * d, 2))).ravel()
+    # per axis: node a of cell k sits at [k, a]
+    ax_nodes = [box.lo[i] + step[i] * (np.arange(n)[:, None] + 0.5 * (z[None, :] + 1.0))
+                for i in range(d)]
+    local, wts = _tensor_grid([np.arange(g)] * d, [0.5 * step[i] * w for i in range(d)])
+    per_block = max(1, _CELL_NODE_BUDGET // g**d)
+    out = np.empty(n**d)
+    for s in range(0, n**d, per_block):
+        cells = np.unravel_index(np.arange(s, min(s + per_block, n**d)), (n,) * d)
+        pts = np.stack([ax_nodes[i][cells[i][:, None], local[None, :, i]] for i in range(d)],
+                       axis=-1)
+        vals = _qp_pow_of_sym(f.sym_gradient(pts.reshape(-1, d)), 1.0, rule)
+        out[s : s + per_block] = (vals.reshape(-1, g**d) * wts).sum(axis=1)
+    return out
 
 
 def _interface_atoms(f: PlanarJumpField, box: DomainBox, rule: SphereRule):

@@ -251,6 +251,20 @@ def test_killed_pool_worker_is_replaced():
     assert again.est_quadrature_error == first.est_quadrature_error
 
 
+def test_two_tile_linear_request_forks_both_workers():
+    # N = 64 at level 16 has 2 fine tiles: the class path keeps the tiling, so
+    # workers=2 still runs through a pool of 2 live processes
+    en._shutdown_pools()
+    for child in multiprocessing.active_children():
+        child.join(timeout=30)
+    req = en.EnergyRequest(field=LinearField(np.eye(2), np.zeros(2)), domain=BOX, p=1.0,
+                           mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=64,
+                           inner_level=16, workers=2)
+    serial = en.energy(replace(req, workers=1))
+    assert en.energy(req).value == serial.value
+    assert len(multiprocessing.active_children()) == 2
+
+
 _PARENT_PID = os.getpid()
 _TILE_MASSES = en._tile_masses
 

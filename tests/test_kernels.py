@@ -11,6 +11,9 @@ Core claims:
       an exactly zero energy
     - a power-of-two scale of the field scales the energy exactly:
       F(2^k u) == 2^(kp) F(u), value and error bar
+    - cells in one kernel class have bitwise-equal kernel and sym_gradient
+      rows, cells in one mask class bitwise-equal mask rows, and the class
+      path of the engine gives the same bits as computing every cell
 """
 
 import importlib
@@ -19,12 +22,14 @@ import numpy as np
 import pytest
 
 from nldef import (
+    BumpField,
     DomainBox,
     FieldSpec,
     LinearField,
     MollifierSpec,
     PlanarJumpField,
     RigidField,
+    SampledField,
     SinField,
 )
 
@@ -226,3 +231,167 @@ def test_power_of_two_scale_is_exact(f, p):
             assert ref.value > 0.0
             assert got.value == s**p * ref.value
             assert got.est_quadrature_error == s**p * ref.est_quadrature_error
+
+
+# -- stencil classes -----------------------------------------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _assert_rows_equal_per_class(ids, rows):
+    """Every row equals, bit for bit, the first row of its class."""
+    _, first, inv = np.unique(ids, return_index=True, return_inverse=True)
+    assert np.array_equal(rows, rows[first][inv])
+
+
+def _class_points(rng, d):
+    """Cells on a coarse grid (so classes repeat) plus random ones, and offsets
+    with duplicates whose h.nu extremes are exactly +-0.25 for axis normals."""
+    grid = np.stack(np.meshgrid(*[np.arange(0.125, 1.0, 0.125)] * d, indexing="ij"), axis=-1)
+    x = np.vstack([grid.reshape(-1, d), rng.uniform(0.0, 1.0, (20, d))])
+    h = rng.uniform(-0.25, 0.25, (30, d))
+    h[0], h[1] = 0.25, -0.25
+    return x, np.vstack([h, h[:6]])
+
+
+def _check_kernel_classes(f, x, h):
+    """Contract of kernel_classes; kernel rows compared as |q| (the engine
+    takes |q|^p), so a zero may differ in sign."""
+    ids = f.kernel_classes(x, h)
+    assert ids.shape == (x.shape[0],) and ids.dtype == np.int64
+    q = f.delta_dot_h(x[:, None, :], h[None, :, :])
+    _assert_rows_equal_per_class(ids, _bits(np.abs(q)))
+    e = f.sym_gradient(x).reshape(x.shape[0], -1)
+    _assert_rows_equal_per_class(ids, _bits(e))
+    return ids
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_classes_contract(d):
+    rng = np.random.default_rng(70 + d)
+    x, h = _class_points(rng, d)
+    for f in (_sin_field(rng, d),
+              BumpField(rng.uniform(-1, 1, d), np.full(d, 0.5), 0.3),
+              SampledField(np.zeros(d), np.full(d, 0.5), rng.uniform(-1, 1, (3,) * d + (d,)))):
+        assert f.kernel_classes(x, h) is None  # x-dependent kernels opt out
+    for f in (_rigid(rng, d), _linear(rng, d)):
+        assert np.all(_check_kernel_classes(f, x, h) == 0)
+    for f in _jump_fields(rng, d):
+        _check_kernel_classes(f, x, h)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_jump_kernel_classes_on_the_plane(d):
+    """x on the plane, or x + h with the largest or smallest h.nu exactly on
+    it, for +-e_j and oblique normals (the plane counts as the minus side)."""
+    rng = np.random.default_rng(80 + d)
+    x, h = _class_points(rng, d)
+    normals = _axis_normals(d)
+    if d > 1:
+        nu = rng.standard_normal(d)
+        normals.append(nu / np.linalg.norm(nu))
+    for nu in normals:
+        xn = (x[:, None, :] @ nu)[:, 0]  # the products as the engine forms them
+        hn = h @ nu
+        cases = (
+            (xn[3], 3, "band"),  # x on the plane, some x + h above it
+            (xn[5] + hn.max(), 5, 0),  # x below, the highest x + h on the plane
+            (xn[7] + hn.min(), 7, "band"),  # x above, the lowest x + h on the plane
+        )
+        for s, i, want in cases:
+            f = PlanarJumpField(nu, s, _linear(rng, d), _linear(rng, d))
+            ids = _check_kernel_classes(f, x, h)
+            assert ids[i] >= 2 if want == "band" else ids[i] == want
+            assert np.any(ids < 2) and np.any(ids >= 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_jump_kernel_classes_follow_both_side_tests(d):
+    """`sym_gradient` takes x's side from (n, d) @ nu, `delta_dot_h` from the
+    engine's (t, 1, d) @ nu, and the two can round differently; a cell on the
+    plane by one and off it by the other is not given a side class."""
+    rng = np.random.default_rng(100 + d)
+    nu = rng.standard_normal(d)
+    nu /= np.linalg.norm(nu)
+    x = rng.uniform(0.0, 1.0, (200, d))
+    gemv, stacked = x @ nu, (x[:, None, :] @ nu)[:, 0]
+    i = int(np.flatnonzero(gemv > stacked)[0])
+    h = rng.uniform(-0.3, 0.3, (40, d))
+    h = h[h @ nu < 0.0]  # every x + h lies below x
+    f = PlanarJumpField(nu, stacked[i], _linear(rng, d), _linear(rng, d))
+    ids = _check_kernel_classes(f, x, h)
+    assert ids[i] >= 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_offset_classes_contract(d):
+    rng = np.random.default_rng(90 + d)
+    unit = DomainBox([0.0] * d, [1.0] * d)
+    for box in (unit, DomainBox(rng.uniform(-1, 0, d), rng.uniform(0.1, 2, d))):
+        x, h = _class_points(rng, d)
+        x = box.lo + x * (box.hi - box.lo)
+        # sums landing exactly on lo and hi, and duplicated offsets
+        x[0], h[2] = box.lo + 0.25, np.full(d, -0.25)
+        x[1], h[3] = box.hi - 0.25, np.full(d, 0.25)
+        x[2], h[4] = box.lo, np.zeros(d)
+        h[5] = box.hi - x[6]
+        h[6] = box.lo - x[7]
+        h = np.vstack([h, h[2:7]])
+        ids = box.offset_classes(x, h)
+        assert ids.shape == (x.shape[0],) and ids.dtype == np.int64
+        rows = box.contains_offsets(x, h)
+        _assert_rows_equal_per_class(ids, rows)
+        assert len(np.unique(ids)) < x.shape[0]  # grid cells share classes
+        if box is unit:
+            assert rows[0, 2] and rows[1, 3] and rows[2, 4]
+
+
+def test_offset_class_ids_stay_below_cells_cubed():
+    # per-axis keys reach (K + 1)^2; dense ranks keep the 3-d mixed radix small
+    rng = np.random.default_rng(99)
+    box = DomainBox([0.0] * 3, [1.0] * 3)
+    x = rng.uniform(0.0, 1.0, (40, 3))
+    h = rng.uniform(-0.5, 0.5, (60_000, 3))
+    ids = box.offset_classes(x, h)
+    assert ids.min() >= 0 and ids.max() < 40**3
+    _assert_rows_equal_per_class(ids, box.contains_offsets(x, h))
+
+
+def _engine_fields():
+    rng = np.random.default_rng(110)
+    eye = np.eye(2)
+    zero = RigidField(np.zeros((2, 2)), np.zeros(2))
+    return [
+        ("rigid", _rigid(rng, 2)),
+        ("linear", _linear(rng, 2)),
+        ("jump-rigid", PlanarJumpField(eye[0], 0.5, zero,
+                                       RigidField(np.zeros((2, 2)), np.array([0.0, 1.0])))),
+        ("jump-linear", PlanarJumpField(-eye[1], -0.4, _linear(rng, 2), _linear(rng, 2))),
+        ("jump-oblique", PlanarJumpField(np.array([0.6, 0.8]), 0.7,
+                                         _linear(rng, 2), _linear(rng, 2))),
+    ]
+
+
+@pytest.mark.parametrize("name,f", _engine_fields(), ids=[n for n, _ in _engine_fields()])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_class_path_equals_every_cell(name, f, p, monkeypatch):
+    """The engine with kernel classes gives the bits of the per-cell path."""
+    base = dict(field=f, domain=DomainBox([0.0, 0.0], [1.0, 1.0]), p=p,
+                mollifier=MollifierSpec("shell", 0.1, 2), outer_grid=128, inner_level=16)
+    runs = [en.energy] + ([en.residual_energy] if p == 1.0 else [])
+
+    def outputs(workers):
+        req = en.EnergyRequest(**base, workers=workers)
+        out = [(r.value, r.est_quadrature_error) for r in (run(req) for run in runs)]
+        _, masses, est = en.density_masses(req)
+        return out, _bits(masses), est
+
+    classed = [outputs(1), outputs(2)]  # 2 workers: 4 fine tiles through the pool
+    for cls in (RigidField, LinearField, PlanarJumpField):
+        monkeypatch.setattr(cls, "kernel_classes", lambda self, x, h: None)
+    every_cell = outputs(1)
+    for got in classed:
+        assert got[0] == every_cell[0]
+        assert np.array_equal(got[1], every_cell[1])
+        assert got[2] == every_cell[2]

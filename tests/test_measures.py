@@ -6,6 +6,8 @@ Core claims:
     - mass concentrates on the interface strip for a pure jump field
     - the reference measure reproduces frozen totals: 1 for the identity
       field, 1/pi for a unit tangential jump, 0 for rigid motions
+    - smooth cell masses are computed in bounded memory and match a
+      whole-grid evaluation
     - pairings are linear, bounded by the total, and match closed forms
       against kinked test functions on the interface
     - weak-star gaps shrink with epsilon and vanish identically for rigid
@@ -15,6 +17,7 @@ Core claims:
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from nldef import (
 
 en = importlib.import_module("nldef.energy")
 me = importlib.import_module("nldef.measures")
+fl = importlib.import_module("nldef.fields")
 
 BOX = DomainBox([0.0, 0.0], [1.0, 1.0])
 
@@ -138,6 +142,48 @@ def test_reference_measure_jump_cells_sum_to_ground_truth(normal, offset, box, n
     m = me.ground_truth_measure(f, box, rule, n_cells=n_cells)
     assert abs(m.masses[: n_cells**d].sum() - gt.ac_value) <= 1e-12 * gt.ac_value
     assert abs(gt.ac_value - ac) <= 1e-12 * ac
+
+
+def _whole_grid_cell_masses(f, box, n, g, rule):
+    """Reference: every (n g)^d Gauss point at once, summed per cell."""
+    d = box.dim
+    step = (box.hi - box.lo) / n
+    z, w = np.polynomial.legendre.leggauss(g)
+    nodes = [(box.lo[i] + step[i] * (np.arange(n)[:, None] + 0.5 * (z + 1.0))).ravel()
+             for i in range(d)]
+    grids = np.meshgrid(*nodes, indexing="ij")
+    pts = np.stack([a.ravel() for a in grids], axis=1)
+    wts = np.tile(0.5 * step[0] * w, n)
+    for i in range(1, d):
+        wts = np.multiply.outer(wts, np.tile(0.5 * step[i] * w, n))
+    vals = fl._qp_pow_of_sym(f.sym_gradient(pts), 1.0, rule) * wts.ravel()
+    return vals.reshape((n, g) * d).sum(axis=tuple(range(1, 2 * d, 2))).ravel()
+
+
+@pytest.mark.parametrize("d,n,g", [(1, 40, 8), (2, 9, 16), (3, 5, 4), (3, 3, 16)])
+def test_smooth_cell_masses_match_whole_grid(d, n, g):
+    rng = np.random.default_rng(130 + d)
+    f = SinField(rng.uniform(0.1, 0.5, d), rng.uniform(-4.0, 4.0, (d, d)))
+    box = DomainBox(rng.uniform(-1.0, 0.0, d), rng.uniform(0.5, 1.5, d))
+    rule = make_sphere_rule(d, 16)
+    got = me._cell_gauss_masses(f, box, n, g, rule)
+    want = _whole_grid_cell_masses(f, box, n, g, rule)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_smooth_3d_reference_measure_bounded_memory():
+    # the whole-grid evaluation peaked at 422 MB here (128^3 Gauss points at g = 16)
+    f = SinField(np.array([0.3, 0.2, 0.4]),
+                 np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.0], [0.5, 0.0, 1.5]]))
+    box = DomainBox([0.0] * 3, [1.0] * 3)
+    tracemalloc.start()
+    try:
+        m = me.ground_truth_measure(f, box, make_sphere_rule(3, 16), n_cells=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
+    assert len(m) == 512 and m.total() > 0.0
 
 
 def test_reference_measure_rejects_sampled():

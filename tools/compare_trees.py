@@ -12,7 +12,9 @@ and their ratio, the relative difference, over the output's elements.
 The requests cover d = 1..3, every field family (rigid, linear, sin, bump,
 planar jump with rigid and with linear sides, sampled), both inner modes,
 p = 1 and 2, and 1 and 2 workers; requests at 2 workers have several tiles
-per level, so they run through the process pool. The outputs are the
+per level, so they run through the process pool. On top of these come the
+criterion-10 linear and jump requests at N = 64, and jumps whose plane runs
+through a row of outer midpoints. The outputs are the
 energy value and error bar, the residual energy value and error bar (p = 1,
 closed-form fields) and the per-cell density masses. The environment,
 BLAS thread settings included, is passed to both interpreters unchanged.
@@ -67,6 +69,58 @@ def _fields(d: int):
 _SIZES = {1: ((64, 8), (140000, 16)), 2: ((24, 8), (128, 16)), 3: ((8, 4), (16, 8))}
 
 
+def _extra_requests():
+    """(name, request) pairs beyond the family grid.
+
+    The criterion-10 linear and jump requests at N = 64 (two tiles per
+    level), and linear-sided jumps whose plane <x, e_1> = s passes exactly
+    through a row of outer midpoints, so those cells sit on the interface.
+    """
+    import nldef
+
+    en = importlib.import_module("nldef.energy")
+    out = []
+    box2 = nldef.DomainBox([0.0, 0.0], [1.0, 1.0])
+    zero = nldef.RigidField(np.zeros((2, 2)), np.zeros(2))
+    c10 = {
+        "linear": nldef.LinearField(np.eye(2), np.zeros(2)),
+        "jump": nldef.PlanarJumpField(np.array([1.0, 0.0]), 0.5, zero,
+                                      nldef.RigidField(np.zeros((2, 2)), np.array([0.0, 1.0]))),
+    }
+    for fname, field in c10.items():
+        for p in (1.0, 2.0):
+            for workers in (1, 2):
+                req = en.EnergyRequest(
+                    field=field, domain=box2, p=p, mollifier=nldef.MollifierSpec("shell", 0.025, 2),
+                    outer_grid=64, inner_level=16, workers=workers)
+                out.append((f"c10/{fname}/p{p:g}/w{workers}", req))
+    for d, n, level, workers in ((2, 24, 8, 1), (3, 8, 4, 1), (2, 128, 16, 2)):
+        rng = np.random.default_rng(200 + d)
+        sides = [nldef.LinearField(rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, d))
+                 for _ in range(2)]
+        # the midpoint formula of the engine: lo + (hi - lo) * (k + 0.5) / n
+        offset = 1.0 * (n // 2 + 0.5) / n
+        field = nldef.PlanarJumpField(np.eye(d)[0], offset, *sides)
+        req = en.EnergyRequest(
+            field=field, domain=nldef.DomainBox([0.0] * d, [1.0] * d), p=1.0,
+            mollifier=nldef.MollifierSpec("shell", 0.2, d), outer_grid=n,
+            inner_level=level, workers=workers)
+        out.append((f"d{d}/jump_on_midpoints/n{n}/w{workers}", req))
+    return out
+
+
+def _record(out: dict, key: str, req, residual: bool) -> None:
+    """Energy, residual energy (p = 1 closed-form fields) and density masses."""
+    en = importlib.import_module("nldef.energy")
+    res = en.energy(req)
+    out[f"{key}/energy"] = [res.value, res.est_quadrature_error]
+    if residual:
+        res = en.residual_energy(req)
+        out[f"{key}/residual"] = [res.value, res.est_quadrature_error]
+    _, masses, _ = en.density_masses(req)
+    out[f"{key}/masses"] = np.asarray(masses, dtype=np.float64).tolist()
+
+
 def _outputs() -> dict:
     """name -> list of floats, for every request of the fixed list."""
     import nldef
@@ -89,13 +143,9 @@ def _outputs() -> dict:
                             outer_grid=n, inner_level=level, inner_mode=mode,
                             workers=workers)
                         key = f"d{d}/{fname}/{mode}/p{p:g}/w{workers}"
-                        res = en.energy(req)
-                        out[f"{key}/energy"] = [res.value, res.est_quadrature_error]
-                        if p == 1.0 and closed_form:
-                            res = en.residual_energy(req)
-                            out[f"{key}/residual"] = [res.value, res.est_quadrature_error]
-                        _, masses, _ = en.density_masses(req)
-                        out[f"{key}/masses"] = np.asarray(masses, dtype=np.float64).tolist()
+                        _record(out, key, req, p == 1.0 and closed_form)
+    for key, req in _extra_requests():
+        _record(out, key, req, req.p == 1.0)
     return out
 
 
