@@ -19,12 +19,15 @@ copied, which gives the same bits as evaluating every cell. Fields whose
 kernel depends on x (sin, bump, sampled) skip the step. For the evaluated
 cells the work is on (t, K) arrays:
 
-- the mask is `DomainBox.contains_offsets`, an AND over the axes of
-  lo_k <= x_k + h_k <= hi_k, bitwise equal to testing the points x + h;
+- the mask is `DomainBox.contains_offsets`: per axis, the rows
+  lo_k <= x_k + h_k <= hi_k are computed once per distinct x_k of the tile,
+  gathered back to the cells and ANDed, bitwise equal to testing the
+  points x + h;
 - the pair kernel is the field's `delta_dot_h`, which is a closed form in
   (x, h) for rigid, linear, sin and planar-jump fields (no evaluation at
-  x + h; exactly zero for rigid fields); bump and sampled fields take the
-  generic difference u(x + h) - u(x);
+  x + h; exactly zero for rigid fields); the sin kernel is one
+  (t, 2d) x (2d, K) matrix product of per-cell and per-node factors; bump
+  and sampled fields take the generic difference u(x + h) - u(x);
 - the residual term is one (t, d^2) x (d^2, K) contraction;
 - |q|^p, the weights and the mask are applied in place before the row sum.
 

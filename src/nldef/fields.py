@@ -103,35 +103,47 @@ class DomainBox:
         x = np.asarray(x, dtype=np.float64)
         return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
 
+    def _axis_pass(self, x: np.ndarray, h: np.ndarray, k: int):
+        """(at, above, below) for axis k over the distinct values of x[:, k].
+
+        above and below are the (u, K) rows x_k + h_k >= lo_k and
+        x_k + h_k <= hi_k of the u distinct x_k, and at (n,) maps each cell
+        to its row. These are the add and the compares of
+        `contains(x[:, None] + h[None])` on axis k, made once per distinct
+        value (equal coordinates give equal sums; -0.0 and 0.0 sums differ
+        only in the sign of a zero, which no compare sees). fl(x_k + h_k) is
+        nondecreasing in h_k, so the nodes of a row that pass lo_k are those
+        with the largest h_k, and those that pass hi_k the smallest.
+        """
+        vals, at = np.unique(x[:, k], return_inverse=True)
+        y = np.add.outer(vals, h[:, k])
+        return at, y >= self.lo[k], y <= self.hi[k]
+
     def contains_offsets(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Mask (n, K): whether x_i + h_j lies in the box, for x (n, d) and h (K, d).
 
-        One axis at a time on (n, K) slices, with the same add and compares
-        as `contains(x[:, None] + h[None])`, so the mask is bitwise equal to
-        it without building the (n, K, d) sum.
+        Per axis, the pass rows of the distinct x_k (`_axis_pass`) are
+        gathered back to the cells and ANDed, so the mask is bitwise equal to
+        `contains(x[:, None] + h[None])` without building the (n, K, d) sum.
         """
         inside = np.ones((x.shape[0], h.shape[0]), dtype=bool)
         for k in range(self.dim):
-            y = np.add.outer(x[:, k], h[:, k])
-            inside &= y >= self.lo[k]
-            inside &= y <= self.hi[k]
+            at, above, below = self._axis_pass(x, h, k)
+            inside &= np.logical_and(above, below, out=above)[at]
         return inside
 
     def offset_classes(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Ids (n,) such that equal ids have bitwise-equal `contains_offsets` rows.
 
-        Per axis, fl(x_k + h_k) is nondecreasing in h_k, so the nodes with
-        x_k + h_k >= lo_k are the ones with the largest h_k, and how many pass
-        fixes which; likewise for hi_k. Each distinct x_k is keyed by the two
-        counts (same add and compares as the mask), the keys are dense-ranked
-        per axis, and the per-axis ranks combine in mixed radix (ids < n^d).
+        By the monotone add (`_axis_pass`), how many nodes of a row pass lo_k
+        fixes which, and likewise for hi_k. Each distinct x_k is keyed by the
+        two counts, the keys are dense-ranked per axis, and the per-axis ranks
+        combine in mixed radix (ids < n^d).
         """
         ids = np.zeros(x.shape[0], dtype=np.int64)
         for k in range(self.dim):
-            vals, at = np.unique(x[:, k], return_inverse=True)
-            y = np.add.outer(vals, h[:, k])
-            key = (y >= self.lo[k]).sum(axis=1) * (h.shape[0] + 1)
-            key += (y <= self.hi[k]).sum(axis=1)
+            at, above, below = self._axis_pass(x, h, k)
+            key = above.sum(axis=1) * (h.shape[0] + 1) + below.sum(axis=1)
             ranks, rank = np.unique(key, return_inverse=True)
             ids = ids * len(ranks) + rank[at]
         return ids
@@ -176,7 +188,9 @@ class FieldSpec:
         This generic form evaluates the field at x + h. A subclass may
         override it with a closed form in (x, h); the override must agree
         with this difference to roundoff and must be exactly zero for a
-        rigid field, so that rigid energies stay bitwise zero.
+        rigid field, so that rigid energies stay bitwise zero. The engine's
+        calls, cells x (n, 1, d) against offsets h (1, K, d), are the hot
+        path; an override may contract them as one matrix product.
         """
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
@@ -341,6 +355,11 @@ class SinField(FieldSpec):
         half = np.sin(0.5 * kh)
         h_cos = -2.0 * half * half * h
         h_sin = np.sin(kh) * h
+        if x.ndim == h.ndim == 3 and x.shape[1] == h.shape[0] == 1:
+            # the engine's (n, 1, d) x (1, K, d): one (n, 2d) @ (2d, K) product
+            a = np.concatenate([sin_x[:, 0], cos_x[:, 0]], axis=1)
+            b = np.concatenate([h_cos[0], h_sin[0]], axis=1)
+            return a @ b.T
         q = sin_x[..., 0] * h_cos[..., 0] + cos_x[..., 0] * h_sin[..., 0]
         for i in range(1, self.dim):
             q += sin_x[..., i] * h_cos[..., i]

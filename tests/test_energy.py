@@ -218,6 +218,21 @@ def test_worker_count_does_not_change_totals():
     assert serial.est_quadrature_error == pooled.est_quadrature_error
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_sin_energy_bitwise_across_reruns_and_workers(p):
+    # the sin kernel is one matrix product per tile; 4 fine tiles at this size
+    sin = SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]]))
+    base = dict(field=sin, domain=BOX, p=p, mollifier=SHELL,
+                outer_grid=128, inner_level=16)
+    first = en.energy(en.EnergyRequest(**base, workers=1))
+    rerun = en.energy(en.EnergyRequest(**base, workers=1))
+    pooled = en.energy(en.EnergyRequest(**base, workers=2))
+    assert first.value > 0.0
+    for res in (rerun, pooled):
+        assert res.value == first.value
+        assert res.est_quadrature_error == first.est_quadrature_error
+
+
 def test_sin_residual_bitwise_across_reruns_and_workers():
     sin = SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]]))
     base = dict(field=sin, domain=BOX, p=1.0, mollifier=SHELL,

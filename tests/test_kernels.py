@@ -82,6 +82,27 @@ def test_sin_kernel_matches_generic(d):
         _assert_kernel_agrees(f, x, h[:40])  # elementwise pairs
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sin_engine_product_matches_broadcast_loop(d):
+    """The (n, 1, d) x (1, K, d) call is one matrix product; the same pairs
+    passed already broadcast to (n, K, d) take the elementwise loop.
+
+    Dyadic waves, x and h make every phase k.x and k.h exact, so both calls
+    see bitwise-equal factors and only the summation differs. (With arbitrary
+    phases the two call shapes round k.x differently as well, which moves the
+    loop itself by up to ~1.3e-15 of max |q|.)
+    """
+    rng = np.random.default_rng(15 + d)
+    for _ in range(8):
+        f = SinField(rng.uniform(0.1, 0.5, d), rng.integers(-64, 65, (d, d)) / 16)
+        x = rng.integers(-64, 129, (40, 1, d)) / 64
+        h = rng.integers(-77, 78, (1, 60, d)) / 256
+        got = f.delta_dot_h(x, h)
+        ref = f.delta_dot_h(*np.broadcast_arrays(x, h))
+        assert got.shape == ref.shape == (40, 60)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 # -- planar jump -------------------------------------------------------------
 
 def _jump_fields(rng, d):
@@ -172,6 +193,37 @@ def test_mask_bitwise_equals_contains(d):
         assert np.array_equal(got, want)
         if box is unit:  # 0.25 - 0.25 and 0.75 + 0.25 are exact
             assert got[0, 0] and got[1, 1] and got[2, 2]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mask_over_repeated_and_single_valued_axes(d):
+    """The mask is built from each axis's distinct coordinates: repeated and
+    unsorted x_k, -0.0 beside 0.0, an axis with one value, one cell, no cells."""
+    rng = np.random.default_rng(140 + d)
+    unit = DomainBox([0.0] * d, [1.0] * d)
+    for box in (unit, DomainBox(rng.uniform(-1, 0, d), rng.uniform(0.1, 2, d))):
+        # five values per axis, two of them 0.25 inside lo and hi, drawn unsorted
+        vals = np.stack([box.lo + 0.25, box.hi - 0.25, box.lo, box.hi,
+                         rng.uniform(box.lo, box.hi)])
+        x = vals[rng.integers(0, 5, (60, d)), np.arange(d)]
+        x[0], x[1], x[2] = vals[0], vals[1], vals[2]
+        x[3::7, 0], x[4::7, 0] = 0.0, -0.0
+        h = rng.uniform(-0.5, 0.5, (40, d))
+        # sums landing exactly on lo and on hi, and one ulp beside them
+        h[0], h[1], h[2] = np.full(d, -0.25), np.full(d, 0.25), np.zeros(d)
+        h[3], h[4] = -np.nextafter(np.zeros(d), 1.0), box.hi - vals[4]
+        h[5] = box.lo - vals[4]
+        one_valued = x.copy()
+        one_valued[:, -1] = vals[4, -1]
+        for cells in (x, one_valued, x[:1], x[:0]):
+            got = box.contains_offsets(cells, h)
+            want = box.contains(cells[:, None, :] + h[None, :, :])
+            assert got.dtype == bool and got.shape == (len(cells), 40)
+            assert np.array_equal(got, want)
+            _assert_rows_equal_per_class(box.offset_classes(cells, h), got)
+        if box is unit:  # 0.25 - 0.25 and 0.75 + 0.25 are exact
+            got = box.contains_offsets(x, h)
+            assert got[0, 0] and got[1, 1] and got[2, 2] and not got[2, 3]
 
 
 # -- zero cases --------------------------------------------------------------

@@ -13,8 +13,8 @@ The requests cover d = 1..3, every field family (rigid, linear, sin, bump,
 planar jump with rigid and with linear sides, sampled), both inner modes,
 p = 1 and 2, and 1 and 2 workers; requests at 2 workers have several tiles
 per level, so they run through the process pool. On top of these come the
-criterion-10 linear and jump requests at N = 64, and jumps whose plane runs
-through a row of outer midpoints. The outputs are the
+criterion-10 linear, sin and jump requests at N = 64, and jumps whose plane
+runs through a row of outer midpoints. The outputs are the
 energy value and error bar, the residual energy value and error bar (p = 1,
 closed-form fields) and the per-cell density masses. The environment,
 BLAS thread settings included, is passed to both interpreters unchanged.
@@ -72,7 +72,7 @@ _SIZES = {1: ((64, 8), (140000, 16)), 2: ((24, 8), (128, 16)), 3: ((8, 4), (16, 
 def _extra_requests():
     """(name, request) pairs beyond the family grid.
 
-    The criterion-10 linear and jump requests at N = 64 (two tiles per
+    The criterion-10 linear, sin and jump requests at N = 64 (two tiles per
     level), and linear-sided jumps whose plane <x, e_1> = s passes exactly
     through a row of outer midpoints, so those cells sit on the interface.
     """
@@ -84,6 +84,7 @@ def _extra_requests():
     zero = nldef.RigidField(np.zeros((2, 2)), np.zeros(2))
     c10 = {
         "linear": nldef.LinearField(np.eye(2), np.zeros(2)),
+        "sin": nldef.SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]])),
         "jump": nldef.PlanarJumpField(np.array([1.0, 0.0]), 0.5, zero,
                                       nldef.RigidField(np.zeros((2, 2)), np.array([0.0, 1.0]))),
     }
