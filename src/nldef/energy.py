@@ -10,26 +10,32 @@ the mollifier's support bands crossed with a sphere rule in direction, so the
 singular |h| factors cancel analytically and only the angular variation is
 resolved. Inner nodes leaving U are rejected (zero mask).
 
-Per tile of t outer cells and K inner nodes, cells first fall into classes
-whose pair rows are identical: equal `FieldSpec.kernel_classes` ids (rigid
-and linear fields, and jump cells whose whole stencil stays on one side, have
-a kernel that does not involve x) and equal `DomainBox.offset_classes` ids
-(the same mask row). One representative per class is evaluated and its mass
-copied, which gives the same bits as evaluating every cell. Fields whose
-kernel depends on x (sin, bump, sampled) skip the step. For the evaluated
-cells the work is on (t, K) arrays:
+Per tile of t outer cells and K inner nodes, the domain's `OffsetMask` is
+built first: per axis, the rows lo_k <= x_k + h_k <= hi_k are computed once
+per distinct x_k of the tile. Cells then fall into classes whose pair rows
+are identical: equal `FieldSpec.kernel_classes` ids (rigid and linear
+fields, and jump cells whose whole stencil stays on one side, have a kernel
+that does not involve x) and equal mask classes (the same mask row). One
+representative per class is evaluated and its mass copied, which gives the
+same bits as evaluating every cell. Fields whose kernel depends on x (sin,
+bump, sampled) skip the step. An evaluated tile owns one (t, K) float64
+array, the pair rows, and every later step writes into it:
 
-- the mask is `DomainBox.contains_offsets`: per axis, the rows
-  lo_k <= x_k + h_k <= hi_k are computed once per distinct x_k of the tile,
-  gathered back to the cells and ANDed, bitwise equal to testing the
-  points x + h;
-- the pair kernel is the field's `delta_dot_h`, which is a closed form in
-  (x, h) for rigid, linear, sin and planar-jump fields (no evaluation at
-  x + h; exactly zero for rigid fields); the sin kernel is one
-  (t, 2d) x (2d, K) matrix product of per-cell and per-node factors; bump
-  and sampled fields take the generic difference u(x + h) - u(x);
-- the residual term is one (t, d^2) x (d^2, K) contraction;
-- |q|^p, the weights and the mask are applied in place before the row sum.
+- the pair kernel divided by |h|^2: for a field with `pair_factors` (sin)
+  one (t, r) x (r, K) product with 1/|h|^2 scaled into the per-node factor;
+  otherwise the field's `delta_dot_h`, a closed form in (x, h) for rigid,
+  linear and planar-jump fields (no evaluation at x + h; exactly zero for
+  rigid fields) and the generic difference u(x + h) - u(x) for bump and
+  sampled fields, scaled into a new (t, K) array (rigid and linear
+  kernels are read-only broadcast views, which are never written);
+- the residual term <Eu(x) h, h>/|h|^2: with pair factors, d^2 more columns
+  of the same product (-Eu(x) per cell, h_i h_j/|h|^2 per node); otherwise
+  one (t, d^2) x (d^2, K) product subtracted in place;
+- |q|^p and the weights are applied in place;
+- the mask: cells whose rows pass entirely on every axis (about 90% of the
+  criterion-10 grid) are left alone; the rows of the other cells are ANDed
+  and zeroed in blocks of bounded size, bitwise equal to testing the points
+  x + h, before the row sum.
 
 Determinism: outer cells are split into fixed-size contiguous tiles, each
 tile's per-cell masses are computed with kernels that see only the tile, in
@@ -261,37 +267,63 @@ def _tile_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol):
     """Per-cell masses (densities times cell volume) for one outer tile.
 
     Cells with equal kernel classes (`field.kernel_classes`) and equal mask
-    classes (`domain.offset_classes`) have bitwise-equal pair rows, so one
-    representative per class goes through `_row_masses` and its mass is
-    copied to the rest. A field without kernel classes computes every cell.
+    classes have bitwise-equal pair rows, so one representative per class
+    goes through `_row_masses` and its mass is copied to the rest. A field
+    without kernel classes computes every cell. The tile's `OffsetMask` is
+    built once and serves both the classes and the representatives' rows.
     """
     kernel = field.kernel_classes(x_tile, h)
+    mask = domain.offset_mask(x_tile, h, keys=kernel is not None)
     if kernel is None:
-        return _row_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol)
+        return _row_masses(field, mask, x_tile, h, w, inv_r2, p, residual, cellvol)
     n = x_tile.shape[0]
-    _, mask = np.unique(domain.offset_classes(x_tile, h), return_inverse=True)
-    _, first, inv = np.unique(kernel * n + mask, return_index=True, return_inverse=True)
-    reps = _row_masses(field, domain, x_tile[first], h, w, inv_r2, p, residual, cellvol)
+    _, cls = np.unique(mask.classes(), return_inverse=True)
+    _, first, inv = np.unique(kernel * n + cls, return_index=True, return_inverse=True)
+    reps = _row_masses(
+        field, mask.take(first), x_tile[first], h, w, inv_r2, p, residual, cellvol
+    )
     return reps[inv]
 
 
-def _row_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol):
-    """Per-cell masses of the cells x_tile, one (t, K) pair row per cell.
+def _pair_rows(field, x_tile, h, inv_r2, residual):
+    """The (t, K) rows <u(x+h) - u(x), h>/|h|^2, less <Eu(x) h, h>/|h|^2 for
+    the residual, as one array the caller owns.
 
-    Only the generic kernel (bump and sampled fields) builds the (t, K, d)
-    points x + h.
+    With `field.pair_factors` (A, B) it is one product: B is scaled by
+    1/|h|^2, and the residual appends -Eu(x) to A and h_i h_j/|h|^2 to B.
+    Otherwise `delta_dot_h` is scaled into a new array (rigid and linear
+    kernels are read-only broadcast views) and the residual is its own
+    (t, d^2) x (d^2, K) product, subtracted in place.
     """
-    inside = domain.contains_offsets(x_tile, h)
-    q = np.multiply(field.delta_dot_h(x_tile[:, None, :], h[None, :, :]), inv_r2)
     if residual:
-        # sum_ij e_ij(x) h_i h_j / |h|^2 as one (t, d^2) x (d^2, K) contraction
         t, d = x_tile.shape
         e = field.sym_gradient(x_tile).reshape(t, d * d)
         hh = (h[:, :, None] * h[:, None, :]).reshape(-1, d * d) * inv_r2[:, None]
+    factors = field.pair_factors(x_tile, h)
+    if factors is not None:
+        a, b = factors
+        b = b * inv_r2[:, None]
+        if residual:
+            a = np.concatenate([a, -e], axis=1)
+            b = np.concatenate([b, hh], axis=1)
+        return a @ b.T
+    q = field.delta_dot_h(x_tile[:, None, :], h[None, :, :]) * inv_r2
+    if residual:
         q -= e @ hh.T
-    contrib = _abs_pow(q, p)
+    return q
+
+
+def _row_masses(field, mask, x_tile, h, w, inv_r2, p, residual, cellvol):
+    """Per-cell masses of the cells x_tile, one (t, K) pair row per cell.
+
+    The pair rows are the only (t, K) array; |q|^p, the weights and the
+    mask (`mask.zero_outside`, which skips interior cells) are written over
+    it. Only the generic kernel (bump and sampled fields) builds the
+    (t, K, d) points x + h.
+    """
+    contrib = _abs_pow(_pair_rows(field, x_tile, h, inv_r2, residual), p)
     contrib *= w
-    np.copyto(contrib, 0.0, where=~inside)
+    mask.zero_outside(contrib)
     return contrib.sum(axis=1) * cellvol
 
 

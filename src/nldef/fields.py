@@ -6,6 +6,7 @@ Fields are immutable dataclasses sharing a small interface:
   delta_dot_h(x, h)    <u(x+h) - u(x), h>, the engine's pair kernel
   sym_gradient(x)      the symmetric part of the Jacobian, where defined
   kernel_classes(x, h) ids of cells with identical kernel rows, or None
+  pair_factors(x, h)   low-rank factors (A, B) of the kernel, A @ B.T, or None
 
 The closed-form variants (rigid, linear, sin, planar jump with affine sides)
 hand-code `delta_dot_h` so no field is evaluated at x + h and algebraic
@@ -103,50 +104,32 @@ class DomainBox:
         x = np.asarray(x, dtype=np.float64)
         return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
 
-    def _axis_pass(self, x: np.ndarray, h: np.ndarray, k: int):
-        """(at, above, below) for axis k over the distinct values of x[:, k].
+    def offset_mask(self, x: np.ndarray, h: np.ndarray, keys: bool = False) -> "OffsetMask":
+        """Whether x_i + h_j lies in the box, for x (n, d) and h (K, d), per axis.
 
-        above and below are the (u, K) rows x_k + h_k >= lo_k and
-        x_k + h_k <= hi_k of the u distinct x_k, and at (n,) maps each cell
-        to its row. These are the add and the compares of
-        `contains(x[:, None] + h[None])` on axis k, made once per distinct
-        value (equal coordinates give equal sums; -0.0 and 0.0 sums differ
-        only in the sign of a zero, which no compare sees). fl(x_k + h_k) is
+        On each axis k the add and the compares of
+        `contains(x[:, None] + h[None])` are made once per distinct value of
+        x[:, k] (equal coordinates give equal sums; -0.0 and 0.0 sums differ
+        only in the sign of a zero, which no compare sees), so the mask is
+        bitwise the same without building the (n, K, d) sum. fl(x_k + h_k) is
         nondecreasing in h_k, so the nodes of a row that pass lo_k are those
-        with the largest h_k, and those that pass hi_k the smallest.
+        with the largest h_k, and those that pass hi_k the smallest: the two
+        counts fix the row, and they are its class key. The keys are counted
+        only with `keys=True`, for `OffsetMask.classes`.
         """
-        vals, at = np.unique(x[:, k], return_inverse=True)
-        y = np.add.outer(vals, h[:, k])
-        return at, y >= self.lo[k], y <= self.hi[k]
-
-    def contains_offsets(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Mask (n, K): whether x_i + h_j lies in the box, for x (n, d) and h (K, d).
-
-        Per axis, the pass rows of the distinct x_k (`_axis_pass`) are
-        gathered back to the cells and ANDed, so the mask is bitwise equal to
-        `contains(x[:, None] + h[None])` without building the (n, K, d) sum.
-        """
-        inside = np.ones((x.shape[0], h.shape[0]), dtype=bool)
+        at, ok, key = [], [], []
         for k in range(self.dim):
-            at, above, below = self._axis_pass(x, h, k)
-            inside &= np.logical_and(above, below, out=above)[at]
-        return inside
-
-    def offset_classes(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Ids (n,) such that equal ids have bitwise-equal `contains_offsets` rows.
-
-        By the monotone add (`_axis_pass`), how many nodes of a row pass lo_k
-        fixes which, and likewise for hi_k. Each distinct x_k is keyed by the
-        two counts, the keys are dense-ranked per axis, and the per-axis ranks
-        combine in mixed radix (ids < n^d).
-        """
-        ids = np.zeros(x.shape[0], dtype=np.int64)
-        for k in range(self.dim):
-            at, above, below = self._axis_pass(x, h, k)
-            key = above.sum(axis=1) * (h.shape[0] + 1) + below.sum(axis=1)
-            ranks, rank = np.unique(key, return_inverse=True)
-            ids = ids * len(ranks) + rank[at]
-        return ids
+            vals, inv = np.unique(x[:, k], return_inverse=True)
+            y = np.add.outer(vals, h[:, k])
+            above = y >= self.lo[k]
+            below = y <= self.hi[k]
+            at.append(inv)
+            if keys:
+                # row counts in int32: a bool row sum into int64 is ~2.5x slower
+                n_above = above.sum(axis=1, dtype=np.int32).astype(np.int64)
+                key.append(n_above * (h.shape[0] + 1) + below.sum(axis=1, dtype=np.int32))
+            ok.append(np.logical_and(above, below, out=above))
+        return OffsetMask(tuple(at), tuple(ok), tuple(key) if keys else None)
 
     def dilate(self, r: float) -> "DomainBox":
         if r < 0:
@@ -166,12 +149,72 @@ class DomainBox:
         return 0.5 * (self.lo + self.hi)
 
 
+_MASK_CHUNK_PAIRS = 1 << 16  # cells x nodes per block of edge rows
+
+
+@dataclass(frozen=True, eq=False)
+class OffsetMask:
+    """Box membership of x_i + h_j, held per axis over distinct coordinates.
+
+    For axis k, `ok[k]` (u_k, K) holds the rows lo_k <= x_k + h_k <= hi_k of
+    the u_k distinct x_k, `at[k]` (n,) maps each cell to its row, and
+    `key[k]` (u_k,) is a row's class key (`DomainBox.offset_mask`; None
+    unless asked for). Cell i's mask row is the AND over k of ok[k][at[k][i]].
+    """
+
+    at: tuple
+    ok: tuple
+    key: tuple | None
+
+    def take(self, cells: np.ndarray) -> "OffsetMask":
+        """The mask of the cells `cells` (an index array), sharing the rows."""
+        return OffsetMask(tuple(a[cells] for a in self.at), self.ok, self.key)
+
+    def classes(self) -> np.ndarray:
+        """Ids (n,) such that equal ids have bitwise-equal mask rows.
+
+        The per-axis keys are dense-ranked and combined in mixed radix
+        (ids < n^d). Needs the mask built with `keys=True`.
+        """
+        if self.key is None:
+            raise ValueError("OffsetMask.classes needs offset_mask(..., keys=True)")
+        ids = np.zeros(self.at[0].shape[0], dtype=np.int64)
+        for at, key in zip(self.at, self.key):
+            ranks, rank = np.unique(key, return_inverse=True)
+            ids = ids * len(ranks) + rank[at]
+        return ids
+
+    def zero_outside(self, q: np.ndarray) -> None:
+        """Write 0.0 over q[i, j] (q is (n, K)) where x_i + h_j leaves the box.
+
+        A cell whose row passes entirely on every axis is left alone. The
+        other (edge) cells are masked in blocks of at most
+        `_MASK_CHUNK_PAIRS` pairs, so no tile-sized mask is built.
+        """
+        interior = np.ones(q.shape[0], dtype=bool)
+        for at, ok in zip(self.at, self.ok):
+            interior &= ok.all(axis=1)[at]
+        # runs of consecutive edge cells, as (start, stop) pairs
+        runs = np.flatnonzero(np.diff(np.concatenate([[False], ~interior, [False]])))
+        step = max(1, _MASK_CHUNK_PAIRS // max(1, q.shape[1]))
+        for start, stop in runs.reshape(-1, 2):
+            for s in range(start, stop, step):
+                rows = slice(s, min(s + step, stop))
+                inside = self.ok[0][self.at[0][rows]]
+                for at, ok in zip(self.at[1:], self.ok[1:]):
+                    inside &= ok[at[rows]]
+                np.copyto(q[rows], 0.0, where=~inside)
+
+
 class FieldSpec:
     """Base class; subclasses fill in dim, eval, sym_gradient.
 
     `kernel_classes(x, h)` contract: cells with equal ids get bitwise-equal
     `delta_dot_h` rows and `sym_gradient`, and the engine evaluates one cell
     per class; the default None (the kernel depends on x) evaluates them all.
+    `pair_factors(x, h)` contract: A @ B.T is the tile's kernel to roundoff,
+    and the engine makes the pair rows as one matrix product; the default
+    None keeps `delta_dot_h`.
     """
 
     dim: int
@@ -188,14 +231,26 @@ class FieldSpec:
         This generic form evaluates the field at x + h. A subclass may
         override it with a closed form in (x, h); the override must agree
         with this difference to roundoff and must be exactly zero for a
-        rigid field, so that rigid energies stay bitwise zero. The engine's
-        calls, cells x (n, 1, d) against offsets h (1, K, d), are the hot
-        path; an override may contract them as one matrix product.
+        rigid field, so that rigid energies stay bitwise zero. The engine
+        calls it with cells x (n, 1, d) against offsets h (1, K, d) when the
+        field has no `pair_factors`.
         """
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
         du = self.eval(x + h) - self.eval(x)
         return (du * h).sum(axis=-1)
+
+    def pair_factors(self, x: np.ndarray, h: np.ndarray):
+        """Low-rank factors (A (n, r), B (K, r)) of the kernel, or None.
+
+        Contract: for cells x (n, d) and offsets h (K, d), A @ B.T equals
+        `delta_dot_h(x[:, None, :], h[None, :, :])` to roundoff. The engine
+        builds a tile's pair rows as one matrix product, with 1/|h|^2 scaled
+        into B and, for the residual, the first-order term as extra columns,
+        and writes into neither factor. None, the default, means the engine
+        calls `delta_dot_h`.
+        """
+        return None
 
     def kernel_classes(self, x: np.ndarray, h: np.ndarray) -> np.ndarray | None:
         """Kernel classes (n,) of cells x (n, d) against offsets h (K, d), or None.
@@ -343,27 +398,28 @@ class SinField(FieldSpec):
         du = cos[..., :, None] * (self.amplitude[:, None] * self.waves)
         return 0.5 * (du + np.swapaxes(du, -1, -2))
 
-    def delta_dot_h(self, x, h) -> np.ndarray:
-        # sin(k.x + k.h) - sin(k.x) = sin(k.x) (cos(k.h) - 1) + cos(k.x) sin(k.h),
-        # with cos(k.h) - 1 = -2 sin^2(k.h / 2) to avoid the cancellation
+    def pair_factors(self, x, h):
+        """A = [a sin(k.x), a cos(k.x)] and B = [-2 sin^2(k.h / 2) h, sin(k.h) h].
+
+        By sin(k.x + k.h) - sin(k.x) = sin(k.x) (cos(k.h) - 1) + cos(k.x) sin(k.h),
+        with cos(k.h) - 1 = -2 sin^2(k.h / 2) to avoid the cancellation, the
+        kernel is sum_r A_r B_r; the factors broadcast over leading axes.
+        """
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
         kx = x @ self.waves.T
         kh = h @ self.waves.T
-        sin_x = self.amplitude * np.sin(kx)
-        cos_x = self.amplitude * np.cos(kx)
         half = np.sin(0.5 * kh)
-        h_cos = -2.0 * half * half * h
-        h_sin = np.sin(kh) * h
-        if x.ndim == h.ndim == 3 and x.shape[1] == h.shape[0] == 1:
-            # the engine's (n, 1, d) x (1, K, d): one (n, 2d) @ (2d, K) product
-            a = np.concatenate([sin_x[:, 0], cos_x[:, 0]], axis=1)
-            b = np.concatenate([h_cos[0], h_sin[0]], axis=1)
-            return a @ b.T
-        q = sin_x[..., 0] * h_cos[..., 0] + cos_x[..., 0] * h_sin[..., 0]
-        for i in range(1, self.dim):
-            q += sin_x[..., i] * h_cos[..., i]
-            q += cos_x[..., i] * h_sin[..., i]
+        amp = np.tile(self.amplitude, 2)
+        a = amp * np.concatenate([np.sin(kx), np.cos(kx)], axis=-1)
+        b = np.concatenate([-2.0 * half * half * h, np.sin(kh) * h], axis=-1)
+        return a, b
+
+    def delta_dot_h(self, x, h) -> np.ndarray:
+        a, b = self.pair_factors(x, h)
+        q = a[..., 0] * b[..., 0]
+        for r in range(1, 2 * self.dim):
+            q += a[..., r] * b[..., r]
         return q
 
 

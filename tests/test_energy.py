@@ -8,6 +8,8 @@ Core claims:
     - the energy is monotone in the domain, blind to added spin, and
       invariant under quarter-turn frame rotations
     - totals are bitwise reproducible across reruns and worker counts
+    - a criterion-10 sin tile's traced peak stays within 1.3x of its one
+      (cells x nodes) float64 pair array
     - a pool whose worker died is rebuilt once, then a typed error is raised;
       the default worker count is the CPU affinity of the process
     - the residual variant subtracts the local linearization and accepts
@@ -21,6 +23,7 @@ import math
 import multiprocessing
 import os
 import signal
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +246,32 @@ def test_sin_residual_bitwise_across_reruns_and_workers():
     for res in (rerun, pooled):
         assert res.value == first.value
         assert res.est_quadrature_error == first.est_quadrature_error
+
+
+@pytest.mark.parametrize("level", [32, 16])  # fine 2048 x 512, coarse 8192 x 128 tiles
+def test_sin_tile_peak_memory_is_one_pair_array(level):
+    """A criterion-10 sin tile allocates one (t, K) float64 array, plus small
+    change, whether or not it holds edge cells, with and without the residual."""
+    sin = SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]]))
+    req = en.EnergyRequest(field=sin, domain=BOX, p=1.0,
+                           mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
+                           inner_level=16, workers=1)
+    h, w, inv_r2 = en._inner_nodes(req, level)
+    pts, cellvol = en._midpoints(BOX, 320)
+    k = h.shape[0]
+    t = en._TILE_NODE_BUDGET // k
+    middle = (pts.shape[0] // t // 2) * t
+    # the first tile lies along a face of the box (all cells at the fine level
+    # and 35% at the coarse level are edge cells), the middle one 5%
+    for x in (pts[:t], pts[middle : middle + t]):
+        for residual in (False, True):
+            tracemalloc.start()
+            try:
+                en._tile_masses(sin, BOX, x, h, w, inv_r2, 1.0, residual, cellvol)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.3 * t * k * 8
 
 
 def _pooled_req():

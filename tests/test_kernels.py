@@ -5,8 +5,12 @@ Core claims:
       difference <u(x+h) - u(x), h> to roundoff, for pairs on either side
       of the interface, crossing it in both directions, and with x or x + h
       exactly on it
+    - only the sin field has pair factors; their product, and the engine's
+      folded rows (1/|h|^2 and the residual inside one product), agree with
+      the generic kernel and an unfolded reference to roundoff
     - the per-axis mask equals DomainBox.contains(x + h) bit for bit,
-      including sums that land exactly on lo or hi
+      including sums that land exactly on lo or hi, on interior, edge and
+      mixed tiles and for any block size of the edge rows
     - a jump between two equal rigid fields has an exactly zero kernel and
       an exactly zero energy
     - a power-of-two scale of the field scales the energy exactly:
@@ -17,6 +21,7 @@ Core claims:
 """
 
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +39,7 @@ from nldef import (
 )
 
 en = importlib.import_module("nldef.energy")
+fields_mod = importlib.import_module("nldef.fields")
 
 # normwise: |closed form - generic| <= KERNEL_RTOL * max |generic| over a batch
 KERNEL_RTOL = 1e-13
@@ -84,23 +90,70 @@ def test_sin_kernel_matches_generic(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sin_engine_product_matches_broadcast_loop(d):
-    """The (n, 1, d) x (1, K, d) call is one matrix product; the same pairs
-    passed already broadcast to (n, K, d) take the elementwise loop.
+    """The engine's sin rows are one (n, 2d) x (2d, K) product of the
+    `pair_factors`; `delta_dot_h` sums the same factors elementwise.
 
-    Dyadic waves, x and h make every phase k.x and k.h exact, so both calls
-    see bitwise-equal factors and only the summation differs. (With arbitrary
+    Dyadic waves, x and h make every phase k.x and k.h exact, so both see
+    bitwise-equal factors and only the summation differs. (With arbitrary
     phases the two call shapes round k.x differently as well, which moves the
     loop itself by up to ~1.3e-15 of max |q|.)
     """
     rng = np.random.default_rng(15 + d)
     for _ in range(8):
         f = SinField(rng.uniform(0.1, 0.5, d), rng.integers(-64, 65, (d, d)) / 16)
-        x = rng.integers(-64, 129, (40, 1, d)) / 64
-        h = rng.integers(-77, 78, (1, 60, d)) / 256
-        got = f.delta_dot_h(x, h)
-        ref = f.delta_dot_h(*np.broadcast_arrays(x, h))
+        x = rng.integers(-64, 129, (40, d)) / 64
+        h = rng.integers(-77, 78, (60, d)) / 256
+        ref = f.delta_dot_h(x[:, None, :], h[None, :, :])
+        a, b = f.pair_factors(x, h)
+        got = en._pair_rows(f, x, h, np.ones(60), False)
         assert got.shape == ref.shape == (40, 60)
+        assert np.array_equal(got, a @ b.T)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_factors_match_generic_and_only_sin_has_them(d):
+    rng = np.random.default_rng(160 + d)
+    x = rng.uniform(-1.0, 2.0, (40, d))
+    h = rng.uniform(-0.3, 0.3, (60, d))
+    for _ in range(4):
+        f = _sin_field(rng, d)
+        a, b = f.pair_factors(x, h)
+        assert a.shape == (40, 2 * d) and b.shape == (60, 2 * d)
+        ref = _generic(f, x[:, None, :], h[None, :, :])
+        assert np.max(np.abs(a @ b.T - ref)) <= KERNEL_RTOL * np.max(np.abs(ref))
+    others = [_rigid(rng, d), _linear(rng, d),
+              BumpField(rng.uniform(-1, 1, d), np.full(d, 0.5), 0.3),
+              SampledField(np.zeros(d), np.full(d, 0.5), rng.uniform(-1, 1, (3,) * d + (d,))),
+              *_jump_fields(rng, d)]
+    for f in others:
+        assert f.pair_factors(x, h) is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_folded_sin_rows_match_unfolded_reference(d):
+    """The engine's sin rows are one product with 1/|h|^2 scaled into B and,
+    for the residual, -Eu(x) and h_i h_j/|h|^2 appended as d^2 columns; the
+    reference scales the kernel afterwards and subtracts its own product.
+
+    The residual cancels most of its two terms (by a factor of up to ~80
+    here), so its roundoff is bounded against the larger term, not the
+    difference."""
+    rng = np.random.default_rng(170 + d)
+    for _ in range(4):
+        f = _sin_field(rng, d)
+        x = rng.uniform(0.0, 1.0, (50, d))
+        h = rng.uniform(-0.3, 0.3, (70, d))
+        inv_r2 = 1.0 / (h * h).sum(axis=1)
+        q = f.delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2
+        e = f.sym_gradient(x).reshape(50, d * d)
+        hh = (h[:, :, None] * h[:, None, :]).reshape(70, d * d) * inv_r2[:, None]
+        first_order = e @ hh.T
+        scale = max(np.max(np.abs(q)), np.max(np.abs(first_order)))
+        for residual, ref in ((False, q), (True, q - first_order)):
+            got = en._pair_rows(f, x, h, inv_r2, residual)
+            assert got.shape == (50, 70)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * scale
 
 
 # -- planar jump -------------------------------------------------------------
@@ -173,6 +226,18 @@ def test_jump_kernel_matches_known_cross_values():
 
 # -- mask --------------------------------------------------------------------
 
+def _mask_rows(box, x, h):
+    """The engine's mask as a bool (n, K) array: ones with the pairs outside
+    the box zeroed by `OffsetMask.zero_outside`."""
+    q = np.ones((x.shape[0], h.shape[0]))
+    box.offset_mask(x, h).zero_outside(q)
+    return q == 1.0
+
+
+def _mask_classes(box, x, h):
+    return box.offset_mask(x, h, keys=True).classes()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mask_bitwise_equals_contains(d):
     rng = np.random.default_rng(40 + d)
@@ -187,7 +252,7 @@ def test_mask_bitwise_equals_contains(d):
         x[3], h[3] = box.hi, np.nextafter(np.zeros(d), 1.0)
         h[4] = box.hi - x[5]
         h[5] = box.lo - x[6]
-        got = box.contains_offsets(x, h)
+        got = _mask_rows(box, x, h)
         want = box.contains(x[:, None, :] + h[None, :, :])
         assert got.dtype == bool and got.shape == (30, 40)
         assert np.array_equal(got, want)
@@ -216,14 +281,44 @@ def test_mask_over_repeated_and_single_valued_axes(d):
         one_valued = x.copy()
         one_valued[:, -1] = vals[4, -1]
         for cells in (x, one_valued, x[:1], x[:0]):
-            got = box.contains_offsets(cells, h)
+            got = _mask_rows(box, cells, h)
             want = box.contains(cells[:, None, :] + h[None, :, :])
             assert got.dtype == bool and got.shape == (len(cells), 40)
             assert np.array_equal(got, want)
-            _assert_rows_equal_per_class(box.offset_classes(cells, h), got)
+            _assert_rows_equal_per_class(_mask_classes(box, cells, h), got)
         if box is unit:  # 0.25 - 0.25 and 0.75 + 0.25 are exact
-            got = box.contains_offsets(x, h)
+            got = _mask_rows(box, x, h)
             assert got[0, 0] and got[1, 1] and got[2, 2] and not got[2, 3]
+
+
+@pytest.mark.parametrize("chunk", [1, 50, None])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_edge_row_mask_on_interior_edge_and_mixed_tiles(d, chunk, monkeypatch):
+    """Cells whose rows pass entirely on every axis are skipped; the others
+    are masked in blocks of `_MASK_CHUNK_PAIRS` pairs (1 and 50 split them
+    into many blocks, some ending mid-tile). Dyadic cells and offsets make
+    the sums exact, so many land exactly on lo or hi."""
+    if chunk is not None:
+        monkeypatch.setattr(fields_mod, "_MASK_CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng(180 + d)
+    box = DomainBox([-0.5] * d, [0.75] * d)
+    h = rng.integers(-16, 17, (40, d)) / 64
+    h[0], h[1], h[2] = 0.25, -0.25, 0.0
+    h[3], h[4] = np.nextafter(0.25, 1.0), -np.nextafter(0.25, 1.0)
+    # interior: every x + h stays in the box, some exactly on lo or hi
+    interior = rng.integers(-4, 9, (30, d)) / 16
+    interior[0], interior[1] = -0.25, 0.5
+    # edge: on every axis within 1/4 of a face, so some x + h leave the box
+    near = np.array([-0.5, -0.4375, -0.3125, 0.5625, 0.6875, 0.75])
+    edge = near[rng.integers(0, 6, (30, d))]
+    mixed = np.vstack([interior, edge])[rng.permutation(60)]
+    for x in (interior, edge, mixed, interior[:1], edge[:1], edge[:0]):
+        got = _mask_rows(box, x, h)
+        want = box.contains(x[:, None, :] + h[None, :, :])
+        assert got.shape == (len(x), 40)
+        assert np.array_equal(got, want)
+    assert _mask_rows(box, interior, h[:3]).all()
+    assert not _mask_rows(box, edge, h).all(axis=1).any()
 
 
 # -- zero cases --------------------------------------------------------------
@@ -390,13 +485,18 @@ def test_offset_classes_contract(d):
         h[5] = box.hi - x[6]
         h[6] = box.lo - x[7]
         h = np.vstack([h, h[2:7]])
-        ids = box.offset_classes(x, h)
+        ids = _mask_classes(box, x, h)
         assert ids.shape == (x.shape[0],) and ids.dtype == np.int64
-        rows = box.contains_offsets(x, h)
+        rows = _mask_rows(box, x, h)
         _assert_rows_equal_per_class(ids, rows)
         assert len(np.unique(ids)) < x.shape[0]  # grid cells share classes
         if box is unit:
             assert rows[0, 2] and rows[1, 3] and rows[2, 4]
+        # the keys are counted only on request (the class path)
+        plain = box.offset_mask(x, h)
+        assert plain.key is None
+        with pytest.raises(ValueError):
+            plain.classes()
 
 
 def test_offset_class_ids_stay_below_cells_cubed():
@@ -405,9 +505,25 @@ def test_offset_class_ids_stay_below_cells_cubed():
     box = DomainBox([0.0] * 3, [1.0] * 3)
     x = rng.uniform(0.0, 1.0, (40, 3))
     h = rng.uniform(-0.5, 0.5, (60_000, 3))
-    ids = box.offset_classes(x, h)
+    ids = _mask_classes(box, x, h)
     assert ids.min() >= 0 and ids.max() < 40**3
-    _assert_rows_equal_per_class(ids, box.contains_offsets(x, h))
+    _assert_rows_equal_per_class(ids, _mask_rows(box, x, h))
+
+
+def test_rigid_energy_stays_zero_on_the_per_cell_path(monkeypatch):
+    """Without kernel classes every rigid cell reaches the pair rows, whose
+    kernel is a read-only broadcast view of 0.0: the engine scales a copy."""
+    monkeypatch.setattr(RigidField, "kernel_classes", lambda self, x, h: None)
+    rng = np.random.default_rng(190)
+    for d in (1, 2, 3):
+        req = en.EnergyRequest(
+            field=_rigid(rng, d), domain=DomainBox([0.0] * d, [1.0] * d), p=1.0,
+            mollifier=MollifierSpec("shell", 0.3, d), outer_grid=6, inner_level=4,
+            workers=1)
+        for run in (en.energy, en.residual_energy):
+            res = run(req)
+            assert res.value == 0.0 and res.est_quadrature_error == 0.0
+        assert en.energy(replace(req, p=2.0)).value == 0.0
 
 
 def _engine_fields():
