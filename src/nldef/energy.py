@@ -23,11 +23,14 @@ array, the pair rows, and every later step writes into it:
 
 - the pair kernel divided by |h|^2: for a field with `pair_factors` (sin)
   one (t, r) x (r, K) product with 1/|h|^2 scaled into the per-node factor;
-  otherwise the field's `delta_dot_h`, a closed form in (x, h) for rigid,
-  linear and planar-jump fields (no evaluation at x + h; exactly zero for
-  rigid fields) and the generic difference u(x + h) - u(x) for bump and
-  sampled fields, scaled into a new (t, K) array (rigid and linear
-  kernels are read-only broadcast views, which are never written);
+  otherwise the field's `pair_rows`. A planar jump builds its band rows as
+  one signed (t, d + 1) x (d + 1, K) product (the jump term, nonzero only
+  on pairs that cross the plane) plus x's side row. Other fields take their
+  `delta_dot_h`, a closed form in (x, h) for rigid and linear fields (no
+  evaluation at x + h; exactly zero for rigid fields) and the generic
+  difference u(x + h) - u(x) for bump and sampled fields, scaled into a new
+  (t, K) array (rigid and linear kernels are read-only broadcast views,
+  which are never written);
 - the residual term <Eu(x) h, h>/|h|^2: with pair factors, d^2 more columns
   of the same product (-Eu(x) per cell, h_i h_j/|h|^2 per node); otherwise
   one (t, d^2) x (d^2, K) product subtracted in place;
@@ -291,8 +294,7 @@ def _pair_rows(field, x_tile, h, inv_r2, residual):
 
     With `field.pair_factors` (A, B) it is one product: B is scaled by
     1/|h|^2, and the residual appends -Eu(x) to A and h_i h_j/|h|^2 to B.
-    Otherwise `delta_dot_h` is scaled into a new array (rigid and linear
-    kernels are read-only broadcast views) and the residual is its own
+    Otherwise the rows are `field.pair_rows` and the residual is its own
     (t, d^2) x (d^2, K) product, subtracted in place.
     """
     if residual:
@@ -307,7 +309,7 @@ def _pair_rows(field, x_tile, h, inv_r2, residual):
             a = np.concatenate([a, -e], axis=1)
             b = np.concatenate([b, hh], axis=1)
         return a @ b.T
-    q = field.delta_dot_h(x_tile[:, None, :], h[None, :, :]) * inv_r2
+    q = field.pair_rows(x_tile, h, inv_r2)
     if residual:
         q -= e @ hh.T
     return q

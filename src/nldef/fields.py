@@ -7,6 +7,7 @@ Fields are immutable dataclasses sharing a small interface:
   sym_gradient(x)      the symmetric part of the Jacobian, where defined
   kernel_classes(x, h) ids of cells with identical kernel rows, or None
   pair_factors(x, h)   low-rank factors (A, B) of the kernel, A @ B.T, or None
+  pair_rows(x, h, r)   the engine's (n, K) rows delta_dot_h / |h|^2
 
 The closed-form variants (rigid, linear, sin, planar jump with affine sides)
 hand-code `delta_dot_h` so no field is evaluated at x + h and algebraic
@@ -214,7 +215,8 @@ class FieldSpec:
     per class; the default None (the kernel depends on x) evaluates them all.
     `pair_factors(x, h)` contract: A @ B.T is the tile's kernel to roundoff,
     and the engine makes the pair rows as one matrix product; the default
-    None keeps `delta_dot_h`.
+    None makes them with `pair_rows`, which is `delta_dot_h` / |h|^2 unless
+    a subclass (the planar jump) builds them another way.
     """
 
     dim: int
@@ -251,6 +253,16 @@ class FieldSpec:
         calls `delta_dot_h`.
         """
         return None
+
+    def pair_rows(self, x: np.ndarray, h: np.ndarray, inv_r2: np.ndarray) -> np.ndarray:
+        """Rows (n, K) of the kernel divided by |h|^2, a new array the caller owns.
+
+        For cells x (n, d), offsets h (K, d) and inv_r2 = 1/|h|^2 (K,), this is
+        `delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2`, which the default
+        computes; a subclass may build the same rows faster to roundoff. The
+        engine calls it when the field has no `pair_factors`.
+        """
+        return self.delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2
 
     def kernel_classes(self, x: np.ndarray, h: np.ndarray) -> np.ndarray | None:
         """Kernel classes (n,) of cells x (n, d) against offsets h (K, d), or None.
@@ -473,7 +485,9 @@ class PlanarJumpField(FieldSpec):
 
     The minus side is <x, normal> - offset <= 0 (points on the interface
     evaluate to the minus side). Both sides must be rigid or linear so the
-    jump a(x) = u_plus(x) - u_minus(x) stays affine.
+    jump a(x) = u_plus(x) - u_minus(x) stays affine. `delta_dot_h` is the
+    reference kernel; the engine takes its rows from `pair_rows`, which
+    splits them into x's side kernel and a signed low-rank jump term.
     """
 
     normal: np.ndarray
@@ -496,6 +510,12 @@ class PlanarJumpField(FieldSpec):
     @property
     def dim(self) -> int:
         return self.normal.shape[0]
+
+    def _engine_normals(self, x, h):
+        """x.nu (n,) and h.nu (K,) for cells x (n, d) and offsets h (K, d),
+        as products of the engine's (n, 1, d) and (1, K, d) shapes, which
+        `delta_dot_h` sees and which may round apart from `x @ normal`."""
+        return (x[:, None, :] @ self.normal)[:, 0], (h[None, :, :] @ self.normal)[0]
 
     def _plus_side(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -538,6 +558,39 @@ class PlanarJumpField(FieldSpec):
         q += a_dot_h
         return q
 
+    def pair_rows(self, x, h, inv_r2) -> np.ndarray:
+        """`delta_dot_h` / |h|^2 as k_{p_x}(h)/|h|^2 + sigma [1, a(x)].[dk(h), h]/|h|^2.
+
+        x lies on side p_x and x + h on side p_y, and sigma = p_y - p_x is -1,
+        0 or 1; k_- and k_+ are the side kernels, functions of h alone for
+        affine sides, dk = k_+ - k_- and a(x) = u_+(x) - u_-(x). The cross
+        term is one (n, d + 1) x (d + 1, K) product with 1/|h|^2 in the node
+        factor, times sigma, plus x's side row. The side tests are those of
+        `delta_dot_h`, with its product shapes, made once per distinct x.nu
+        (sigma and the side row depend on x only through it), so a pair with
+        sigma = 0 gets the bits of `delta_dot_h(...) * inv_r2`; a tile with no
+        crossing pair skips the product.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        h = np.asarray(h, dtype=np.float64)
+        xn, hn = self._engine_normals(x, h)
+        xn, at = np.unique(xn, return_inverse=True)
+        px = (xn > self.offset)[:, None]
+        same = np.add.outer(xn, hn) > self.offset
+        np.equal(same, px, out=same)
+        # the side kernels do not involve x, so x = 0 stands for every cell
+        k_minus, k_plus = (side.delta_dot_h(np.zeros((1, 1, self.dim)), h[None])[0]
+                           for side in (self.minus, self.plus))
+        side_rows = np.where(px, k_plus * inv_r2, k_minus * inv_r2)
+        if same.all():
+            return side_rows[at]
+        a = np.concatenate([np.ones((x.shape[0], 1)), self.jump_at(x)], axis=1)
+        b = np.concatenate([(k_plus - k_minus)[:, None], h], axis=1) * inv_r2[:, None]
+        q = a @ b.T
+        q *= np.where(same, 0.0, np.where(px, -1.0, 1.0))[at]  # sigma
+        q += side_rows[at]
+        return q
+
     def kernel_classes(self, x, h) -> np.ndarray:
         """x's side (0 minus, 1 plus) where every x + h stays on it, else 2 + i.
 
@@ -549,8 +602,7 @@ class PlanarJumpField(FieldSpec):
         """
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
-        xn = (x[:, None, :] @ self.normal)[:, 0]
-        hn = (h[None, :, :] @ self.normal)[0]
+        xn, hn = self._engine_normals(x, h)
         low = (xn + hn.min(initial=0.0)) - self.offset > 0.0
         high = (xn + hn.max(initial=0.0)) - self.offset > 0.0
         one_sided = (low == high) & (self._plus_side(x) == low)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DimensionError, ParameterError
 
@@ -46,6 +45,10 @@ def _bump_profile(r):
 def _bump_const(dim: int) -> float:
     c = _BUMP_CONST.get(dim)
     if c is None:
+        # scipy.integrate is imported by its two users alone: it takes longer to
+        # import than the rest of the package, and most requests never integrate
+        from scipy.integrate import quad
+
         integral, _ = quad(
             lambda r: r ** (dim - 1) * math.exp(-1.0 / (1.0 - r * r)),
             0.0,
@@ -117,6 +120,8 @@ class MollifierSpec:
                 lo = max(delta, 0.5 * self.eps)
         else:
             lo, hi = delta, np.inf
+        from scipy.integrate import quad
+
         val, _ = quad(
             lambda r: r ** (d - 1) * float(self.radial_profile(r)),
             lo,

@@ -313,15 +313,21 @@ def qp_pow_eigs(eigs: np.ndarray, p: float, rule: SphereRule | None) -> np.ndarr
 def _sphere_pow_sum(eigs: np.ndarray, p: float, rule: SphereRule) -> np.ndarray:
     """sum_k w_k |sum_i lam_i (n_k)_i^2|^p per eigenvalue row, in row blocks.
 
-    Blocks bound the (rows x nodes) temporaries to _SPHERE_NODE_BUDGET
-    entries. Each row takes the same operations as in one whole-batch
-    product; BLAS may still round a row differently in its last bit when it
-    falls at another position within a block.
+    Each distinct row is evaluated once and its value copied to its repeats.
+    `np.unique(..., axis=0)` finds them by exact float comparison (it merges
+    -0.0 with 0.0, which changes no |sum|), and the batches that reach this
+    sum often repeat one row: a jump's interface density, the gradient of an
+    affine field. Blocks of distinct rows bound the (rows x nodes)
+    temporaries to _SPHERE_NODE_BUDGET entries. Each row takes the same
+    operations as in one whole-batch product; BLAS may still round a row
+    differently in its last bit when it falls at another position within a
+    block.
     """
+    eigs, at = np.unique(eigs, axis=0, return_inverse=True)
     w2 = rule.nodes * rule.nodes
     rows = max(1, _SPHERE_NODE_BUDGET // w2.shape[0])
     out = np.empty(eigs.shape[0])
     for s in range(0, eigs.shape[0], rows):
         vals = np.abs(eigs[s : s + rows] @ w2.T)
         out[s : s + rows] = vals**p @ rule.weights
-    return out
+    return out[at.reshape(-1)]

@@ -5,6 +5,9 @@ Core claims:
       difference <u(x+h) - u(x), h> to roundoff, for pairs on either side
       of the interface, crossing it in both directions, and with x or x + h
       exactly on it
+    - the planar jump's engine rows (one signed product plus x's side row)
+      agree with delta_dot_h / |h|^2 to roundoff, and pairs that stay on x's
+      side keep its bits; a rigid-sided jump's residual equals its energy
     - only the sin field has pair factors; their product, and the engine's
       folded rows (1/|h|^2 and the residual inside one product), agree with
       the generic kernel and an unfolded reference to roundoff
@@ -222,6 +225,67 @@ def test_jump_kernel_matches_known_cross_values():
     q = f.delta_dot_h(x[:, None, :], h[None, :, :])
     want = np.array([[0.3, 0.0, 0.0], [0.0, -0.7, 0.0], [0.3, 0.0, 0.0]])
     assert np.array_equal(q, want)
+
+
+def _jump_on_plane_cases(rng, f, d):
+    """Cells and offsets for `f`, plus copies of `f` whose plane holds a cell,
+    or a cell plus an offset, exactly (in the engine's product shapes)."""
+    x = rng.uniform(-0.5, 1.5, (50, d))  # some cells farther than any |h| from the plane
+    h = rng.uniform(-0.4, 0.4, (70, d))
+    xn = (x[:, None, :] @ f.normal)[:, 0]
+    hn = (h[None, :, :] @ f.normal)[0]
+    # the cell, and the cell plus offset, nearest the plane through the center
+    i = np.argmin(np.abs(xn - f.offset))
+    y = xn[:, None] + hn[None, :]
+    y[i] = np.inf
+    planes = [f.offset, xn[i], y.flat[np.argmin(np.abs(y - f.offset))]]
+    return x, h, [replace(f, offset=float(s)) for s in planes]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_jump_rows_match_kernel_over_h2(d):
+    """The engine's jump rows (`PlanarJumpField.pair_rows`: one signed product
+    plus x's side row) agree with delta_dot_h / |h|^2 within 1e-15 of the
+    largest entry. Pairs that stay on x's side (sigma = 0), which includes
+    every pair of a cell whose stencil stays on one side, carry the bits of
+    delta_dot_h(...) * inv_r2 (as |q|: the engine takes |q|^p), and so does a
+    call in which no pair crosses, which skips the product."""
+    rng = np.random.default_rng(200 + d)
+    for f in _jump_fields(rng, d):
+        x, h, cases = _jump_on_plane_cases(rng, f, d)
+        inv_r2 = 1.0 / (h * h).sum(axis=1)
+        for g in cases:
+            ref = g.delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2
+            got = en._pair_rows(g, x, h, inv_r2, False)
+            assert got.shape == ref.shape and got.flags.writeable
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+            xn = (x[:, None, :] @ g.normal)[:, 0]
+            yn = xn[:, None] + (h[None, :, :] @ g.normal)[0]
+            px, py = xn > g.offset, yn > g.offset
+            assert np.any(~px[:, None] & py) and np.any(px[:, None] & ~py)
+            stay = py == px[:, None]
+            assert np.array_equal(_bits(np.abs(got[stay])), _bits(np.abs(ref[stay])))
+            one_sided = stay.all(axis=1)
+            assert one_sided.any() and not one_sided.all()
+            rows = g.pair_rows(x[one_sided], h, inv_r2)
+            assert np.array_equal(_bits(np.abs(rows)), _bits(np.abs(ref[one_sided])))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rigid_sided_jump_residual_equals_energy(d):
+    """Rigid sides have Eu = 0, so the residual subtracts exact zeros."""
+    rng = np.random.default_rng(210 + d)
+    normals = _axis_normals(d)[:1] + ([np.full(d, d ** -0.5)] if d > 1 else [])
+    for nu in normals:
+        f = PlanarJumpField(nu, 0.45 * float(nu.sum()), _rigid(rng, d), _rigid(rng, d))
+        req = en.EnergyRequest(
+            field=f, domain=DomainBox([0.0] * d, [1.0] * d), p=1.0,
+            mollifier=MollifierSpec("shell", 0.3, d), outer_grid=6,
+            inner_level=4, workers=1)
+        plain, res = en.energy(req), en.residual_energy(req)
+        assert plain.value > 0.0
+        assert res.value == plain.value
+        assert res.est_quadrature_error == plain.est_quadrature_error
 
 
 # -- mask --------------------------------------------------------------------

@@ -8,15 +8,21 @@ Core claims:
     - support_radius returns eps for compact families and a radius whose
       tail sits at or below the tolerance otherwise
     - radial_bands tile the support and carry the full unit mass
+    - importing nldef does not import scipy.integrate; the two functions that
+      integrate import it themselves and give the bits of the eager import
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
+import nldef
 from nldef import DimensionError, FAMILIES, MollifierSpec, ParameterError
 from nldef.mollifiers import SURFACE_AREA
 
@@ -148,3 +154,33 @@ def test_radial_bands_cover_support(family):
         r = 0.5 * (b - a) * z + 0.5 * (a + b)
         total += (0.5 * (b - a) * w * SURFACE_AREA[2] * r * spec.radial_profile(r)).sum()
     assert abs(total - 1.0) < 1e-9
+
+
+# -- lazy scipy import -------------------------------------------------------
+
+def test_import_leaves_scipy_integrate_out_and_values_unchanged():
+    """A fresh `import nldef` leaves scipy.integrate unimported; the bump
+    constant and the gaussian support radius, computed there afterwards, equal
+    bit for bit a direct quad of the constant and this process's radii, where
+    scipy.integrate was imported before nldef."""
+    code = (
+        "import sys\n"
+        "import nldef\n"
+        "from nldef.mollifiers import MollifierSpec, _bump_const\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "print(' '.join(_bump_const(d).hex() for d in (1, 2, 3)))\n"
+        "print(' '.join(MollifierSpec('gaussian', 0.1, d).support_radius(1e-10).hex()\n"
+        "               for d in (1, 2, 3)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nldef.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    loaded, bump, radius = proc.stdout.splitlines()
+    assert loaded == "False"
+    for dim, got in zip((1, 2, 3), bump.split()):
+        integral, _ = quad(lambda r: r ** (dim - 1) * math.exp(-1.0 / (1.0 - r * r)),
+                           0.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=200)
+        assert float.fromhex(got) == 1.0 / (SURFACE_AREA[dim] * integral)
+    want = [MollifierSpec("gaussian", 0.1, d).support_radius(1e-10) for d in (1, 2, 3)]
+    assert [float.fromhex(v) for v in radius.split()] == want

@@ -6,7 +6,9 @@ Core claims:
     - sphere rules have unit weight mass, unit nodes, and exact +- pairs
     - q_norm reproduces the closed-form values: 1/pi, sqrt(1/2), sqrt(1/15), tr/d
     - q_norm and q_norm_eigen agree structurally (same rule, eigen coordinates)
-    - q1_trace_psd, q2_closed and the batch qp_pow_eigs match the rule values
+    - q1_trace_psd, q2_closed and the batch qp_pow_eigs match the rule values;
+      qp_pow_eigs evaluates each distinct eigenvalue row once, so repeats
+      carry the bits of the row alone
     - Q_p is invariant under orthogonal conjugation up to the rule's defect
 """
 
@@ -215,6 +217,37 @@ def test_qp_pow_eigs_sphere_rows_bounded_memory():
     w2 = rule.nodes * rule.nodes
     ref = np.abs(eigs[:1000] @ w2.T) @ rule.weights
     np.testing.assert_allclose(out[:1000], ref, rtol=1e-13, atol=0.0)
+
+
+def _indefinite_rows(rng, n):
+    mags = rng.uniform(0.1, 1.0, (n, 3))
+    return np.stack([mags[:, 0], 0.5 * (mags[:, 1] - 0.5), -mags[:, 2]], axis=1)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_qp_pow_eigs_repeated_row_takes_its_own_bits(p):
+    # 4096 copies of one indefinite row against the 8192-node level-64 rule:
+    # the row is evaluated once, so every copy has the bits of the row alone
+    rule = make_sphere_rule(3, 64)
+    row = np.array([[0.7, -0.2, -0.4]])
+    alone = qp_pow_eigs(row, p, rule)
+    many = qp_pow_eigs(np.repeat(row, 4096, axis=0), p, rule)
+    assert many.shape == (4096,)
+    assert np.array_equal(many.view(np.uint64), np.repeat(alone, 4096).view(np.uint64))
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_qp_pow_eigs_shuffled_repeats_match_single_rows(p):
+    rng = np.random.default_rng(33)
+    rule = make_sphere_rule(3, 16)
+    distinct = _indefinite_rows(rng, 40)
+    pick = rng.integers(0, 40, 3000)  # every row repeated, in shuffled order
+    got = qp_pow_eigs(distinct[pick], p, rule)
+    single = np.array([qp_pow_eigs(r[None], p, rule)[0] for r in distinct])
+    assert np.all(np.abs(got - single[pick]) <= 1e-14 * np.abs(single[pick]))
+    # the copies of a row share its bits
+    _, first, inv = np.unique(pick, return_index=True, return_inverse=True)
+    assert np.array_equal(got.view(np.uint64), got[first][inv].view(np.uint64))
 
 
 # -- invariance --------------------------------------------------------------

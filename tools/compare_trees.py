@@ -13,10 +13,14 @@ The requests cover d = 1..3, every field family (rigid, linear, sin, bump,
 planar jump with rigid and with linear sides, sampled), both inner modes,
 p = 1 and 2, and 1 and 2 workers; requests at 2 workers have several tiles
 per level, so they run through the process pool. On top of these come the
-criterion-10 linear, sin and jump requests at N = 64, and jumps whose plane
-runs through a row of outer midpoints. The outputs are the
-energy value and error bar, the residual energy value and error bar (p = 1,
-closed-form fields) and the per-cell density masses. The environment,
+criterion-10 linear, sin and jump requests at N = 64, jumps whose plane
+runs through a row of outer midpoints, and the 3-d planar jump of the
+benchmark's d3-jump-study at seed 0 (eps 0.4, N = 24, inner level 4). The
+outputs are the energy value and error bar, the residual energy value and
+error bar (p = 1, closed-form fields) and the per-cell density masses. The
+limit objects come on top: `ground_truth` (volume, interface and total
+values) and the `ground_truth_measure` masses of that 3-d jump, of a 2-d
+rigid-sided jump and of a 3-d linear field. The environment,
 BLAS thread settings included, is passed to both interpreters unchanged.
 Exit status 0 means every output is bitwise equal, 1 that some differ.
 """
@@ -69,12 +73,23 @@ def _fields(d: int):
 _SIZES = {1: ((64, 8), (140000, 16)), 2: ((24, 8), (128, 16)), 3: ((8, 4), (16, 8))}
 
 
+def _study_field():
+    """The planar jump of the benchmark's d3-jump-study at seed 0: linear sides
+    with one matrix, a constant jump, and the plane x_1 = 1/2."""
+    import nldef
+
+    mat = np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]])
+    return nldef.PlanarJumpField(np.eye(3)[0], 0.5, nldef.LinearField(mat, np.zeros(3)),
+                                 nldef.LinearField(mat, np.array([0.2, 1.0, 0.3])))
+
+
 def _extra_requests():
     """(name, request) pairs beyond the family grid.
 
     The criterion-10 linear, sin and jump requests at N = 64 (two tiles per
-    level), and linear-sided jumps whose plane <x, e_1> = s passes exactly
-    through a row of outer midpoints, so those cells sit on the interface.
+    level), linear-sided jumps whose plane <x, e_1> = s passes exactly
+    through a row of outer midpoints, so those cells sit on the interface,
+    and the d3-jump-study field at its largest eps.
     """
     import nldef
 
@@ -107,7 +122,35 @@ def _extra_requests():
             mollifier=nldef.MollifierSpec("shell", 0.2, d), outer_grid=n,
             inner_level=level, workers=workers)
         out.append((f"d{d}/jump_on_midpoints/n{n}/w{workers}", req))
+    req = en.EnergyRequest(
+        field=_study_field(), domain=nldef.DomainBox([0.0] * 3, [1.0] * 3), p=1.0,
+        mollifier=nldef.MollifierSpec("shell", 0.4, 3), outer_grid=24, inner_level=4,
+        workers=1)
+    out.append(("d3/study_jump/eps0.4/n24", req))
     return out
+
+
+def _limit_outputs(out: dict) -> None:
+    """Ground truths and limit-measure masses on the unit box, p = 1."""
+    import nldef
+
+    zero2 = nldef.RigidField(np.zeros((2, 2)), np.zeros(2))
+    fields = [
+        ("d3/study_jump", _study_field(), 64),
+        ("d2/jump_rigid", nldef.PlanarJumpField(
+            np.array([1.0, 0.0]), 0.5, zero2,
+            nldef.RigidField(np.array([[0.0, 0.5], [-0.5, 0.0]]), np.array([0.3, 1.0]))), 64),
+        # an indefinite symmetric gradient, so Q_1 goes through the sphere rule
+        ("d3/linear", dict(_fields(3))["linear"], 8),
+    ]
+    for key, field, n_cells in fields:
+        d = field.dim
+        box = nldef.DomainBox([0.0] * d, [1.0] * d)
+        rule = nldef.make_sphere_rule(d, 64)
+        gt = nldef.ground_truth(field, box, 1.0, rule)
+        out[f"{key}/ground_truth"] = [gt.ac_value, gt.singular_value, gt.total]
+        masses = nldef.ground_truth_measure(field, box, rule, n_cells=n_cells).masses
+        out[f"{key}/limit_masses/n{n_cells}"] = np.asarray(masses, dtype=np.float64).tolist()
 
 
 def _record(out: dict, key: str, req, residual: bool) -> None:
@@ -147,6 +190,7 @@ def _outputs() -> dict:
                         _record(out, key, req, p == 1.0 and closed_form)
     for key, req in _extra_requests():
         _record(out, key, req, req.p == 1.0)
+    _limit_outputs(out)
     return out
 
 
