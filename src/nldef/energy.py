@@ -21,19 +21,12 @@ same bits as evaluating every cell. Fields whose kernel depends on x (sin,
 bump, sampled) skip the step. An evaluated tile owns one (t, K) float64
 array, the pair rows, and every later step writes into it:
 
-- the pair kernel divided by |h|^2: for a field with `pair_factors` (sin)
-  one (t, r) x (r, K) product with 1/|h|^2 scaled into the per-node factor;
-  otherwise the field's `pair_rows`. A planar jump builds its band rows as
-  one signed (t, d + 1) x (d + 1, K) product (the jump term, nonzero only
-  on pairs that cross the plane) plus x's side row. Other fields take their
-  `delta_dot_h`, a closed form in (x, h) for rigid and linear fields (no
-  evaluation at x + h; exactly zero for rigid fields) and the generic
-  difference u(x + h) - u(x) for bump and sampled fields, scaled into a new
-  (t, K) array (rigid and linear kernels are read-only broadcast views,
-  which are never written);
-- the residual term <Eu(x) h, h>/|h|^2: with pair factors, d^2 more columns
-  of the same product (-Eu(x) per cell, h_i h_j/|h|^2 per node); otherwise
-  one (t, d^2) x (d^2, K) product subtracted in place;
+- the pair rows come from the field's one kernel hook,
+  `FieldSpec.pair_rows(x, h, 1/|h|^2, residual)`: the kernel divided by
+  |h|^2, less the first-order term <Eu(x) h, h>/|h|^2 for the residual.
+  How each family builds them (a default from `delta_dot_h`, one low-rank
+  product for sin, a signed band product for the planar jump) is documented
+  at its `pair_rows`;
 - |q|^p and the weights are applied in place;
 - the mask: cells whose rows pass entirely on every axis (about 90% of the
   criterion-10 grid) are left alone; the rows of the other cells are ANDed
@@ -79,7 +72,9 @@ from .fields import (
     FieldSpec,
     PlanarJumpField,
     SampledField,
+    _adaptive_box_integral,
     _polar_rule,
+    _tensor_gauss_nodes,
     _tensor_grid,
     ground_truth,
 )
@@ -222,11 +217,10 @@ def _pool_map(workers: int, fn, *args) -> list:
 
 def _tensor_nodes(mollifier: MollifierSpec, level: int, trunc_tol: float):
     """Gauss grid on the truncation cube [-R, R]^d weighted by rho_eps."""
-    dim = mollifier.dim
     radius = mollifier.support_radius(trunc_tol)
-    n = level + (level & 1)  # even count keeps h = 0 off the grid
-    z, gw = np.polynomial.legendre.leggauss(n)
-    h, w = _tensor_grid([radius * z] * dim, [radius * gw] * dim)
+    cube = DomainBox([-radius] * mollifier.dim, [radius] * mollifier.dim)
+    # an even node count keeps h = 0 off the grid
+    h, w = _tensor_gauss_nodes(cube, level + (level & 1))
     w = w * mollifier.eval(h)
     keep = w > 0.0
     h = h[keep]
@@ -270,63 +264,27 @@ def _tile_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol):
     """Per-cell masses (densities times cell volume) for one outer tile.
 
     Cells with equal kernel classes (`field.kernel_classes`) and equal mask
-    classes have bitwise-equal pair rows, so one representative per class
-    goes through `_row_masses` and its mass is copied to the rest. A field
-    without kernel classes computes every cell. The tile's `OffsetMask` is
-    built once and serves both the classes and the representatives' rows.
+    classes have bitwise-equal pair rows, so only one representative per
+    class is evaluated and its mass is copied to the rest; a field without
+    kernel classes evaluates every cell. The tile's `OffsetMask` is built
+    once and serves both the classes and the evaluated rows. The pair rows
+    are the only (t, K) array; |q|^p, the weights and the mask
+    (`mask.zero_outside`, which skips interior cells) are written over it.
     """
     kernel = field.kernel_classes(x_tile, h)
     mask = domain.offset_mask(x_tile, h, keys=kernel is not None)
-    if kernel is None:
-        return _row_masses(field, mask, x_tile, h, w, inv_r2, p, residual, cellvol)
-    n = x_tile.shape[0]
-    _, cls = np.unique(mask.classes(), return_inverse=True)
-    _, first, inv = np.unique(kernel * n + cls, return_index=True, return_inverse=True)
-    reps = _row_masses(
-        field, mask.take(first), x_tile[first], h, w, inv_r2, p, residual, cellvol
-    )
-    return reps[inv]
-
-
-def _pair_rows(field, x_tile, h, inv_r2, residual):
-    """The (t, K) rows <u(x+h) - u(x), h>/|h|^2, less <Eu(x) h, h>/|h|^2 for
-    the residual, as one array the caller owns.
-
-    With `field.pair_factors` (A, B) it is one product: B is scaled by
-    1/|h|^2, and the residual appends -Eu(x) to A and h_i h_j/|h|^2 to B.
-    Otherwise the rows are `field.pair_rows` and the residual is its own
-    (t, d^2) x (d^2, K) product, subtracted in place.
-    """
-    if residual:
-        t, d = x_tile.shape
-        e = field.sym_gradient(x_tile).reshape(t, d * d)
-        hh = (h[:, :, None] * h[:, None, :]).reshape(-1, d * d) * inv_r2[:, None]
-    factors = field.pair_factors(x_tile, h)
-    if factors is not None:
-        a, b = factors
-        b = b * inv_r2[:, None]
-        if residual:
-            a = np.concatenate([a, -e], axis=1)
-            b = np.concatenate([b, hh], axis=1)
-        return a @ b.T
-    q = field.pair_rows(x_tile, h, inv_r2)
-    if residual:
-        q -= e @ hh.T
-    return q
-
-
-def _row_masses(field, mask, x_tile, h, w, inv_r2, p, residual, cellvol):
-    """Per-cell masses of the cells x_tile, one (t, K) pair row per cell.
-
-    The pair rows are the only (t, K) array; |q|^p, the weights and the
-    mask (`mask.zero_outside`, which skips interior cells) are written over
-    it. Only the generic kernel (bump and sampled fields) builds the
-    (t, K, d) points x + h.
-    """
-    contrib = _abs_pow(_pair_rows(field, x_tile, h, inv_r2, residual), p)
+    copies = slice(None)
+    if kernel is not None:
+        n = x_tile.shape[0]
+        _, cls = np.unique(mask.classes(), return_inverse=True)
+        _, first, copies = np.unique(
+            kernel * n + cls, return_index=True, return_inverse=True
+        )
+        mask, x_tile = mask.take(first), x_tile[first]
+    contrib = _abs_pow(field.pair_rows(x_tile, h, inv_r2, residual), p)
     contrib *= w
     mask.zero_outside(contrib)
-    return contrib.sum(axis=1) * cellvol
+    return (contrib.sum(axis=1) * cellvol)[copies]
 
 
 def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool):
@@ -437,7 +395,6 @@ def upper_bound_rhs(
     tail = mollifier.tail_mass(radius)
     if tail == 0.0:
         return grad_term
-    from .fields import _adaptive_box_integral  # local import, private helper
 
     def norm_p(pts):
         u = field.eval(pts)

@@ -3,11 +3,13 @@
 Fields are immutable dataclasses sharing a small interface:
 
   eval(x)              values at points, vectorized over leading axes
-  delta_dot_h(x, h)    <u(x+h) - u(x), h>, the engine's pair kernel
+  delta_dot_h(x, h)    <u(x+h) - u(x), h>, the reference pair kernel
   sym_gradient(x)      the symmetric part of the Jacobian, where defined
   kernel_classes(x, h) ids of cells with identical kernel rows, or None
-  pair_factors(x, h)   low-rank factors (A, B) of the kernel, A @ B.T, or None
-  pair_rows(x, h, r)   the engine's (n, K) rows delta_dot_h / |h|^2
+  pair_rows(x, h, r)   the engine's kernel hook: (n, K) rows delta_dot_h / |h|^2,
+                       less <Eu(x) h, h> / |h|^2 with residual=True
+  pair_factors(x, h)   low-rank factors (A, B) of the kernel, A @ B.T, or None;
+                       the sin field builds its `pair_rows` from them
 
 The closed-form variants (rigid, linear, sin, planar jump with affine sides)
 hand-code `delta_dot_h` so no field is evaluated at x + h and algebraic
@@ -210,13 +212,15 @@ class OffsetMask:
 class FieldSpec:
     """Base class; subclasses fill in dim, eval, sym_gradient.
 
-    `kernel_classes(x, h)` contract: cells with equal ids get bitwise-equal
-    `delta_dot_h` rows and `sym_gradient`, and the engine evaluates one cell
-    per class; the default None (the kernel depends on x) evaluates them all.
-    `pair_factors(x, h)` contract: A @ B.T is the tile's kernel to roundoff,
-    and the engine makes the pair rows as one matrix product; the default
-    None makes them with `pair_rows`, which is `delta_dot_h` / |h|^2 unless
-    a subclass (the planar jump) builds them another way.
+    The engine reaches a field through two hooks. `pair_rows(x, h, inv_r2,
+    residual)` gives a tile's pair rows, the kernel over |h|^2 less the
+    first-order term for the residual; the default builds them from
+    `delta_dot_h`, and the sin field and the planar jump build the same rows
+    faster. `kernel_classes(x, h)` contract: cells with equal ids get
+    bitwise-equal `delta_dot_h` rows and `sym_gradient`, and the engine
+    evaluates one cell per class; the default None (the kernel depends on x)
+    evaluates them all. `pair_factors` is not engine-facing: it gives the
+    low-rank factors from which a subclass may build its rows.
     """
 
     dim: int
@@ -233,9 +237,8 @@ class FieldSpec:
         This generic form evaluates the field at x + h. A subclass may
         override it with a closed form in (x, h); the override must agree
         with this difference to roundoff and must be exactly zero for a
-        rigid field, so that rigid energies stay bitwise zero. The engine
-        calls it with cells x (n, 1, d) against offsets h (1, K, d) when the
-        field has no `pair_factors`.
+        rigid field, so that rigid energies stay bitwise zero. The default
+        `pair_rows` calls it with cells x (n, 1, d) against offsets h (1, K, d).
         """
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
@@ -246,23 +249,27 @@ class FieldSpec:
         """Low-rank factors (A (n, r), B (K, r)) of the kernel, or None.
 
         Contract: for cells x (n, d) and offsets h (K, d), A @ B.T equals
-        `delta_dot_h(x[:, None, :], h[None, :, :])` to roundoff. The engine
-        builds a tile's pair rows as one matrix product, with 1/|h|^2 scaled
-        into B and, for the residual, the first-order term as extra columns,
-        and writes into neither factor. None, the default, means the engine
-        calls `delta_dot_h`.
+        `delta_dot_h(x[:, None, :], h[None, :, :])` to roundoff. None, the
+        default, means the field has no such factors.
         """
         return None
 
-    def pair_rows(self, x: np.ndarray, h: np.ndarray, inv_r2: np.ndarray) -> np.ndarray:
+    def pair_rows(self, x: np.ndarray, h: np.ndarray, inv_r2: np.ndarray,
+                  residual: bool = False) -> np.ndarray:
         """Rows (n, K) of the kernel divided by |h|^2, a new array the caller owns.
 
         For cells x (n, d), offsets h (K, d) and inv_r2 = 1/|h|^2 (K,), this is
-        `delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2`, which the default
-        computes; a subclass may build the same rows faster to roundoff. The
-        engine calls it when the field has no `pair_factors`.
+        `delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2`, and with
+        `residual` less the first-order rows <Eu(x) h, h>/|h|^2, one
+        (n, d^2) x (d^2, K) product subtracted in place. The default computes
+        exactly that; a subclass may build the same rows faster to roundoff.
+        This is the engine's only way to the kernel.
         """
-        return self.delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2
+        q = self.delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2
+        if residual:
+            e, hh = _first_order(self, x, h, inv_r2)
+            q -= e @ hh.T
+        return q
 
     def kernel_classes(self, x: np.ndarray, h: np.ndarray) -> np.ndarray | None:
         """Kernel classes (n,) of cells x (n, d) against offsets h (K, d), or None.
@@ -283,6 +290,15 @@ class FieldSpec:
                 f"points have dimension {x.shape[-1]}, field has {self.dim}"
             )
         return x
+
+
+def _first_order(field: FieldSpec, x: np.ndarray, h: np.ndarray, inv_r2: np.ndarray):
+    """Eu(x) (n, d^2) and h_i h_j/|h|^2 (K, d^2): the residual's first-order
+    rows <Eu(x) h, h>/|h|^2 are their product."""
+    n, d = x.shape
+    e = field.sym_gradient(x).reshape(n, d * d)
+    hh = (h[:, :, None] * h[:, None, :]).reshape(-1, d * d) * inv_r2[:, None]
+    return e, hh
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,6 +443,21 @@ class SinField(FieldSpec):
         b = np.concatenate([-2.0 * half * half * h, np.sin(kh) * h], axis=-1)
         return a, b
 
+    def pair_rows(self, x, h, inv_r2, residual=False) -> np.ndarray:
+        """The rows as one (n, r) x (r, K) product of the `pair_factors`.
+
+        1/|h|^2 is scaled into B; the residual appends -Eu(x) to A and
+        h_i h_j/|h|^2 to B, so the first-order term is d^2 more columns of
+        the same product.
+        """
+        a, b = self.pair_factors(x, h)
+        b = b * inv_r2[:, None]
+        if residual:
+            e, hh = _first_order(self, x, h, inv_r2)
+            a = np.concatenate([a, -e], axis=1)
+            b = np.concatenate([b, hh], axis=1)
+        return a @ b.T
+
     def delta_dot_h(self, x, h) -> np.ndarray:
         a, b = self.pair_factors(x, h)
         q = a[..., 0] * b[..., 0]
@@ -558,7 +589,7 @@ class PlanarJumpField(FieldSpec):
         q += a_dot_h
         return q
 
-    def pair_rows(self, x, h, inv_r2) -> np.ndarray:
+    def pair_rows(self, x, h, inv_r2, residual=False) -> np.ndarray:
         """`delta_dot_h` / |h|^2 as k_{p_x}(h)/|h|^2 + sigma [1, a(x)].[dk(h), h]/|h|^2.
 
         x lies on side p_x and x + h on side p_y, and sigma = p_y - p_x is -1,
@@ -569,7 +600,8 @@ class PlanarJumpField(FieldSpec):
         `delta_dot_h`, with its product shapes, made once per distinct x.nu
         (sigma and the side row depend on x only through it), so a pair with
         sigma = 0 gets the bits of `delta_dot_h(...) * inv_r2`; a tile with no
-        crossing pair skips the product.
+        crossing pair skips the product. The residual's first-order rows are
+        subtracted last, as in the default.
         """
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
@@ -583,12 +615,16 @@ class PlanarJumpField(FieldSpec):
                            for side in (self.minus, self.plus))
         side_rows = np.where(px, k_plus * inv_r2, k_minus * inv_r2)
         if same.all():
-            return side_rows[at]
-        a = np.concatenate([np.ones((x.shape[0], 1)), self.jump_at(x)], axis=1)
-        b = np.concatenate([(k_plus - k_minus)[:, None], h], axis=1) * inv_r2[:, None]
-        q = a @ b.T
-        q *= np.where(same, 0.0, np.where(px, -1.0, 1.0))[at]  # sigma
-        q += side_rows[at]
+            q = side_rows[at]
+        else:
+            a = np.concatenate([np.ones((x.shape[0], 1)), self.jump_at(x)], axis=1)
+            b = np.concatenate([(k_plus - k_minus)[:, None], h], axis=1) * inv_r2[:, None]
+            q = a @ b.T
+            q *= np.where(same, 0.0, np.where(px, -1.0, 1.0))[at]  # sigma
+            q += side_rows[at]
+        if residual:
+            e, hh = _first_order(self, x, h, inv_r2)
+            q -= e @ hh.T
         return q
 
     def kernel_classes(self, x, h) -> np.ndarray:

@@ -8,9 +8,10 @@ Core claims:
     - the planar jump's engine rows (one signed product plus x's side row)
       agree with delta_dot_h / |h|^2 to roundoff, and pairs that stay on x's
       side keep its bits; a rigid-sided jump's residual equals its energy
-    - only the sin field has pair factors; their product, and the engine's
-      folded rows (1/|h|^2 and the residual inside one product), agree with
-      the generic kernel and an unfolded reference to roundoff
+    - only the sin field has pair factors, and their product agrees with
+      the generic kernel to roundoff
+    - every family's pair rows, plain and residual (the sin field's folded
+      into one product), agree with an unfolded reference to roundoff
     - the per-axis mask equals DomainBox.contains(x + h) bit for bit,
       including sums that land exactly on lo or hi, on interior, edge and
       mixed tiles and for any block size of the edge rows
@@ -108,7 +109,7 @@ def test_sin_engine_product_matches_broadcast_loop(d):
         h = rng.integers(-77, 78, (60, d)) / 256
         ref = f.delta_dot_h(x[:, None, :], h[None, :, :])
         a, b = f.pair_factors(x, h)
-        got = en._pair_rows(f, x, h, np.ones(60), False)
+        got = f.pair_rows(x, h, np.ones(60))
         assert got.shape == ref.shape == (40, 60)
         assert np.array_equal(got, a @ b.T)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -135,27 +136,49 @@ def test_pair_factors_match_generic_and_only_sin_has_them(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_folded_sin_rows_match_unfolded_reference(d):
-    """The engine's sin rows are one product with 1/|h|^2 scaled into B and,
-    for the residual, -Eu(x) and h_i h_j/|h|^2 appended as d^2 columns; the
-    reference scales the kernel afterwards and subtracts its own product.
+    """Each family's `pair_rows`, plain and residual, against the unfolded
+    reference delta_dot_h / |h|^2 - <Eu(x) h, h>/|h|^2 built here.
+
+    The sin rows are one product with 1/|h|^2 scaled into B and, for the
+    residual, -Eu(x) and h_i h_j/|h|^2 appended as d^2 columns. The default
+    hook (bump, linear) subtracts the first-order product from its rows.
+    Linear-sided jumps (axis and oblique normals) subtract it after the
+    signed band product, and also in a call in which no pair crosses the
+    plane, which skips that product.
 
     The residual cancels most of its two terms (by a factor of up to ~80
     here), so its roundoff is bounded against the larger term, not the
     difference."""
     rng = np.random.default_rng(170 + d)
+    cases = []
     for _ in range(4):
         f = _sin_field(rng, d)
-        x = rng.uniform(0.0, 1.0, (50, d))
-        h = rng.uniform(-0.3, 0.3, (70, d))
+        cases.append((f, rng.uniform(0.0, 1.0, (50, d)), rng.uniform(-0.3, 0.3, (70, d))))
+    x = rng.uniform(0.0, 1.0, (50, d))
+    h = rng.uniform(-0.3, 0.3, (70, d))
+    cases += [(BumpField(rng.uniform(-1, 1, d), np.full(d, 0.5), 0.3), x, h),
+              (_linear(rng, d), x, h)]
+    for f in _jump_fields(rng, d):
+        if not isinstance(f.plus, LinearField):
+            continue
+        x = rng.uniform(-0.5, 1.5, (50, d))  # some cells farther than any |h| from the plane
+        xn = (x[:, None, :] @ f.normal)[:, 0]
+        yn = xn[:, None] + (h[None, :, :] @ f.normal)[0]
+        one_sided = ((xn > f.offset)[:, None] == (yn > f.offset)).all(axis=1)
+        assert one_sided.any() and not one_sided.all()
+        cases += [(f, x, h), (f, x[one_sided], h)]
+    for f, x, h in cases:
+        n = x.shape[0]
         inv_r2 = 1.0 / (h * h).sum(axis=1)
         q = f.delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2
-        e = f.sym_gradient(x).reshape(50, d * d)
+        e = f.sym_gradient(x).reshape(n, d * d)
         hh = (h[:, :, None] * h[:, None, :]).reshape(70, d * d) * inv_r2[:, None]
         first_order = e @ hh.T
+        assert np.max(np.abs(first_order)) > 0.0
         scale = max(np.max(np.abs(q)), np.max(np.abs(first_order)))
         for residual, ref in ((False, q), (True, q - first_order)):
-            got = en._pair_rows(f, x, h, inv_r2, residual)
-            assert got.shape == (50, 70)
+            got = f.pair_rows(x, h, inv_r2, residual)
+            assert got.shape == (n, 70)
             assert np.max(np.abs(got - ref)) <= 1e-15 * scale
 
 
@@ -256,7 +279,7 @@ def test_jump_rows_match_kernel_over_h2(d):
         inv_r2 = 1.0 / (h * h).sum(axis=1)
         for g in cases:
             ref = g.delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2
-            got = en._pair_rows(g, x, h, inv_r2, False)
+            got = g.pair_rows(x, h, inv_r2)
             assert got.shape == ref.shape and got.flags.writeable
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
             xn = (x[:, None, :] @ g.normal)[:, 0]

@@ -195,16 +195,29 @@ def test_reference_measure_rejects_sampled():
 # -- csv round trip ----------------------------------------------------------
 
 def test_measure_csv_roundtrip(tmp_path):
-    m = me.ground_truth_measure(_jump(), BOX)
-    path = tmp_path / "measure.csv"
-    m.to_csv(path)
-    text = path.read_text()
-    lines = text.splitlines()
-    assert lines[0] == "x_1,x_2,mass"
-    assert text.endswith("\n")
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    assert np.array_equal(rows[:, :2], m.points)
-    assert np.array_equal(rows[:, 2], m.masses)
+    """A header of the d coordinates and the mass, one row per atom, and the
+    points and masses parse back bit for bit: a 2-d jump measure (cell and
+    interface atoms) and a smooth 3-d one."""
+    lin3 = LinearField(np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]]),
+                       np.zeros(3))
+    cases = [(me.ground_truth_measure(_jump(), BOX), "x_1,x_2,mass"),
+             (me.ground_truth_measure(lin3, DomainBox([0.0] * 3, [1.0] * 3),
+                                      make_sphere_rule(3, 16), n_cells=4),
+              "x_1,x_2,x_3,mass")]
+    for k, (m, header) in enumerate(cases):
+        d = m.domain.dim
+        path = tmp_path / f"measure{k}.csv"
+        m.to_csv(path)
+        text = path.read_text()
+        lines = text.splitlines()
+        assert lines[0] == header
+        assert text.endswith("\n")
+        assert len(lines) == len(m) + 1 and len(m) > 0
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert rows.shape == (len(m), d + 1)
+        assert np.array_equal(rows[:, :d], m.points)
+        assert np.array_equal(rows[:, d], m.masses)
+        assert m.masses.max() > 0.0
 
 
 # -- test functions and pairing ----------------------------------------------

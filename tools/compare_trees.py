@@ -17,11 +17,13 @@ criterion-10 linear, sin and jump requests at N = 64, jumps whose plane
 runs through a row of outer midpoints, and the 3-d planar jump of the
 benchmark's d3-jump-study at seed 0 (eps 0.4, N = 24, inner level 4). The
 outputs are the energy value and error bar, the residual energy value and
-error bar (p = 1, closed-form fields) and the per-cell density masses. The
-limit objects come on top: `ground_truth` (volume, interface and total
-values) and the `ground_truth_measure` masses of that 3-d jump, of a 2-d
-rigid-sided jump and of a 3-d linear field. The environment,
-BLAS thread settings included, is passed to both interpreters unchanged.
+error bar (p = 1, closed-form fields) and the per-cell density masses; each
+serial request of the family grid also gives `local_density` (one cell,
+cell volume 1) at an interior point and at a point near a corner. The limit
+objects come on top: `ground_truth` (volume, interface and total values)
+and the `ground_truth_measure` masses of that 3-d jump, of a 2-d
+rigid-sided jump and of a 3-d linear field. The environment, BLAS thread
+settings included, is passed to both interpreters unchanged.
 Exit status 0 means every output is bitwise equal, 1 that some differ.
 """
 
@@ -174,6 +176,8 @@ def _outputs() -> dict:
     for d in (1, 2, 3):
         box = nldef.DomainBox([0.0] * d, [1.0] * d)
         moll = nldef.MollifierSpec("shell", 0.2, d)
+        # an interior point (its stencil inside the box) and one near a corner
+        points = (np.linspace(0.42, 0.58, d), np.full(d, 0.03))
         for fname, field in _fields(d):
             closed_form = fname != "sampled"
             for mode in ("radial_spherical", "tensor"):
@@ -188,6 +192,9 @@ def _outputs() -> dict:
                             workers=workers)
                         key = f"d{d}/{fname}/{mode}/p{p:g}/w{workers}"
                         _record(out, key, req, p == 1.0 and closed_form)
+                        if workers == 1:
+                            out[f"d{d}/{fname}/{mode}/p{p:g}/local_density"] = [
+                                en.local_density(req, x) for x in points]
     for key, req in _extra_requests():
         _record(out, key, req, req.p == 1.0)
     _limit_outputs(out)
