@@ -10,16 +10,19 @@ the mollifier's support bands crossed with a sphere rule in direction, so the
 singular |h| factors cancel analytically and only the angular variation is
 resolved. Inner nodes leaving U are rejected (zero mask).
 
-Per tile of t outer cells and K inner nodes, the domain's `OffsetMask` is
-built first: per axis, the rows lo_k <= x_k + h_k <= hi_k are computed once
-per distinct x_k of the tile. Cells then fall into classes whose pair rows
-are identical: equal `FieldSpec.kernel_classes` ids (rigid and linear
-fields, and jump cells whose whole stencil stays on one side, have a kernel
-that does not involve x) and equal mask classes (the same mask row). One
-representative per class is evaluated and its mass copied, which gives the
-same bits as evaluating every cell. Fields whose kernel depends on x (sin,
-bump, sampled) skip the step. An evaluated tile owns one (t, K) float64
-array, the pair rows, and every later step writes into it:
+The outer cells are split into fixed tiles of t cells (t x K pairs at most).
+Where a field has `FieldSpec.kernel_classes` (rigid and linear fields, and
+jump cells whose stencil stays on one side, have a kernel that does not
+involve x), the cells of the whole grid fall into classes with identical
+pair rows: equal kernel ids and equal mask rows. The grid is a tensor
+product and the mask factors per axis, so the mask classes come from one
+`DomainBox.offset_mask` pass over each axis's N midpoints; only a varying
+kernel id refines them. Each class's first cell is evaluated in the tile
+that holds it and its mass is gathered to the others, which gives the bits
+of evaluating every cell. Fields whose kernel depends on x (sin, bump,
+sampled) evaluate every cell. An evaluated tile builds its `OffsetMask` and
+owns one (t, K) float64 array, the pair rows, and every later step writes
+into it:
 
 - the pair rows come from the field's one kernel hook,
   `FieldSpec.pair_rows(x, h, 1/|h|^2, residual)`: the kernel divided by
@@ -238,12 +241,30 @@ def _inner_nodes(req: EnergyRequest, level: int):
     return h.reshape(-1, req.mollifier.dim), w.reshape(-1), inv_r2
 
 
+def _midpoint_axes(box: DomainBox, n: int) -> np.ndarray:
+    """(n, d): column k holds the midpoints of axis k's n cells."""
+    return box.lo + (box.hi - box.lo) * (np.arange(n)[:, None] + 0.5) / n
+
+
 def _midpoints(box: DomainBox, n: int):
-    axes = [
-        box.lo[i] + (box.hi[i] - box.lo[i]) * (np.arange(n) + 0.5) / n
-        for i in range(box.dim)
-    ]
-    return _tensor_grid(axes), box.volume() / n**box.dim
+    return _tensor_grid(_midpoint_axes(box, n).T), box.volume() / n**box.dim
+
+
+def _grid_classes(domain: DomainBox, axes: np.ndarray, h: np.ndarray):
+    """Mask classes (ids, first) of the tensor grid over `axes` (n, d) and h.
+
+    ids (n^d,) are dense in [0, C), and equal ids have bitwise-equal mask
+    rows; first (C,) holds each class's first cell. An id is the mixed radix
+    of the cell's per-axis dense ranks of the row keys that one
+    `offset_mask(..., keys=True)` pass gives the axes (equal coordinates
+    share a row)."""
+    mask = domain.offset_mask(axes, h, keys=True)
+    ids = first = np.zeros(1, dtype=np.int64)
+    for at, key in zip(mask.at, mask.key):
+        _, start, rank = np.unique(key[at], return_index=True, return_inverse=True)
+        ids = np.add.outer(ids * len(start), rank).ravel()
+        first = np.add.outer(first * len(at), start).ravel()
+    return ids, first
 
 
 # ---------------------------------------------------------------------------
@@ -261,46 +282,52 @@ def _abs_pow(q: np.ndarray, p: float) -> np.ndarray:
 
 
 def _tile_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol):
-    """Per-cell masses (densities times cell volume) for one outer tile.
+    """Per-cell masses (densities times cell volume) of the cells x_tile.
 
-    Cells with equal kernel classes (`field.kernel_classes`) and equal mask
-    classes have bitwise-equal pair rows, so only one representative per
-    class is evaluated and its mass is copied to the rest; a field without
-    kernel classes evaluates every cell. The tile's `OffsetMask` is built
-    once and serves both the classes and the evaluated rows. The pair rows
-    are the only (t, K) array; |q|^p, the weights and the mask
-    (`mask.zero_outside`, which skips interior cells) are written over it.
+    The pair rows are the only (t, K) array; |q|^p, the weights and the
+    domain mask (`OffsetMask.zero_outside`, which skips interior cells) are
+    written over it before the row sum.
     """
-    kernel = field.kernel_classes(x_tile, h)
-    mask = domain.offset_mask(x_tile, h, keys=kernel is not None)
-    copies = slice(None)
-    if kernel is not None:
-        n = x_tile.shape[0]
-        _, cls = np.unique(mask.classes(), return_inverse=True)
-        _, first, copies = np.unique(
-            kernel * n + cls, return_index=True, return_inverse=True
-        )
-        mask, x_tile = mask.take(first), x_tile[first]
+    mask = domain.offset_mask(x_tile, h)
     contrib = _abs_pow(field.pair_rows(x_tile, h, inv_r2, residual), p)
     contrib *= w
     mask.zero_outside(contrib)
-    return (contrib.sum(axis=1) * cellvol)[copies]
+    return contrib.sum(axis=1) * cellvol
 
 
 def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool):
-    """Masses mu^p(x_i) * cellvol for every outer cell, in fixed cell order."""
+    """Masses mu^p(x_i) * cellvol for every outer cell, in fixed cell order.
+
+    With kernel classes, the grid's mask classes refined by the kernel ids
+    are evaluated at their first cells, each in the fixed tile holding it,
+    and gathered to every cell; otherwise every cell of every tile is.
+    """
     h, w, inv_r2 = _inner_nodes(req, level)
     pts, cellvol = _midpoints(req.domain, req.outer_grid)
     k_inner = h.shape[0]
     tile = max(1, _TILE_NODE_BUDGET // max(1, k_inner))
-    tiles = [pts[s : s + tile] for s in range(0, pts.shape[0], tile)]
+    edges = range(tile, pts.shape[0], tile)
+    kernel = req.field.kernel_classes(pts, h)
+    if kernel is None:
+        tiles = np.split(pts, edges)
+    else:
+        axes = _midpoint_axes(req.domain, req.outer_grid)
+        ids, first = _grid_classes(req.domain, axes, h)
+        if np.any(kernel != kernel[0]):
+            ids = kernel * len(first) + ids
+            _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
+        reps = np.sort(first)
+        tiles = [t for t in np.split(pts[reps], np.searchsorted(reps, edges)) if len(t)]
     shared = [repeat(a) for a in (h, w, inv_r2, req.p, residual, cellvol)]
     args = (_tile_masses, repeat(req.field), repeat(req.domain), tiles, *shared)
     if workers > 1 and len(tiles) > 1:
         parts = _pool_map(workers, *args)
     else:
         parts = list(map(*args))
-    return np.concatenate(parts), pts, k_inner
+    masses = np.concatenate(parts)
+    if kernel is not None:
+        masses = masses[np.searchsorted(reps, first)][ids]
+    return masses, pts, k_inner
 
 
 def _masses(req: EnergyRequest, residual: bool):

@@ -118,7 +118,7 @@ class DomainBox:
         nondecreasing in h_k, so the nodes of a row that pass lo_k are those
         with the largest h_k, and those that pass hi_k the smallest: the two
         counts fix the row, and they are its class key. The keys are counted
-        only with `keys=True`, for `OffsetMask.classes`.
+        only with `keys=True`, for the engine's grid classes.
         """
         at, ok, key = [], [], []
         for k in range(self.dim):
@@ -169,24 +169,6 @@ class OffsetMask:
     ok: tuple
     key: tuple | None
 
-    def take(self, cells: np.ndarray) -> "OffsetMask":
-        """The mask of the cells `cells` (an index array), sharing the rows."""
-        return OffsetMask(tuple(a[cells] for a in self.at), self.ok, self.key)
-
-    def classes(self) -> np.ndarray:
-        """Ids (n,) such that equal ids have bitwise-equal mask rows.
-
-        The per-axis keys are dense-ranked and combined in mixed radix
-        (ids < n^d). Needs the mask built with `keys=True`.
-        """
-        if self.key is None:
-            raise ValueError("OffsetMask.classes needs offset_mask(..., keys=True)")
-        ids = np.zeros(self.at[0].shape[0], dtype=np.int64)
-        for at, key in zip(self.at, self.key):
-            ranks, rank = np.unique(key, return_inverse=True)
-            ids = ids * len(ranks) + rank[at]
-        return ids
-
     def zero_outside(self, q: np.ndarray) -> None:
         """Write 0.0 over q[i, j] (q is (n, K)) where x_i + h_j leaves the box.
 
@@ -218,9 +200,9 @@ class FieldSpec:
     `delta_dot_h`, and the sin field and the planar jump build the same rows
     faster. `kernel_classes(x, h)` contract: cells with equal ids get
     bitwise-equal `delta_dot_h` rows and `sym_gradient`, and the engine
-    evaluates one cell per class; the default None (the kernel depends on x)
-    evaluates them all. `pair_factors` is not engine-facing: it gives the
-    low-rank factors from which a subclass may build its rows.
+    evaluates one cell per class of the whole outer grid; the default None
+    (the kernel depends on x) evaluates them all. `pair_factors` is not
+    engine-facing: a subclass may build its rows from these low-rank factors.
     """
 
     dim: int
@@ -277,9 +259,10 @@ class FieldSpec:
         Contract: cells with equal ids get bitwise-equal rows of
         `delta_dot_h(x[:, None, :], h[None, :, :])` and bitwise-equal
         `sym_gradient(x)`, so their residual rows agree too; an id may be any
-        int64. The engine then evaluates one cell per class (refined by the
-        domain's mask classes) and copies its mass to the others. None, the
-        default, means the kernel depends on x: every cell is evaluated.
+        int64. The engine calls it once per inner level on every cell of the
+        outer grid, refines the grid's mask classes by it, evaluates one cell
+        per class and gathers its mass to the others. None, the default,
+        means the kernel depends on x: every cell is evaluated.
         """
         return None
 

@@ -21,7 +21,8 @@ Core claims:
       F(2^k u) == 2^(kp) F(u), value and error bar
     - cells in one kernel class have bitwise-equal kernel and sym_gradient
       rows, cells in one mask class bitwise-equal mask rows, and the class
-      path of the engine gives the same bits as computing every cell
+      path of the engine gives the same bits as computing every cell while
+      evaluating one row per distinct pair of kernel id and mask row
 """
 
 import importlib
@@ -321,8 +322,19 @@ def _mask_rows(box, x, h):
     return q == 1.0
 
 
-def _mask_classes(box, x, h):
-    return box.offset_mask(x, h, keys=True).classes()
+def _grid_mask_classes(box, axes, h):
+    """Mask classes (`energy._grid_classes`) and mask rows of the tensor grid
+    over axes (m, d), after checking the class contract: ids dense in
+    [0, C), `first` the first cell of each class, and bitwise-equal mask
+    rows within a class."""
+    ids, first = en._grid_classes(box, axes, h)
+    rows = _mask_rows(box, fields_mod._tensor_grid(axes.T), h)
+    assert ids.shape == (axes.shape[0] ** axes.shape[1],) and ids.dtype == np.int64
+    classes, start = np.unique(ids, return_index=True)
+    assert np.array_equal(classes, np.arange(len(first)))
+    assert np.array_equal(start, first)
+    _assert_rows_equal_per_class(ids, rows)
+    return ids, rows
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -372,7 +384,7 @@ def test_mask_over_repeated_and_single_valued_axes(d):
             want = box.contains(cells[:, None, :] + h[None, :, :])
             assert got.dtype == bool and got.shape == (len(cells), 40)
             assert np.array_equal(got, want)
-            _assert_rows_equal_per_class(_mask_classes(box, cells, h), got)
+            _grid_mask_classes(box, cells[:12], h)  # the grid over the first 12
         if box is unit:  # 0.25 - 0.25 and 0.75 + 0.25 are exact
             got = _mask_rows(box, x, h)
             assert got[0, 0] and got[1, 1] and got[2, 2] and not got[2, 3]
@@ -563,38 +575,35 @@ def test_offset_classes_contract(d):
     rng = np.random.default_rng(90 + d)
     unit = DomainBox([0.0] * d, [1.0] * d)
     for box in (unit, DomainBox(rng.uniform(-1, 0, d), rng.uniform(0.1, 2, d))):
-        x, h = _class_points(rng, d)
-        x = box.lo + x * (box.hi - box.lo)
+        _, h = _class_points(rng, d)
+        # per axis a coarse grid (so classes repeat) plus random coordinates
+        axes = np.vstack([np.tile(np.arange(0.125, 1.0, 0.125)[:, None], d),
+                          rng.uniform(0.0, 1.0, (3, d))])
+        axes = box.lo + axes * (box.hi - box.lo)
         # sums landing exactly on lo and hi, and duplicated offsets
-        x[0], h[2] = box.lo + 0.25, np.full(d, -0.25)
-        x[1], h[3] = box.hi - 0.25, np.full(d, 0.25)
-        x[2], h[4] = box.lo, np.zeros(d)
-        h[5] = box.hi - x[6]
-        h[6] = box.lo - x[7]
+        axes[0], h[2] = box.lo + 0.25, np.full(d, -0.25)
+        axes[1], h[3] = box.hi - 0.25, np.full(d, 0.25)
+        axes[2], h[4] = box.lo, np.zeros(d)
+        h[5] = box.hi - axes[6]
+        h[6] = box.lo - axes[7]
         h = np.vstack([h, h[2:7]])
-        ids = _mask_classes(box, x, h)
-        assert ids.shape == (x.shape[0],) and ids.dtype == np.int64
-        rows = _mask_rows(box, x, h)
-        _assert_rows_equal_per_class(ids, rows)
-        assert len(np.unique(ids)) < x.shape[0]  # grid cells share classes
+        ids, rows = _grid_mask_classes(box, axes, h)
+        assert len(np.unique(ids)) < len(ids)  # grid cells share classes
         if box is unit:
-            assert rows[0, 2] and rows[1, 3] and rows[2, 4]
-        # the keys are counted only on request (the class path)
-        plain = box.offset_mask(x, h)
-        assert plain.key is None
-        with pytest.raises(ValueError):
-            plain.classes()
+            diagonal = sum(len(axes) ** k for k in range(d))  # cell (i, .., i) = i * diagonal
+            assert rows[0, 2] and rows[diagonal, 3] and rows[2 * diagonal, 4]
+        # the keys are counted only on request (the grid classes)
+        assert box.offset_mask(axes, h).key is None
 
 
 def test_offset_class_ids_stay_below_cells_cubed():
     # per-axis keys reach (K + 1)^2; dense ranks keep the 3-d mixed radix small
     rng = np.random.default_rng(99)
     box = DomainBox([0.0] * 3, [1.0] * 3)
-    x = rng.uniform(0.0, 1.0, (40, 3))
+    axes = rng.uniform(0.0, 1.0, (4, 3))
     h = rng.uniform(-0.5, 0.5, (60_000, 3))
-    ids = _mask_classes(box, x, h)
-    assert ids.min() >= 0 and ids.max() < 40**3
-    _assert_rows_equal_per_class(ids, _mask_rows(box, x, h))
+    ids, _ = _grid_mask_classes(box, axes, h)
+    assert ids.min() >= 0 and ids.max() < 4**3
 
 
 def test_rigid_energy_stays_zero_on_the_per_cell_path(monkeypatch):
@@ -613,40 +622,110 @@ def test_rigid_energy_stays_zero_on_the_per_cell_path(monkeypatch):
         assert en.energy(replace(req, p=2.0)).value == 0.0
 
 
-def _engine_fields():
-    rng = np.random.default_rng(110)
-    eye = np.eye(2)
-    zero = RigidField(np.zeros((2, 2)), np.zeros(2))
-    return [
-        ("rigid", _rigid(rng, 2)),
-        ("linear", _linear(rng, 2)),
+def _engine_fields(d):
+    rng = np.random.default_rng(108 + d)
+    eye = np.eye(d)
+    zero = RigidField(np.zeros((d, d)), np.zeros(d))
+    out = [
+        ("rigid", _rigid(rng, d)),
+        ("linear", _linear(rng, d)),
         ("jump-rigid", PlanarJumpField(eye[0], 0.5, zero,
-                                       RigidField(np.zeros((2, 2)), np.array([0.0, 1.0])))),
-        ("jump-linear", PlanarJumpField(-eye[1], -0.4, _linear(rng, 2), _linear(rng, 2))),
-        ("jump-oblique", PlanarJumpField(np.array([0.6, 0.8]), 0.7,
-                                         _linear(rng, 2), _linear(rng, 2))),
+                                       RigidField(np.zeros((d, d)), eye[d - 1]))),
+        ("jump-linear", PlanarJumpField(-eye[d - 1], -0.4, _linear(rng, d), _linear(rng, d))),
     ]
+    oblique = {2: [0.6, 0.8], 3: [0.48, 0.6, 0.64]}  # unit normals
+    if d in oblique:
+        out.append(("jump-oblique", PlanarJumpField(np.array(oblique[d]), 0.7,
+                                                    _linear(rng, d), _linear(rng, d))))
+    return out
 
 
-@pytest.mark.parametrize("name,f", _engine_fields(), ids=[n for n, _ in _engine_fields()])
+# outer grid, inner level and shell eps per dimension: several fine tiles,
+# classes whose first cell lies in a later tile, and (d = 3) tiles holding none
+_CLASS_GRIDS = {1: (140_000, 16, 0.1), 2: (128, 16, 0.1), 3: (16, 8, 0.2)}
+
+
+@pytest.mark.parametrize("name", [n for n, _ in _engine_fields(2)])
 @pytest.mark.parametrize("p", [1.0, 2.0])
-def test_class_path_equals_every_cell(name, f, p, monkeypatch):
-    """The engine with kernel classes gives the bits of the per-cell path."""
-    base = dict(field=f, domain=DomainBox([0.0, 0.0], [1.0, 1.0]), p=p,
-                mollifier=MollifierSpec("shell", 0.1, 2), outer_grid=128, inner_level=16)
+def test_class_path_equals_every_cell(name, p, monkeypatch):
+    """The engine with kernel classes gives the bits of the per-cell path,
+    in d = 1..3, serial and through the pool."""
+    reqs = {}
+    for d, (n, level, eps) in _CLASS_GRIDS.items():
+        f = dict(_engine_fields(d)).get(name)
+        if f is None:
+            continue  # no oblique plane in d = 1
+        box = DomainBox([0.0] * d, [1.0] * d)
+        reqs[d] = en.EnergyRequest(field=f, domain=box, p=p,
+                                   mollifier=MollifierSpec("shell", eps, d), outer_grid=n,
+                                   inner_level=level)
+        h = en._inner_nodes(reqs[d], 2 * level)[0]
+        _, first = en._grid_classes(box, en._midpoint_axes(box, n), h)
+        assert first.max() >= en._TILE_NODE_BUDGET // h.shape[0]  # past the first tile
     runs = [en.energy] + ([en.residual_energy] if p == 1.0 else [])
 
-    def outputs(workers):
-        req = en.EnergyRequest(**base, workers=workers)
+    def outputs(req, workers):
+        req = replace(req, workers=workers)
         out = [(r.value, r.est_quadrature_error) for r in (run(req) for run in runs)]
         _, masses, est = en.density_masses(req)
         return out, _bits(masses), est
 
-    classed = [outputs(1), outputs(2)]  # 2 workers: 4 fine tiles through the pool
+    classed = {d: [outputs(req, 1), outputs(req, 2)] for d, req in reqs.items()}
     for cls in (RigidField, LinearField, PlanarJumpField):
         monkeypatch.setattr(cls, "kernel_classes", lambda self, x, h: None)
-    every_cell = outputs(1)
-    for got in classed:
-        assert got[0] == every_cell[0]
-        assert np.array_equal(got[1], every_cell[1])
-        assert got[2] == every_cell[2]
+    for d, req in reqs.items():
+        every_cell = outputs(req, 1)
+        for got in classed[d]:
+            assert got[0] == every_cell[0]
+            assert np.array_equal(got[1], every_cell[1])
+            assert got[2] == every_cell[2]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypatch):
+    """The rows that reach `pair_rows` are one per distinct pair of kernel id
+    and mask row, the mask taken by brute force from `contains(x + h)`."""
+    box = DomainBox([0.0] * d, [1.0] * d)
+    for _, f in _engine_fields(d):
+        req = en.EnergyRequest(field=f, domain=box, p=1.0,
+                               mollifier=MollifierSpec("shell", 0.2, d), outer_grid=12,
+                               inner_level=4, workers=1)
+        rows = []
+        real = type(f).pair_rows
+
+        def spy(self, x, *args):
+            rows.append(len(x))
+            return real(self, x, *args)
+
+        monkeypatch.setattr(type(f), "pair_rows", spy)
+        en._all_masses(req, 4, 1, False)
+        monkeypatch.undo()
+        h = en._inner_nodes(req, 4)[0]
+        pts, _ = en._midpoints(box, 12)
+        mask = box.contains(pts[:, None, :] + h[None, :, :])
+        pairs = np.column_stack([f.kernel_classes(pts, h), mask])
+        assert sum(rows) == len(np.unique(pairs, axis=0))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_class_path_on_merged_midpoints(d, monkeypatch):
+    """At lo = 1e16 and width 4 several of an axis's 8 midpoints round to the
+    same float, so the mask merges them: the grid classes map each cell
+    through its row and still give the bits of the per-cell path."""
+    box = DomainBox([1e16] * d, [1e16 + 4.0] * d)
+    assert len(np.unique(en._midpoint_axes(box, 8)[:, 0])) < 8
+    req = en.EnergyRequest(field=LinearField(np.eye(d), np.zeros(d)), domain=box, p=1.0,
+                           mollifier=MollifierSpec("shell", 0.5, d), outer_grid=8,
+                           inner_level=4, workers=1)
+
+    def outputs():
+        res = en.energy(req)
+        return res.value, res.est_quadrature_error, _bits(en.density_masses(req)[1])
+
+    classed = outputs()
+    monkeypatch.setattr(LinearField, "kernel_classes", lambda self, x, h: None)
+    every_cell = outputs()
+    assert classed[:2] == every_cell[:2]
+    assert np.array_equal(classed[2], every_cell[2])
+    if d == 1:
+        assert classed[0] == 4.0

@@ -13,11 +13,12 @@ The requests cover d = 1..3, every field family (rigid, linear, sin, bump,
 planar jump with rigid and with linear sides, sampled), both inner modes,
 p = 1 and 2, and 1 and 2 workers; requests at 2 workers have several tiles
 per level, so they run through the process pool. On top of these come the
-criterion-10 linear, sin and jump requests at N = 64, jumps whose plane
-runs through a row of outer midpoints, and the 3-d planar jump of the
-benchmark's d3-jump-study at seed 0 (eps 0.4, N = 24, inner level 4). The
-outputs are the energy value and error bar, the residual energy value and
-error bar (p = 1, closed-form fields) and the per-cell density masses; each
+criterion-10 linear, sin and jump requests at N = 64, the linear and jump
+ones also at the benchmark's N = 320, jumps whose plane runs through a row
+of outer midpoints, and the 3-d planar jump of the benchmark's
+d3-jump-study at seed 0 (eps 0.4, N = 24, inner level 4). The outputs are
+the energy value and error bar, the residual energy value and error bar
+(p = 1, closed-form fields) and the per-cell density masses; each
 serial request of the family grid also gives `local_density` (one cell,
 cell volume 1) at an interior point and at a point near a corner. The limit
 objects come on top: `ground_truth` (volume, interface and total values)
@@ -89,7 +90,8 @@ def _extra_requests():
     """(name, request) pairs beyond the family grid.
 
     The criterion-10 linear, sin and jump requests at N = 64 (two tiles per
-    level), linear-sided jumps whose plane <x, e_1> = s passes exactly
+    level), the linear and jump ones at N = 320 (the benchmark's grid, 63
+    tiles per call), linear-sided jumps whose plane <x, e_1> = s passes exactly
     through a row of outer midpoints, so those cells sit on the interface,
     and the d3-jump-study field at its largest eps.
     """
@@ -105,13 +107,16 @@ def _extra_requests():
         "jump": nldef.PlanarJumpField(np.array([1.0, 0.0]), 0.5, zero,
                                       nldef.RigidField(np.zeros((2, 2)), np.array([0.0, 1.0]))),
     }
-    for fname, field in c10.items():
-        for p in (1.0, 2.0):
-            for workers in (1, 2):
-                req = en.EnergyRequest(
-                    field=field, domain=box2, p=p, mollifier=nldef.MollifierSpec("shell", 0.025, 2),
-                    outer_grid=64, inner_level=16, workers=workers)
-                out.append((f"c10/{fname}/p{p:g}/w{workers}", req))
+    for n, fnames in ((64, ("linear", "sin", "jump")), (320, ("linear", "jump"))):
+        for fname in fnames:
+            for p in (1.0, 2.0):
+                for workers in (1, 2):
+                    req = en.EnergyRequest(
+                        field=c10[fname], domain=box2, p=p,
+                        mollifier=nldef.MollifierSpec("shell", 0.025, 2),
+                        outer_grid=n, inner_level=16, workers=workers)
+                    suffix = "" if n == 64 else f"/n{n}"
+                    out.append((f"c10/{fname}/p{p:g}/w{workers}{suffix}", req))
     for d, n, level, workers in ((2, 24, 8, 1), (3, 8, 4, 1), (2, 128, 16, 2)):
         rng = np.random.default_rng(200 + d)
         sides = [nldef.LinearField(rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, d))
