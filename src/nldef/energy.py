@@ -20,21 +20,15 @@ product and the mask factors per axis, so the mask classes come from one
 kernel id refines them. Each class's first cell is evaluated in the tile
 that holds it and its mass is gathered to the others, which gives the bits
 of evaluating every cell. Fields whose kernel depends on x (sin, bump,
-sampled) evaluate every cell. An evaluated tile builds its `OffsetMask` and
-owns one (t, K) float64 array, the pair rows, and every later step writes
-into it:
-
-- the pair rows come from the field's one kernel hook,
-  `FieldSpec.pair_rows(x, h, 1/|h|^2, residual)`: the kernel divided by
-  |h|^2, less the first-order term <Eu(x) h, h>/|h|^2 for the residual.
-  How each family builds them (a default from `delta_dot_h`, one low-rank
-  product for sin, a signed band product for the planar jump) is documented
-  at its `pair_rows`;
-- |q|^p and the weights are applied in place;
-- the mask: cells whose rows pass entirely on every axis (about 90% of the
-  criterion-10 grid) are left alone; the rows of the other cells are ANDed
-  and zeroed in blocks of bounded size, bitwise equal to testing the points
-  x + h, before the row sum.
+sampled) evaluate every cell. An evaluated tile builds its `OffsetMask`,
+folds the (positive) weights into the node scale s = w^(1/p)/|h|^2, as
+|q s|^p = |q|^p w/|h|^(2p), and runs one L2-sized block of at most
+`_BLOCK_PAIRS` pairs at a time, every step written over the block:
+the field's one kernel hook, `FieldSpec.pair_blocks(x, h, s, residual)`,
+yields the kernel times s (less <Eu(x) h, h> s for the residual) in one
+buffer it reuses, as documented per family; |q|^p is applied in place; the
+edge cells' pairs that leave U are zeroed, interior cells (about 90% of the
+criterion-10 grid) left alone; then come the row sums.
 
 Determinism: outer cells are split into fixed-size contiguous tiles, each
 tile's per-cell masses are computed with kernels that see only the tile, in
@@ -284,26 +278,28 @@ def _abs_pow(q: np.ndarray, p: float) -> np.ndarray:
 def _tile_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol):
     """Per-cell masses (densities times cell volume) of the cells x_tile.
 
-    The pair rows are the only (t, K) array; |q|^p, the weights and the
-    domain mask (`OffsetMask.zero_outside`, which skips interior cells) are
-    written over it before the row sum.
+    The weights go into the node scale w^(1/p)/|h|^2; each block of
+    `pair_blocks` takes |q|^p and the mask in place before its row sums.
     """
     mask = domain.offset_mask(x_tile, h)
-    contrib = _abs_pow(field.pair_rows(x_tile, h, inv_r2, residual), p)
-    contrib *= w
-    mask.zero_outside(contrib)
-    return contrib.sum(axis=1) * cellvol
+    interior = mask.interior()
+    masses = np.empty(x_tile.shape[0])
+    for rows, q in field.pair_blocks(x_tile, h, w ** (1.0 / p) * inv_r2, residual):
+        mask.zero_outside(_abs_pow(q, p), rows, interior)
+        q.sum(axis=1, out=masses[rows])
+    return masses * cellvol
 
 
-def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool):
-    """Masses mu^p(x_i) * cellvol for every outer cell, in fixed cell order.
+def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool, grid):
+    """(masses, inner node count): mu^p(x_i) * cellvol for every cell of the
+    (midpoints, cellvol) grid of `_midpoints`, in its order.
 
     With kernel classes, the grid's mask classes refined by the kernel ids
     are evaluated at their first cells, each in the fixed tile holding it,
     and gathered to every cell; otherwise every cell of every tile is.
     """
     h, w, inv_r2 = _inner_nodes(req, level)
-    pts, cellvol = _midpoints(req.domain, req.outer_grid)
+    pts, cellvol = grid
     k_inner = h.shape[0]
     tile = max(1, _TILE_NODE_BUDGET // max(1, k_inner))
     edges = range(tile, pts.shape[0], tile)
@@ -327,7 +323,7 @@ def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool):
     masses = np.concatenate(parts)
     if kernel is not None:
         masses = masses[np.searchsorted(reps, first)][ids]
-    return masses, pts, k_inner
+    return masses, k_inner
 
 
 def _masses(req: EnergyRequest, residual: bool):
@@ -345,9 +341,10 @@ def _masses(req: EnergyRequest, residual: bool):
     workers = _resolve_workers(req.workers)
     if req.domain.is_empty:
         return np.zeros((0, req.domain.dim)), np.zeros(0), 0, 0.0
-    coarse, _, _ = _all_masses(req, req.inner_level, workers, residual)
-    fine, pts, k_fine = _all_masses(req, 2 * req.inner_level, workers, residual)
-    return pts, fine, k_fine, abs(pairwise_total(fine) - pairwise_total(coarse))
+    grid = _midpoints(req.domain, req.outer_grid)  # one outer grid for both levels
+    coarse, _ = _all_masses(req, req.inner_level, workers, residual, grid)
+    fine, k_fine = _all_masses(req, 2 * req.inner_level, workers, residual, grid)
+    return grid[0], fine, k_fine, abs(pairwise_total(fine) - pairwise_total(coarse))
 
 
 def _evaluate(req: EnergyRequest, residual: bool) -> EnergyResult:

@@ -6,10 +6,10 @@ Fields are immutable dataclasses sharing a small interface:
   delta_dot_h(x, h)    <u(x+h) - u(x), h>, the reference pair kernel
   sym_gradient(x)      the symmetric part of the Jacobian, where defined
   kernel_classes(x, h) ids of cells with identical kernel rows, or None
-  pair_rows(x, h, r)   the engine's kernel hook: (n, K) rows delta_dot_h / |h|^2,
-                       less <Eu(x) h, h> / |h|^2 with residual=True
+  pair_blocks(x, h, s) the engine's kernel hook: yields (rows, q) blocks of the
+                       rows delta_dot_h * s, less <Eu(x) h, h> s with residual
   pair_factors(x, h)   low-rank factors (A, B) of the kernel, A @ B.T, or None;
-                       the sin field builds its `pair_rows` from them
+                       the sin field builds its `pair_blocks` from them
 
 The closed-form variants (rigid, linear, sin, planar jump with affine sides)
 hand-code `delta_dot_h` so no field is evaluated at x + h and algebraic
@@ -152,7 +152,25 @@ class DomainBox:
         return 0.5 * (self.lo + self.hi)
 
 
-_MASK_CHUNK_PAIRS = 1 << 16  # cells x nodes per block of edge rows
+_BLOCK_PAIRS = 1 << 17  # cells x nodes per block of a tile: 1 MB of float64, in L2
+
+
+def _row_blocks(n: int, k: int):
+    """(rows, q) over n cells of k nodes: row slices of at most _BLOCK_PAIRS
+    pairs (one row at least), each with an (m, k) view of one reused buffer."""
+    step = max(1, min(n, _BLOCK_PAIRS // max(1, k)))
+    buf = np.empty((step, k))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n)), buf[: min(step, n - start)]
+
+
+def _matmul_rows(a: np.ndarray, bt: np.ndarray, out: np.ndarray | None = None):
+    """a @ bt (into out) with the bits of a many-row gemm in every row: numpy
+    hands a one-row product to gemv, which rounds apart, so it goes in twice."""
+    if a.shape[0] != 1:
+        return np.matmul(a, bt, out=out)
+    row = np.matmul(np.repeat(a, 2, axis=0), bt)[:1]
+    return row if out is None else np.copyto(out, row) or out
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,39 +187,37 @@ class OffsetMask:
     ok: tuple
     key: tuple | None
 
-    def zero_outside(self, q: np.ndarray) -> None:
-        """Write 0.0 over q[i, j] (q is (n, K)) where x_i + h_j leaves the box.
+    def interior(self) -> np.ndarray:
+        """(n,) whether cell i's row passes entirely on every axis."""
+        return np.logical_and.reduce([ok.all(axis=1)[at] for at, ok in zip(self.at, self.ok)])
 
-        A cell whose row passes entirely on every axis is left alone. The
-        other (edge) cells are masked in blocks of at most
-        `_MASK_CHUNK_PAIRS` pairs, so no tile-sized mask is built.
-        """
-        interior = np.ones(q.shape[0], dtype=bool)
-        for at, ok in zip(self.at, self.ok):
-            interior &= ok.all(axis=1)[at]
-        # runs of consecutive edge cells, as (start, stop) pairs
-        runs = np.flatnonzero(np.diff(np.concatenate([[False], ~interior, [False]])))
-        step = max(1, _MASK_CHUNK_PAIRS // max(1, q.shape[1]))
-        for start, stop in runs.reshape(-1, 2):
-            for s in range(start, stop, step):
-                rows = slice(s, min(s + step, stop))
-                inside = self.ok[0][self.at[0][rows]]
-                for at, ok in zip(self.at[1:], self.ok[1:]):
-                    inside &= ok[at[rows]]
-                np.copyto(q[rows], 0.0, where=~inside)
+    def zero_outside(self, q: np.ndarray, rows: slice, interior: np.ndarray) -> None:
+        """Write 0.0 over q[i, j] where x_(rows.start + i) + h_j leaves the box,
+        q (m, K) the block of the cells `rows`: a block of `interior()` cells
+        returns at once, and each run of edge cells is ANDed and zeroed."""
+        edge = ~interior[rows]
+        if not edge.any():
+            return
+        # the block splits into alternating runs, the first an edge run if edge[0]
+        ends = [0, *(np.flatnonzero(edge[1:] != edge[:-1]) + 1).tolist(), len(edge)]
+        first = 0 if edge[0] else 1
+        for start, stop in zip(ends[first::2], ends[first + 1 :: 2]):
+            cells = slice(rows.start + start, rows.start + stop)
+            inside = self.ok[0][self.at[0][cells]]
+            for at, ok in zip(self.at[1:], self.ok[1:]):
+                inside &= ok[at[cells]]
+            np.copyto(q[start:stop], 0.0, where=np.logical_not(inside, out=inside))
 
 
 class FieldSpec:
     """Base class; subclasses fill in dim, eval, sym_gradient.
 
-    The engine reaches a field through two hooks. `pair_rows(x, h, inv_r2,
-    residual)` gives a tile's pair rows, the kernel over |h|^2 less the
-    first-order term for the residual; the default builds them from
-    `delta_dot_h`, and the sin field and the planar jump build the same rows
-    faster. `kernel_classes(x, h)` contract: cells with equal ids get
-    bitwise-equal `delta_dot_h` rows and `sym_gradient`, and the engine
-    evaluates one cell per class of the whole outer grid; the default None
-    (the kernel depends on x) evaluates them all. `pair_factors` is not
+    The engine reaches a field through two hooks. `pair_blocks(x, h, scale,
+    residual)` yields a tile's pair rows block by block, the kernel times a
+    per-node scale less the first-order term for the residual; the default
+    builds them from `delta_dot_h`, the sin field and the planar jump build
+    the same rows faster. `kernel_classes(x, h)` lets the engine evaluate one
+    cell per class of cells with equal kernel rows. `pair_factors` is not
     engine-facing: a subclass may build its rows from these low-rank factors.
     """
 
@@ -220,7 +236,7 @@ class FieldSpec:
         override it with a closed form in (x, h); the override must agree
         with this difference to roundoff and must be exactly zero for a
         rigid field, so that rigid energies stay bitwise zero. The default
-        `pair_rows` calls it with cells x (n, 1, d) against offsets h (1, K, d).
+        `pair_blocks` calls it with cells x (m, 1, d) against offsets h (1, K, d).
         """
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
@@ -236,22 +252,25 @@ class FieldSpec:
         """
         return None
 
-    def pair_rows(self, x: np.ndarray, h: np.ndarray, inv_r2: np.ndarray,
-                  residual: bool = False) -> np.ndarray:
-        """Rows (n, K) of the kernel divided by |h|^2, a new array the caller owns.
+    def pair_blocks(self, x: np.ndarray, h: np.ndarray, scale: np.ndarray,
+                    residual: bool = False):
+        """Yield (rows, q) over cells x (n, d), offsets h (K, d), scale (K,).
 
-        For cells x (n, d), offsets h (K, d) and inv_r2 = 1/|h|^2 (K,), this is
-        `delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2`, and with
-        `residual` less the first-order rows <Eu(x) h, h>/|h|^2, one
-        (n, d^2) x (d^2, K) product subtracted in place. The default computes
-        exactly that; a subclass may build the same rows faster to roundoff.
-        This is the engine's only way to the kernel.
+        q (m, K) is `delta_dot_h(x[rows, None, :], h[None, :, :]) * scale`,
+        with `residual` less the first-order rows <Eu(x) h, h> * scale. The
+        rows cover [0, n) in order, at most `_BLOCK_PAIRS` pairs a block; q is
+        a buffer the next block reuses, and the caller may write over it. A
+        subclass may build the same rows faster to roundoff, linear in the
+        scale, with row bits that do not depend on the block. This is the
+        engine's only way to the kernel.
         """
-        q = self.delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2
         if residual:
-            e, hh = _first_order(self, x, h, inv_r2)
-            q -= e @ hh.T
-        return q
+            e, hht = _first_order(self, x, h, scale)
+        for rows, q in _row_blocks(x.shape[0], h.shape[0]):
+            np.multiply(self.delta_dot_h(x[rows, None, :], h[None, :, :]), scale, out=q)
+            if residual:
+                q -= _matmul_rows(e[rows], hht)
+            yield rows, q
 
     def kernel_classes(self, x: np.ndarray, h: np.ndarray) -> np.ndarray | None:
         """Kernel classes (n,) of cells x (n, d) against offsets h (K, d), or None.
@@ -275,13 +294,12 @@ class FieldSpec:
         return x
 
 
-def _first_order(field: FieldSpec, x: np.ndarray, h: np.ndarray, inv_r2: np.ndarray):
-    """Eu(x) (n, d^2) and h_i h_j/|h|^2 (K, d^2): the residual's first-order
-    rows <Eu(x) h, h>/|h|^2 are their product."""
+def _first_order(field: FieldSpec, x: np.ndarray, h: np.ndarray, scale: np.ndarray):
+    """Eu(x) (n, d^2), contiguous so that every block's product is a gemm,
+    and h_i h_j * scale (d^2, K): the first-order rows are their product."""
     n, d = x.shape
-    e = field.sym_gradient(x).reshape(n, d * d)
-    hh = (h[:, :, None] * h[:, None, :]).reshape(-1, d * d) * inv_r2[:, None]
-    return e, hh
+    e = np.ascontiguousarray(field.sym_gradient(x).reshape(n, d * d))
+    return e, (h.T[:, None, :] * h.T[None, :, :]).reshape(d * d, -1) * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,20 +444,17 @@ class SinField(FieldSpec):
         b = np.concatenate([-2.0 * half * half * h, np.sin(kh) * h], axis=-1)
         return a, b
 
-    def pair_rows(self, x, h, inv_r2, residual=False) -> np.ndarray:
-        """The rows as one (n, r) x (r, K) product of the `pair_factors`.
-
-        1/|h|^2 is scaled into B; the residual appends -Eu(x) to A and
-        h_i h_j/|h|^2 to B, so the first-order term is d^2 more columns of
-        the same product.
-        """
+    def pair_blocks(self, x, h, scale, residual=False):
+        """Each block as one (m, r) x (r, K) product of the `pair_factors`; once
+        per tile the scale goes into B, and the residual appends -Eu(x) to A
+        and h_i h_j * scale to B (d^2 more columns)."""
         a, b = self.pair_factors(x, h)
-        b = b * inv_r2[:, None]
+        bt = np.ascontiguousarray(b.T * scale)
         if residual:
-            e, hh = _first_order(self, x, h, inv_r2)
-            a = np.concatenate([a, -e], axis=1)
-            b = np.concatenate([b, hh], axis=1)
-        return a @ b.T
+            e, hht = _first_order(self, x, h, scale)
+            a, bt = np.concatenate([a, -e], axis=1), np.concatenate([bt, hht])
+        for rows, q in _row_blocks(x.shape[0], h.shape[0]):
+            yield rows, _matmul_rows(a[rows], bt, q)
 
     def delta_dot_h(self, x, h) -> np.ndarray:
         a, b = self.pair_factors(x, h)
@@ -500,7 +515,7 @@ class PlanarJumpField(FieldSpec):
     The minus side is <x, normal> - offset <= 0 (points on the interface
     evaluate to the minus side). Both sides must be rigid or linear so the
     jump a(x) = u_plus(x) - u_minus(x) stays affine. `delta_dot_h` is the
-    reference kernel; the engine takes its rows from `pair_rows`, which
+    reference kernel; the engine takes its rows from `pair_blocks`, which
     splits them into x's side kernel and a signed low-rank jump term.
     """
 
@@ -572,22 +587,20 @@ class PlanarJumpField(FieldSpec):
         q += a_dot_h
         return q
 
-    def pair_rows(self, x, h, inv_r2, residual=False) -> np.ndarray:
-        """`delta_dot_h` / |h|^2 as k_{p_x}(h)/|h|^2 + sigma [1, a(x)].[dk(h), h]/|h|^2.
+    def pair_blocks(self, x, h, scale, residual=False):
+        """`delta_dot_h` * scale as k_{p_x}(h) s + sigma [1, a(x)].[dk(h), h] s.
 
         x lies on side p_x and x + h on side p_y, and sigma = p_y - p_x is -1,
         0 or 1; k_- and k_+ are the side kernels, functions of h alone for
-        affine sides, dk = k_+ - k_- and a(x) = u_+(x) - u_-(x). The cross
-        term is one (n, d + 1) x (d + 1, K) product with 1/|h|^2 in the node
-        factor, times sigma, plus x's side row. The side tests are those of
-        `delta_dot_h`, with its product shapes, made once per distinct x.nu
-        (sigma and the side row depend on x only through it), so a pair with
-        sigma = 0 gets the bits of `delta_dot_h(...) * inv_r2`; a tile with no
-        crossing pair skips the product. The residual's first-order rows are
-        subtracted last, as in the default.
+        affine sides, dk = k_+ - k_-, a(x) = u_+(x) - u_-(x) and s the
+        scale. Once per tile, the side tests of `delta_dot_h` (with its
+        product shapes) and x's side rows are made per distinct x.nu, on
+        which alone sigma and the side row depend. A block is one
+        (m, d + 1) x (d + 1, K) product, times sigma, plus x's side row (a
+        pair with sigma = 0 gets the bits of `delta_dot_h(...) * scale`, and
+        a tile with no crossing pair skips the product), less the residual's
+        first-order rows.
         """
-        x = np.asarray(x, dtype=np.float64)
-        h = np.asarray(h, dtype=np.float64)
         xn, hn = self._engine_normals(x, h)
         xn, at = np.unique(xn, return_inverse=True)
         px = (xn > self.offset)[:, None]
@@ -596,19 +609,24 @@ class PlanarJumpField(FieldSpec):
         # the side kernels do not involve x, so x = 0 stands for every cell
         k_minus, k_plus = (side.delta_dot_h(np.zeros((1, 1, self.dim)), h[None])[0]
                            for side in (self.minus, self.plus))
-        side_rows = np.where(px, k_plus * inv_r2, k_minus * inv_r2)
-        if same.all():
-            q = side_rows[at]
-        else:
+        side_rows = np.where(px, k_plus * scale, k_minus * scale)
+        crossing = not same.all()
+        if crossing:
+            sigma = np.where(same, 0.0, np.where(px, -1.0, 1.0))
             a = np.concatenate([np.ones((x.shape[0], 1)), self.jump_at(x)], axis=1)
-            b = np.concatenate([(k_plus - k_minus)[:, None], h], axis=1) * inv_r2[:, None]
-            q = a @ b.T
-            q *= np.where(same, 0.0, np.where(px, -1.0, 1.0))[at]  # sigma
-            q += side_rows[at]
+            bt = np.vstack([k_plus - k_minus, h.T]) * scale
         if residual:
-            e, hh = _first_order(self, x, h, inv_r2)
-            q -= e @ hh.T
-        return q
+            e, hht = _first_order(self, x, h, scale)
+        for rows, q in _row_blocks(x.shape[0], h.shape[0]):
+            if crossing:
+                _matmul_rows(a[rows], bt, q)
+                q *= sigma[at[rows]]
+                q += side_rows[at[rows]]
+            else:
+                np.take(side_rows, at[rows], axis=0, out=q)
+            if residual:
+                q -= _matmul_rows(e[rows], hht)
+            yield rows, q
 
     def kernel_classes(self, x, h) -> np.ndarray:
         """x's side (0 minus, 1 plus) where every x + h stays on it, else 2 + i.

@@ -12,9 +12,12 @@ Core claims:
       the generic kernel to roundoff
     - every family's pair rows, plain and residual (the sin field's folded
       into one product), agree with an unfolded reference to roundoff
+    - the tile masses do not depend on the block size of `pair_blocks`:
+      bitwise for every family but sin, whose product may round a lone row
+      apart, within 1e-15 of the largest mass
     - the per-axis mask equals DomainBox.contains(x + h) bit for bit,
       including sums that land exactly on lo or hi, on interior, edge and
-      mixed tiles and for any block size of the edge rows
+      mixed tiles and for any block size
     - a jump between two equal rigid fields has an exactly zero kernel and
       an exactly zero energy
     - a power-of-two scale of the field scales the energy exactly:
@@ -80,6 +83,18 @@ def _axis_normals(d):
     return [s * np.eye(d)[j] for j in range(d) for s in (1.0, -1.0)]
 
 
+def _rows(f, x, h, scale, residual=False):
+    """The (n, K) rows of `pair_blocks`: copies of its blocks, concatenated
+    after checking that their row slices cover the cells in order."""
+    blocks, stop = [], 0
+    for rows, q in f.pair_blocks(x, h, scale, residual):
+        assert rows.start == stop and q.shape == (rows.stop - rows.start, h.shape[0])
+        stop = rows.stop
+        blocks.append(q.copy())
+    assert stop == x.shape[0]
+    return np.concatenate(blocks) if blocks else np.zeros((0, h.shape[0]))
+
+
 # -- sin ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -95,7 +110,7 @@ def test_sin_kernel_matches_generic(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sin_engine_product_matches_broadcast_loop(d):
-    """The engine's sin rows are one (n, 2d) x (2d, K) product of the
+    """The engine's sin blocks are one (m, 2d) x (2d, K) product of the
     `pair_factors`; `delta_dot_h` sums the same factors elementwise.
 
     Dyadic waves, x and h make every phase k.x and k.h exact, so both see
@@ -110,7 +125,7 @@ def test_sin_engine_product_matches_broadcast_loop(d):
         h = rng.integers(-77, 78, (60, d)) / 256
         ref = f.delta_dot_h(x[:, None, :], h[None, :, :])
         a, b = f.pair_factors(x, h)
-        got = f.pair_rows(x, h, np.ones(60))
+        got = _rows(f, x, h, np.ones(60))
         assert got.shape == ref.shape == (40, 60)
         assert np.array_equal(got, a @ b.T)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -137,7 +152,7 @@ def test_pair_factors_match_generic_and_only_sin_has_them(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_folded_sin_rows_match_unfolded_reference(d):
-    """Each family's `pair_rows`, plain and residual, against the unfolded
+    """Each family's `pair_blocks`, plain and residual, against the unfolded
     reference delta_dot_h / |h|^2 - <Eu(x) h, h>/|h|^2 built here.
 
     The sin rows are one product with 1/|h|^2 scaled into B and, for the
@@ -178,7 +193,7 @@ def test_folded_sin_rows_match_unfolded_reference(d):
         assert np.max(np.abs(first_order)) > 0.0
         scale = max(np.max(np.abs(q)), np.max(np.abs(first_order)))
         for residual, ref in ((False, q), (True, q - first_order)):
-            got = f.pair_rows(x, h, inv_r2, residual)
+            got = _rows(f, x, h, inv_r2, residual)
             assert got.shape == (n, 70)
             assert np.max(np.abs(got - ref)) <= 1e-15 * scale
 
@@ -268,7 +283,7 @@ def _jump_on_plane_cases(rng, f, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_jump_rows_match_kernel_over_h2(d):
-    """The engine's jump rows (`PlanarJumpField.pair_rows`: one signed product
+    """The engine's jump rows (`PlanarJumpField.pair_blocks`: one signed product
     plus x's side row) agree with delta_dot_h / |h|^2 within 1e-15 of the
     largest entry. Pairs that stay on x's side (sigma = 0), which includes
     every pair of a cell whose stencil stays on one side, carry the bits of
@@ -280,8 +295,8 @@ def test_jump_rows_match_kernel_over_h2(d):
         inv_r2 = 1.0 / (h * h).sum(axis=1)
         for g in cases:
             ref = g.delta_dot_h(x[:, None, :], h[None, :, :]) * inv_r2
-            got = g.pair_rows(x, h, inv_r2)
-            assert got.shape == ref.shape and got.flags.writeable
+            got = _rows(g, x, h, inv_r2)
+            assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
             xn = (x[:, None, :] @ g.normal)[:, 0]
             yn = xn[:, None] + (h[None, :, :] @ g.normal)[0]
@@ -291,7 +306,7 @@ def test_jump_rows_match_kernel_over_h2(d):
             assert np.array_equal(_bits(np.abs(got[stay])), _bits(np.abs(ref[stay])))
             one_sided = stay.all(axis=1)
             assert one_sided.any() and not one_sided.all()
-            rows = g.pair_rows(x[one_sided], h, inv_r2)
+            rows = _rows(g, x[one_sided], h, inv_r2)
             assert np.array_equal(_bits(np.abs(rows)), _bits(np.abs(ref[one_sided])))
 
 
@@ -314,12 +329,27 @@ def test_rigid_sided_jump_residual_equals_energy(d):
 
 # -- mask --------------------------------------------------------------------
 
+class _OnesField(FieldSpec):
+    """Blocks of ones that record what the engine leaves of them: a block is
+    copied when the engine asks for the next one, after its mask."""
+
+    def __init__(self, n, k):
+        self.dim, self.seen = 0, np.zeros((n, k), dtype=bool)
+
+    def pair_blocks(self, x, h, scale, residual=False):
+        for rows, q in fields_mod._row_blocks(x.shape[0], h.shape[0]):
+            q[...] = 1.0
+            yield rows, q
+            self.seen[rows] = q == 1.0
+
+
 def _mask_rows(box, x, h):
-    """The engine's mask as a bool (n, K) array: ones with the pairs outside
-    the box zeroed by `OffsetMask.zero_outside`."""
-    q = np.ones((x.shape[0], h.shape[0]))
-    box.offset_mask(x, h).zero_outside(q)
-    return q == 1.0
+    """The engine's mask as a bool (n, K) array: blocks of ones that
+    `energy._tile_masses` zeroed outside the box."""
+    ones = _OnesField(x.shape[0], h.shape[0])
+    k = np.ones(h.shape[0])
+    en._tile_masses(ones, box, x, h, k, k, 1.0, False, 1.0)
+    return ones.seen
 
 
 def _grid_mask_classes(box, axes, h):
@@ -390,15 +420,16 @@ def test_mask_over_repeated_and_single_valued_axes(d):
             assert got[0, 0] and got[1, 1] and got[2, 2] and not got[2, 3]
 
 
-@pytest.mark.parametrize("chunk", [1, 50, None])
+@pytest.mark.parametrize("chunk", [1, 50, 120, None])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_edge_row_mask_on_interior_edge_and_mixed_tiles(d, chunk, monkeypatch):
-    """Cells whose rows pass entirely on every axis are skipped; the others
-    are masked in blocks of `_MASK_CHUNK_PAIRS` pairs (1 and 50 split them
-    into many blocks, some ending mid-tile). Dyadic cells and offsets make
-    the sums exact, so many land exactly on lo or hi."""
+    """Blocks of cells whose rows pass entirely on every axis are skipped;
+    the runs of other cells are masked within blocks of `_BLOCK_PAIRS` pairs
+    (1 and 50 give one-row blocks and 120 three-row blocks of the 40 nodes,
+    many ending mid-run). Dyadic cells and offsets make the sums exact, so
+    many land exactly on lo or hi."""
     if chunk is not None:
-        monkeypatch.setattr(fields_mod, "_MASK_CHUNK_PAIRS", chunk)
+        monkeypatch.setattr(fields_mod, "_BLOCK_PAIRS", chunk)
     rng = np.random.default_rng(180 + d)
     box = DomainBox([-0.5] * d, [0.75] * d)
     h = rng.integers(-16, 17, (40, d)) / 64
@@ -418,6 +449,63 @@ def test_edge_row_mask_on_interior_edge_and_mixed_tiles(d, chunk, monkeypatch):
         assert np.array_equal(got, want)
     assert _mask_rows(box, interior, h[:3]).all()
     assert not _mask_rows(box, edge, h).all(axis=1).any()
+
+
+# -- blocks ------------------------------------------------------------------
+
+# outer grid, inner level and shell eps per dimension: at the default block
+# size the fine level takes 2 blocks in d = 1, 3 in d = 2 and 4 in d = 3
+_BLOCK_GRIDS = {1: (1500, 128, 0.1), 2: (24, 16, 0.1), 3: (6, 8, 0.2)}
+
+
+def _block_fields(d):
+    """One field of every family, and jumps with rigid and linear sides."""
+    rng = np.random.default_rng(220 + d)
+    eye = np.eye(d)
+    out = [("rigid", _rigid(rng, d)), ("linear", _linear(rng, d)),
+           ("sin", _sin_field(rng, d)),
+           ("bump", BumpField(rng.uniform(-1, 1, d), np.full(d, 0.5), 0.3)),
+           ("sampled", SampledField(np.full(d, -0.5), np.full(d, 0.5),
+                                    rng.uniform(-1, 1, (5,) * d + (d,)))),
+           ("jump-rigid", PlanarJumpField(eye[0], 0.45, _rigid(rng, d), _rigid(rng, d))),
+           ("jump-linear", PlanarJumpField(-eye[d - 1], -0.4, _linear(rng, d),
+                                           _linear(rng, d)))]
+    if d > 1:
+        nu = np.full(d, d ** -0.5)
+        out.append(("jump-oblique", PlanarJumpField(nu, 0.6, _rigid(rng, d), _linear(rng, d))))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_size_leaves_masses_unchanged(d, monkeypatch):
+    """Per-cell masses with `_BLOCK_PAIRS` at one row, three rows (of the
+    fine level), the default and a whole tile, plain (p = 1.5) and residual
+    (p = 1): bitwise equal for every family but sin, whose product rounds
+    apart by block within 1e-15 of the largest mass."""
+    n, level, eps = _BLOCK_GRIDS[d]
+    box = DomainBox([0.0] * d, [1.0] * d)
+    k_fine = None
+    for name, f in _block_fields(d):
+        req = en.EnergyRequest(field=f, domain=box, p=1.5,
+                               mollifier=MollifierSpec("shell", eps, d), outer_grid=n,
+                               inner_level=level, workers=1)
+        k_fine = k_fine or en._inner_nodes(req, 2 * level)[0].shape[0]
+        sizes = (1, 3 * k_fine, fields_mod._BLOCK_PAIRS, en._TILE_NODE_BUDGET)
+        cases = [(req, False)] + ([] if name == "sampled" else [(replace(req, p=1.0), True)])
+        for r, residual in cases:
+            got = []
+            for size in sizes:
+                monkeypatch.setattr(fields_mod, "_BLOCK_PAIRS", size)
+                _, masses, est = en.density_masses(r, residual)
+                got.append((masses, est))
+            monkeypatch.undo()
+            ref, ref_est = got[2]
+            assert np.max(ref) > 0.0 if name != "rigid" else not np.any(ref)
+            for masses, est in got:
+                if name == "sin":
+                    assert np.max(np.abs(masses - ref)) <= 1e-15 * np.max(ref)
+                else:
+                    assert np.array_equal(_bits(masses), _bits(ref)) and est == ref_est
 
 
 # -- zero cases --------------------------------------------------------------
@@ -607,8 +695,9 @@ def test_offset_class_ids_stay_below_cells_cubed():
 
 
 def test_rigid_energy_stays_zero_on_the_per_cell_path(monkeypatch):
-    """Without kernel classes every rigid cell reaches the pair rows, whose
-    kernel is a read-only broadcast view of 0.0: the engine scales a copy."""
+    """Without kernel classes every rigid cell reaches the pair blocks, whose
+    kernel is a read-only broadcast view of 0.0: the hook scales it into its
+    block buffer."""
     monkeypatch.setattr(RigidField, "kernel_classes", lambda self, x, h: None)
     rng = np.random.default_rng(190)
     for d in (1, 2, 3):
@@ -683,7 +772,7 @@ def test_class_path_equals_every_cell(name, p, monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypatch):
-    """The rows that reach `pair_rows` are one per distinct pair of kernel id
+    """The rows that reach `pair_blocks` are one per distinct pair of kernel id
     and mask row, the mask taken by brute force from `contains(x + h)`."""
     box = DomainBox([0.0] * d, [1.0] * d)
     for _, f in _engine_fields(d):
@@ -691,14 +780,14 @@ def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypat
                                mollifier=MollifierSpec("shell", 0.2, d), outer_grid=12,
                                inner_level=4, workers=1)
         rows = []
-        real = type(f).pair_rows
+        real = type(f).pair_blocks
 
         def spy(self, x, *args):
             rows.append(len(x))
             return real(self, x, *args)
 
-        monkeypatch.setattr(type(f), "pair_rows", spy)
-        en._all_masses(req, 4, 1, False)
+        monkeypatch.setattr(type(f), "pair_blocks", spy)
+        en._all_masses(req, 4, 1, False, en._midpoints(box, 12))
         monkeypatch.undo()
         h = en._inner_nodes(req, 4)[0]
         pts, _ = en._midpoints(box, 12)
