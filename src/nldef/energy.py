@@ -11,32 +11,35 @@ singular |h| factors cancel analytically and only the angular variation is
 resolved. Inner nodes leaving U are rejected (zero mask).
 
 The outer cells are split into fixed tiles of t cells (t x K pairs at most).
-Where a field has `FieldSpec.kernel_classes` (rigid and linear fields, and
-jump cells whose stencil stays on one side, have a kernel that does not
-involve x), the cells of the whole grid fall into classes with identical
-pair rows: equal kernel ids and equal mask rows. The grid is a tensor
-product and the mask factors per axis, so the mask classes come from one
-`DomainBox.offset_mask` pass over each axis's N midpoints; only a varying
-kernel id refines them. Each class's first cell is evaluated in the tile
-that holds it and its mass is gathered to the others, which gives the bits
-of evaluating every cell. Fields whose kernel depends on x (sin, bump,
-sampled) evaluate every cell. An evaluated tile builds its `OffsetMask`,
-folds the (positive) weights into the node scale s = w^(1/p)/|h|^2, as
-|q s|^p = |q|^p w/|h|^(2p), and runs one L2-sized block of at most
-`_BLOCK_PAIRS` pairs at a time, every step written over the block:
-the field's one kernel hook, `FieldSpec.pair_blocks(x, h, s, residual)`,
-yields the kernel times s (less <Eu(x) h, h> s for the residual) in one
-buffer it reuses, as documented per family; |q|^p is applied in place; the
-edge cells' pairs that leave U are zeroed, interior cells (about 90% of the
-criterion-10 grid) left alone; then come the row sums.
+The grid is a tensor product and the mask factors per axis, so one
+`DomainBox.offset_mask` pass over each axis's N midpoints gives every cell's
+mask row. Where a field has `FieldSpec.kernel_classes` (rigid and linear
+fields, and jump cells whose stencil stays on one side, have a kernel that
+does not involve x), the cells fall into classes with identical pair rows:
+equal kernel ids and equal mask rows, the mask classes read off that pass.
+Each class's first cell is evaluated in the tile that holds it and its mass
+is gathered to the others, which gives the bits of evaluating every cell.
+Fields whose kernel depends on x (sin, bump, sampled) evaluate every cell.
+The tiles go in one contiguous run per worker, one task each that carries
+cell indices; its worker rebuilds x and the mask rows from them by mixed
+radix. An evaluated tile folds the (positive) weights into the node scale
+s = w^(1/p)/|h|^2, as |q s|^p = |q|^p w/|h|^(2p), and runs one L2-sized
+block of at most `_BLOCK_PAIRS` pairs at a time, every step written over
+the block: the field's one kernel hook, `FieldSpec.pair_blocks(x, h, s,
+residual)`, yields the kernel times s (less <Eu(x) h, h> s for the residual)
+in one buffer it reuses, as documented per family; |q|^p is applied in
+place; the tile's runs of edge cells met by the block have their pairs that
+leave U zeroed, interior cells (about 90% of the criterion-10 grid) left
+alone; then come the row sums.
 
 Determinism: outer cells are split into fixed-size contiguous tiles, each
 tile's per-cell masses are computed with kernels that see only the tile, in
 a fixed node order, and the final reduction is one pairwise tree over the
-full cell array. The tiling does not depend on the worker count, so results
-are bitwise reproducible across 1, 2 or 8 workers. The default worker count
-is the number of CPUs this process may run on. A pool whose worker died is
-rebuilt once; a second death raises WorkerError.
+full cell array. Neither the tiling nor a cell's x and mask row depends on
+the worker count, so results are bitwise reproducible across 1, 2 or 8
+workers. The default worker count is the number of CPUs this process may
+run on. A pool whose worker died is rebuilt once; a second death raises
+WorkerError.
 
 The residual variant subtracts the first-order term <Eu(x) h, h>/|h|^2 before
 taking absolute values; its small-eps limit isolates the singular part of the
@@ -52,7 +55,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -67,6 +69,7 @@ from .errors import (
 from .fields import (
     DomainBox,
     FieldSpec,
+    OffsetMask,
     PlanarJumpField,
     SampledField,
     _adaptive_box_integral,
@@ -191,8 +194,8 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     return ex
 
 
-def _pool_map(workers: int, fn, *args) -> list:
-    """list(map(fn, *args)) on the cached pool of `workers` processes.
+def _pool_map(workers: int, fn, tasks: list) -> list:
+    """[fn(*task) for task in tasks] on the cached pool of `workers` processes.
 
     A pool with a dead worker raises BrokenProcessPool from then on, so it
     is dropped from the cache and rebuilt once; if the rebuilt pool breaks
@@ -200,7 +203,7 @@ def _pool_map(workers: int, fn, *args) -> list:
     """
     for _ in range(2):
         try:
-            return list(_get_pool(workers).map(fn, *args))
+            return list(_get_pool(workers).map(fn, *zip(*tasks)))
         except BrokenProcessPool:
             _POOLS.pop(workers).shutdown(wait=False, cancel_futures=True)
     raise WorkerError(
@@ -244,15 +247,13 @@ def _midpoints(box: DomainBox, n: int):
     return _tensor_grid(_midpoint_axes(box, n).T), box.volume() / n**box.dim
 
 
-def _grid_classes(domain: DomainBox, axes: np.ndarray, h: np.ndarray):
-    """Mask classes (ids, first) of the tensor grid over `axes` (n, d) and h.
+def _grid_classes(mask: OffsetMask):
+    """Mask classes (ids, first) of the tensor grid over `axes` (n, d) and h,
+    given `domain.offset_mask(axes, h, keys=True)`.
 
     ids (n^d,) are dense in [0, C), and equal ids have bitwise-equal mask
     rows; first (C,) holds each class's first cell. An id is the mixed radix
-    of the cell's per-axis dense ranks of the row keys that one
-    `offset_mask(..., keys=True)` pass gives the axes (equal coordinates
-    share a row)."""
-    mask = domain.offset_mask(axes, h, keys=True)
+    of the cell's per-axis dense ranks of the axes' row keys."""
     ids = first = np.zeros(1, dtype=np.int64)
     for at, key in zip(mask.at, mask.key):
         _, start, rank = np.unique(key[at], return_index=True, return_inverse=True)
@@ -275,19 +276,40 @@ def _abs_pow(q: np.ndarray, p: float) -> np.ndarray:
     return q
 
 
-def _tile_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol):
+def _tile_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol, mask=None):
     """Per-cell masses (densities times cell volume) of the cells x_tile.
 
     The weights go into the node scale w^(1/p)/|h|^2; each block of
-    `pair_blocks` takes |q|^p and the mask in place before its row sums.
+    `pair_blocks` takes |q|^p and the mask (built unless given) in place
+    before its row sums.
     """
-    mask = domain.offset_mask(x_tile, h)
-    interior = mask.interior()
+    if mask is None:
+        mask = domain.offset_mask(x_tile, h)
+    runs = mask.edge_runs()
     masses = np.empty(x_tile.shape[0])
     for rows, q in field.pair_blocks(x_tile, h, w ** (1.0 / p) * inv_r2, residual):
-        mask.zero_outside(_abs_pow(q, p), rows, interior)
+        mask.zero_outside(_abs_pow(q, p), rows, runs)
         q.sum(axis=1, out=masses[rows])
     return masses * cellvol
+
+
+def _run_masses(field, domain, tile, cells, axes, h, w, inv_r2, ok, p, residual, cellvol):
+    """Masses of one run of whole tiles of `tile` cells of the grid over
+    `axes` (n, d): the cells (start, stop), or a sorted index array.
+
+    Each cell's x and per-axis mask rows in ok (d rows (n, K) of the grid's
+    mask) come from its mixed-radix digits, first axis slowest; the tiles
+    go through `_tile_masses` in order.
+    """
+    idx = np.arange(*cells) if isinstance(cells, tuple) else cells
+    (n, d), parts = axes.shape, []
+    cuts = [0, *(np.flatnonzero(np.diff(idx // tile)) + 1).tolist(), len(idx)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        digits = [idx[a:b] // n ** (d - 1 - k) % n for k in range(d)]
+        x = np.stack([axes[i, k] for k, i in enumerate(digits)], axis=1)
+        mask = OffsetMask(tuple(digits), ok, None)
+        parts.append(_tile_masses(field, domain, x, h, w, inv_r2, p, residual, cellvol, mask))
+    return np.concatenate(parts)
 
 
 def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool, grid):
@@ -296,34 +318,38 @@ def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool, gr
 
     With kernel classes, the grid's mask classes refined by the kernel ids
     are evaluated at their first cells, each in the fixed tile holding it,
-    and gathered to every cell; otherwise every cell of every tile is.
+    and gathered to every cell; otherwise every cell of every tile is. The
+    nonempty tiles go in min(workers, tiles) runs, one `_run_masses` task
+    each, on the pool when there are several.
     """
     h, w, inv_r2 = _inner_nodes(req, level)
     pts, cellvol = grid
-    k_inner = h.shape[0]
-    tile = max(1, _TILE_NODE_BUDGET // max(1, k_inner))
-    edges = range(tile, pts.shape[0], tile)
+    tile = max(1, _TILE_NODE_BUDGET // max(1, len(h)))
     kernel = req.field.kernel_classes(pts, h)
+    axes = _midpoint_axes(req.domain, req.outer_grid)
+    mask = req.domain.offset_mask(axes, h, keys=kernel is not None)
+    ok = tuple(o[at] for o, at in zip(mask.ok, mask.at))
     if kernel is None:
-        tiles = np.split(pts, edges)
+        edges = np.r_[0 : len(pts) : tile, len(pts)]
     else:
-        axes = _midpoint_axes(req.domain, req.outer_grid)
-        ids, first = _grid_classes(req.domain, axes, h)
+        ids, first = _grid_classes(mask)
         if np.any(kernel != kernel[0]):
             ids = kernel * len(first) + ids
             _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
         reps = np.sort(first)
-        tiles = [t for t in np.split(pts[reps], np.searchsorted(reps, edges)) if len(t)]
-    shared = [repeat(a) for a in (h, w, inv_r2, req.p, residual, cellvol)]
-    args = (_tile_masses, repeat(req.field), repeat(req.domain), tiles, *shared)
-    if workers > 1 and len(tiles) > 1:
-        parts = _pool_map(workers, *args)
-    else:
-        parts = list(map(*args))
+        edges = np.r_[0, np.flatnonzero(np.diff(reps // tile)) + 1, len(reps)]
+    runs, cuts = min(workers, len(edges) - 1), [0]
+    for r in range(1, runs):  # at the tile edge nearest an equal share of the cells
+        near = int(np.abs(edges - edges[-1] * r / runs).argmin())
+        cuts.append(min(max(near, cuts[-1] + 1), len(edges) - 1 - runs + r))
+    cuts = edges[cuts + [len(edges) - 1]].tolist()
+    tasks = [(req.field, req.domain, tile, (a, b) if kernel is None else reps[a:b], axes,
+              h, w, inv_r2, ok, req.p, residual, cellvol) for a, b in zip(cuts[:-1], cuts[1:])]
+    parts = _pool_map(workers, _run_masses, tasks) if len(tasks) > 1 else [_run_masses(*tasks[0])]
     masses = np.concatenate(parts)
     if kernel is not None:
         masses = masses[np.searchsorted(reps, first)][ids]
-    return masses, k_inner
+    return masses, len(h)
 
 
 def _masses(req: EnergyRequest, residual: bool):

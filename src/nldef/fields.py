@@ -26,6 +26,7 @@ jump with the interface normal.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,38 +176,36 @@ def _matmul_rows(a: np.ndarray, bt: np.ndarray, out: np.ndarray | None = None):
 
 @dataclass(frozen=True, eq=False)
 class OffsetMask:
-    """Box membership of x_i + h_j, held per axis over distinct coordinates.
+    """Box membership of x_i + h_j, held per axis over the axis's coordinates.
 
     For axis k, `ok[k]` (u_k, K) holds the rows lo_k <= x_k + h_k <= hi_k of
-    the u_k distinct x_k, `at[k]` (n,) maps each cell to its row, and
-    `key[k]` (u_k,) is a row's class key (`DomainBox.offset_mask`; None
-    unless asked for). Cell i's mask row is the AND over k of ok[k][at[k][i]].
+    u_k coordinates x_k (distinct ones in `DomainBox.offset_mask`), `at[k]`
+    (n,) maps each cell to its row, and `key[k]` (u_k,) is a row's class key
+    (None unless asked for). Cell i's mask row is the AND over k of ok[k][at[k][i]].
     """
 
     at: tuple
     ok: tuple
     key: tuple | None
 
-    def interior(self) -> np.ndarray:
-        """(n,) whether cell i's row passes entirely on every axis."""
-        return np.logical_and.reduce([ok.all(axis=1)[at] for at, ok in zip(self.at, self.ok)])
+    def edge_runs(self) -> tuple:
+        """(starts, stops), lists, of the maximal runs of cells whose row fails on some axis."""
+        interior = np.logical_and.reduce([ok.all(axis=1)[at] for at, ok in zip(self.at, self.ok)])
+        flips = np.flatnonzero(np.diff(interior, prepend=True, append=True)).tolist()
+        return flips[::2], flips[1::2]
 
-    def zero_outside(self, q: np.ndarray, rows: slice, interior: np.ndarray) -> None:
+    def zero_outside(self, q: np.ndarray, rows: slice, runs: tuple) -> None:
         """Write 0.0 over q[i, j] where x_(rows.start + i) + h_j leaves the box,
-        q (m, K) the block of the cells `rows`: a block of `interior()` cells
-        returns at once, and each run of edge cells is ANDed and zeroed."""
-        edge = ~interior[rows]
-        if not edge.any():
-            return
-        # the block splits into alternating runs, the first an edge run if edge[0]
-        ends = [0, *(np.flatnonzero(edge[1:] != edge[:-1]) + 1).tolist(), len(edge)]
-        first = 0 if edge[0] else 1
-        for start, stop in zip(ends[first::2], ends[first + 1 :: 2]):
-            cells = slice(rows.start + start, rows.start + stop)
-            inside = self.ok[0][self.at[0][cells]]
+        q (m, K) the block of the cells `rows`: each of the `edge_runs()` that
+        meets the block is clipped to it, ANDed and zeroed."""
+        (starts, stops), lo, hi = runs, rows.start, rows.stop
+        meet = slice(bisect_right(stops, lo), bisect_left(starts, hi))
+        for a, b in zip(starts[meet], stops[meet]):
+            a, b = max(a, lo), min(b, hi)
+            inside = self.ok[0][self.at[0][a:b]]
             for at, ok in zip(self.at[1:], self.ok[1:]):
-                inside &= ok[at[cells]]
-            np.copyto(q[start:stop], 0.0, where=np.logical_not(inside, out=inside))
+                inside &= ok[at[a:b]]
+            np.copyto(q[a - lo : b - lo], 0.0, where=np.logical_not(inside, out=inside))
 
 
 class FieldSpec:

@@ -12,6 +12,8 @@ Core claims:
       rigid energies stay exactly zero at p = 1, 1.5 and 2
     - a criterion-10 sin tile's traced peak stays within four float64
       blocks of `_BLOCK_PAIRS` pairs, half its (cells x nodes) pair array
+    - a level goes out as min(workers, tiles) tasks, each carrying cell
+      indices and per-axis mask rows but no per-cell arrays
     - a pool whose worker died is rebuilt once, then a typed error is raised;
       the default worker count is the CPU affinity of the process
     - the residual variant subtracts the local linearization and accepts
@@ -24,6 +26,7 @@ import importlib
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 import tracemalloc
@@ -306,6 +309,39 @@ def test_sin_tile_peak_memory_is_bounded_by_the_block(level):
             assert peak <= 4 * fields._BLOCK_PAIRS * 8 < t * k * 8
 
 
+class _Sent(Exception):
+    pass
+
+
+def test_level_tasks_are_one_per_worker_and_carry_no_cell_arrays(monkeypatch):
+    """A criterion-10 sin level goes out as min(workers, tiles) tasks, each
+    pickling to at most d N K bytes (the per-axis mask rows) plus 64 KiB."""
+    sin = SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]]))
+    req = en.EnergyRequest(field=sin, domain=BOX, p=1.0,
+                           mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
+                           inner_level=16, workers=1)
+    grid = en._midpoints(BOX, 320)
+    sent = []
+
+    def record(tasks):
+        sent.append(tasks)
+        raise _Sent
+
+    monkeypatch.setattr(en, "_pool_map", lambda workers, fn, tasks: record(tasks))
+    monkeypatch.setattr(en, "_run_masses", lambda *task: record([task]))
+    for level in (16, 32):
+        k = en._inner_nodes(req, level)[0].shape[0]
+        tiles = -(-320**2 // (en._TILE_NODE_BUDGET // k))
+        assert tiles > 3
+        for workers in (1, 2, 3, 1000):
+            with pytest.raises(_Sent):
+                en._all_masses(req, level, workers, False, grid)
+            tasks = sent.pop()
+            assert len(tasks) == min(workers, tiles)
+            for task in tasks:
+                assert len(pickle.dumps(task)) <= 2 * 320 * k + 64 * 1024
+
+
 def _pooled_req():
     # 4 tiles at the fine level, so workers=2 goes through the pool
     return en.EnergyRequest(field=_jump(), domain=BOX, p=1.0, mollifier=SHELL,
@@ -347,17 +383,17 @@ def test_two_tile_linear_request_forks_both_workers():
 
 
 _PARENT_PID = os.getpid()
-_TILE_MASSES = en._tile_masses
+_RUN_MASSES = en._run_masses
 
 
 def _die_in_worker(*args):
     if os.getpid() != _PARENT_PID:
         os._exit(1)
-    return _TILE_MASSES(*args)
+    return _RUN_MASSES(*args)
 
 
 def test_pool_that_keeps_dying_raises_worker_error(monkeypatch):
-    monkeypatch.setattr(en, "_tile_masses", _die_in_worker)
+    monkeypatch.setattr(en, "_run_masses", _die_in_worker)
     with pytest.raises(WorkerError):
         en.energy(_pooled_req())
     assert 2 not in en._POOLS  # no broken pool stays cached

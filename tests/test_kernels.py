@@ -12,6 +12,8 @@ Core claims:
       the generic kernel to roundoff
     - every family's pair rows, plain and residual (the sin field's folded
       into one product), agree with an unfolded reference to roundoff
+    - a level's masses do not depend on how its fixed tiles group into
+      runs (pool tasks), and equal those of each tile's scattered points
     - the tile masses do not depend on the block size of `pair_blocks`:
       bitwise for every family but sin, whose product may round a lone row
       apart, within 1e-15 of the largest mass
@@ -357,7 +359,7 @@ def _grid_mask_classes(box, axes, h):
     over axes (m, d), after checking the class contract: ids dense in
     [0, C), `first` the first cell of each class, and bitwise-equal mask
     rows within a class."""
-    ids, first = en._grid_classes(box, axes, h)
+    ids, first = en._grid_classes(box.offset_mask(axes, h, keys=True))
     rows = _mask_rows(box, fields_mod._tensor_grid(axes.T), h)
     assert ids.shape == (axes.shape[0] ** axes.shape[1],) and ids.dtype == np.int64
     classes, start = np.unique(ids, return_index=True)
@@ -506,6 +508,57 @@ def test_block_size_leaves_masses_unchanged(d, monkeypatch):
                     assert np.max(np.abs(masses - ref)) <= 1e-15 * np.max(ref)
                 else:
                     assert np.array_equal(_bits(masses), _bits(ref)) and est == ref_est
+
+
+# outer grid, inner level, shell eps and tile size per dimension: the last
+# tile is partial, and in d = 2, 3 tiles (so runs) end in the middle of a row
+_RUN_GRIDS = {1: (300, 16, 0.1, 41), 2: (24, 8, 0.2, 83), 3: (6, 4, 0.3, 29)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
+    """The fine level's tiles grouped into 1, 2, 3 and one run per tile, run
+    in-process: bitwise-equal masses for every family, plain (p = 1.5) and
+    residual (p = 1), and on the per-cell path the masses of `_tile_masses`
+    on each tile's scattered points; class-path representatives lie in
+    several tiles."""
+    n, level, eps, t = _RUN_GRIDS[d]
+    box = DomainBox([0.0] * d, [1.0] * d)
+    grid = en._midpoints(box, n)
+    calls = []
+
+    def in_process(workers, fn, tasks):
+        calls.append(len(tasks))
+        return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(en, "_pool_map", in_process)
+    spread = []
+    for name, f in _block_fields(d):
+        req = en.EnergyRequest(field=f, domain=box, p=1.5,
+                               mollifier=MollifierSpec("shell", eps, d), outer_grid=n,
+                               inner_level=level)
+        h, w, inv_r2 = en._inner_nodes(req, 2 * level)
+        monkeypatch.setattr(en, "_TILE_NODE_BUDGET", t * h.shape[0])
+        cases = [(req, False)] + ([] if name == "sampled" else [(replace(req, p=1.0), True)])
+        for r, residual in cases:
+            en._all_masses(r, 2 * level, 10**6, residual, grid)
+            tiles = calls.pop()
+            got = [en._all_masses(r, 2 * level, g, residual, grid)[0]
+                   for g in (1, 2, 3, tiles)]
+            assert calls == [m for m in (min(2, tiles), min(3, tiles), tiles) if m > 1]
+            calls.clear()
+            for masses in got[1:]:
+                assert np.array_equal(_bits(masses), _bits(got[0]))
+            if f.kernel_classes(grid[0], h) is None:
+                assert tiles == -(-n**d // t)
+                pts, cellvol = grid
+                ref = np.concatenate([
+                    en._tile_masses(f, box, pts[a : a + t], h, w, inv_r2, r.p, residual,
+                                    cellvol) for a in range(0, n**d, t)])
+                assert np.array_equal(_bits(got[0]), _bits(ref))
+            else:
+                spread.append(tiles)
+    assert min(spread) >= 2 and max(spread) >= 3
 
 
 # -- zero cases --------------------------------------------------------------
@@ -749,7 +802,7 @@ def test_class_path_equals_every_cell(name, p, monkeypatch):
                                    mollifier=MollifierSpec("shell", eps, d), outer_grid=n,
                                    inner_level=level)
         h = en._inner_nodes(reqs[d], 2 * level)[0]
-        _, first = en._grid_classes(box, en._midpoint_axes(box, n), h)
+        _, first = en._grid_classes(box.offset_mask(en._midpoint_axes(box, n), h, keys=True))
         assert first.max() >= en._TILE_NODE_BUDGET // h.shape[0]  # past the first tile
     runs = [en.energy] + ([en.residual_energy] if p == 1.0 else [])
 

@@ -13,12 +13,14 @@ The requests cover d = 1..3, every field family (rigid, linear, sin, bump,
 planar jump with rigid and with linear sides, sampled), both inner modes,
 p = 1 and 2, and 1 and 2 workers; requests at 2 workers have several tiles
 per level, so they run through the process pool. On top of these come the
-criterion-10 linear, sin and jump requests at N = 64, the linear and jump
-ones also at the benchmark's N = 320, jumps whose plane runs through a row
-of outer midpoints, and the 3-d planar jump of the benchmark's
-d3-jump-study at seed 0 (eps 0.4, N = 24, inner level 4). The outputs are
-the energy value and error bar, the residual energy value and error bar
-(p = 1, closed-form fields) and the per-cell density masses; each
+criterion-10 linear, sin and jump requests at N = 64, and at the
+benchmark's N = 320 at 1, 2 and 3 workers (p = 1 also as a residual
+energy, so the sin and sin-residual requests of c10-kernels-pool), whose
+pooled levels split into two and three tasks; jumps whose plane runs
+through a row of outer midpoints, and the 3-d planar jump of the
+benchmark's d3-jump-study at seed 0 (eps 0.4, N = 24, inner level 4). The
+outputs are the energy value and error bar, the residual energy value and
+error bar (p = 1, closed-form fields) and the per-cell density masses; each
 serial request of the family grid also gives `local_density` (one cell,
 cell volume 1) at an interior point and at a point near a corner. The limit
 objects come on top: `ground_truth` (volume, interface and total values)
@@ -90,8 +92,8 @@ def _extra_requests():
     """(name, request) pairs beyond the family grid.
 
     The criterion-10 linear, sin and jump requests at N = 64 (two tiles per
-    level), the linear and jump ones at N = 320 (the benchmark's grid, 63
-    tiles per call), linear-sided jumps whose plane <x, e_1> = s passes exactly
+    level) at 1 and 2 workers, and at N = 320 (the benchmark's grid, 63
+    tiles per call) at 1, 2 and 3 workers; linear-sided jumps whose plane <x, e_1> = s passes exactly
     through a row of outer midpoints, so those cells sit on the interface,
     and the d3-jump-study field at its largest eps.
     """
@@ -107,10 +109,10 @@ def _extra_requests():
         "jump": nldef.PlanarJumpField(np.array([1.0, 0.0]), 0.5, zero,
                                       nldef.RigidField(np.zeros((2, 2)), np.array([0.0, 1.0]))),
     }
-    for n, fnames in ((64, ("linear", "sin", "jump")), (320, ("linear", "jump"))):
-        for fname in fnames:
+    for n, counts in ((64, (1, 2)), (320, (1, 2, 3))):
+        for fname in ("linear", "sin", "jump"):
             for p in (1.0, 2.0):
-                for workers in (1, 2):
+                for workers in counts:
                     req = en.EnergyRequest(
                         field=c10[fname], domain=box2, p=p,
                         mollifier=nldef.MollifierSpec("shell", 0.025, 2),
