@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -55,8 +56,10 @@ def _cmd_qnorm(args) -> int:
     m = SymMatrix(_parse_matrix(args.matrix))
     if m.dim != args.dim:
         raise ConfigError(f"matrix is {m.dim}x{m.dim} but --dim {args.dim} was given")
-    if args.p < 1:
-        raise ConfigError(f"--p must be >= 1, got {args.p}")
+    if not 1 <= args.p < math.inf:
+        raise ConfigError(f"--p must be a finite number >= 1, got {args.p}")
+    if args.level < 1:
+        raise ConfigError(f"--level must be >= 1, got {args.level}")
     rule = make_sphere_rule(args.dim, args.level)
     print(_fmt(q_norm(m, args.p, rule)))
     return 0

@@ -11,26 +11,29 @@ singular |h| factors cancel analytically and only the angular variation is
 resolved. Inner nodes leaving U are rejected (zero mask).
 
 The outer cells are split into fixed tiles of t cells (t x K pairs at most).
-The grid is a tensor product and the mask factors per axis, so one
-`DomainBox.offset_mask` pass over each axis's N midpoints gives every cell's
-mask row. Where a field has `FieldSpec.kernel_classes` (rigid and linear
-fields, and jump cells whose stencil stays on one side, have a kernel that
-does not involve x), the cells fall into classes with identical pair rows:
-equal kernel ids and equal mask rows, the mask classes read off that pass.
-Each class's first cell is evaluated in the tile that holds it and its mass
-is gathered to the others, which gives the bits of evaluating every cell.
-Fields whose kernel depends on x (sin, bump, sampled) evaluate every cell.
-The tiles go in one contiguous run per worker, one task each that carries
-cell indices; its worker rebuilds x and the mask rows from them by mixed
-radix. An evaluated tile folds the (positive) weights into the node scale
-s = w^(1/p)/|h|^2, as |q s|^p = |q|^p w/|h|^(2p), and runs one L2-sized
-block of at most `_BLOCK_PAIRS` pairs at a time, every step written over
-the block: the field's one kernel hook, `FieldSpec.pair_blocks(x, h, s,
-residual)`, yields the kernel times s (less <Eu(x) h, h> s for the residual)
-in one buffer it reuses, as documented per family; |q|^p is applied in
-place; the tile's runs of edge cells met by the block have their pairs that
-leave U zeroed, interior cells (about 90% of the criterion-10 grid) left
-alone; then come the row sums.
+The grid is a tensor product and the mask factors per axis, so the engine's
+one mask, `_grid_mask`, is built once per inner level from each axis's N
+midpoints: per axis the rows x_k + h_k in [lo_k, hi_k], a flag per row that
+fails somewhere (an edge row), and, for the classes below, a class key per
+row. A scattered point is no special case: `local_density` is the one-cell
+grid over the point. Where a field has `FieldSpec.kernel_classes` (rigid and
+linear fields, and jump cells whose stencil stays on one side, have a kernel
+that does not involve x), the cells fall into classes with identical pair
+rows: equal kernel ids and equal mask rows, the mask classes ranked from the
+keys. Each class's first cell is evaluated in the tile that holds it and its
+mass is gathered to the others, which gives the bits of evaluating every
+cell. Fields whose kernel depends on x (sin, bump, sampled) evaluate every
+cell. The tiles go in one contiguous run per worker, one task each that
+carries cell indices, the mask and the node scale s = w^(1/p)/|h|^2 (the
+positive weights folded in, as |q s|^p = |q|^p w/|h|^(2p)); its worker
+rebuilds x, the mask rows and each tile's runs of edge cells from the
+indices by mixed radix. A tile runs one L2-sized block of at most
+`_BLOCK_PAIRS` pairs at a time, every step written over the block: the
+field's one kernel hook, `FieldSpec.pair_blocks(x, h, s, residual)`, yields
+the kernel times s (less <Eu(x) h, h> s for the residual) in one buffer it
+reuses, as documented per family; |q|^p is applied in place; the edge runs
+that meet the block have their pairs that leave U zeroed, interior cells
+(about 90% of the criterion-10 grid) left alone; then come the row sums.
 
 Determinism: outer cells are split into fixed-size contiguous tiles, each
 tile's per-cell masses are computed with kernels that see only the tile, in
@@ -49,6 +52,7 @@ symmetric-gradient measure.
 from __future__ import annotations
 
 import atexit
+from bisect import bisect_left, bisect_right
 import numbers
 import os
 import time
@@ -69,7 +73,6 @@ from .errors import (
 from .fields import (
     DomainBox,
     FieldSpec,
-    OffsetMask,
     PlanarJumpField,
     SampledField,
     _adaptive_box_integral,
@@ -123,8 +126,8 @@ class EnergyRequest:
 
     def __post_init__(self):
         p_ok = isinstance(self.p, (int, float)) and not isinstance(self.p, bool)
-        if not (p_ok and self.p >= 1):
-            raise ParameterError(f"p must be a number >= 1, got {self.p!r}")
+        if not (p_ok and 1 <= self.p < float("inf")):
+            raise ParameterError(f"p must be a finite number >= 1, got {self.p!r}")
         for name in ("outer_grid", "inner_level"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -238,32 +241,56 @@ def _inner_nodes(req: EnergyRequest, level: int):
     return h.reshape(-1, req.mollifier.dim), w.reshape(-1), inv_r2
 
 
-def _midpoint_axes(box: DomainBox, n: int) -> np.ndarray:
-    """(n, d): column k holds the midpoints of axis k's n cells."""
-    return box.lo + (box.hi - box.lo) * (np.arange(n)[:, None] + 0.5) / n
-
-
 def _midpoints(box: DomainBox, n: int):
-    return _tensor_grid(_midpoint_axes(box, n).T), box.volume() / n**box.dim
-
-
-def _grid_classes(mask: OffsetMask):
-    """Mask classes (ids, first) of the tensor grid over `axes` (n, d) and h,
-    given `domain.offset_mask(axes, h, keys=True)`.
-
-    ids (n^d,) are dense in [0, C), and equal ids have bitwise-equal mask
-    rows; first (C,) holds each class's first cell. An id is the mixed radix
-    of the cell's per-axis dense ranks of the axes' row keys."""
-    ids = first = np.zeros(1, dtype=np.int64)
-    for at, key in zip(mask.at, mask.key):
-        _, start, rank = np.unique(key[at], return_index=True, return_inverse=True)
-        ids = np.add.outer(ids * len(start), rank).ravel()
-        first = np.add.outer(first * len(at), start).ravel()
-    return ids, first
+    """(axes, points, cellvol) of the outer grid: column k of axes (n, d) holds
+    the midpoints of axis k's n cells, points (n^d, d) their tensor grid."""
+    axes = box.lo + (box.hi - box.lo) * (np.arange(n)[:, None] + 0.5) / n
+    return axes, _tensor_grid(axes.T), box.volume() / n**box.dim
 
 
 # ---------------------------------------------------------------------------
-# tile kernel
+# outer-grid mask and tile kernel
+
+
+def _grid_mask(domain: DomainBox, axes: np.ndarray, h: np.ndarray, keys: bool = False):
+    """(ok, edge, key): whether x + h_j lies in the box, for the cells x of the
+    tensor grid over `axes` (n, d) and offsets h (K, d), per axis k over its n
+    coordinates as given.
+
+    ok[k] (n, K) holds lo_k <= x_k + h_k <= hi_k, so a cell's mask row is the
+    AND over k of ok[k] at its digits: bitwise `contains(x + h)` without the
+    (n^d, K, d) sum. edge[k] (n,) flags the rows that fail somewhere. fl(x_k +
+    h_k) is nondecreasing in h_k, so the nodes of a row that pass lo_k are
+    those with the largest h_k, and those that pass hi_k the smallest: the two
+    counts fix the row, and they are its class key key[k] (n,), counted only
+    with `keys` (the grid classes), else key is None.
+    """
+    ok, edge, key = [], [], []
+    for k in range(domain.dim):
+        y = np.add.outer(axes[:, k], h[:, k])
+        above, below = y >= domain.lo[k], y <= domain.hi[k]
+        if keys:
+            # row counts in int32: a bool row sum into int64 is ~2.5x slower
+            n_above = above.sum(axis=1, dtype=np.int32).astype(np.int64)
+            key.append(n_above * (h.shape[0] + 1) + below.sum(axis=1, dtype=np.int32))
+        ok.append(np.logical_and(above, below, out=above))
+        edge.append(~ok[-1].all(axis=1))
+    return tuple(ok), tuple(edge), tuple(key) if keys else None
+
+
+def _grid_classes(keys: tuple):
+    """Mask classes (ids, first) of the tensor grid, given the per-axis class
+    keys of `_grid_mask`.
+
+    ids (n^d,) are dense in [0, C), and equal ids have bitwise-equal mask
+    rows; first (C,) holds each class's first cell. An id is the mixed radix
+    of the cell's per-axis dense key ranks."""
+    ids = first = np.zeros(1, dtype=np.int64)
+    for key in keys:
+        _, start, rank = np.unique(key, return_index=True, return_inverse=True)
+        ids = np.add.outer(ids * len(start), rank).ravel()
+        first = np.add.outer(first * len(key), start).ravel()
+    return ids, first
 
 
 def _abs_pow(q: np.ndarray, p: float) -> np.ndarray:
@@ -276,63 +303,60 @@ def _abs_pow(q: np.ndarray, p: float) -> np.ndarray:
     return q
 
 
-def _tile_masses(field, domain, x_tile, h, w, inv_r2, p, residual, cellvol, mask=None):
-    """Per-cell masses (densities times cell volume) of the cells x_tile.
+def _run_masses(field, tile, cells, axes, h, scale, ok, edge, p, residual, cellvol):
+    """Masses (densities times cell volume) of one run of whole tiles of
+    `tile` cells of the grid over `axes` (n, d): the cells (start, stop), or
+    a sorted index array; (ok, edge) is the grid's `_grid_mask`.
 
-    The weights go into the node scale w^(1/p)/|h|^2; each block of
-    `pair_blocks` takes |q|^p and the mask (built unless given) in place
-    before its row sums.
-    """
-    if mask is None:
-        mask = domain.offset_mask(x_tile, h)
-    runs = mask.edge_runs()
-    masses = np.empty(x_tile.shape[0])
-    for rows, q in field.pair_blocks(x_tile, h, w ** (1.0 / p) * inv_r2, residual):
-        mask.zero_outside(_abs_pow(q, p), rows, runs)
-        q.sum(axis=1, out=masses[rows])
-    return masses * cellvol
-
-
-def _run_masses(field, domain, tile, cells, axes, h, w, inv_r2, ok, p, residual, cellvol):
-    """Masses of one run of whole tiles of `tile` cells of the grid over
-    `axes` (n, d): the cells (start, stop), or a sorted index array.
-
-    Each cell's x and per-axis mask rows in ok (d rows (n, K) of the grid's
-    mask) come from its mixed-radix digits, first axis slowest; the tiles
-    go through `_tile_masses` in order.
+    A cell's x and mask row come from its mixed-radix digits, first axis
+    slowest, and a tile's runs of edge cells from the digits and edge. Each
+    block of `pair_blocks` takes |q|^p in place, has the pairs that leave U
+    zeroed in the runs that meet it (found by bisection), then its row sums.
     """
     idx = np.arange(*cells) if isinstance(cells, tuple) else cells
-    (n, d), parts = axes.shape, []
+    (n, d), masses = axes.shape, np.empty(len(idx))
     cuts = [0, *(np.flatnonzero(np.diff(idx // tile)) + 1).tolist(), len(idx)]
     for a, b in zip(cuts[:-1], cuts[1:]):
         digits = [idx[a:b] // n ** (d - 1 - k) % n for k in range(d)]
         x = np.stack([axes[i, k] for k, i in enumerate(digits)], axis=1)
-        mask = OffsetMask(tuple(digits), ok, None)
-        parts.append(_tile_masses(field, domain, x, h, w, inv_r2, p, residual, cellvol, mask))
-    return np.concatenate(parts)
+        at_edge = np.logical_or.reduce([e[i] for e, i in zip(edge, digits)])
+        flips = np.flatnonzero(np.diff(at_edge, prepend=False, append=False)).tolist()
+        starts, stops = flips[::2], flips[1::2]
+        for rows, q in field.pair_blocks(x, h, scale, residual):
+            lo, hi = rows.start, rows.stop
+            _abs_pow(q, p)
+            meet = slice(bisect_right(stops, lo), bisect_left(starts, hi))
+            for r0, r1 in zip(starts[meet], stops[meet]):
+                r0, r1 = max(r0, lo), min(r1, hi)
+                inside = ok[0][digits[0][r0:r1]]
+                for o, i in zip(ok[1:], digits[1:]):
+                    inside &= o[i[r0:r1]]
+                np.copyto(q[r0 - lo : r1 - lo], 0.0, where=np.logical_not(inside, out=inside))
+            q.sum(axis=1, out=masses[a + lo : a + hi])
+        q = None  # the block buffer goes before the next tile makes its own
+    return masses * cellvol
 
 
 def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool, grid):
     """(masses, inner node count): mu^p(x_i) * cellvol for every cell of the
-    (midpoints, cellvol) grid of `_midpoints`, in its order.
+    (axes, points, cellvol) grid of `_midpoints`, in its order.
 
-    With kernel classes, the grid's mask classes refined by the kernel ids
-    are evaluated at their first cells, each in the fixed tile holding it,
-    and gathered to every cell; otherwise every cell of every tile is. The
+    The level's mask, node scale w^(1/p)/|h|^2 and, with kernel classes, the
+    grid's mask classes refined by the kernel ids are built once; a class is
+    evaluated at its first cell, in the fixed tile holding it, and gathered
+    to every cell, and otherwise every cell of every tile is evaluated. The
     nonempty tiles go in min(workers, tiles) runs, one `_run_masses` task
     each, on the pool when there are several.
     """
     h, w, inv_r2 = _inner_nodes(req, level)
-    pts, cellvol = grid
+    axes, pts, cellvol = grid
     tile = max(1, _TILE_NODE_BUDGET // max(1, len(h)))
     kernel = req.field.kernel_classes(pts, h)
-    axes = _midpoint_axes(req.domain, req.outer_grid)
-    mask = req.domain.offset_mask(axes, h, keys=kernel is not None)
-    ok = tuple(o[at] for o, at in zip(mask.ok, mask.at))
+    ok, edge, keys = _grid_mask(req.domain, axes, h, keys=kernel is not None)
     if kernel is None:
         edges = np.r_[0 : len(pts) : tile, len(pts)]
     else:
-        ids, first = _grid_classes(mask)
+        ids, first = _grid_classes(keys)
         if np.any(kernel != kernel[0]):
             ids = kernel * len(first) + ids
             _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
@@ -343,8 +367,9 @@ def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool, gr
         near = int(np.abs(edges - edges[-1] * r / runs).argmin())
         cuts.append(min(max(near, cuts[-1] + 1), len(edges) - 1 - runs + r))
     cuts = edges[cuts + [len(edges) - 1]].tolist()
-    tasks = [(req.field, req.domain, tile, (a, b) if kernel is None else reps[a:b], axes,
-              h, w, inv_r2, ok, req.p, residual, cellvol) for a, b in zip(cuts[:-1], cuts[1:])]
+    scale = w ** (1.0 / req.p) * inv_r2
+    tasks = [(req.field, tile, (a, b) if kernel is None else reps[a:b], axes, h, scale,
+              ok, edge, req.p, residual, cellvol) for a, b in zip(cuts[:-1], cuts[1:])]
     parts = _pool_map(workers, _run_masses, tasks) if len(tasks) > 1 else [_run_masses(*tasks[0])]
     masses = np.concatenate(parts)
     if kernel is not None:
@@ -370,7 +395,7 @@ def _masses(req: EnergyRequest, residual: bool):
     grid = _midpoints(req.domain, req.outer_grid)  # one outer grid for both levels
     coarse, _ = _all_masses(req, req.inner_level, workers, residual, grid)
     fine, k_fine = _all_masses(req, 2 * req.inner_level, workers, residual, grid)
-    return grid[0], fine, k_fine, abs(pairwise_total(fine) - pairwise_total(coarse))
+    return grid[1], fine, k_fine, abs(pairwise_total(fine) - pairwise_total(coarse))
 
 
 def _evaluate(req: EnergyRequest, residual: bool) -> EnergyResult:
@@ -401,16 +426,15 @@ def residual_energy(req: EnergyRequest) -> EnergyResult:
 
 
 def local_density(req: EnergyRequest, x) -> float:
-    """mu(x): the inner integral alone at one point, p-th root applied."""
+    """mu(x): the inner integral alone at one point, p-th root applied; the
+    fine level's mass of the one-cell grid over x, cell volume 1."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (req.domain.dim,):
         raise DimensionError(f"point shape {x.shape} does not match the domain")
     if not bool(req.domain.contains(x)):
         raise DomainError("point lies outside the domain")
-    h, w, inv_r2 = _inner_nodes(req, 2 * req.inner_level)
-    mass = _tile_masses(
-        req.field, req.domain, x[None, :], h, w, inv_r2, req.p, False, 1.0
-    )[0]
+    x = x[None]  # the one-cell grid
+    mass = _all_masses(req, 2 * req.inner_level, 1, False, (x, x, 1.0))[0][0]
     return float(mass ** (1.0 / req.p))
 
 

@@ -8,14 +8,14 @@ Fields are immutable dataclasses sharing a small interface:
   kernel_classes(x, h) ids of cells with identical kernel rows, or None
   pair_blocks(x, h, s) the engine's kernel hook: yields (rows, q) blocks of the
                        rows delta_dot_h * s, less <Eu(x) h, h> s with residual
-  pair_factors(x, h)   low-rank factors (A, B) of the kernel, A @ B.T, or None;
-                       the sin field builds its `pair_blocks` from them
 
 The closed-form variants (rigid, linear, sin, planar jump with affine sides)
 hand-code `delta_dot_h` so no field is evaluated at x + h and algebraic
 identities hold exactly in floating point; in particular a rigid field
 reports an exactly zero kernel, which is what makes the zero-energy test
-bitwise. Bump and sampled fields use the generic difference.
+bitwise. Bump and sampled fields use the generic difference. The sin field
+alone has `pair_factors(x, h)`, low-rank factors of its kernel, from which
+it builds its `pair_blocks`.
 
 `ground_truth` returns the limit value the energy sweep converges to: the
 volume integral of Q_p of the symmetric gradient plus, for jump fields at
@@ -26,7 +26,6 @@ jump with the interface normal.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,33 +107,6 @@ class DomainBox:
         x = np.asarray(x, dtype=np.float64)
         return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
 
-    def offset_mask(self, x: np.ndarray, h: np.ndarray, keys: bool = False) -> "OffsetMask":
-        """Whether x_i + h_j lies in the box, for x (n, d) and h (K, d), per axis.
-
-        On each axis k the add and the compares of
-        `contains(x[:, None] + h[None])` are made once per distinct value of
-        x[:, k] (equal coordinates give equal sums; -0.0 and 0.0 sums differ
-        only in the sign of a zero, which no compare sees), so the mask is
-        bitwise the same without building the (n, K, d) sum. fl(x_k + h_k) is
-        nondecreasing in h_k, so the nodes of a row that pass lo_k are those
-        with the largest h_k, and those that pass hi_k the smallest: the two
-        counts fix the row, and they are its class key. The keys are counted
-        only with `keys=True`, for the engine's grid classes.
-        """
-        at, ok, key = [], [], []
-        for k in range(self.dim):
-            vals, inv = np.unique(x[:, k], return_inverse=True)
-            y = np.add.outer(vals, h[:, k])
-            above = y >= self.lo[k]
-            below = y <= self.hi[k]
-            at.append(inv)
-            if keys:
-                # row counts in int32: a bool row sum into int64 is ~2.5x slower
-                n_above = above.sum(axis=1, dtype=np.int32).astype(np.int64)
-                key.append(n_above * (h.shape[0] + 1) + below.sum(axis=1, dtype=np.int32))
-            ok.append(np.logical_and(above, below, out=above))
-        return OffsetMask(tuple(at), tuple(ok), tuple(key) if keys else None)
-
     def dilate(self, r: float) -> "DomainBox":
         if r < 0:
             raise ParameterError("dilate radius must be >= 0")
@@ -174,40 +146,6 @@ def _matmul_rows(a: np.ndarray, bt: np.ndarray, out: np.ndarray | None = None):
     return row if out is None else np.copyto(out, row) or out
 
 
-@dataclass(frozen=True, eq=False)
-class OffsetMask:
-    """Box membership of x_i + h_j, held per axis over the axis's coordinates.
-
-    For axis k, `ok[k]` (u_k, K) holds the rows lo_k <= x_k + h_k <= hi_k of
-    u_k coordinates x_k (distinct ones in `DomainBox.offset_mask`), `at[k]`
-    (n,) maps each cell to its row, and `key[k]` (u_k,) is a row's class key
-    (None unless asked for). Cell i's mask row is the AND over k of ok[k][at[k][i]].
-    """
-
-    at: tuple
-    ok: tuple
-    key: tuple | None
-
-    def edge_runs(self) -> tuple:
-        """(starts, stops), lists, of the maximal runs of cells whose row fails on some axis."""
-        interior = np.logical_and.reduce([ok.all(axis=1)[at] for at, ok in zip(self.at, self.ok)])
-        flips = np.flatnonzero(np.diff(interior, prepend=True, append=True)).tolist()
-        return flips[::2], flips[1::2]
-
-    def zero_outside(self, q: np.ndarray, rows: slice, runs: tuple) -> None:
-        """Write 0.0 over q[i, j] where x_(rows.start + i) + h_j leaves the box,
-        q (m, K) the block of the cells `rows`: each of the `edge_runs()` that
-        meets the block is clipped to it, ANDed and zeroed."""
-        (starts, stops), lo, hi = runs, rows.start, rows.stop
-        meet = slice(bisect_right(stops, lo), bisect_left(starts, hi))
-        for a, b in zip(starts[meet], stops[meet]):
-            a, b = max(a, lo), min(b, hi)
-            inside = self.ok[0][self.at[0][a:b]]
-            for at, ok in zip(self.at[1:], self.ok[1:]):
-                inside &= ok[at[a:b]]
-            np.copyto(q[a - lo : b - lo], 0.0, where=np.logical_not(inside, out=inside))
-
-
 class FieldSpec:
     """Base class; subclasses fill in dim, eval, sym_gradient.
 
@@ -216,8 +154,7 @@ class FieldSpec:
     per-node scale less the first-order term for the residual; the default
     builds them from `delta_dot_h`, the sin field and the planar jump build
     the same rows faster. `kernel_classes(x, h)` lets the engine evaluate one
-    cell per class of cells with equal kernel rows. `pair_factors` is not
-    engine-facing: a subclass may build its rows from these low-rank factors.
+    cell per class of cells with equal kernel rows.
     """
 
     dim: int
@@ -241,15 +178,6 @@ class FieldSpec:
         h = np.asarray(h, dtype=np.float64)
         du = self.eval(x + h) - self.eval(x)
         return (du * h).sum(axis=-1)
-
-    def pair_factors(self, x: np.ndarray, h: np.ndarray):
-        """Low-rank factors (A (n, r), B (K, r)) of the kernel, or None.
-
-        Contract: for cells x (n, d) and offsets h (K, d), A @ B.T equals
-        `delta_dot_h(x[:, None, :], h[None, :, :])` to roundoff. None, the
-        default, means the field has no such factors.
-        """
-        return None
 
     def pair_blocks(self, x: np.ndarray, h: np.ndarray, scale: np.ndarray,
                     residual: bool = False):
@@ -612,7 +540,10 @@ class PlanarJumpField(FieldSpec):
         crossing = not same.all()
         if crossing:
             sigma = np.where(same, 0.0, np.where(px, -1.0, 1.0))
-            a = np.concatenate([np.ones((x.shape[0], 1)), self.jump_at(x)], axis=1)
+            # a one-cell tile goes in twice, so that its sides' x @ A.T are gemm rows
+            # (numpy hands a one-row product to gemv, which rounds apart)
+            jump = self.jump_at(np.repeat(x, 2, axis=0))[:1] if len(x) == 1 else self.jump_at(x)
+            a = np.concatenate([np.ones((x.shape[0], 1)), jump], axis=1)
             bt = np.vstack([k_plus - k_minus, h.T]) * scale
         if residual:
             e, hht = _first_order(self, x, h, scale)
@@ -782,21 +713,27 @@ def _tensor_gauss_nodes(box: DomainBox, n: int):
 _GAUSS_CAP = {1: 4096, 2: 512, 3: 128}
 
 
-def _adaptive_box_integral(func, box: DomainBox, rel_tol: float = 1e-8) -> float:
+def _doubling(integral, cap: int) -> float:
+    """integral(n) for n = 8, 16, .. up to cap, stopped once two successive
+    values agree to 1e-8 relative; the last value computed."""
+    n, prev = 8, None
+    while True:
+        val = integral(n)
+        if n >= cap or prev is not None and abs(val - prev) <= 1e-8 * max(abs(val), 1e-30):
+            return val
+        prev, n = val, 2 * n
+
+
+def _adaptive_box_integral(func, box: DomainBox) -> float:
     """Tensor Gauss integral of func(points)->(m,) with doubling refinement."""
     if box.is_empty:
         return 0.0
-    n = 8
-    prev = None
-    while True:
+
+    def integral(n: int) -> float:
         pts, wts = _tensor_gauss_nodes(box, n)
-        val = float(wts @ func(pts))
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-30):
-            return val
-        if n >= _GAUSS_CAP[box.dim]:
-            return val
-        prev = val
-        n *= 2
+        return float(wts @ func(pts))
+
+    return _doubling(integral, _GAUSS_CAP[box.dim])
 
 
 def _qp_pow_of_sym(e: np.ndarray, p: float, rule: SphereRule) -> np.ndarray:
@@ -934,15 +871,7 @@ def _jump_singular_value(f: PlanarJumpField, box: DomainBox, rule: SphereRule) -
             return 0.0
         return float(wts @ _interface_density(f, pts, rule))
 
-    n = 8
-    prev = patch_integral(n)
-    while n < 256:
-        n *= 2
-        val = patch_integral(n)
-        if abs(val - prev) <= 1e-8 * max(abs(val), 1e-30):
-            return val
-        prev = val
-    return prev
+    return _doubling(patch_integral, 256)
 
 
 def ground_truth(f: FieldSpec, box: DomainBox, p: float, rule: SphereRule) -> GroundTruth:
@@ -1073,8 +1002,8 @@ def _cfg_array(params: dict, key: str, shape: tuple, path: str) -> np.ndarray:
 
 def _cfg_num(params: dict, key: str, path: str) -> float:
     v = params.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}: expected a finite number")
     return float(v)
 
 

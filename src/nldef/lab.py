@@ -55,7 +55,8 @@ _MISSING = object()
 
 
 def _want(d: dict, key: str, types, path: str, default=_MISSING):
-    """d[key], type-checked; JSON true/false pass only where `types` names bool."""
+    """d[key], type-checked; JSON true/false pass only where `types` names bool,
+    and a float must be finite (JSON NaN and Infinity are not)."""
     if key not in d:
         if default is _MISSING:
             raise ConfigError(f"{path}.{key}: missing")
@@ -64,6 +65,8 @@ def _want(d: dict, key: str, types, path: str, default=_MISSING):
     types = types if isinstance(types, tuple) else (types,)
     if not isinstance(v, types) or (isinstance(v, bool) and bool not in types):
         raise ConfigError(f"{path}.{key}: wrong type {type(v).__name__}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}: must be finite, got {v}")
     return v
 
 
@@ -124,8 +127,8 @@ class SweepConfig:
         if not eps_list:
             raise ConfigError("config.eps: empty list")
         for i, e in enumerate(eps_list):
-            if isinstance(e, bool) or not isinstance(e, (int, float)):
-                raise ConfigError(f"config.eps[{i}]: entries must be numbers")
+            if isinstance(e, bool) or not isinstance(e, (int, float)) or not math.isfinite(e):
+                raise ConfigError(f"config.eps[{i}]: entries must be finite numbers")
         eps_list = [float(e) for e in eps_list]
         if any(e <= 0 for e in eps_list):
             raise ConfigError("config.eps: entries must be positive")

@@ -75,6 +75,15 @@ def test_qnorm_bad_matrix(capsys):
     assert capsys.readouterr().err.count("config error:") == 3
 
 
+@pytest.mark.parametrize("flag, value", [("--p", "inf"), ("--p", "nan"), ("--level", "0")])
+def test_qnorm_non_finite_p_and_zero_level_are_config_errors(capsys, flag, value):
+    args = {"--p": "1", "--level": "64", flag: value}
+    rc = cli.main(["qnorm", "--dim", "2", "--matrix", "0.5,0;0,0.5",
+                   *(item for kv in args.items() for item in kv)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag} must be")
+
+
 # -- energy ------------------------------------------------------------------
 
 def test_energy_json_line(tmp_path, capsys):
@@ -127,6 +136,25 @@ def test_energy_json_line(tmp_path, capsys):
 ])
 def test_bool_for_number_is_config_error(tmp_path, capsys, path, override):
     # JSON true is an int to isinstance; it must not pass as 1
+    rc = cli.main(["energy", "--config", _write_cfg(tmp_path, **override)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+
+@pytest.mark.parametrize("path, override", [
+    ("config.p", {"p": math.inf}),
+    ("config.p", {"p": math.nan}),
+    ("config.eps", {"eps": math.nan}),
+    ("config.eps", {"eps": math.inf}),
+    ("config.eps[1]", {"eps": [0.2, math.nan]}),
+    ("config.outer.c", {"outer": {"c": math.nan}}),
+    ("config.outer.c", {"outer": {"c": math.inf}}),
+    ("config.tol_accept", {"tol_accept": math.nan}),
+    ("config.field.params.offset",
+     {"field": {**JUMP_FIELD, "params": {**JUMP_FIELD["params"], "offset": math.nan}}}),
+])
+def test_non_finite_number_is_config_error(tmp_path, capsys, path, override):
+    # json.load reads NaN and Infinity; neither may pass as a number
     rc = cli.main(["energy", "--config", _write_cfg(tmp_path, **override)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}:")

@@ -90,6 +90,10 @@ def test_request_validation():
     with pytest.raises(ParameterError):
         _req(p=0.5)
     with pytest.raises(ParameterError):
+        _req(p=math.inf)
+    with pytest.raises(ParameterError):
+        _req(p=math.nan)
+    with pytest.raises(ParameterError):
         _req(trunc_tol=0.0)
     with pytest.raises(ParameterError):
         _req(trunc_tol=0.02)
@@ -292,17 +296,19 @@ def test_sin_tile_peak_memory_is_bounded_by_the_block(level):
                            mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
                            inner_level=16, workers=1)
     h, w, inv_r2 = en._inner_nodes(req, level)
-    pts, cellvol = en._midpoints(BOX, 320)
+    axes, pts, cellvol = en._midpoints(BOX, 320)
+    ok, edge, _ = en._grid_mask(BOX, axes, h)
     k = h.shape[0]
     t = en._TILE_NODE_BUDGET // k
     middle = (pts.shape[0] // t // 2) * t
     # the first tile lies along a face of the box (all cells at the fine level
     # and 35% at the coarse level are edge cells), the middle one 5%
-    for x in (pts[:t], pts[middle : middle + t]):
+    for start in (0, middle):
         for residual in (False, True):
             tracemalloc.start()
             try:
-                en._tile_masses(sin, BOX, x, h, w, inv_r2, 1.0, residual, cellvol)
+                en._run_masses(sin, t, (start, start + t), axes, h, w * inv_r2, ok, edge,
+                               1.0, residual, cellvol)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -13,13 +13,16 @@ Core claims:
     - every family's pair rows, plain and residual (the sin field's folded
       into one product), agree with an unfolded reference to roundoff
     - a level's masses do not depend on how its fixed tiles group into
-      runs (pool tasks), and equal those of each tile's scattered points
+      runs (pool tasks), and equal those of each tile run alone
+    - `local_density` is the one-cell grid: at a grid midpoint it is the
+      cell's mass over the cell volume, bitwise for every closed-form
+      family but sin
     - the tile masses do not depend on the block size of `pair_blocks`:
       bitwise for every family but sin, whose product may round a lone row
       apart, within 1e-15 of the largest mass
-    - the per-axis mask equals DomainBox.contains(x + h) bit for bit,
-      including sums that land exactly on lo or hi, on interior, edge and
-      mixed tiles and for any block size
+    - the per-axis grid mask equals DomainBox.contains(x + h) bit for bit
+      on every cell, including sums that land exactly on lo or hi, on grids
+      of interior, edge and mixed cells and for any block size
     - a jump between two equal rigid fields has an exactly zero kernel and
       an exactly zero energy
     - a power-of-two scale of the field scales the energy exactly:
@@ -149,7 +152,7 @@ def test_pair_factors_match_generic_and_only_sin_has_them(d):
               SampledField(np.zeros(d), np.full(d, 0.5), rng.uniform(-1, 1, (3,) * d + (d,))),
               *_jump_fields(rng, d)]
     for f in others:
-        assert f.pair_factors(x, h) is None
+        assert not hasattr(f, "pair_factors")
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -345,13 +348,27 @@ class _OnesField(FieldSpec):
             self.seen[rows] = q == 1.0
 
 
-def _mask_rows(box, x, h):
-    """The engine's mask as a bool (n, K) array: blocks of ones that
-    `energy._tile_masses` zeroed outside the box."""
-    ones = _OnesField(x.shape[0], h.shape[0])
-    k = np.ones(h.shape[0])
-    en._tile_masses(ones, box, x, h, k, k, 1.0, False, 1.0)
+def _mask_rows(box, axes, h):
+    """The engine's mask as a bool (m^d, K) array over the tensor grid over
+    axes (m, d): blocks of ones that `energy._run_masses`, given the grid's
+    `_grid_mask` and the grid as one tile, zeroed outside the box."""
+    cells = axes.shape[0] ** axes.shape[1]
+    ones = _OnesField(cells, h.shape[0])
+    ok, edge, _ = en._grid_mask(box, axes, h)
+    en._run_masses(ones, max(1, cells), (0, cells), axes, h, np.ones(h.shape[0]),
+                   ok, edge, 1.0, False, 1.0)
     return ones.seen
+
+
+def _grid_contains(box, axes, h):
+    """`contains(x + h)` for the cells x of the tensor grid over axes (m, d)."""
+    x = fields_mod._tensor_grid(axes.T)
+    return box.contains(x[:, None, :] + h[None, :, :])
+
+
+def _diagonal(axes):
+    """Index step between the grid cells (i, .., i) and (i + 1, .., i + 1)."""
+    return sum(axes.shape[0] ** k for k in range(axes.shape[1]))
 
 
 def _grid_mask_classes(box, axes, h):
@@ -359,8 +376,8 @@ def _grid_mask_classes(box, axes, h):
     over axes (m, d), after checking the class contract: ids dense in
     [0, C), `first` the first cell of each class, and bitwise-equal mask
     rows within a class."""
-    ids, first = en._grid_classes(box.offset_mask(axes, h, keys=True))
-    rows = _mask_rows(box, fields_mod._tensor_grid(axes.T), h)
+    ids, first = en._grid_classes(en._grid_mask(box, axes, h, keys=True)[2])
+    rows = _mask_rows(box, axes, h)
     assert ids.shape == (axes.shape[0] ** axes.shape[1],) and ids.dtype == np.int64
     classes, start = np.unique(ids, return_index=True)
     assert np.array_equal(classes, np.arange(len(first)))
@@ -371,6 +388,7 @@ def _grid_mask_classes(box, axes, h):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mask_bitwise_equals_contains(d):
+    """The mask of the grid over 30 random coordinates per axis, cell by cell."""
     rng = np.random.default_rng(40 + d)
     unit = DomainBox([0.0] * d, [1.0] * d)
     for box in (unit, DomainBox(rng.uniform(-1, 0, d), rng.uniform(0.1, 2, d))):
@@ -384,18 +402,20 @@ def test_mask_bitwise_equals_contains(d):
         h[4] = box.hi - x[5]
         h[5] = box.lo - x[6]
         got = _mask_rows(box, x, h)
-        want = box.contains(x[:, None, :] + h[None, :, :])
-        assert got.dtype == bool and got.shape == (30, 40)
+        want = _grid_contains(box, x, h)
+        assert got.dtype == bool and got.shape == (30**d, 40)
         assert np.array_equal(got, want)
         if box is unit:  # 0.25 - 0.25 and 0.75 + 0.25 are exact
-            assert got[0, 0] and got[1, 1] and got[2, 2]
+            step = _diagonal(x)
+            assert got[0, 0] and got[step, 1] and got[2 * step, 2]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mask_over_repeated_and_single_valued_axes(d):
-    """The mask is built from each axis's distinct coordinates: repeated and
-    unsorted x_k, -0.0 beside 0.0, an axis with one value, one cell, no cells."""
+    """Grid axes with repeated and unsorted coordinates, -0.0 beside 0.0, an
+    axis with one value, one cell and no cells."""
     rng = np.random.default_rng(140 + d)
+    m = {1: 60, 2: 24, 3: 12}[d]  # coordinates per axis
     unit = DomainBox([0.0] * d, [1.0] * d)
     for box in (unit, DomainBox(rng.uniform(-1, 0, d), rng.uniform(0.1, 2, d))):
         # five values per axis, two of them 0.25 inside lo and hi, drawn unsorted
@@ -411,25 +431,26 @@ def test_mask_over_repeated_and_single_valued_axes(d):
         h[5] = box.lo - vals[4]
         one_valued = x.copy()
         one_valued[:, -1] = vals[4, -1]
-        for cells in (x, one_valued, x[:1], x[:0]):
-            got = _mask_rows(box, cells, h)
-            want = box.contains(cells[:, None, :] + h[None, :, :])
-            assert got.dtype == bool and got.shape == (len(cells), 40)
+        for axes in (x[:m], one_valued[:m], x[:1], x[:0]):
+            got = _mask_rows(box, axes, h)
+            want = _grid_contains(box, axes, h)
+            assert got.dtype == bool and got.shape == (len(axes) ** d, 40)
             assert np.array_equal(got, want)
-            _grid_mask_classes(box, cells[:12], h)  # the grid over the first 12
+            _grid_mask_classes(box, axes[:12], h)  # the grid over the first 12
         if box is unit:  # 0.25 - 0.25 and 0.75 + 0.25 are exact
-            got = _mask_rows(box, x, h)
-            assert got[0, 0] and got[1, 1] and got[2, 2] and not got[2, 3]
+            got, step = _mask_rows(box, x[:m], h), _diagonal(x[:m])
+            assert got[0, 0] and got[step, 1] and got[2 * step, 2] and not got[2 * step, 3]
 
 
 @pytest.mark.parametrize("chunk", [1, 50, 120, None])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_edge_row_mask_on_interior_edge_and_mixed_tiles(d, chunk, monkeypatch):
-    """Blocks of cells whose rows pass entirely on every axis are skipped;
-    the runs of other cells are masked within blocks of `_BLOCK_PAIRS` pairs
-    (1 and 50 give one-row blocks and 120 three-row blocks of the 40 nodes,
-    many ending mid-run). Dyadic cells and offsets make the sums exact, so
-    many land exactly on lo or hi."""
+    """On grids whose axes hold interior, edge and mixed coordinates, cells
+    whose rows pass on every axis are left alone and the runs of the other
+    cells are masked within blocks of `_BLOCK_PAIRS` pairs (1 and 50 give
+    one-row blocks and 120 three-row blocks of the 40 nodes, many ending
+    mid-run). Dyadic cells and offsets make the sums exact, so many land
+    exactly on lo or hi."""
     if chunk is not None:
         monkeypatch.setattr(fields_mod, "_BLOCK_PAIRS", chunk)
     rng = np.random.default_rng(180 + d)
@@ -444,13 +465,14 @@ def test_edge_row_mask_on_interior_edge_and_mixed_tiles(d, chunk, monkeypatch):
     near = np.array([-0.5, -0.4375, -0.3125, 0.5625, 0.6875, 0.75])
     edge = near[rng.integers(0, 6, (30, d))]
     mixed = np.vstack([interior, edge])[rng.permutation(60)]
-    for x in (interior, edge, mixed, interior[:1], edge[:1], edge[:0]):
-        got = _mask_rows(box, x, h)
-        want = box.contains(x[:, None, :] + h[None, :, :])
-        assert got.shape == (len(x), 40)
+    m = {1: 60, 2: 24, 3: 10}[d]  # coordinates per axis
+    for axes in (interior[:m], edge[:m], mixed[:m], interior[:1], edge[:1], edge[:0]):
+        got = _mask_rows(box, axes, h)
+        want = _grid_contains(box, axes, h)
+        assert got.shape == (len(axes) ** d, 40)
         assert np.array_equal(got, want)
-    assert _mask_rows(box, interior, h[:3]).all()
-    assert not _mask_rows(box, edge, h).all(axis=1).any()
+    assert _mask_rows(box, interior[:m], h[:3]).all()
+    assert not _mask_rows(box, edge[:m], h).all(axis=1).any()
 
 
 # -- blocks ------------------------------------------------------------------
@@ -519,9 +541,8 @@ _RUN_GRIDS = {1: (300, 16, 0.1, 41), 2: (24, 8, 0.2, 83), 3: (6, 4, 0.3, 29)}
 def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
     """The fine level's tiles grouped into 1, 2, 3 and one run per tile, run
     in-process: bitwise-equal masses for every family, plain (p = 1.5) and
-    residual (p = 1), and on the per-cell path the masses of `_tile_masses`
-    on each tile's scattered points; class-path representatives lie in
-    several tiles."""
+    residual (p = 1), and on the per-cell path the masses of `_run_masses`
+    on each tile alone; class-path representatives lie in several tiles."""
     n, level, eps, t = _RUN_GRIDS[d]
     box = DomainBox([0.0] * d, [1.0] * d)
     grid = en._midpoints(box, n)
@@ -549,16 +570,48 @@ def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
             calls.clear()
             for masses in got[1:]:
                 assert np.array_equal(_bits(masses), _bits(got[0]))
-            if f.kernel_classes(grid[0], h) is None:
+            if f.kernel_classes(grid[1], h) is None:
                 assert tiles == -(-n**d // t)
-                pts, cellvol = grid
+                axes, _, cellvol = grid
+                ok, edge, _ = en._grid_mask(box, axes, h)
+                scale = w ** (1.0 / r.p) * inv_r2
                 ref = np.concatenate([
-                    en._tile_masses(f, box, pts[a : a + t], h, w, inv_r2, r.p, residual,
-                                    cellvol) for a in range(0, n**d, t)])
+                    en._run_masses(f, t, (a, min(a + t, n**d)), axes, h, scale, ok, edge,
+                                   r.p, residual, cellvol) for a in range(0, n**d, t)])
                 assert np.array_equal(_bits(got[0]), _bits(ref))
             else:
                 spread.append(tiles)
     assert min(spread) >= 2 and max(spread) >= 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_local_density_is_the_one_cell_grid_of_density_masses(d):
+    """Points and grids share one mask path: at p = 1 and a power-of-two cell
+    volume, `local_density` at every midpoint of a small grid, edge cells and
+    interior cells, is that cell's `density_masses` mass over the cell volume.
+    Bitwise for every closed-form family but sin, whose product rounds apart
+    by block within 1e-15 of the largest mass."""
+    n = {1: 16, 2: 8, 3: 4}[d]
+    box = DomainBox([0.0] * d, [1.0] * d)
+    cellvol = box.volume() / n**d
+    assert np.frexp(cellvol)[0] == 0.5  # a power of two
+    for name, f in _block_fields(d):
+        if name == "sampled":
+            continue
+        req = en.EnergyRequest(field=f, domain=box, p=1.0,
+                               mollifier=MollifierSpec("shell", 0.2, d), outer_grid=n,
+                               inner_level=4, workers=1)
+        pts, masses, _ = en.density_masses(req)
+        h = en._inner_nodes(req, 8)[0]
+        interior = box.contains(pts[:, None, :] + h[None, :, :]).all(axis=1)
+        assert interior.any() and not interior.all()
+        want = masses / cellvol
+        got = np.array([en.local_density(req, x) for x in pts])
+        assert np.max(want) > 0.0 if name != "rigid" else not np.any(want)
+        if name == "sin":
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+        else:
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 # -- zero cases --------------------------------------------------------------
@@ -734,7 +787,7 @@ def test_offset_classes_contract(d):
             diagonal = sum(len(axes) ** k for k in range(d))  # cell (i, .., i) = i * diagonal
             assert rows[0, 2] and rows[diagonal, 3] and rows[2 * diagonal, 4]
         # the keys are counted only on request (the grid classes)
-        assert box.offset_mask(axes, h).key is None
+        assert en._grid_mask(box, axes, h)[2] is None
 
 
 def test_offset_class_ids_stay_below_cells_cubed():
@@ -802,7 +855,8 @@ def test_class_path_equals_every_cell(name, p, monkeypatch):
                                    mollifier=MollifierSpec("shell", eps, d), outer_grid=n,
                                    inner_level=level)
         h = en._inner_nodes(reqs[d], 2 * level)[0]
-        _, first = en._grid_classes(box.offset_mask(en._midpoint_axes(box, n), h, keys=True))
+        keys = en._grid_mask(box, en._midpoints(box, n)[0], h, keys=True)[2]
+        _, first = en._grid_classes(keys)
         assert first.max() >= en._TILE_NODE_BUDGET // h.shape[0]  # past the first tile
     runs = [en.energy] + ([en.residual_energy] if p == 1.0 else [])
 
@@ -843,7 +897,7 @@ def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypat
         en._all_masses(req, 4, 1, False, en._midpoints(box, 12))
         monkeypatch.undo()
         h = en._inner_nodes(req, 4)[0]
-        pts, _ = en._midpoints(box, 12)
+        _, pts, _ = en._midpoints(box, 12)
         mask = box.contains(pts[:, None, :] + h[None, :, :])
         pairs = np.column_stack([f.kernel_classes(pts, h), mask])
         assert sum(rows) == len(np.unique(pairs, axis=0))
@@ -852,10 +906,10 @@ def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypat
 @pytest.mark.parametrize("d", [1, 2])
 def test_class_path_on_merged_midpoints(d, monkeypatch):
     """At lo = 1e16 and width 4 several of an axis's 8 midpoints round to the
-    same float, so the mask merges them: the grid classes map each cell
-    through its row and still give the bits of the per-cell path."""
+    same float, so their cells share mask rows and key ranks: the grid
+    classes still give the bits of the per-cell path."""
     box = DomainBox([1e16] * d, [1e16 + 4.0] * d)
-    assert len(np.unique(en._midpoint_axes(box, 8)[:, 0])) < 8
+    assert len(np.unique(en._midpoints(box, 8)[0][:, 0])) < 8
     req = en.EnergyRequest(field=LinearField(np.eye(d), np.zeros(d)), domain=box, p=1.0,
                            mollifier=MollifierSpec("shell", 0.5, d), outer_grid=8,
                            inner_level=4, workers=1)

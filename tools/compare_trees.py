@@ -26,7 +26,8 @@ cell volume 1) at an interior point and at a point near a corner. The limit
 objects come on top: `ground_truth` (volume, interface and total values)
 and the `ground_truth_measure` masses of that 3-d jump, of a 2-d
 rigid-sided jump and of a 3-d linear field. The environment, BLAS thread
-settings included, is passed to both interpreters unchanged.
+settings included, is passed to both interpreters unchanged. The last line
+gives each tree's source size, the line count of `wc -l src/nldef/*.py`.
 Exit status 0 means every output is bitwise equal, 1 that some differ.
 """
 
@@ -229,6 +230,11 @@ def _run_tree(tree: Path) -> dict:
     return {k: [float.fromhex(v) for v in vals] for k, vals in json.loads(proc.stdout).items()}
 
 
+def _src_lines(tree: Path) -> int:
+    """Lines of the tree's src/nldef/*.py, counted as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "nldef").glob("*.py"))
+
+
 def _digest(vals) -> str:
     return hashlib.sha256(np.asarray(vals, dtype=np.float64).tobytes()).hexdigest()[:12]
 
@@ -273,6 +279,7 @@ def main(argv=None) -> int:
         print(f"{key:<{width}}  {h_old}  {h_new}  {'yes ' if equal else 'NO  '}  "
               f"{scale:9.3g}  {diff:9.3g}  {rel:9.3g}")
     print(f"{same}/{len(old)} outputs bitwise equal")
+    print(f"wc -l src/nldef/*.py: {_src_lines(args.old)} old, {_src_lines(args.new)} new")
     return 0 if same == len(old) else 1
 
 
