@@ -19,13 +19,13 @@ from .energy import energy, residual_energy
 from .errors import ConfigError, NldefError
 from .lab import (
     SweepConfig,
-    _fmt,
     _json_text,
     _request,
     report_write,
     run_sweep,
     run_weakstar,
 )
+from .measures import _fmt
 from .symnorm import SymMatrix, make_sphere_rule, q_norm
 
 
@@ -47,7 +47,7 @@ def _load_config(path: str) -> SweepConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return SweepConfig.from_dict(raw)
 

@@ -81,7 +81,7 @@ from .fields import (
     _tensor_grid,
     ground_truth,
 )
-from .mollifiers import MollifierSpec
+from .mollifiers import MollifierSpec, _check_rules, _is
 from .symnorm import make_sphere_rule
 
 __all__ = [
@@ -114,6 +114,15 @@ def pairwise_total(values) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EnergyRequest:
+    """One energy evaluation: field, domain, exponent p, mollifier and grids.
+
+    Construction checks each value rule of a request, here and nowhere else:
+    p finite and >= 1, outer_grid >= 2, inner_mode 'radial_spherical' or
+    'tensor', inner_level >= 1, trunc_tol in (0, 1e-2], workers None or >= 1
+    (sizes are integers, not bools). A broken rule raises ParameterError
+    whose `key` names the field; unequal dimensions raise DimensionError.
+    """
+
     field: FieldSpec
     domain: DomainBox
     p: float
@@ -125,23 +134,18 @@ class EnergyRequest:
     workers: int | None = None
 
     def __post_init__(self):
-        p_ok = isinstance(self.p, (int, float)) and not isinstance(self.p, bool)
-        if not (p_ok and 1 <= self.p < float("inf")):
-            raise ParameterError(f"p must be a finite number >= 1, got {self.p!r}")
-        for name in ("outer_grid", "inner_level"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ParameterError(f"{name} must be an integer, got {v!r}")
-        if self.outer_grid < 2:
-            raise ParameterError(f"outer grid needs N >= 2, got {self.outer_grid}")
-        if not 0 < self.trunc_tol <= 1e-2:
-            raise ParameterError(
-                f"truncation tol must lie in (0, 1e-2], got {self.trunc_tol}"
-            )
-        if self.inner_mode not in ("radial_spherical", "tensor"):
-            raise ParameterError(f"unknown inner mode {self.inner_mode!r}")
-        if self.inner_level < 1:
-            raise ParameterError("inner level must be >= 1")
+        real, whole = numbers.Real, numbers.Integral
+        p, n, level = self.p, self.outer_grid, self.inner_level
+        tol, w = self.trunc_tol, self.workers
+        _check_rules(self, {
+            "p": (_is(real, p) and 1 <= p < float("inf"), "a finite number >= 1"),
+            "outer_grid": (_is(whole, n) and n >= 2, "an integer >= 2"),
+            "inner_mode": (self.inner_mode in ("radial_spherical", "tensor"),
+                           "'radial_spherical' or 'tensor'"),
+            "inner_level": (_is(whole, level) and level >= 1, "an integer >= 1"),
+            "trunc_tol": (_is(real, tol) and 0 < tol <= 1e-2, "a number in (0, 1e-2]"),
+            "workers": (w is None or (_is(whole, w) and w >= 1), "None or an integer >= 1"),
+        })
         if not (self.field.dim == self.domain.dim == self.mollifier.dim):
             raise DimensionError("field, domain and mollifier dimensions must agree")
         object.__setattr__(self, "p", float(self.p))
@@ -158,9 +162,7 @@ class EnergyResult:
 
 
 def _resolve_workers(explicit: int | None) -> int:
-    if explicit is not None:
-        if explicit < 1:
-            raise ParameterError("workers must be >= 1")
+    if explicit is not None:  # EnergyRequest has checked it
         return explicit
     env = os.environ.get("NLD_THREADS")
     if env:
@@ -454,7 +456,8 @@ def upper_bound_rhs(
     """[Eu]_p(U_R)^p + (2/R^p) ||u||_p(U)^p tail_mass(R), the a-priori bound.
 
     Valid for fields with an integrable symmetric gradient; jump fields are
-    rejected. Both integrals use adaptive tensor Gauss quadrature.
+    rejected. Both integrals use adaptive tensor Gauss quadrature. p < 1
+    raises ParameterError from `ground_truth`.
     """
     if isinstance(field, PlanarJumpField):
         raise ModelError("the upper bound needs a gradient field without jumps")
@@ -462,8 +465,6 @@ def upper_bound_rhs(
         raise ModelError("the upper bound needs a closed-form field")
     if not radius > 0:
         raise ParameterError("R must be positive")
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
     rule = make_sphere_rule(field.dim, 64)
     grad_term = ground_truth(field, box.dilate(radius), p, rule).total
     tail = mollifier.tail_mass(radius)

@@ -26,6 +26,7 @@ jump with the interface normal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -979,32 +980,54 @@ def mollify(
 # config catalog
 
 
-def _has_bool(v) -> bool:
+_MISSING = object()
+_NUMBER = (int, float)
+_FLOAT_MAX = sys.float_info.max  # a Python float: ints compare to it exactly
+
+
+def _leaves(v):
     if isinstance(v, list):
-        return any(_has_bool(x) for x in v)
-    return isinstance(v, bool)
+        for x in v:
+            yield from _leaves(x)
+    else:
+        yield v
 
 
-def _cfg_array(params: dict, key: str, shape: tuple, path: str) -> np.ndarray:
-    if key not in params:
-        raise ConfigError(f"{path}.{key}: missing")
-    # np.asarray would read JSON true/false as 1.0/0.0
-    if _has_bool(params[key]):
-        raise ConfigError(f"{path}.{key}: expected numbers, got a boolean")
-    try:
-        v = np.asarray(params[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{key}: not numeric ({exc})") from None
-    if v.shape != shape:
-        raise ConfigError(f"{path}.{key}: expected shape {shape}, got {v.shape}")
+def _config_value(obj, key, path: str, types=None, shape=None, default=_MISSING):
+    """`obj[key]` of a parsed JSON config (`key` an index when `obj` is a list).
+
+    An absent key gives `default`, or an error when there is none. With
+    `shape` the value must be nested lists of numbers of that shape, returned
+    as a float64 array; else an instance of `types`. true/false are numbers
+    only where `types` names bool, and a number must be finite (not NaN,
+    Infinity, or an integer beyond the float range). Errors are ConfigErrors
+    whose message starts with the value's path, `path.key` or `path[key]`.
+    """
+    where = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+    if isinstance(key, str) and key not in obj:
+        if default is _MISSING:
+            raise ConfigError(f"{where}: missing")
+        return default
+    v = obj[key]
+    if shape is not None:
+        # np.asarray would read true/false as 1.0/0.0 and null as NaN
+        if not all(isinstance(x, _NUMBER) and not isinstance(x, bool) for x in _leaves(v)):
+            raise ConfigError(f"{where}: expected numbers")
+        try:
+            a = np.asarray(v, dtype=np.float64)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}: not numeric ({exc})") from None
+        if a.shape != shape:
+            raise ConfigError(f"{where}: expected shape {shape}, got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ConfigError(f"{where}: entries must be finite")
+        return a
+    types = types if isinstance(types, tuple) else (types,)
+    if not isinstance(v, types) or (isinstance(v, bool) and bool not in types):
+        raise ConfigError(f"{where}: wrong type {type(v).__name__}")
+    if isinstance(v, _NUMBER) and not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+        raise ConfigError(f"{where}: must be finite, got {v}")
     return v
-
-
-def _cfg_num(params: dict, key: str, path: str) -> float:
-    v = params.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{path}.{key}: expected a finite number")
-    return float(v)
 
 
 def field_from_config(cfg, dim: int, path: str = "field") -> FieldSpec:
@@ -1012,45 +1035,33 @@ def field_from_config(cfg, dim: int, path: str = "field") -> FieldSpec:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: expected an object with 'id' and 'params'")
     fid = cfg.get("id")
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}.params: expected an object")
+    params = _config_value(cfg, "params", path, dict, default={})
+    where = f"{path}.params"
+
+    def arr(key, shape, default=_MISSING):
+        return _config_value(params, key, where, shape=shape, default=default)
+
+    def num(key):
+        return float(_config_value(params, key, where, _NUMBER))
+
     try:
         if fid == "rigid":
-            m = _cfg_array(params, "spin", (dim, dim), f"{path}.params")
-            shift = (
-                _cfg_array(params, "shift", (dim,), f"{path}.params")
-                if "shift" in params
-                else np.zeros(dim)
-            )
-            return RigidField.from_general(m, shift)
+            spin = arr("spin", (dim, dim))
+            return RigidField.from_general(spin, arr("shift", (dim,), np.zeros(dim)))
         if fid == "linear":
-            m = _cfg_array(params, "matrix", (dim, dim), f"{path}.params")
-            shift = (
-                _cfg_array(params, "shift", (dim,), f"{path}.params")
-                if "shift" in params
-                else np.zeros(dim)
-            )
-            return LinearField(m, shift)
+            return LinearField(arr("matrix", (dim, dim)), arr("shift", (dim,), np.zeros(dim)))
         if fid == "sin":
-            return SinField(
-                _cfg_array(params, "amplitude", (dim,), f"{path}.params"),
-                _cfg_array(params, "waves", (dim, dim), f"{path}.params"),
-            )
+            return SinField(arr("amplitude", (dim,)), arr("waves", (dim, dim)))
         if fid == "bump":
-            return BumpField(
-                _cfg_array(params, "amplitude", (dim,), f"{path}.params"),
-                _cfg_array(params, "center", (dim,), f"{path}.params"),
-                _cfg_num(params, "radius", f"{path}.params"),
-            )
+            return BumpField(arr("amplitude", (dim,)), arr("center", (dim,)), num("radius"))
         if fid == "planar_jump":
-            nu = _cfg_array(params, "normal", (dim,), f"{path}.params")
+            nu = arr("normal", (dim,))
             norm = float(np.sqrt(nu @ nu))
             if norm == 0.0:
-                raise ConfigError(f"{path}.params.normal: zero vector")
-            offset = _cfg_num(params, "offset", f"{path}.params")
-            minus = field_from_config(params.get("minus"), dim, f"{path}.params.minus")
-            plus = field_from_config(params.get("plus"), dim, f"{path}.params.plus")
+                raise ConfigError(f"{where}.normal: zero vector")
+            offset = num("offset")
+            minus = field_from_config(params.get("minus"), dim, f"{where}.minus")
+            plus = field_from_config(params.get("plus"), dim, f"{where}.plus")
             return PlanarJumpField(nu / norm, offset, minus, plus)
     except (ParameterError, DimensionError) as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -17,17 +17,25 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 import numpy as np
 
 from .energy import EnergyRequest, energy, residual_energy
-from .errors import ConfigError, InsufficientDataError, ModelError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    InsufficientDataError,
+    ModelError,
+    ParameterError,
+)
 from .fields import (
+    _NUMBER,
     DomainBox,
     FieldSpec,
     GroundTruth,
     PlanarJumpField,
     _axis_of,
+    _config_value,
     field_from_config,
     ground_truth,
 )
-from .measures import TestFunction, weakstar_gap
+from .measures import TestFunction, _fmt, _write_lines, weakstar_gap
 from .mollifiers import MollifierSpec
 from .symnorm import make_sphere_rule
 
@@ -51,23 +59,9 @@ _FAMILY_ALIASES = {
 
 CSV_HEADER = "eps,p,value,reference,rel_err,est_quad_err,trunc_radius,n_outer,runtime_ms"
 
-_MISSING = object()
-
-
-def _want(d: dict, key: str, types, path: str, default=_MISSING):
-    """d[key], type-checked; JSON true/false pass only where `types` names bool,
-    and a float must be finite (JSON NaN and Infinity are not)."""
-    if key not in d:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: missing")
-        return default
-    v = d[key]
-    types = types if isinstance(types, tuple) else (types,)
-    if not isinstance(v, types) or (isinstance(v, bool) and bool not in types):
-        raise ConfigError(f"{path}.{key}: wrong type {type(v).__name__}")
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(f"{path}.{key}: must be finite, got {v}")
-    return v
+# config keys of the request and mollifier fields, where the names differ
+_REQUEST_KEYS = {"outer_grid": "outer.n", "inner_mode": "inner.mode",
+                 "inner_level": "inner.level", "family": "mollifier.family"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,117 +86,105 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw) -> "SweepConfig":
+        """Parse a JSON sweep config; each error is a ConfigError at its key.
+
+        Values are read by the one config reader, `fields._config_value`. Here
+        sit only the config's own rules: schema 1, dim 1..3, lo < hi, eps
+        strictly decreasing, outer.c > 0, outer.n_min >= 2, family aliases.
+        The other rules belong to EnergyRequest and MollifierSpec: each eps's
+        request is built here once, its ParameterError mapped to the key.
+        """
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
-        schema = _want(raw, "schema", int, "config")
+        schema = _config_value(raw, "schema", "config", int)
         if schema != 1:
             raise ConfigError(f"config.schema: unsupported version {schema}")
-        dim = _want(raw, "dim", int, "config")
+        dim = _config_value(raw, "dim", "config", int)
         if dim not in (1, 2, 3):
             raise ConfigError(f"config.dim: need 1, 2 or 3, got {dim}")
-        dom = _want(raw, "domain", dict, "config")
-        try:
-            box = DomainBox(
-                np.asarray(_want(dom, "lo", list, "config.domain"), dtype=np.float64),
-                np.asarray(_want(dom, "hi", list, "config.domain"), dtype=np.float64),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"config.domain: {exc}") from None
-        if box.dim != dim or box.is_empty:
-            raise ConfigError("config.domain: needs positive volume in `dim` dimensions")
-        fld = field_from_config(_want(raw, "field", dict, "config"), dim, "config.field")
-        p = _want(raw, "p", (int, float), "config")
-        if p < 1:
-            raise ConfigError(f"config.p: must be >= 1, got {p}")
-        moll = _want(raw, "mollifier", dict, "config")
-        fam_raw = _want(moll, "family", str, "config.mollifier")
+        dom = _config_value(raw, "domain", "config", dict)
+        lo, hi = (_config_value(dom, k, "config.domain", shape=(dim,)) for k in ("lo", "hi"))
+        if np.any(hi <= lo):
+            raise ConfigError("config.domain: needs lo < hi on every axis")
+        fld = field_from_config(_config_value(raw, "field", "config", dict), dim, "config.field")
+        p = _config_value(raw, "p", "config", _NUMBER)
+        moll = _config_value(raw, "mollifier", "config", dict)
+        fam_raw = _config_value(moll, "family", "config.mollifier", str)
         family = _FAMILY_ALIASES.get(fam_raw)
         if family is None:
             raise ConfigError(
                 f"config.mollifier.family: unknown {fam_raw!r}, "
                 f"expected one of {sorted(set(_FAMILY_ALIASES))}"
             )
-        eps_raw = _want(raw, "eps", (list, int, float), "config")
-        eps_list = [eps_raw] if isinstance(eps_raw, (int, float)) else eps_raw
-        if not eps_list:
+        eps_raw = _config_value(raw, "eps", "config", (list, *_NUMBER))
+        many = isinstance(eps_raw, list)
+        if many and not eps_raw:
             raise ConfigError("config.eps: empty list")
-        for i, e in enumerate(eps_list):
-            if isinstance(e, bool) or not isinstance(e, (int, float)) or not math.isfinite(e):
-                raise ConfigError(f"config.eps[{i}]: entries must be finite numbers")
-        eps_list = [float(e) for e in eps_list]
-        if any(e <= 0 for e in eps_list):
-            raise ConfigError("config.eps: entries must be positive")
+        eps_list = [
+            float(_config_value(eps_raw, i, "config.eps", _NUMBER)) for i in range(len(eps_raw))
+        ] if many else [float(eps_raw)]
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("config.eps: must be strictly decreasing")
-        outer = _want(raw, "outer", dict, "config", default={})
-        outer_c = float(_want(outer, "c", (int, float), "config.outer", default=8.0))
-        outer_n_min = _want(outer, "n_min", int, "config.outer", default=64)
-        outer_n = _want(outer, "n", (int, type(None)), "config.outer", default=None)
-        if outer_c <= 0 or outer_n_min < 2 or (outer_n is not None and outer_n < 2):
-            raise ConfigError("config.outer: c > 0 and grid sizes >= 2 required")
-        inner = _want(raw, "inner", dict, "config", default={})
-        inner_mode = _want(
-            inner, "mode", str, "config.inner", default="radial_spherical"
-        )
-        if inner_mode not in ("radial_spherical", "tensor"):
-            raise ConfigError(f"config.inner.mode: unknown {inner_mode!r}")
-        inner_level = _want(inner, "level", int, "config.inner", default=16)
-        if inner_level < 1:
-            raise ConfigError("config.inner.level: must be >= 1")
-        trunc_tol = float(
-            _want(raw, "trunc_tol", (int, float), "config", default=1e-10)
-        )
-        if not 0 < trunc_tol <= 1e-2:
-            raise ConfigError("config.trunc_tol: must lie in (0, 1e-2]")
-        aligned = _want(raw, "aligned", bool, "config", default=False)
-        residual = _want(raw, "residual", bool, "config", default=False)
-        tol_accept = float(
-            _want(raw, "tol_accept", (int, float), "config", default=0.02)
-        )
-        wk = _want(raw, "weakstar", dict, "config", default={})
-        dictionary = tuple(
-            _phi_from_config(item, f"config.weakstar.dictionary[{i}]")
-            for i, item in enumerate(
-                _want(wk, "dictionary", list, "config.weakstar", default=[])
-            )
-        )
-        workers = _want(raw, "workers", (int, type(None)), "config", default=None)
-        if workers is not None and workers < 1:
-            raise ConfigError("config.workers: must be >= 1")
-        return cls(
+        outer = _config_value(raw, "outer", "config", dict, default={})
+        outer_c = float(_config_value(outer, "c", "config.outer", _NUMBER, default=8.0))
+        if outer_c <= 0:
+            raise ConfigError(f"config.outer.c: must be > 0, got {outer_c}")
+        outer_n_min = _config_value(outer, "n_min", "config.outer", int, default=64)
+        if outer_n_min < 2:
+            raise ConfigError(f"config.outer.n_min: must be >= 2, got {outer_n_min}")
+        inner = _config_value(raw, "inner", "config", dict, default={})
+        wk = _config_value(raw, "weakstar", "config", dict, default={})
+        items = _config_value(wk, "dictionary", "config.weakstar", list, default=[])
+        cfg = cls(
             dim=dim,
             field=fld,
-            domain=box,
+            domain=DomainBox(lo, hi),
             p=float(p),
             family=family,
             eps_list=tuple(eps_list),
             outer_c=outer_c,
             outer_n_min=outer_n_min,
-            outer_n=outer_n,
-            inner_mode=inner_mode,
-            inner_level=inner_level,
-            trunc_tol=trunc_tol,
-            aligned=aligned,
-            residual=residual,
-            tol_accept=tol_accept,
-            dictionary=dictionary,
-            workers=workers,
+            outer_n=_config_value(outer, "n", "config.outer", (int, type(None)), default=None),
+            inner_mode=_config_value(inner, "mode", "config.inner", str,
+                                     default="radial_spherical"),
+            inner_level=_config_value(inner, "level", "config.inner", int, default=16),
+            trunc_tol=float(_config_value(raw, "trunc_tol", "config", _NUMBER, default=1e-10)),
+            aligned=_config_value(raw, "aligned", "config", bool, default=False),
+            residual=_config_value(raw, "residual", "config", bool, default=False),
+            tol_accept=float(_config_value(raw, "tol_accept", "config", _NUMBER, default=0.02)),
+            dictionary=tuple(
+                _phi_from_config(item, dim, f"config.weakstar.dictionary[{i}]")
+                for i, item in enumerate(items)
+            ),
+            workers=_config_value(raw, "workers", "config", (int, type(None)), default=None),
         )
+        for i, eps in enumerate(eps_list):
+            try:
+                _request(cfg, eps)
+            except (ParameterError, DimensionError) as exc:
+                key = getattr(exc, "key", None)
+                path = f"config.{_REQUEST_KEYS.get(key, key)}" if key else "config"
+                if key == "eps" and many:
+                    path += f"[{i}]"
+                raise ConfigError(f"{path}: {exc}") from None
+        return cfg
 
 
-def _phi_from_config(item, path: str) -> TestFunction:
+def _phi_from_config(item, dim: int, path: str) -> TestFunction:
     if not isinstance(item, dict):
         raise ConfigError(f"{path}: expected an object")
     pid = item.get("id")
-    try:
-        if pid == "const_one":
-            return TestFunction.const_one()
-        if pid == "tent":
-            return TestFunction.tent(item.get("center"), item.get("radius", 0.0))
-        if pid == "cosine":
-            return TestFunction.cosine(item.get("k"))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    if pid == "const_one":
+        return TestFunction.const_one()
+    if pid == "tent":
+        center = _config_value(item, "center", path, shape=(dim,))
+        radius = _config_value(item, "radius", path, _NUMBER)
+        try:
+            return TestFunction.tent(center, radius)
+        except ParameterError as exc:  # the radius rule; the reader vetted the center
+            raise ConfigError(f"{path}.radius: {exc}") from None
+    if pid == "cosine":
+        return TestFunction.cosine(_config_value(item, "k", path, shape=(dim,)))
     raise ConfigError(f"{path}.id: unknown {pid!r} (const_one|tent|cosine)")
 
 
@@ -258,6 +240,7 @@ def _request(cfg: SweepConfig, eps: float):
     cell boundaries. Every command builds its requests here, so one config
     gives the same grid everywhere.
     """
+    mollifier = MollifierSpec(cfg.family, eps, cfg.dim)  # checks eps before c / eps
     policy = _policy_n(cfg, eps)
     n = cfg.outer_n if cfg.outer_n is not None else policy
     under_policy = n < policy
@@ -268,7 +251,7 @@ def _request(cfg: SweepConfig, eps: float):
         field=cfg.field,
         domain=cfg.domain,
         p=cfg.p,
-        mollifier=MollifierSpec(cfg.family, eps, cfg.dim),
+        mollifier=mollifier,
         outer_grid=n,
         inner_mode=cfg.inner_mode,
         inner_level=cfg.inner_level,
@@ -378,25 +361,9 @@ def rate_estimate(records):
     return float(slope), limit1
 
 
-def _fmt(x) -> str:
-    """A float as %.17g, which parses back bitwise; NaN as NaN."""
-    x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    return f"{x:.17g}"
-
-
 def _json_text(obj, indent=None) -> str:
     """A dataclass as JSON; floats are written as their repr, NaN as NaN."""
     return json.dumps(asdict(obj), indent=indent, default=lambda v: v.item())
-
-
-def _write_lines(path, lines, what: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {what} to {path}: {exc}") from None
 
 
 def _report_rows(r: SweepReport):
@@ -441,19 +408,9 @@ def run_weakstar(cfg: SweepConfig, path) -> list:
         raise ConfigError("config.weakstar.dictionary: missing or empty")
     requests = [replace(_request(cfg, eps)[0], p=1.0) for eps in cfg.eps_list]
     rows = weakstar_gap(requests, cfg.dictionary)
-    lines = [WEAKSTAR_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row["eps"]),
-                    row["phi"],
-                    _fmt(row["gap"]),
-                    _fmt(row["pair_value"]),
-                    _fmt(row["ref_value"]),
-                    _fmt(row["est_quad_err"]),
-                ]
-            )
-        )
+    cols = WEAKSTAR_HEADER.split(",")  # the row keys, in column order
+    lines = [WEAKSTAR_HEADER] + [
+        ",".join(row[c] if c == "phi" else _fmt(row[c]) for c in cols) for row in rows
+    ]
     _write_lines(path, lines, "gaps")
     return rows

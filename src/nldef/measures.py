@@ -27,6 +27,7 @@ from .fields import (
     _jump_volume_masses,
     _qp_pow_of_sym,
     _tensor_grid,
+    _vec,
 )
 from .symnorm import SphereRule, make_sphere_rule
 
@@ -38,6 +39,23 @@ __all__ = [
     "pair",
     "weakstar_gap",
 ]
+
+
+def _fmt(x) -> str:
+    """A float as %.17g, which parses back bitwise; NaN as NaN."""
+    x = float(x)
+    if math.isnan(x):
+        return "NaN"
+    return f"{x:.17g}"
+
+
+def _write_lines(path, lines, what: str) -> None:
+    """Write text lines, each ending in a newline, as UTF-8."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,14 +88,10 @@ class DiscreteMeasure:
 
     def to_csv(self, path) -> None:
         d = self.domain.dim
-        header = ",".join([f"x_{i + 1}" for i in range(d)] + ["mass"])
-        lines = [header]
-        for k in range(len(self)):
-            row = [f"{self.points[k, i]:.17g}" for i in range(d)]
-            row.append(f"{self.masses[k]:.17g}")
-            lines.append(",".join(row))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        lines = [",".join([f"x_{i + 1}" for i in range(d)] + ["mass"])]
+        for pt, mass in zip(self.points, self.masses):
+            lines.append(",".join([_fmt(v) for v in pt] + [_fmt(mass)]))
+        _write_lines(path, lines, "measure")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,21 +110,11 @@ class TestFunction:
         if self.kind == "const_one":
             pass
         elif self.kind == "tent":
-            c = np.asarray(self.center, dtype=np.float64)
-            if c.ndim != 1:
-                raise ParameterError("tent center must be a vector")
+            object.__setattr__(self, "center", _vec(self.center, name="tent center"))
             if not (self.radius and self.radius > 0):
                 raise ParameterError("tent radius must be positive")
-            c = c.copy()
-            c.setflags(write=False)
-            object.__setattr__(self, "center", c)
         elif self.kind == "cosine":
-            k = np.asarray(self.wave, dtype=np.float64)
-            if k.ndim != 1:
-                raise ParameterError("cosine wave must be a vector")
-            k = k.copy()
-            k.setflags(write=False)
-            object.__setattr__(self, "wave", k)
+            object.__setattr__(self, "wave", _vec(self.wave, name="cosine wave"))
         else:
             raise ParameterError(f"unknown test function kind {self.kind!r}")
 
@@ -120,11 +124,11 @@ class TestFunction:
 
     @classmethod
     def tent(cls, center, radius: float) -> "TestFunction":
-        return cls("tent", center=np.asarray(center, dtype=np.float64), radius=float(radius))
+        return cls("tent", center=center, radius=float(radius))
 
     @classmethod
     def cosine(cls, wave) -> "TestFunction":
-        return cls("cosine", wave=np.asarray(wave, dtype=np.float64))
+        return cls("cosine", wave=wave)
 
     @property
     def sup_norm(self) -> float:

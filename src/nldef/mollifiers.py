@@ -13,6 +13,7 @@ radial quadrature with the surface-area factor handled analytically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,21 +63,40 @@ def _bump_const(dim: int) -> float:
     return c
 
 
+def _is(kind, v) -> bool:
+    """v is an instance of the `numbers` class `kind`, and not a bool."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _check_rules(obj, rules: dict) -> None:
+    """Raise ParameterError for the first of `rules` (field -> (holds, need))
+    that fails; its `key` is the field, for callers that report it elsewhere."""
+    for key, (ok, need) in rules.items():
+        if not ok:
+            exc = ParameterError(f"{key} must be {need}, got {getattr(obj, key)!r}")
+            exc.key = key
+            raise exc
+
+
 @dataclass(frozen=True, eq=False)
 class MollifierSpec:
-    """One member of a radial mollifier family at a given scale eps."""
+    """One member of a radial mollifier family at a given scale eps.
+
+    Construction checks the family (one of FAMILIES) and eps (positive and
+    finite) here and nowhere else; a broken rule raises ParameterError whose
+    `key` names the field, as EnergyRequest does.
+    """
 
     family: str
     eps: float
     dim: int
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterError(
-                f"unknown mollifier family {self.family!r}, expected one of {FAMILIES}"
-            )
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise ParameterError(f"eps must be positive, got {self.eps}")
+        eps = self.eps
+        _check_rules(self, {
+            "family": (self.family in FAMILIES, f"one of {FAMILIES}"),
+            "eps": (_is(numbers.Real, eps) and 0.0 < eps < math.inf, "positive and finite"),
+        })
         if self.dim not in (1, 2, 3):
             raise DimensionError(f"dimension {self.dim} unsupported, need 1..3")
         if self.family == "scaled_bump":

@@ -133,6 +133,12 @@ def test_energy_json_line(tmp_path, capsys):
     ("config.field.params.radius",
      {"field": {"id": "bump", "params": {"amplitude": [0.3, 0.2], "center": [0.5, 0.5],
                                          "radius": True}}}),
+    ("config.domain.lo", {"domain": {"lo": [False, 0.0], "hi": [1.0, 1.0]}}),
+    ("config.domain.hi", {"domain": {"lo": [0.0, 0.0], "hi": [True, 1.0]}}),
+    ("config.weakstar.dictionary[0].radius", {"weakstar": {"dictionary": [
+        {"id": "tent", "center": [0.5, 0.5], "radius": True}]}}),
+    ("config.weakstar.dictionary[0].center", {"weakstar": {"dictionary": [
+        {"id": "tent", "center": [True, False], "radius": 0.25}]}}),
 ])
 def test_bool_for_number_is_config_error(tmp_path, capsys, path, override):
     # JSON true is an int to isinstance; it must not pass as 1
@@ -152,10 +158,30 @@ def test_bool_for_number_is_config_error(tmp_path, capsys, path, override):
     ("config.tol_accept", {"tol_accept": math.nan}),
     ("config.field.params.offset",
      {"field": {**JUMP_FIELD, "params": {**JUMP_FIELD["params"], "offset": math.nan}}}),
+    ("config.domain.lo", {"domain": {"lo": [math.nan, 0.0], "hi": [1.0, 1.0]}}),
+    ("config.domain.hi", {"domain": {"lo": [0.0, 0.0], "hi": [1.0, math.inf]}}),
+    ("config.weakstar.dictionary[0].radius", {"weakstar": {"dictionary": [
+        {"id": "tent", "center": [0.5, 0.5], "radius": math.inf}]}}),
+    ("config.weakstar.dictionary[0].center", {"weakstar": {"dictionary": [
+        {"id": "tent", "center": [0.5, math.nan], "radius": 0.25}]}}),
+    ("config.p", {"p": 10**400}),  # a JSON integer beyond the float range
 ])
 def test_non_finite_number_is_config_error(tmp_path, capsys, path, override):
     # json.load reads NaN and Infinity; neither may pass as a number
     rc = cli.main(["energy", "--config", _write_cfg(tmp_path, **override)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+
+@pytest.mark.parametrize("path, phi", [
+    ("config.weakstar.dictionary[1].center",
+     {"id": "tent", "center": [0.5, 0.5, 0.5], "radius": 0.25}),
+    ("config.weakstar.dictionary[1].k", {"id": "cosine", "k": [1, 0, 0]}),
+])
+def test_weakstar_array_of_wrong_length_is_config_error(tmp_path, capsys, path, phi):
+    # read as shape-(dim,) arrays before any measure is built
+    cfg = _write_cfg(tmp_path, weakstar={"dictionary": [{"id": "const_one"}, phi]})
+    rc = cli.main(["weakstar", "--config", cfg, "--out", str(tmp_path / "gaps.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
@@ -240,6 +266,14 @@ def test_weakstar_without_dictionary(tmp_path, capsys):
 def test_invalid_json_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    rc = cli.main(["energy", "--config", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"schema": 1, "dim": \xff}')
     rc = cli.main(["energy", "--config", str(bad)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error:")

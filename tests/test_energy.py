@@ -103,6 +103,8 @@ def test_request_validation():
         _req(inner_level=0)
     with pytest.raises(ParameterError):
         _req(inner_mode="simpson")
+    with pytest.raises(ParameterError):
+        _req(workers=0)
     with pytest.raises(DimensionError):
         _req(domain=DomainBox([0.0] * 3, [1.0] * 3))
 
@@ -113,6 +115,9 @@ def test_request_validation():
     {"outer_grid": True},
     {"inner_level": 4.0},
     {"inner_level": True},
+    {"workers": True},
+    {"workers": 2.5},
+    {"workers": "2"},
 ])
 def test_request_rejects_bools_and_fractional_sizes(kw):
     with pytest.raises(ParameterError):

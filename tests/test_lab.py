@@ -2,7 +2,10 @@
 
 Core claims:
     - SweepConfig.from_dict validates every section and reports dotted
-      paths; family aliases map onto the canonical mollifier names
+      paths; family aliases map onto the canonical mollifier names; a
+      config with one value replaced by a malformed one either parses,
+      where the new value is valid there, or raises ConfigError at that
+      value's path or an enclosing one
     - the outer resolution policy is N = max(n_min, ceil(c / eps)) and
       alignment bumps N by at most 16 to put the interface on cell lines
     - rate_estimate recovers first and second order limits from clean
@@ -22,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nldef import ConfigError, EnergyResult, GroundTruth, InsufficientDataError
 
@@ -125,6 +129,73 @@ def test_config_error_paths():
         _cfg(outer={"n": 1})
     with pytest.raises(ConfigError, match="dictionary"):
         _cfg(weakstar={"dictionary": [{"id": "box"}]})
+
+
+FULL_CFG = {
+    "schema": 1,
+    "dim": 2,
+    "field": {"id": "planar_jump", "params": {
+        "normal": [1.0, 0.0],
+        "offset": 0.5,
+        "minus": {"id": "rigid", "params": {"spin": [[0.0, 0.3], [-0.3, 0.0]],
+                                            "shift": [0.1, 0.2]}},
+        "plus": {"id": "linear", "params": {"matrix": [[1.0, 0.2], [0.0, 0.5]],
+                                            "shift": [0.0, 1.0]}},
+    }},
+    "domain": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+    "p": 1.0,
+    "mollifier": {"family": "shell"},
+    "eps": [0.2, 0.1, 0.05],
+    "outer": {"c": 4.0, "n_min": 8, "n": 16},
+    "inner": {"mode": "tensor", "level": 4},
+    "trunc_tol": 1e-8,
+    "aligned": False,
+    "residual": False,
+    "tol_accept": 0.05,
+    "weakstar": {"dictionary": [
+        {"id": "const_one"},
+        {"id": "tent", "center": [0.5, 0.5], "radius": 0.25},
+        {"id": "cosine", "k": [1.0, 0.0]},
+    ]},
+    "workers": 1,
+}
+
+
+def _leaf_positions(node, keys=(), path="config"):
+    """(keys, path) of every value in a config tree that is not an object."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        sub = f"{path}.{k}" if isinstance(k, str) else f"{path}[{k}]"
+        if not isinstance(v, dict):
+            yield keys + (k,), sub
+        if isinstance(v, (dict, list)):
+            yield from _leaf_positions(v, keys + (k,), sub)
+
+
+LEAVES = list(_leaf_positions(FULL_CFG))
+BAD_VALUES = [True, math.nan, "x", None, [], {}]
+# the replacements that are themselves valid at their key
+VALID_SWAPS = {("config.outer.n", "None"), ("config.workers", "None"),
+               ("config.aligned", "True"), ("config.residual", "True"),
+               ("config.weakstar.dictionary", "[]")}
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(leaf=st.sampled_from(LEAVES), bad=st.sampled_from(BAD_VALUES))
+def test_config_fuzz_one_bad_leaf(leaf, bad):
+    keys, path = leaf
+    raw = json.loads(json.dumps(FULL_CFG))
+    node = raw
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = bad
+    try:
+        lab.SweepConfig.from_dict(raw)
+    except ConfigError as exc:
+        where = str(exc).split(": ", 1)[0]
+        assert path == where or path.startswith((where + ".", where + "[")), (path, str(exc))
+    else:
+        assert (path, repr(bad)) in VALID_SWAPS, f"{path} = {bad!r} parsed"
 
 
 # -- outer resolution policy -------------------------------------------------
