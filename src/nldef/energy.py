@@ -15,11 +15,12 @@ The grid is a tensor product and the mask factors per axis, so the engine's
 one mask, `_grid_mask`, is built once per inner level from each axis's N
 midpoints: per axis the rows x_k + h_k in [lo_k, hi_k], a flag per row that
 fails somewhere (an edge row), and, for the classes below, a class key per
-row. A scattered point is no special case: `local_density` is the one-cell
-grid over the point. Where a field has `FieldSpec.kernel_classes` (rigid and
-linear fields, and jump cells whose stencil stays on one side, have a kernel
-that does not involve x), the cells fall into classes with identical pair
-rows: equal kernel ids and equal mask rows, the mask classes ranked from the
+row. Only `density_masses` forms the (N^d, d) cell points. A scattered point
+is no special case: `local_density` is the one-cell grid over the point.
+Where a field has `FieldSpec.kernel_classes(axes, h)` (rigid and linear
+fields, and jump cells whose stencil stays on one side, have a kernel that
+does not involve x), the cells fall into classes with identical pair rows:
+equal kernel ids and equal mask rows, the mask classes ranked from the
 keys. Each class's first cell is evaluated in the tile that holds it and its
 mass is gathered to the others, which gives the bits of evaluating every
 cell. Fields whose kernel depends on x (sin, bump, sampled) evaluate every
@@ -244,10 +245,10 @@ def _inner_nodes(req: EnergyRequest, level: int):
 
 
 def _midpoints(box: DomainBox, n: int):
-    """(axes, points, cellvol) of the outer grid: column k of axes (n, d) holds
-    the midpoints of axis k's n cells, points (n^d, d) their tensor grid."""
+    """(axes, cellvol) of the outer grid: column k of axes (n, d) holds the
+    midpoints of axis k's n cells; the cells are their tensor grid."""
     axes = box.lo + (box.hi - box.lo) * (np.arange(n)[:, None] + 0.5) / n
-    return axes, _tensor_grid(axes.T), box.volume() / n**box.dim
+    return axes, box.volume() / n**box.dim
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +342,7 @@ def _run_masses(field, tile, cells, axes, h, scale, ok, edge, p, residual, cellv
 
 def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool, grid):
     """(masses, inner node count): mu^p(x_i) * cellvol for every cell of the
-    (axes, points, cellvol) grid of `_midpoints`, in its order.
+    (axes, cellvol) grid of `_midpoints`, first axis slowest.
 
     The level's mask, node scale w^(1/p)/|h|^2 and, with kernel classes, the
     grid's mask classes refined by the kernel ids are built once; a class is
@@ -351,12 +352,13 @@ def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool, gr
     each, on the pool when there are several.
     """
     h, w, inv_r2 = _inner_nodes(req, level)
-    axes, pts, cellvol = grid
+    axes, cellvol = grid
+    cells = len(axes) ** axes.shape[1]
     tile = max(1, _TILE_NODE_BUDGET // max(1, len(h)))
-    kernel = req.field.kernel_classes(pts, h)
+    kernel = req.field.kernel_classes(axes, h)
     ok, edge, keys = _grid_mask(req.domain, axes, h, keys=kernel is not None)
     if kernel is None:
-        edges = np.r_[0 : len(pts) : tile, len(pts)]
+        edges = np.r_[0:cells:tile, cells]
     else:
         ids, first = _grid_classes(keys)
         if np.any(kernel != kernel[0]):
@@ -380,7 +382,7 @@ def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool, gr
 
 
 def _masses(req: EnergyRequest, residual: bool):
-    """(midpoints, masses, inner node count, est_quadrature_error).
+    """(axes of `_midpoints`, masses, inner node count, est_quadrature_error).
 
     The masses and the node count come from the finer inner level
     (2 x inner_level); the error estimate is the gap between the totals
@@ -397,7 +399,7 @@ def _masses(req: EnergyRequest, residual: bool):
     grid = _midpoints(req.domain, req.outer_grid)  # one outer grid for both levels
     coarse, _ = _all_masses(req, req.inner_level, workers, residual, grid)
     fine, k_fine = _all_masses(req, 2 * req.inner_level, workers, residual, grid)
-    return grid[1], fine, k_fine, abs(pairwise_total(fine) - pairwise_total(coarse))
+    return grid[0], fine, k_fine, abs(pairwise_total(fine) - pairwise_total(coarse))
 
 
 def _evaluate(req: EnergyRequest, residual: bool) -> EnergyResult:
@@ -435,8 +437,7 @@ def local_density(req: EnergyRequest, x) -> float:
         raise DimensionError(f"point shape {x.shape} does not match the domain")
     if not bool(req.domain.contains(x)):
         raise DomainError("point lies outside the domain")
-    x = x[None]  # the one-cell grid
-    mass = _all_masses(req, 2 * req.inner_level, 1, False, (x, x, 1.0))[0][0]
+    mass = _all_masses(req, 2 * req.inner_level, 1, False, (x[None], 1.0))[0][0]
     return float(mass ** (1.0 / req.p))
 
 
@@ -446,8 +447,8 @@ def density_masses(req: EnergyRequest, residual: bool = False):
     Shares the energy pipeline so pairwise_total(masses) equals
     energy(req).value bit for bit.
     """
-    pts, masses, _, est = _masses(req, residual)
-    return pts, masses, est
+    axes, masses, _, est = _masses(req, residual)
+    return _tensor_grid(axes.T), masses, est
 
 
 def upper_bound_rhs(

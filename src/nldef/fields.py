@@ -5,7 +5,7 @@ Fields are immutable dataclasses sharing a small interface:
   eval(x)              values at points, vectorized over leading axes
   delta_dot_h(x, h)    <u(x+h) - u(x), h>, the reference pair kernel
   sym_gradient(x)      the symmetric part of the Jacobian, where defined
-  kernel_classes(x, h) ids of cells with identical kernel rows, or None
+  kernel_classes(axes, h) ids of grid cells with identical kernel rows, or None
   pair_blocks(x, h, s) the engine's kernel hook: yields (rows, q) blocks of the
                        rows delta_dot_h * s, less <Eu(x) h, h> s with residual
 
@@ -15,7 +15,7 @@ identities hold exactly in floating point; in particular a rigid field
 reports an exactly zero kernel, which is what makes the zero-energy test
 bitwise. Bump and sampled fields use the generic difference. The sin field
 alone has `pair_factors(x, h)`, low-rank factors of its kernel, from which
-it builds its `pair_blocks`.
+it builds its `pair_blocks`. Products with x (A x, k.x, x.nu) are `_dot` sums.
 
 `ground_truth` returns the limit value the energy sweep converges to: the
 volume integral of Q_p of the symmetric gradient plus, for jump fields at
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -138,6 +139,20 @@ def _row_blocks(n: int, k: int):
         yield slice(start, min(start + step, n)), buf[: min(step, n - start)]
 
 
+def _dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x . v over the last axis as the fixed-order sum (x_1 v_1 + x_2 v_2) + x_3 v_3,
+    broadcast: a point's value is the same alone and in a batch (BLAS's is not)."""
+    out = x[..., 0] * v[..., 0]
+    for k in range(1, x.shape[-1]):
+        out = out + x[..., k] * v[..., k]
+    return out
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x over the last axis of x, one `_dot` per row of a (m, d): (..., m)."""
+    return np.stack([_dot(x, row) for row in a], axis=-1)
+
+
 def _matmul_rows(a: np.ndarray, bt: np.ndarray, out: np.ndarray | None = None):
     """a @ bt (into out) with the bits of a many-row gemm in every row: numpy
     hands a one-row product to gemv, which rounds apart, so it goes in twice."""
@@ -154,8 +169,8 @@ class FieldSpec:
     residual)` yields a tile's pair rows block by block, the kernel times a
     per-node scale less the first-order term for the residual; the default
     builds them from `delta_dot_h`, the sin field and the planar jump build
-    the same rows faster. `kernel_classes(x, h)` lets the engine evaluate one
-    cell per class of cells with equal kernel rows.
+    the same rows faster. `kernel_classes(axes, h)` lets the engine evaluate
+    one cell per class of the outer grid's cells with equal kernel rows.
     """
 
     dim: int
@@ -200,16 +215,17 @@ class FieldSpec:
                 q -= _matmul_rows(e[rows], hht)
             yield rows, q
 
-    def kernel_classes(self, x: np.ndarray, h: np.ndarray) -> np.ndarray | None:
-        """Kernel classes (n,) of cells x (n, d) against offsets h (K, d), or None.
+    def kernel_classes(self, axes: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+        """Kernel classes (n^d,) of the cells x of the tensor grid over `axes`
+        (n, d), first axis slowest, against offsets h (K, d), or None.
 
         Contract: cells with equal ids get bitwise-equal rows of
         `delta_dot_h(x[:, None, :], h[None, :, :])` and bitwise-equal
         `sym_gradient(x)`, so their residual rows agree too; an id may be any
-        int64. The engine calls it once per inner level on every cell of the
-        outer grid, refines the grid's mask classes by it, evaluates one cell
-        per class and gathers its mass to the others. None, the default,
-        means the kernel depends on x: every cell is evaluated.
+        int64. The engine calls it once per inner level on its outer grid,
+        refines the grid's mask classes by it, evaluates one cell per class
+        and gathers its mass to the others. None, the default, means the
+        kernel depends on x: every cell is evaluated.
         """
         return None
 
@@ -260,7 +276,7 @@ class RigidField(FieldSpec):
 
     def eval(self, x) -> np.ndarray:
         x = self._check_points(x)
-        return x @ self.spin.T + self.shift
+        return _matvec(self.spin, x) + self.shift
 
     def sym_gradient(self, x) -> np.ndarray:
         x = self._check_points(x)
@@ -273,8 +289,8 @@ class RigidField(FieldSpec):
         shape = np.broadcast_shapes(x.shape[:-1], h.shape[:-1])
         return np.broadcast_to(0.0, shape)
 
-    def kernel_classes(self, x, h) -> np.ndarray:
-        return np.zeros(len(x), dtype=np.int64)  # the kernel is 0 everywhere
+    def kernel_classes(self, axes, h) -> np.ndarray:
+        return np.zeros(len(axes) ** axes.shape[1], dtype=np.int64)  # the kernel is 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +317,7 @@ class LinearField(FieldSpec):
 
     def eval(self, x) -> np.ndarray:
         x = self._check_points(x)
-        return x @ self.a.T + self.shift
+        return _matvec(self.a, x) + self.shift
 
     def sym_gradient(self, x) -> np.ndarray:
         x = self._check_points(x)
@@ -316,8 +332,7 @@ class LinearField(FieldSpec):
         shape = np.broadcast_shapes(x.shape[:-1], h.shape[:-1])
         return np.broadcast_to(q, shape)
 
-    def kernel_classes(self, x, h) -> np.ndarray:
-        return np.zeros(len(x), dtype=np.int64)  # <A h, h> does not involve x
+    kernel_classes = RigidField.kernel_classes  # <A h, h> does not involve x
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,11 +362,11 @@ class SinField(FieldSpec):
 
     def eval(self, x) -> np.ndarray:
         x = self._check_points(x)
-        return self.amplitude * np.sin(x @ self.waves.T)
+        return self.amplitude * np.sin(_matvec(self.waves, x))
 
     def sym_gradient(self, x) -> np.ndarray:
         x = self._check_points(x)
-        cos = np.cos(x @ self.waves.T)  # (..., d), column i is cos(k_i . x)
+        cos = np.cos(_matvec(self.waves, x))  # (..., d), column i is cos(k_i . x)
         du = cos[..., :, None] * (self.amplitude[:, None] * self.waves)
         return 0.5 * (du + np.swapaxes(du, -1, -2))
 
@@ -364,7 +379,7 @@ class SinField(FieldSpec):
         """
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
-        kx = x @ self.waves.T
+        kx = _matvec(self.waves, x)
         kh = h @ self.waves.T
         half = np.sin(0.5 * kh)
         amp = np.tile(self.amplitude, 2)
@@ -385,11 +400,7 @@ class SinField(FieldSpec):
             yield rows, _matmul_rows(a[rows], bt, q)
 
     def delta_dot_h(self, x, h) -> np.ndarray:
-        a, b = self.pair_factors(x, h)
-        q = a[..., 0] * b[..., 0]
-        for r in range(1, 2 * self.dim):
-            q += a[..., r] * b[..., r]
-        return q
+        return _dot(*self.pair_factors(x, h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,15 +479,8 @@ class PlanarJumpField(FieldSpec):
     def dim(self) -> int:
         return self.normal.shape[0]
 
-    def _engine_normals(self, x, h):
-        """x.nu (n,) and h.nu (K,) for cells x (n, d) and offsets h (K, d),
-        as products of the engine's (n, 1, d) and (1, K, d) shapes, which
-        `delta_dot_h` sees and which may round apart from `x @ normal`."""
-        return (x[:, None, :] @ self.normal)[:, 0], (h[None, :, :] @ self.normal)[0]
-
-    def _plus_side(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return (x @ self.normal) - self.offset > 0.0
+    def _plus_side(self, x: np.ndarray) -> np.ndarray:
+        return _dot(x, self.normal) - self.offset > 0.0
 
     def eval(self, x) -> np.ndarray:
         x = self._check_points(x)
@@ -503,16 +507,11 @@ class PlanarJumpField(FieldSpec):
         h = np.asarray(h, dtype=np.float64)
         px = self._plus_side(x)
         # x.nu + h.nu equals (x + h).nu bitwise for normals +-e_j
-        py = (x @ self.normal + h @ self.normal) - self.offset > 0.0
+        py = (_dot(x, self.normal) + _dot(h, self.normal)) - self.offset > 0.0
         q = np.where(py, self.plus.delta_dot_h(x, h), self.minus.delta_dot_h(x, h))
         if not np.any(py != px):  # no pair crosses the plane
             return q
-        a = self.jump_at(x)
-        a_dot_h = a[..., 0] * h[..., 0]
-        for k in range(1, self.dim):
-            a_dot_h += a[..., k] * h[..., k]
-        a_dot_h *= np.subtract(py, px, dtype=np.float64)
-        q += a_dot_h
+        q += _dot(self.jump_at(x), h) * np.subtract(py, px, dtype=np.float64)
         return q
 
     def pair_blocks(self, x, h, scale, residual=False):
@@ -521,18 +520,16 @@ class PlanarJumpField(FieldSpec):
         x lies on side p_x and x + h on side p_y, and sigma = p_y - p_x is -1,
         0 or 1; k_- and k_+ are the side kernels, functions of h alone for
         affine sides, dk = k_+ - k_-, a(x) = u_+(x) - u_-(x) and s the
-        scale. Once per tile, the side tests of `delta_dot_h` (with its
-        product shapes) and x's side rows are made per distinct x.nu, on
-        which alone sigma and the side row depend. A block is one
-        (m, d + 1) x (d + 1, K) product, times sigma, plus x's side row (a
-        pair with sigma = 0 gets the bits of `delta_dot_h(...) * scale`, and
-        a tile with no crossing pair skips the product), less the residual's
-        first-order rows.
+        scale. Once per tile, the side tests of `delta_dot_h` and x's side
+        rows are made per distinct x.nu, on which alone sigma and the side
+        row depend. A block is one (m, d + 1) x (d + 1, K) product, times
+        sigma, plus x's side row (a pair with sigma = 0 gets the bits of
+        `delta_dot_h(...) * scale`, and a tile with no crossing pair skips
+        the product), less the residual's first-order rows.
         """
-        xn, hn = self._engine_normals(x, h)
-        xn, at = np.unique(xn, return_inverse=True)
+        xn, at = np.unique(_dot(x, self.normal), return_inverse=True)
         px = (xn > self.offset)[:, None]
-        same = np.add.outer(xn, hn) > self.offset
+        same = np.add.outer(xn, _dot(h, self.normal)) > self.offset
         np.equal(same, px, out=same)
         # the side kernels do not involve x, so x = 0 stands for every cell
         k_minus, k_plus = (side.delta_dot_h(np.zeros((1, 1, self.dim)), h[None])[0]
@@ -541,10 +538,7 @@ class PlanarJumpField(FieldSpec):
         crossing = not same.all()
         if crossing:
             sigma = np.where(same, 0.0, np.where(px, -1.0, 1.0))
-            # a one-cell tile goes in twice, so that its sides' x @ A.T are gemm rows
-            # (numpy hands a one-row product to gemv, which rounds apart)
-            jump = self.jump_at(np.repeat(x, 2, axis=0))[:1] if len(x) == 1 else self.jump_at(x)
-            a = np.concatenate([np.ones((x.shape[0], 1)), jump], axis=1)
+            a = np.concatenate([np.ones((x.shape[0], 1)), self.jump_at(x)], axis=1)
             bt = np.vstack([k_plus - k_minus, h.T]) * scale
         if residual:
             e, hht = _first_order(self, x, h, scale)
@@ -559,22 +553,21 @@ class PlanarJumpField(FieldSpec):
                 q -= _matmul_rows(e[rows], hht)
             yield rows, q
 
-    def kernel_classes(self, x, h) -> np.ndarray:
-        """x's side (0 minus, 1 plus) where every x + h stays on it, else 2 + i.
+    def kernel_classes(self, axes, h) -> np.ndarray:
+        """Cell i's side (0 minus, 1 plus) where every x + h stays on it, else 2 + i.
 
         Such a cell's kernel row is its side's affine kernel, which does not
-        involve x. The side test of `delta_dot_h` is nondecreasing in h.nu,
-        so it is evaluated at the extremes of h.nu (and 0, which is x's own
-        test), with the products shaped as the engine's (t, 1, d) cells and
-        (1, K, d) offsets; `sym_gradient` must pick the same side.
+        involve x. A cell's x.nu is the sum of the per-axis products
+        axes[:, k] * nu_k in axis order, the float operations of `_dot` on
+        the cell. The side test of `delta_dot_h` is nondecreasing in h.nu,
+        so it is evaluated at the extremes of h.nu and at 0, which is x's
+        own test, the one `sym_gradient` makes.
         """
-        x = np.asarray(x, dtype=np.float64)
-        h = np.asarray(h, dtype=np.float64)
-        xn, hn = self._engine_normals(x, h)
+        xn = reduce(np.add.outer, (axes * self.normal).T).ravel()
+        hn = _dot(h, self.normal)
         low = (xn + hn.min(initial=0.0)) - self.offset > 0.0
         high = (xn + hn.max(initial=0.0)) - self.offset > 0.0
-        one_sided = (low == high) & (self._plus_side(x) == low)
-        return np.where(one_sided, low, 2 + np.arange(x.shape[0]))
+        return np.where(low == high, low, 2 + np.arange(len(xn)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -677,7 +670,7 @@ def exact_sym_gradient(f: FieldSpec, x) -> SymMatrix:
     if isinstance(f, SampledField):
         raise ModelError("sampled fields have no exact gradient")
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(f, PlanarJumpField) and float(x @ f.normal) == f.offset:
+    if isinstance(f, PlanarJumpField) and float(_dot(x, f.normal)) == f.offset:
         raise DomainError("point lies on the jump interface")
     return SymMatrix(f.sym_gradient(x))
 

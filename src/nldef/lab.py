@@ -36,7 +36,7 @@ from .fields import (
     ground_truth,
 )
 from .measures import TestFunction, _fmt, _write_lines, weakstar_gap
-from .mollifiers import MollifierSpec
+from .mollifiers import MollifierSpec, _check_rules
 from .symnorm import make_sphere_rule
 
 __all__ = [
@@ -209,8 +209,9 @@ class SweepReport:
     flags: dict = dc_field(default_factory=dict)
 
 
-def _policy_n(cfg: SweepConfig, eps: float) -> int:
-    return max(cfg.outer_n_min, math.ceil(cfg.outer_c / eps))
+def _policy_n(cfg: SweepConfig, eps: float):
+    q = cfg.outer_c / eps
+    return max(cfg.outer_n_min, math.ceil(q)) if math.isfinite(q) else math.inf
 
 
 def _aligned_n(cfg: SweepConfig, n: int):
@@ -236,14 +237,17 @@ def _request(cfg: SweepConfig, eps: float):
     """(request, under_policy, aligned_exact): the config's energy request at eps.
 
     The outer grid is outer.n when given, else the policy max(n_min,
-    ceil(c / eps)); aligned configs then bump it so a jump interface lands on
-    cell boundaries. Every command builds its requests here, so one config
-    gives the same grid everywhere.
+    ceil(c / eps)), whose N^d cells must fit the engine's int64 cell index;
+    aligned configs then bump it so a jump interface lands on cell
+    boundaries. Every command builds its requests here, so one config gives
+    the same grid everywhere.
     """
     mollifier = MollifierSpec(cfg.family, eps, cfg.dim)  # checks eps before c / eps
     policy = _policy_n(cfg, eps)
     n = cfg.outer_n if cfg.outer_n is not None else policy
     under_policy = n < policy
+    _check_rules(mollifier, {"eps": (cfg.outer_n is not None or n ** cfg.dim < 2**63,
+                                     "large enough for a policy grid of < 2^63 cells")})
     exact = True
     if cfg.aligned:
         n, exact = _aligned_n(cfg, n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyRequest, density_masses, pairwise_total
+from .energy import EnergyRequest, _midpoints, density_masses, pairwise_total
 from .errors import DimensionError, ModelError, ParameterError
 from .fields import (
     DomainBox,
@@ -201,7 +201,8 @@ def _interface_atoms(f: PlanarJumpField, box: DomainBox, rule: SphereRule):
 def ground_truth_measure(
     f: FieldSpec, box: DomainBox, rule: SphereRule | None = None, n_cells: int = 64
 ) -> DiscreteMeasure:
-    """The limit measure: Q_1 density atoms per cell plus interface atoms."""
+    """The limit measure: Q_1 density atoms per cell, at the points of
+    `density_masses` on an n_cells grid, plus interface atoms."""
     if isinstance(f, SampledField):
         raise ModelError("the limit measure needs a closed-form field")
     if rule is None:
@@ -210,7 +211,7 @@ def ground_truth_measure(
         raise DimensionError("field, box and rule dimensions must agree")
     n = n_cells
     step = (box.hi - box.lo) / n
-    mids = _tensor_grid([box.lo[i] + step[i] * (np.arange(n) + 0.5) for i in range(box.dim)])
+    mids = _tensor_grid(_midpoints(box, n)[0].T)
     if isinstance(f, PlanarJumpField):
         lo = box.lo + step * _tensor_grid([np.arange(n)] * box.dim)
         cell_masses = _jump_volume_masses(f, box, lo, lo + step, rule)

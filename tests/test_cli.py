@@ -165,6 +165,10 @@ def test_bool_for_number_is_config_error(tmp_path, capsys, path, override):
     ("config.weakstar.dictionary[0].center", {"weakstar": {"dictionary": [
         {"id": "tent", "center": [0.5, math.nan], "radius": 0.25}]}}),
     ("config.p", {"p": 10**400}),  # a JSON integer beyond the float range
+    # policy grids (no outer.n) that cannot be built: c / eps is inf, or
+    # N = 8e300 has more cells than the engine's int64 index
+    ("config.eps[0]", {"eps": [5e-324], "outer": {}}),
+    ("config.eps[0]", {"eps": [1e-300], "outer": {}}),
 ])
 def test_non_finite_number_is_config_error(tmp_path, capsys, path, override):
     # json.load reads NaN and Infinity; neither may pass as a number

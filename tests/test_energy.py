@@ -301,11 +301,11 @@ def test_sin_tile_peak_memory_is_bounded_by_the_block(level):
                            mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
                            inner_level=16, workers=1)
     h, w, inv_r2 = en._inner_nodes(req, level)
-    axes, pts, cellvol = en._midpoints(BOX, 320)
+    axes, cellvol = en._midpoints(BOX, 320)
     ok, edge, _ = en._grid_mask(BOX, axes, h)
     k = h.shape[0]
     t = en._TILE_NODE_BUDGET // k
-    middle = (pts.shape[0] // t // 2) * t
+    middle = (320**2 // t // 2) * t
     # the first tile lies along a face of the box (all cells at the fine level
     # and 35% at the coarse level are edge cells), the middle one 5%
     for start in (0, middle):

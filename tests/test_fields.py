@@ -4,6 +4,8 @@ Core claims:
     - DomainBox geometry (volume, contains, dilate, erode-to-empty) is exact
     - RigidField reports an exactly zero pair kernel and zero gradient
     - Linear/Sin/Bump fields match their closed-form values and gradients
+    - a point's values, gradient, jump and sin pair factors have the same
+      bits alone and in a batch
     - PlanarJumpField picks sides correctly (interface -> minus) and its
       kernel switches between sidewise and cross formulas
     - SampledField interpolates affine fields exactly and range-checks eval
@@ -180,6 +182,40 @@ def test_field_validation():
         BumpField(np.array([1.0, 0.0]), np.array([0.0, 0.0]), -1.0)
     with pytest.raises(DimensionError):
         LinearField(np.eye(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_point_alone_has_its_bits_in_a_batch(d):
+    """eval, sym_gradient, jump_at and the sin pair factors of one point
+    (shape (d,) or (1, d)) equal its row of the same call on the midpoints
+    of a 16, 8 x 8 or 4 x 4 x 4 grid bit for bit: products with x are one
+    fixed-order sum, never a BLAS product whose rounding depends on the
+    batch."""
+    rng = np.random.default_rng(40 + d)
+    n = {1: 16, 2: 8, 3: 4}[d]
+    x = np.stack(np.meshgrid(*[(np.arange(n) + 0.5) / n] * d, indexing="ij"), -1).reshape(-1, d)
+    h = rng.uniform(-0.3, 0.3, (5, d))
+    nu = rng.standard_normal(d)
+    nu /= np.linalg.norm(nu)
+    lin = [LinearField(rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, d)) for _ in range(2)]
+    fields = [RigidField.from_general(rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, d)),
+              *lin, SinField(rng.uniform(0.1, 0.5, d), rng.uniform(-4, 4, (d, d))),
+              PlanarJumpField(nu, 0.5 * float(nu.sum()), *lin)]
+
+    def bits(a):
+        return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+    for f in fields:
+        calls = [f.eval, f.sym_gradient]
+        if isinstance(f, PlanarJumpField):
+            calls.append(f.jump_at)
+        if isinstance(f, SinField):
+            calls.append(lambda y: f.pair_factors(y[..., None, :], h)[0])
+        for call in calls:
+            batch = bits(call(x))
+            for i in range(len(x)):
+                assert np.array_equal(bits(call(x[i])), batch[i])
+                assert np.array_equal(bits(call(x[i : i + 1])), batch[i : i + 1])
 
 
 # -- planar jump -------------------------------------------------------------

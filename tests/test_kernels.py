@@ -27,6 +27,8 @@ Core claims:
       an exactly zero energy
     - a power-of-two scale of the field scales the energy exactly:
       F(2^k u) == 2^(kp) F(u), value and error bar
+    - a jump's x.nu is one value per point: alone, in a batch and as a
+      grid cell built from the axes by `kernel_classes`
     - cells in one kernel class have bitwise-equal kernel and sym_gradient
       rows, cells in one mask class bitwise-equal mask rows, and the class
       path of the engine gives the same bits as computing every cell while
@@ -183,8 +185,8 @@ def test_folded_sin_rows_match_unfolded_reference(d):
         if not isinstance(f.plus, LinearField):
             continue
         x = rng.uniform(-0.5, 1.5, (50, d))  # some cells farther than any |h| from the plane
-        xn = (x[:, None, :] @ f.normal)[:, 0]
-        yn = xn[:, None] + (h[None, :, :] @ f.normal)[0]
+        xn = fields_mod._dot(x, f.normal)
+        yn = xn[:, None] + fields_mod._dot(h, f.normal)
         one_sided = ((xn > f.offset)[:, None] == (yn > f.offset)).all(axis=1)
         assert one_sided.any() and not one_sided.all()
         cases += [(f, x, h), (f, x[one_sided], h)]
@@ -273,11 +275,11 @@ def test_jump_kernel_matches_known_cross_values():
 
 def _jump_on_plane_cases(rng, f, d):
     """Cells and offsets for `f`, plus copies of `f` whose plane holds a cell,
-    or a cell plus an offset, exactly (in the engine's product shapes)."""
+    or a cell plus an offset, exactly (by the field's own x.nu, `_dot`)."""
     x = rng.uniform(-0.5, 1.5, (50, d))  # some cells farther than any |h| from the plane
     h = rng.uniform(-0.4, 0.4, (70, d))
-    xn = (x[:, None, :] @ f.normal)[:, 0]
-    hn = (h[None, :, :] @ f.normal)[0]
+    xn = fields_mod._dot(x, f.normal)
+    hn = fields_mod._dot(h, f.normal)
     # the cell, and the cell plus offset, nearest the plane through the center
     i = np.argmin(np.abs(xn - f.offset))
     y = xn[:, None] + hn[None, :]
@@ -303,8 +305,8 @@ def test_jump_rows_match_kernel_over_h2(d):
             got = _rows(g, x, h, inv_r2)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
-            xn = (x[:, None, :] @ g.normal)[:, 0]
-            yn = xn[:, None] + (h[None, :, :] @ g.normal)[0]
+            xn = fields_mod._dot(x, g.normal)
+            yn = xn[:, None] + fields_mod._dot(h, g.normal)
             px, py = xn > g.offset, yn > g.offset
             assert np.any(~px[:, None] & py) and np.any(px[:, None] & ~py)
             stay = py == px[:, None]
@@ -570,9 +572,9 @@ def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
             calls.clear()
             for masses in got[1:]:
                 assert np.array_equal(_bits(masses), _bits(got[0]))
-            if f.kernel_classes(grid[1], h) is None:
+            if f.kernel_classes(grid[0], h) is None:
                 assert tiles == -(-n**d // t)
-                axes, _, cellvol = grid
+                axes, cellvol = grid
                 ok, edge, _ = en._grid_mask(box, axes, h)
                 scale = w ** (1.0 / r.p) * inv_r2
                 ref = np.concatenate([
@@ -685,20 +687,23 @@ def _assert_rows_equal_per_class(ids, rows):
     assert np.array_equal(rows, rows[first][inv])
 
 
-def _class_points(rng, d):
-    """Cells on a coarse grid (so classes repeat) plus random ones, and offsets
-    with duplicates whose h.nu extremes are exactly +-0.25 for axis normals."""
-    grid = np.stack(np.meshgrid(*[np.arange(0.125, 1.0, 0.125)] * d, indexing="ij"), axis=-1)
-    x = np.vstack([grid.reshape(-1, d), rng.uniform(0.0, 1.0, (20, d))])
+def _class_grid(rng, d):
+    """Per-axis coordinates (10, d), a coarse grid (so classes repeat) plus
+    random ones, and offsets with duplicates whose h.nu extremes are exactly
+    +-0.25 for axis normals."""
+    axes = np.vstack([np.tile(np.arange(0.125, 1.0, 0.125)[:, None], d),
+                      rng.uniform(0.0, 1.0, (3, d))])
     h = rng.uniform(-0.25, 0.25, (30, d))
     h[0], h[1] = 0.25, -0.25
-    return x, np.vstack([h, h[:6]])
+    return axes, np.vstack([h, h[:6]])
 
 
-def _check_kernel_classes(f, x, h):
-    """Contract of kernel_classes; kernel rows compared as |q| (the engine
-    takes |q|^p), so a zero may differ in sign."""
-    ids = f.kernel_classes(x, h)
+def _check_kernel_classes(f, axes, h):
+    """Contract of kernel_classes on the cells of the tensor grid over axes;
+    kernel rows compared as |q| (the engine takes |q|^p), so a zero may
+    differ in sign."""
+    ids = f.kernel_classes(axes, h)
+    x = fields_mod._tensor_grid(axes.T)
     assert ids.shape == (x.shape[0],) and ids.dtype == np.int64
     q = f.delta_dot_h(x[:, None, :], h[None, :, :])
     _assert_rows_equal_per_class(ids, _bits(np.abs(q)))
@@ -710,58 +715,71 @@ def _check_kernel_classes(f, x, h):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kernel_classes_contract(d):
     rng = np.random.default_rng(70 + d)
-    x, h = _class_points(rng, d)
+    axes, h = _class_grid(rng, d)
     for f in (_sin_field(rng, d),
               BumpField(rng.uniform(-1, 1, d), np.full(d, 0.5), 0.3),
               SampledField(np.zeros(d), np.full(d, 0.5), rng.uniform(-1, 1, (3,) * d + (d,)))):
-        assert f.kernel_classes(x, h) is None  # x-dependent kernels opt out
+        assert f.kernel_classes(axes, h) is None  # x-dependent kernels opt out
     for f in (_rigid(rng, d), _linear(rng, d)):
-        assert np.all(_check_kernel_classes(f, x, h) == 0)
+        assert np.all(_check_kernel_classes(f, axes, h) == 0)
     for f in _jump_fields(rng, d):
-        _check_kernel_classes(f, x, h)
+        _check_kernel_classes(f, axes, h)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_jump_kernel_classes_on_the_plane(d):
-    """x on the plane, or x + h with the largest or smallest h.nu exactly on
-    it, for +-e_j and oblique normals (the plane counts as the minus side)."""
+    """A diagonal grid cell x on the plane, or x + h with the largest or
+    smallest h.nu exactly on it, for +-e_j and oblique normals (the plane
+    counts as the minus side); the planes are placed by the field's x.nu."""
     rng = np.random.default_rng(80 + d)
-    x, h = _class_points(rng, d)
+    axes, h = _class_grid(rng, d)
+    x = fields_mod._tensor_grid(axes.T)
     normals = _axis_normals(d)
     if d > 1:
         nu = rng.standard_normal(d)
         normals.append(nu / np.linalg.norm(nu))
+    i3, i5, i2 = (k * _diagonal(axes) for k in (3, 5, 2))  # cells (k, .., k)
     for nu in normals:
-        xn = (x[:, None, :] @ nu)[:, 0]  # the products as the engine forms them
-        hn = h @ nu
+        xn, hn = fields_mod._dot(x, nu), fields_mod._dot(h, nu)
         cases = (
-            (xn[3], 3, "band"),  # x on the plane, some x + h above it
-            (xn[5] + hn.max(), 5, 0),  # x below, the highest x + h on the plane
-            (xn[7] + hn.min(), 7, "band"),  # x above, the lowest x + h on the plane
+            (xn[i3], i3, "band"),  # x on the plane, some x + h above it
+            (xn[i5] + hn.max(), i5, 0),  # x below, the highest x + h on the plane
+            (xn[i2] + hn.min(), i2, "band"),  # x above, the lowest x + h on the plane
         )
         for s, i, want in cases:
             f = PlanarJumpField(nu, s, _linear(rng, d), _linear(rng, d))
-            ids = _check_kernel_classes(f, x, h)
+            ids = _check_kernel_classes(f, axes, h)
             assert ids[i] >= 2 if want == "band" else ids[i] == want
             assert np.any(ids < 2) and np.any(ids >= 2)
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_jump_kernel_classes_follow_both_side_tests(d):
-    """`sym_gradient` takes x's side from (n, d) @ nu, `delta_dot_h` from the
-    engine's (t, 1, d) @ nu, and the two can round differently; a cell on the
-    plane by one and off it by the other is not given a side class."""
+def test_jump_side_coordinate_is_one_value_per_point(d):
+    """For oblique normals, x.nu of a point alone, of the same point in a
+    batch (and in the (t, 1, d) cell shape of `delta_dot_h`), and of the
+    same grid cell as `kernel_classes` builds it from the axes are bitwise
+    equal: a plane through the point's x.nu, or just below it, puts the
+    cell in the side class that the point's own side test gives."""
     rng = np.random.default_rng(100 + d)
-    nu = rng.standard_normal(d)
-    nu /= np.linalg.norm(nu)
-    x = rng.uniform(0.0, 1.0, (200, d))
-    gemv, stacked = x @ nu, (x[:, None, :] @ nu)[:, 0]
-    i = int(np.flatnonzero(gemv > stacked)[0])
+    axes = rng.uniform(0.0, 1.0, (7, d))
+    x = fields_mod._tensor_grid(axes.T)
     h = rng.uniform(-0.3, 0.3, (40, d))
-    h = h[h @ nu < 0.0]  # every x + h lies below x
-    f = PlanarJumpField(nu, stacked[i], _linear(rng, d), _linear(rng, d))
-    ids = _check_kernel_classes(f, x, h)
-    assert ids[i] >= 2
+    for _ in range(2):
+        nu = rng.standard_normal(d)
+        nu /= np.linalg.norm(nu)
+        batch = fields_mod._dot(x, nu)
+        assert np.array_equal(_bits(fields_mod._dot(x[:, None, :], nu)[:, 0]), _bits(batch))
+        hn = fields_mod._dot(h, nu)
+        below, above = h[hn < 0.0], h[hn > 0.0]  # every x + h below x, or above it
+        for i in rng.choice(len(x), 25, replace=False):
+            alone = fields_mod._dot(x[i], nu)
+            assert _bits(alone) == _bits(batch[i])
+            # on the plane with every x + h below: all on the minus side;
+            # just above it with every x + h above: all on the plus side
+            for s, offsets, side in ((alone, below, 0), (np.nextafter(alone, -np.inf), above, 1)):
+                f = PlanarJumpField(nu, float(s), _linear(rng, d), _linear(rng, d))
+                assert f.kernel_classes(axes, offsets)[i] == side
+                assert f._plus_side(x[i]) == side == f._plus_side(x)[i]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -769,7 +787,7 @@ def test_offset_classes_contract(d):
     rng = np.random.default_rng(90 + d)
     unit = DomainBox([0.0] * d, [1.0] * d)
     for box in (unit, DomainBox(rng.uniform(-1, 0, d), rng.uniform(0.1, 2, d))):
-        _, h = _class_points(rng, d)
+        _, h = _class_grid(rng, d)
         # per axis a coarse grid (so classes repeat) plus random coordinates
         axes = np.vstack([np.tile(np.arange(0.125, 1.0, 0.125)[:, None], d),
                           rng.uniform(0.0, 1.0, (3, d))])
@@ -897,9 +915,9 @@ def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypat
         en._all_masses(req, 4, 1, False, en._midpoints(box, 12))
         monkeypatch.undo()
         h = en._inner_nodes(req, 4)[0]
-        _, pts, _ = en._midpoints(box, 12)
-        mask = box.contains(pts[:, None, :] + h[None, :, :])
-        pairs = np.column_stack([f.kernel_classes(pts, h), mask])
+        axes = en._midpoints(box, 12)[0]
+        mask = _grid_contains(box, axes, h)
+        pairs = np.column_stack([f.kernel_classes(axes, h), mask])
         assert sum(rows) == len(np.unique(pairs, axis=0))
 
 

@@ -8,6 +8,7 @@ Core claims:
       field, 1/pi for a unit tangential jump, 0 for rigid motions
     - smooth cell masses are computed in bounded memory and match a
       whole-grid evaluation
+    - the reference measure's cell atoms are the density measure's points
     - pairings are linear, bounded by the total, and match closed forms
       against kinked test functions on the interface
     - weak-star gaps shrink with epsilon and vanish identically for rigid
@@ -142,6 +143,20 @@ def test_reference_measure_jump_cells_sum_to_ground_truth(normal, offset, box, n
     m = me.ground_truth_measure(f, box, rule, n_cells=n_cells)
     assert abs(m.masses[: n_cells**d].sum() - gt.ac_value) <= 1e-12 * gt.ac_value
     assert abs(gt.ac_value - ac) <= 1e-12 * ac
+
+
+def test_reference_cell_atoms_are_the_density_points():
+    # the d3-jump-study grid: both measures put their cell atoms at the
+    # engine's midpoints, so a weak-* pairing compares them at equal points
+    n, box = 24, DomainBox([0.0] * 3, [1.0] * 3)
+    mat = np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]])
+    f = PlanarJumpField(np.eye(3)[0], 0.5, LinearField(mat, np.zeros(3)),
+                        LinearField(mat, np.array([0.2, 1.0, 0.3])))
+    ref = me.ground_truth_measure(f, box, make_sphere_rule(3, 64), n_cells=n)
+    req = en.EnergyRequest(field=f, domain=box, p=1.0, mollifier=MollifierSpec("shell", 0.4, 3),
+                           outer_grid=n, inner_level=4, workers=1)
+    pts = en.density_masses(req)[0]
+    assert np.array_equal(ref.points[: n**3].view(np.uint64), pts.view(np.uint64))
 
 
 def _whole_grid_cell_masses(f, box, n, g, rule):

@@ -24,8 +24,10 @@ error bar (p = 1, closed-form fields) and the per-cell density masses; each
 serial request of the family grid also gives `local_density` (one cell,
 cell volume 1) at an interior point and at a point near a corner. The limit
 objects come on top: `ground_truth` (volume, interface and total values)
-and the `ground_truth_measure` masses of that 3-d jump, of a 2-d
-rigid-sided jump and of a 3-d linear field. The environment, BLAS thread
+and the `ground_truth_measure` masses and atom coordinates of that 3-d
+jump and of a 2-d rigid-sided jump (on 64 and 24 cells per axis) and of a
+3-d linear field (8 cells), with the atom coordinates of `density_masses`
+on the same grids, so that a change of the outer grid shows up. The environment, BLAS thread
 settings included, is passed to both interpreters unchanged. The last line
 gives each tree's source size, the line count of `wc -l src/nldef/*.py`.
 Exit status 0 means every output is bitwise equal, 1 that some differ.
@@ -141,26 +143,37 @@ def _extra_requests():
 
 
 def _limit_outputs(out: dict) -> None:
-    """Ground truths and limit-measure masses on the unit box, p = 1."""
+    """Ground truths, limit-measure masses and atoms, and the density-measure
+    atoms of the same grid, on the unit box, p = 1."""
     import nldef
 
+    en = importlib.import_module("nldef.energy")
     zero2 = nldef.RigidField(np.zeros((2, 2)), np.zeros(2))
+    # cell counts: the weak-* default of 64 and, for the jumps, the study's
+    # grid of 24, whose midpoints are not all exact
     fields = [
-        ("d3/study_jump", _study_field(), 64),
+        ("d3/study_jump", _study_field(), (64, 24)),
         ("d2/jump_rigid", nldef.PlanarJumpField(
             np.array([1.0, 0.0]), 0.5, zero2,
-            nldef.RigidField(np.array([[0.0, 0.5], [-0.5, 0.0]]), np.array([0.3, 1.0]))), 64),
+            nldef.RigidField(np.array([[0.0, 0.5], [-0.5, 0.0]]), np.array([0.3, 1.0]))),
+         (64, 24)),
         # an indefinite symmetric gradient, so Q_1 goes through the sphere rule
-        ("d3/linear", dict(_fields(3))["linear"], 8),
+        ("d3/linear", dict(_fields(3))["linear"], (8,)),
     ]
-    for key, field, n_cells in fields:
+    for key, field, sizes in fields:
         d = field.dim
         box = nldef.DomainBox([0.0] * d, [1.0] * d)
         rule = nldef.make_sphere_rule(d, 64)
         gt = nldef.ground_truth(field, box, 1.0, rule)
         out[f"{key}/ground_truth"] = [gt.ac_value, gt.singular_value, gt.total]
-        masses = nldef.ground_truth_measure(field, box, rule, n_cells=n_cells).masses
-        out[f"{key}/limit_masses/n{n_cells}"] = np.asarray(masses, dtype=np.float64).tolist()
+        for n in sizes:
+            limit = nldef.ground_truth_measure(field, box, rule, n_cells=n)
+            out[f"{key}/limit_masses/n{n}"] = np.asarray(limit.masses, dtype=np.float64).tolist()
+            out[f"{key}/limit_atoms/n{n}"] = np.ravel(limit.points).tolist()
+            req = en.EnergyRequest(field=field, domain=box, p=1.0, outer_grid=n,
+                                   mollifier=nldef.MollifierSpec("shell", 0.2, d),
+                                   inner_level=4, workers=1)
+            out[f"{key}/density_atoms/n{n}"] = np.ravel(en.density_masses(req)[0]).tolist()
 
 
 def _record(out: dict, key: str, req, residual: bool) -> None:
