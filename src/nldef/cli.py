@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -103,15 +104,12 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("energy", help="one energy evaluation, JSON on stdout")
     e.add_argument("--config", type=str, required=True)
 
-    s = sub.add_parser("sweep", help="eps sweep to a report file")
-    s.add_argument("--config", type=str, required=True)
-    s.add_argument("--out", type=str, required=True)
-    s.add_argument("--format", type=str, default="csv", choices=("csv", "json"))
-
-    r = sub.add_parser("residual", help="residual-functional sweep")
-    r.add_argument("--config", type=str, required=True)
-    r.add_argument("--out", type=str, required=True)
-    r.add_argument("--format", type=str, default="csv", choices=("csv", "json"))
+    for name, text in (("sweep", "eps sweep to a report file"),
+                       ("residual", "residual-functional sweep")):
+        s = sub.add_parser(name, help=text)
+        s.add_argument("--config", type=str, required=True)
+        s.add_argument("--out", type=str, required=True)
+        s.add_argument("--format", type=str, default="csv", choices=("csv", "json"))
 
     w = sub.add_parser("weakstar", help="weak-* dictionary gap table")
     w.add_argument("--config", type=str, required=True)
@@ -121,18 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    commands = {"qnorm": _cmd_qnorm, "energy": _cmd_energy, "sweep": _cmd_sweep,
+                "residual": partial(_cmd_sweep, force_residual=True),
+                "weakstar": _cmd_weakstar}
     try:
-        if args.cmd == "qnorm":
-            return _cmd_qnorm(args)
-        if args.cmd == "energy":
-            return _cmd_energy(args)
-        if args.cmd == "sweep":
-            return _cmd_sweep(args)
-        if args.cmd == "residual":
-            return _cmd_sweep(args, force_residual=True)
-        if args.cmd == "weakstar":
-            return _cmd_weakstar(args)
-        raise ConfigError(f"unknown command {args.cmd!r}")
+        return commands[args.cmd](args)  # argparse has checked the name
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,31 +10,34 @@ the mollifier's support bands crossed with a sphere rule in direction, so the
 singular |h| factors cancel analytically and only the angular variation is
 resolved. Inner nodes leaving U are rejected (zero mask).
 
-The outer cells are split into fixed tiles of t cells (t x K pairs at most).
-The grid is a tensor product and the mask factors per axis, so the engine's
-one mask, `_grid_mask`, is built once per inner level from each axis's N
-midpoints: per axis the rows x_k + h_k in [lo_k, hi_k], a flag per row that
-fails somewhere (an edge row), and, for the classes below, a class key per
-row. Only `density_masses` forms the (N^d, d) cell points. A scattered point
-is no special case: `local_density` is the one-cell grid over the point.
-Where a field has `FieldSpec.kernel_classes(axes, h)` (rigid and linear
-fields, and jump cells whose stencil stays on one side, have a kernel that
-does not involve x), the cells fall into classes with identical pair rows:
-equal kernel ids and equal mask rows, the mask classes ranked from the
-keys. Each class's first cell is evaluated in the tile that holds it and its
-mass is gathered to the others, which gives the bits of evaluating every
-cell. Fields whose kernel depends on x (sin, bump, sampled) evaluate every
-cell. The tiles go in one contiguous run per worker, one task each that
-carries cell indices, the mask and the node scale s = w^(1/p)/|h|^2 (the
-positive weights folded in, as |q s|^p = |q|^p w/|h|^(2p)); its worker
-rebuilds x, the mask rows and each tile's runs of edge cells from the
-indices by mixed radix. A tile runs one L2-sized block of at most
-`_BLOCK_PAIRS` pairs at a time, every step written over the block: the
-field's one kernel hook, `FieldSpec.pair_blocks(x, h, s, residual)`, yields
-the kernel times s (less <Eu(x) h, h> s for the residual) in one buffer it
-reuses, as documented per family; |q|^p is applied in place; the edge runs
-that meet the block have their pairs that leave U zeroed, interior cells
-(about 90% of the criterion-10 grid) left alone; then come the row sums.
+Both inner levels, L and 2L (the value and, from the gap, the error bar),
+run in one pass: their nodes are the column blocks of one node set of K =
+K_c + K_f nodes. The outer cells are split into fixed tiles of t cells (t x
+K pairs at most). The grid is a tensor product and the mask factors per
+axis, so the engine's one mask, `_grid_mask`, is built once per call from
+each axis's N midpoints: per axis the rows x_k + h_k in [lo_k, hi_k], a flag
+per row that fails somewhere (an edge row), and, for the classes below, a
+class key per row. Only `density_masses` forms the (N^d, d) cell points. A
+scattered point is no special case: `local_density` is the one-cell grid
+over the point. Where a field has `FieldSpec.kernel_classes(axes, h)` (rigid
+and linear fields, and jump cells whose stencil stays on one side, have a
+kernel that does not involve x), the cells fall into classes with identical
+pair rows: equal kernel ids and equal mask rows, the mask classes ranked
+from the keys. Each class's first cell is evaluated in the tile that holds
+it and its mass is gathered to the others, which gives the bits of
+evaluating every cell. Fields whose kernel depends on x (sin, bump, sampled)
+evaluate every cell. The tiles go in one contiguous run per worker, one task
+per call that carries cell indices, the mask and the node scale s =
+w^(1/p)/|h|^2 (the positive weights folded in, as |q s|^p = |q|^p
+w/|h|^(2p)); its worker rebuilds x, the mask rows and each tile's runs of
+edge cells from the indices by mixed radix. A tile runs one L2-sized block
+of at most `_BLOCK_PAIRS` pairs at a time, every step written over the
+block: the field's one kernel hook, `FieldSpec.pair_blocks(x, h, s,
+residual)`, yields the kernel times s (less <Eu(x) h, h> s for the residual)
+in one buffer it reuses, as documented per family; |q|^p is applied in
+place; the edge runs that meet the block have their pairs that leave U
+zeroed, interior cells (about 90% of the criterion-10 grid) left alone; then
+one row sum per level.
 
 Determinism: outer cells are split into fixed-size contiguous tiles, each
 tile's per-cell masses are computed with kernels that see only the tile, in
@@ -118,7 +121,8 @@ class EnergyRequest:
     """One energy evaluation: field, domain, exponent p, mollifier and grids.
 
     Construction checks each value rule of a request, here and nowhere else:
-    p finite and >= 1, outer_grid >= 2, inner_mode 'radial_spherical' or
+    p finite and >= 1, outer_grid >= 2 with outer_grid^d < 2^63 cells (the
+    engine's int64 cell index), inner_mode 'radial_spherical' or
     'tensor', inner_level >= 1, trunc_tol in (0, 1e-2], workers None or >= 1
     (sizes are integers, not bools). A broken rule raises ParameterError
     whose `key` names the field; unequal dimensions raise DimensionError.
@@ -140,7 +144,8 @@ class EnergyRequest:
         tol, w = self.trunc_tol, self.workers
         _check_rules(self, {
             "p": (_is(real, p) and 1 <= p < float("inf"), "a finite number >= 1"),
-            "outer_grid": (_is(whole, n) and n >= 2, "an integer >= 2"),
+            "outer_grid": (_is(whole, n) and 2 <= n and n ** self.domain.dim < 2**63,
+                           "an integer >= 2 with fewer than 2^63 cells"),
             "inner_mode": (self.inner_mode in ("radial_spherical", "tensor"),
                            "'radial_spherical' or 'tensor'"),
             "inner_level": (_is(whole, level) and level >= 1, "an integer >= 1"),
@@ -306,10 +311,11 @@ def _abs_pow(q: np.ndarray, p: float) -> np.ndarray:
     return q
 
 
-def _run_masses(field, tile, cells, axes, h, scale, ok, edge, p, residual, cellvol):
-    """Masses (densities times cell volume) of one run of whole tiles of
-    `tile` cells of the grid over `axes` (n, d): the cells (start, stop), or
-    a sorted index array; (ok, edge) is the grid's `_grid_mask`.
+def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual, cellvol):
+    """Masses (densities times cell volume), one row per node block
+    split[j]:split[j + 1], of one run of whole tiles of `tile` cells of the
+    grid over `axes` (n, d): the cells (start, stop), or a sorted index
+    array; (ok, edge) is the grid's `_grid_mask`.
 
     A cell's x and mask row come from its mixed-radix digits, first axis
     slowest, and a tile's runs of edge cells from the digits and edge. Each
@@ -317,7 +323,7 @@ def _run_masses(field, tile, cells, axes, h, scale, ok, edge, p, residual, cellv
     zeroed in the runs that meet it (found by bisection), then its row sums.
     """
     idx = np.arange(*cells) if isinstance(cells, tuple) else cells
-    (n, d), masses = axes.shape, np.empty(len(idx))
+    (n, d), masses = axes.shape, np.empty((len(split) - 1, len(idx)))
     cuts = [0, *(np.flatnonzero(np.diff(idx // tile)) + 1).tolist(), len(idx)]
     for a, b in zip(cuts[:-1], cuts[1:]):
         digits = [idx[a:b] // n ** (d - 1 - k) % n for k in range(d)]
@@ -335,23 +341,29 @@ def _run_masses(field, tile, cells, axes, h, scale, ok, edge, p, residual, cellv
                 for o, i in zip(ok[1:], digits[1:]):
                     inside &= o[i[r0:r1]]
                 np.copyto(q[r0 - lo : r1 - lo], 0.0, where=np.logical_not(inside, out=inside))
-            q.sum(axis=1, out=masses[a + lo : a + hi])
+            for j, m in enumerate(masses):
+                q[:, split[j] : split[j + 1]].sum(axis=1, out=m[a + lo : a + hi])
         q = None  # the block buffer goes before the next tile makes its own
     return masses * cellvol
 
 
-def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool, grid):
-    """(masses, inner node count): mu^p(x_i) * cellvol for every cell of the
-    (axes, cellvol) grid of `_midpoints`, first axis slowest.
+def _all_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool, grid):
+    """(masses per level, the last level's inner node count): mu^p(x_i) *
+    cellvol for every cell of the (axes, cellvol) grid of `_midpoints`, first
+    axis slowest.
 
-    The level's mask, node scale w^(1/p)/|h|^2 and, with kernel classes, the
-    grid's mask classes refined by the kernel ids are built once; a class is
+    The levels' nodes are the blocks split[j]:split[j + 1] of one node set,
+    whose mask, node scale w^(1/p)/|h|^2 and, with kernel classes, the grid's
+    mask classes refined by the kernel ids are built once; a class is
     evaluated at its first cell, in the fixed tile holding it, and gathered
     to every cell, and otherwise every cell of every tile is evaluated. The
     nonempty tiles go in min(workers, tiles) runs, one `_run_masses` task
-    each, on the pool when there are several.
+    each, on the pool when there are several. No node's pair rows depend on
+    the others, so a level has the bits of its run alone.
     """
-    h, w, inv_r2 = _inner_nodes(req, level)
+    nodes = [_inner_nodes(req, level) for level in levels]
+    split = np.cumsum([0] + [len(n[0]) for n in nodes]).tolist()
+    h, w, inv_r2 = (np.concatenate(a) for a in zip(*nodes))
     axes, cellvol = grid
     cells = len(axes) ** axes.shape[1]
     tile = max(1, _TILE_NODE_BUDGET // max(1, len(h)))
@@ -373,21 +385,21 @@ def _all_masses(req: EnergyRequest, level: int, workers: int, residual: bool, gr
     cuts = edges[cuts + [len(edges) - 1]].tolist()
     scale = w ** (1.0 / req.p) * inv_r2
     tasks = [(req.field, tile, (a, b) if kernel is None else reps[a:b], axes, h, scale,
-              ok, edge, req.p, residual, cellvol) for a, b in zip(cuts[:-1], cuts[1:])]
+              split, ok, edge, req.p, residual, cellvol) for a, b in zip(cuts[:-1], cuts[1:])]
     parts = _pool_map(workers, _run_masses, tasks) if len(tasks) > 1 else [_run_masses(*tasks[0])]
-    masses = np.concatenate(parts)
-    if kernel is not None:
-        masses = masses[np.searchsorted(reps, first)][ids]
-    return masses, len(h)
+    masses = np.concatenate(parts, axis=1)
+    if kernel is not None:  # per level: one 2-d fancy index makes c10-linear slower
+        at = np.searchsorted(reps, first)
+        masses = [m[at][ids] for m in masses]
+    return list(masses), split[-1] - split[-2]
 
 
 def _masses(req: EnergyRequest, residual: bool):
     """(axes of `_midpoints`, masses, inner node count, est_quadrature_error).
 
-    The masses and the node count come from the finer inner level
-    (2 x inner_level); the error estimate is the gap between the totals
-    of the two levels.
-    """
+    Both inner levels run in one pass; the masses and the node count are the
+    finer level's (2 x inner_level), the error estimate the gap between the
+    totals of the two levels."""
     if residual:
         if req.p != 1.0:
             raise ParameterError("residual energy is defined for p = 1 only")
@@ -396,9 +408,9 @@ def _masses(req: EnergyRequest, residual: bool):
     workers = _resolve_workers(req.workers)
     if req.domain.is_empty:
         return np.zeros((0, req.domain.dim)), np.zeros(0), 0, 0.0
-    grid = _midpoints(req.domain, req.outer_grid)  # one outer grid for both levels
-    coarse, _ = _all_masses(req, req.inner_level, workers, residual, grid)
-    fine, k_fine = _all_masses(req, 2 * req.inner_level, workers, residual, grid)
+    grid = _midpoints(req.domain, req.outer_grid)
+    levels = (req.inner_level, 2 * req.inner_level)
+    (coarse, fine), k_fine = _all_masses(req, levels, workers, residual, grid)
     return grid[0], fine, k_fine, abs(pairwise_total(fine) - pairwise_total(coarse))
 
 
@@ -431,13 +443,15 @@ def residual_energy(req: EnergyRequest) -> EnergyResult:
 
 def local_density(req: EnergyRequest, x) -> float:
     """mu(x): the inner integral alone at one point, p-th root applied; the
-    fine level's mass of the one-cell grid over x, cell volume 1."""
+    fine level's mass of the one-cell grid over x, cell volume 1, from the
+    two-level pass of `energy`."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (req.domain.dim,):
         raise DimensionError(f"point shape {x.shape} does not match the domain")
     if not bool(req.domain.contains(x)):
         raise DomainError("point lies outside the domain")
-    mass = _all_masses(req, 2 * req.inner_level, 1, False, (x[None], 1.0))[0][0]
+    levels = (req.inner_level, 2 * req.inner_level)
+    mass = _all_masses(req, levels, 1, False, (x[None], 1.0))[0][1][0]
     return float(mass ** (1.0 / req.p))
 
 

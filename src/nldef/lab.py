@@ -36,7 +36,7 @@ from .fields import (
     ground_truth,
 )
 from .measures import TestFunction, _fmt, _write_lines, weakstar_gap
-from .mollifiers import MollifierSpec, _check_rules
+from .mollifiers import MollifierSpec
 from .symnorm import make_sphere_rule
 
 __all__ = [
@@ -163,6 +163,8 @@ class SweepConfig:
                 _request(cfg, eps)
             except (ParameterError, DimensionError) as exc:
                 key = getattr(exc, "key", None)
+                if key == "outer_grid" and cfg.outer_n is None:
+                    key = "eps"  # a policy grid too large for this eps
                 path = f"config.{_REQUEST_KEYS.get(key, key)}" if key else "config"
                 if key == "eps" and many:
                     path += f"[{i}]"
@@ -237,20 +239,15 @@ def _request(cfg: SweepConfig, eps: float):
     """(request, under_policy, aligned_exact): the config's energy request at eps.
 
     The outer grid is outer.n when given, else the policy max(n_min,
-    ceil(c / eps)), whose N^d cells must fit the engine's int64 cell index;
-    aligned configs then bump it so a jump interface lands on cell
-    boundaries. Every command builds its requests here, so one config gives
-    the same grid everywhere.
+    ceil(c / eps)); aligned configs then bump it so a jump interface lands
+    on cell boundaries. Every command builds its requests here, so one
+    config gives the same grid everywhere.
     """
     mollifier = MollifierSpec(cfg.family, eps, cfg.dim)  # checks eps before c / eps
     policy = _policy_n(cfg, eps)
     n = cfg.outer_n if cfg.outer_n is not None else policy
     under_policy = n < policy
-    _check_rules(mollifier, {"eps": (cfg.outer_n is not None or n ** cfg.dim < 2**63,
-                                     "large enough for a policy grid of < 2^63 cells")})
-    exact = True
-    if cfg.aligned:
-        n, exact = _aligned_n(cfg, n)
+    n, exact = _aligned_n(cfg, n) if cfg.aligned and n < math.inf else (n, True)
     req = EnergyRequest(
         field=cfg.field,
         domain=cfg.domain,
@@ -371,25 +368,12 @@ def _json_text(obj, indent=None) -> str:
 
 
 def _report_rows(r: SweepReport):
-    rows = []
-    for rec in r.records:
-        # relative to a zero reference (a smooth field's residual) is undefined
-        ref = r.reference_value
-        rel = abs(rec.value - ref) / ref if ref != 0.0 else math.nan
-        rows.append(
-            [
-                _fmt(rec.eps),
-                _fmt(r.p),
-                _fmt(rec.value),
-                _fmt(r.reference_value),
-                _fmt(rel),
-                _fmt(rec.est_quadrature_error),
-                _fmt(rec.truncation_radius),
-                str(rec.n_outer),
-                _fmt(rec.runtime_ms),
-            ]
-        )
-    return rows
+    # relative to a zero reference (a smooth field's residual) is undefined
+    ref = r.reference_value
+    return [[*map(_fmt, (rec.eps, r.p, rec.value, ref,
+                         abs(rec.value - ref) / ref if ref != 0.0 else math.nan,
+                         rec.est_quadrature_error, rec.truncation_radius)),
+             str(rec.n_outer), _fmt(rec.runtime_ms)] for rec in r.records]
 
 
 def report_write(r: SweepReport, path, fmt: str = "csv") -> None:

@@ -82,9 +82,9 @@ def _check_rules(obj, rules: dict) -> None:
 class MollifierSpec:
     """One member of a radial mollifier family at a given scale eps.
 
-    Construction checks the family (one of FAMILIES) and eps (positive and
-    finite) here and nowhere else; a broken rule raises ParameterError whose
-    `key` names the field, as EnergyRequest does.
+    Construction checks the family (one of FAMILIES) and eps (positive and finite,
+    with a finite positive normalising constant) here and nowhere else; a broken
+    rule raises ParameterError whose `key` names the field, as EnergyRequest does.
     """
 
     family: str
@@ -99,20 +99,31 @@ class MollifierSpec:
         })
         if self.dim not in (1, 2, 3):
             raise DimensionError(f"dimension {self.dim} unsupported, need 1..3")
-        if self.family == "scaled_bump":
-            _bump_const(self.dim)  # warm the cache so workers never race on quad
+        # _scale warms the bump constant's cache, so workers never race on quad
+        _check_rules(self, {"eps": (0.0 < self._scale() < math.inf,
+                                    "such that the normalising constant is finite and > 0")})
+
+    def _scale(self) -> float:
+        """The family's normalising constant at eps; inf where it under- or overflows."""
+        eps, d = self.eps, self.dim
+        try:
+            if self.family == "shell":
+                return d / (SURFACE_AREA[d] * (eps**d - (0.5 * eps) ** d))
+            if self.family == "gaussian":
+                return (2.0 * math.pi * (eps * eps)) ** (-0.5 * d)
+            return eps ** (-d) * _bump_const(d)
+        except (ZeroDivisionError, OverflowError):
+            return math.inf
 
     # radial profile rho_hat(r), vectorized in r >= 0
     def radial_profile(self, r):
         r = np.asarray(r, dtype=np.float64)
-        eps, d = self.eps, self.dim
+        eps, c = self.eps, self._scale()
         if self.family == "shell":
-            c = d / (SURFACE_AREA[d] * (eps**d - (0.5 * eps) ** d))
             return np.where((r >= 0.5 * eps) & (r <= eps), c, 0.0)
         if self.family == "gaussian":
-            s2 = eps * eps
-            return (2.0 * math.pi * s2) ** (-0.5 * d) * np.exp(-0.5 * r * r / s2)
-        return eps ** (-d) * _bump_const(d) * _bump_profile(r / eps)
+            return c * np.exp(-0.5 * r * r / (eps * eps))
+        return c * _bump_profile(r / eps)
 
     def eval(self, x) -> np.ndarray:
         """rho_eps at points x of shape (..., dim)."""

@@ -20,6 +20,9 @@ cli = importlib.import_module("nldef.cli")
 lab = importlib.import_module("nldef.lab")
 
 
+_SPIN3 = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
 def _write_cfg(tmp_path, **overrides):
     cfg = {
         "schema": 1,
@@ -165,10 +168,19 @@ def test_bool_for_number_is_config_error(tmp_path, capsys, path, override):
     ("config.weakstar.dictionary[0].center", {"weakstar": {"dictionary": [
         {"id": "tent", "center": [0.5, math.nan], "radius": 0.25}]}}),
     ("config.p", {"p": 10**400}),  # a JSON integer beyond the float range
-    # policy grids (no outer.n) that cannot be built: c / eps is inf, or
-    # N = 8e300 has more cells than the engine's int64 index
+    # eps whose normalising constant under- or overflows, under a policy grid
+    # (no outer.n) and under an explicit one
     ("config.eps[0]", {"eps": [5e-324], "outer": {}}),
     ("config.eps[0]", {"eps": [1e-300], "outer": {}}),
+    *(("config.eps[0]", {"eps": [eps], "mollifier": {"family": family}})
+      for family in ("shell", "gaussian", "bump") for eps in (1e-300, 5e-324)),
+    # a policy grid of N = 8e10 has more cells than the engine's int64 index
+    ("config.eps[0]", {"eps": [1e-10], "outer": {}}),
+    ("config.eps", {"eps": 1e-10, "outer": {}}),
+    # so has an explicit one in d = 3
+    ("config.outer.n", {"dim": 3, "field": {"id": "rigid", "params": {"spin": _SPIN3}},
+                        "domain": {"lo": [0.0] * 3, "hi": [1.0] * 3},
+                        "outer": {"n": 2_100_000}}),
 ])
 def test_non_finite_number_is_config_error(tmp_path, capsys, path, override):
     # json.load reads NaN and Infinity; neither may pass as a number

@@ -12,12 +12,15 @@ Core claims:
       rigid energies stay exactly zero at p = 1, 1.5 and 2
     - a criterion-10 sin tile's traced peak stays within four float64
       blocks of `_BLOCK_PAIRS` pairs, half its (cells x nodes) pair array
-    - a level goes out as min(workers, tiles) tasks, each carrying cell
-      indices and per-axis mask rows but no per-cell arrays
+    - both inner levels go out in one pool dispatch of min(workers, tiles)
+      tasks, each carrying cell indices and per-axis mask rows but no
+      per-cell arrays
     - a pool whose worker died is rebuilt once, then a typed error is raised;
       the default worker count is the CPU affinity of the process
     - the residual variant subtracts the local linearization and accepts
       only p = 1
+    - over small requests (Hypothesis): rigid fields give exactly 0, and
+      doubling a field multiplies its energy by exactly 2^p
     - the tensor inner mode converges to the radial-spherical value
     - the compactness bound combines the gradient mass with a tail term
 """
@@ -34,8 +37,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nldef import (
+    BumpField,
     ConfigError,
     DimensionError,
     DomainBox,
@@ -107,6 +112,20 @@ def test_request_validation():
         _req(workers=0)
     with pytest.raises(DimensionError):
         _req(domain=DomainBox([0.0] * 3, [1.0] * 3))
+
+
+def test_request_grid_must_fit_the_int64_cell_index():
+    """outer_grid^d < 2^63 is a request rule: the largest grids below it
+    pass, the smallest at or above it fail at the key outer_grid."""
+    for d, n in ((2, 3_037_000_499), (3, 2_097_151)):
+        assert n**d < 2**63 <= (n + 1) ** d
+        box = DomainBox([0.0] * d, [1.0] * d)
+        req = dict(field=RigidField(np.zeros((d, d)), np.zeros(d)), domain=box,
+                   mollifier=MollifierSpec("shell", 0.1, d), p=1.0)
+        en.EnergyRequest(**req, outer_grid=n)
+        with pytest.raises(ParameterError) as err:
+            en.EnergyRequest(**req, outer_grid=n + 1)
+        assert err.value.key == "outer_grid"
 
 
 @pytest.mark.parametrize("kw", [
@@ -312,8 +331,8 @@ def test_sin_tile_peak_memory_is_bounded_by_the_block(level):
         for residual in (False, True):
             tracemalloc.start()
             try:
-                en._run_masses(sin, t, (start, start + t), axes, h, w * inv_r2, ok, edge,
-                               1.0, residual, cellvol)
+                en._run_masses(sin, t, (start, start + t), axes, h, w * inv_r2, (0, k),
+                               ok, edge, 1.0, residual, cellvol)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -325,8 +344,9 @@ class _Sent(Exception):
 
 
 def test_level_tasks_are_one_per_worker_and_carry_no_cell_arrays(monkeypatch):
-    """A criterion-10 sin level goes out as min(workers, tiles) tasks, each
-    pickling to at most d N K bytes (the per-axis mask rows) plus 64 KiB."""
+    """A criterion-10 sin call's two levels go out as min(workers, tiles)
+    tasks over their K_c + K_f nodes, each pickling to at most d N (K_c +
+    K_f) bytes (the per-axis mask rows) plus 64 KiB."""
     sin = SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]]))
     req = en.EnergyRequest(field=sin, domain=BOX, p=1.0,
                            mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
@@ -340,21 +360,47 @@ def test_level_tasks_are_one_per_worker_and_carry_no_cell_arrays(monkeypatch):
 
     monkeypatch.setattr(en, "_pool_map", lambda workers, fn, tasks: record(tasks))
     monkeypatch.setattr(en, "_run_masses", lambda *task: record([task]))
-    for level in (16, 32):
-        k = en._inner_nodes(req, level)[0].shape[0]
-        tiles = -(-320**2 // (en._TILE_NODE_BUDGET // k))
-        assert tiles > 3
-        for workers in (1, 2, 3, 1000):
-            with pytest.raises(_Sent):
-                en._all_masses(req, level, workers, False, grid)
-            tasks = sent.pop()
-            assert len(tasks) == min(workers, tiles)
-            for task in tasks:
-                assert len(pickle.dumps(task)) <= 2 * 320 * k + 64 * 1024
+    k = sum(en._inner_nodes(req, level)[0].shape[0] for level in (16, 32))
+    tiles = -(-320**2 // (en._TILE_NODE_BUDGET // k))
+    assert tiles > 3
+    for workers in (1, 2, 3, 1000):
+        with pytest.raises(_Sent):
+            en._all_masses(req, (16, 32), workers, False, grid)
+        tasks = sent.pop()
+        assert len(tasks) == min(workers, tiles)
+        for task in tasks:
+            assert len(pickle.dumps(task)) <= 2 * 320 * k + 64 * 1024
+
+
+def test_energy_call_is_one_pool_dispatch(monkeypatch):
+    """A 2-worker energy() or residual_energy() call runs both inner levels
+    through one `_pool_map` call of min(workers, tiles) tasks, with the
+    serial call's bits."""
+    sin = SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]]))
+    calls = []
+
+    def in_process(workers, fn, tasks):
+        calls.append((workers, len(tasks)))
+        return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(en, "_pool_map", in_process)
+    req = _req(field=sin, outer_grid=128, inner_level=16, workers=2)
+    k = sum(en._inner_nodes(req, level)[0].shape[0] for level in (16, 32))
+    tiles = -(-128**2 // (en._TILE_NODE_BUDGET // k))
+    # the jump's class representatives lie in at least two tiles
+    for req, tasks in ((req, min(2, tiles)), (_pooled_req(), 2)):
+        for run in (en.energy, en.residual_energy):
+            serial = run(replace(req, workers=1))
+            assert calls == []
+            pooled = run(req)
+            assert calls == [(2, tasks)]
+            calls.clear()
+            assert pooled.value == serial.value
+            assert pooled.est_quadrature_error == serial.est_quadrature_error
 
 
 def _pooled_req():
-    # 4 tiles at the fine level, so workers=2 goes through the pool
+    # 11 tiles of the two levels' nodes, so workers=2 goes through the pool
     return en.EnergyRequest(field=_jump(), domain=BOX, p=1.0, mollifier=SHELL,
                             outer_grid=128, inner_level=16, workers=2)
 
@@ -380,8 +426,9 @@ def test_killed_pool_worker_is_replaced():
 
 
 def test_two_tile_linear_request_forks_both_workers():
-    # N = 64 at level 16 has 2 fine tiles: the class path keeps the tiling, so
-    # workers=2 still runs through a pool of 2 live processes
+    # N = 64 at level 16 has 3 tiles of the two levels' nodes, representatives
+    # in 2: the class path keeps the tiling, so workers=2 still runs through a
+    # pool of 2 live processes
     en._shutdown_pools()
     for child in multiprocessing.active_children():
         child.join(timeout=30)
@@ -462,6 +509,59 @@ def test_residual_equals_energy_for_pure_jump():
     # nothing at all
     req = _req(field=_jump(), outer_grid=32, inner_level=8)
     assert en.residual_energy(req).value == en.energy(req).value
+
+
+# -- paper invariants over small requests ------------------------------------
+
+def _field_pair(kind, rng, d):
+    """(u, 2u): a field of `kind` and the same field with its amplitude,
+    matrix or jump doubled (both sides of a jump)."""
+    m, b = rng.uniform(-1.0, 1.0, (d, d)), rng.uniform(-1.0, 1.0, d)
+    if kind == "rigid":
+        return (RigidField(m - m.T, b),) * 2
+    if kind == "linear":
+        return LinearField(m, b), LinearField(2.0 * m, 2.0 * b)
+    if kind == "sin":
+        amp, waves = rng.uniform(0.1, 1.0, d), rng.uniform(-4.0, 4.0, (d, d))
+        return SinField(amp, waves), SinField(2.0 * amp, waves)
+    if kind == "bump":
+        c = rng.uniform(0.3, 0.7, d)
+        return BumpField(b, c, 0.4), BumpField(2.0 * b, c, 0.4)
+    nu = rng.standard_normal(d)
+    nu /= math.sqrt(float(nu @ nu))
+    spin = m - m.T
+    sides = (RigidField(spin, b), LinearField(m, -b))
+    doubled = (RigidField(2.0 * spin, 2.0 * b), LinearField(2.0 * m, -2.0 * b))
+    return (PlanarJumpField(nu, 0.5 * float(nu.sum()), *sides),
+            PlanarJumpField(nu, 0.5 * float(nu.sum()), *doubled))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(2, 16), level=st.integers(1, 4),
+       mode=st.sampled_from(["radial_spherical", "tensor"]),
+       family=st.sampled_from(["shell", "scaled_bump", "gaussian"]),
+       eps=st.sampled_from([0.15, 0.3, 0.6]),
+       kind=st.sampled_from(["rigid", "linear", "sin", "bump", "jump"]),
+       seed=st.integers(0, 2**16))
+def test_rigid_is_exactly_zero_and_doubling_scales_by_two_to_the_p(
+        d, n, level, mode, family, eps, kind, seed):
+    """Over small requests: a rigid field's value, error bar and residual are
+    exactly 0, and F(2u) == 2^p F(u) bit for bit at p = 1 and 2, value and
+    error bar, and for the residual at p = 1."""
+    u, twice = _field_pair(kind, np.random.default_rng(seed), d)
+    req = en.EnergyRequest(field=u, domain=DomainBox([0.0] * d, [1.0] * d), p=1.0,
+                           mollifier=MollifierSpec(family, eps, d), outer_grid=n,
+                           inner_mode=mode, inner_level=level, workers=1)
+    runs = [(en.energy, 1.0), (en.energy, 2.0), (en.residual_energy, 1.0)]
+    for run, p in runs:
+        res = run(replace(req, p=p))
+        if kind == "rigid":
+            assert res.value == 0.0 and res.est_quadrature_error == 0.0
+            continue
+        res2 = run(replace(req, p=p, field=twice))
+        assert res.value > 0.0 or run is en.residual_energy
+        assert res2.value == 2.0**p * res.value
+        assert res2.est_quadrature_error == 2.0**p * res.est_quadrature_error
 
 
 # -- inner modes -------------------------------------------------------------

@@ -358,7 +358,7 @@ def _mask_rows(box, axes, h):
     ones = _OnesField(cells, h.shape[0])
     ok, edge, _ = en._grid_mask(box, axes, h)
     en._run_masses(ones, max(1, cells), (0, cells), axes, h, np.ones(h.shape[0]),
-                   ok, edge, 1.0, False, 1.0)
+                   (0, h.shape[0]), ok, edge, 1.0, False, 1.0)
     return ones.seen
 
 
@@ -564,9 +564,9 @@ def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
         monkeypatch.setattr(en, "_TILE_NODE_BUDGET", t * h.shape[0])
         cases = [(req, False)] + ([] if name == "sampled" else [(replace(req, p=1.0), True)])
         for r, residual in cases:
-            en._all_masses(r, 2 * level, 10**6, residual, grid)
+            en._all_masses(r, (2 * level,), 10**6, residual, grid)
             tiles = calls.pop()
-            got = [en._all_masses(r, 2 * level, g, residual, grid)[0]
+            got = [en._all_masses(r, (2 * level,), g, residual, grid)[0][0]
                    for g in (1, 2, 3, tiles)]
             assert calls == [m for m in (min(2, tiles), min(3, tiles), tiles) if m > 1]
             calls.clear()
@@ -578,12 +578,41 @@ def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
                 ok, edge, _ = en._grid_mask(box, axes, h)
                 scale = w ** (1.0 / r.p) * inv_r2
                 ref = np.concatenate([
-                    en._run_masses(f, t, (a, min(a + t, n**d)), axes, h, scale, ok, edge,
-                                   r.p, residual, cellvol) for a in range(0, n**d, t)])
+                    en._run_masses(f, t, (a, min(a + t, n**d)), axes, h, scale,
+                                   (0, len(h)), ok, edge, r.p, residual, cellvol)[0]
+                    for a in range(0, n**d, t)])
                 assert np.array_equal(_bits(got[0]), _bits(ref))
             else:
                 spread.append(tiles)
     assert min(spread) >= 2 and max(spread) >= 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_two_level_pass_gives_each_level_its_own_bits(d, monkeypatch):
+    """Each level's masses from the two-level pass of `energy` are bitwise
+    those of the level run alone, for every family, plain (p = 1.5) and
+    residual (p = 1), serial and in two runs: the pass tiles the grid
+    differently (K_c + K_f nodes a cell) and refines the classes by both
+    levels' mask rows."""
+    n, level, eps, t = _RUN_GRIDS[d]
+    box = DomainBox([0.0] * d, [1.0] * d)
+    grid = en._midpoints(box, n)
+    monkeypatch.setattr(en, "_pool_map", lambda workers, fn, tasks: [fn(*a) for a in tasks])
+    for name, f in _block_fields(d):
+        req = en.EnergyRequest(field=f, domain=box, p=1.5,
+                               mollifier=MollifierSpec("shell", eps, d), outer_grid=n,
+                               inner_level=level)
+        k_fine = en._inner_nodes(req, 2 * level)[0].shape[0]
+        monkeypatch.setattr(en, "_TILE_NODE_BUDGET", t * k_fine)
+        cases = [(req, False)] + ([] if name == "sampled" else [(replace(req, p=1.0), True)])
+        for r, residual in cases:
+            for workers in (1, 2):
+                both, k = en._all_masses(r, (level, 2 * level), workers, residual, grid)
+                assert k == k_fine and len(both) == 2
+                for lv, masses in zip((level, 2 * level), both):
+                    alone = en._all_masses(r, (lv,), workers, residual, grid)[0][0]
+                    assert np.max(alone) > 0.0 if name != "rigid" else not np.any(alone)
+                    assert np.array_equal(_bits(masses), _bits(alone))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -912,7 +941,7 @@ def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypat
             return real(self, x, *args)
 
         monkeypatch.setattr(type(f), "pair_blocks", spy)
-        en._all_masses(req, 4, 1, False, en._midpoints(box, 12))
+        en._all_masses(req, (4,), 1, False, en._midpoints(box, 12))
         monkeypatch.undo()
         h = en._inner_nodes(req, 4)[0]
         axes = en._midpoints(box, 12)[0]

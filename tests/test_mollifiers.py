@@ -41,6 +41,17 @@ def test_validation():
         MollifierSpec("shell", 0.1, 4)
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_normalising_constant_must_be_finite_and_positive(family):
+    # eps^d under- or overflows for these eps: a ParameterError at eps, not
+    # a ZeroDivisionError or OverflowError from the first profile evaluation
+    for eps, dim in ((1e-300, 2), (5e-324, 3), (1e300, 3)):
+        with pytest.raises(ParameterError) as err:
+            MollifierSpec(family, eps, dim)
+        assert err.value.key == "eps"
+    spec = MollifierSpec(family, 1e-100, 3)
+    assert 0.0 < spec.radial_profile(0.75e-100) < math.inf
+
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_unit_mass(family, dim):
     spec = MollifierSpec(family, 0.13, dim)

@@ -12,11 +12,11 @@ and their ratio, the relative difference, over the output's elements.
 The requests cover d = 1..3, every field family (rigid, linear, sin, bump,
 planar jump with rigid and with linear sides, sampled), both inner modes,
 p = 1 and 2, and 1 and 2 workers; requests at 2 workers have several tiles
-per level, so they run through the process pool. On top of these come the
+per call, so they run through the process pool. On top of these come the
 criterion-10 linear, sin and jump requests at N = 64, and at the
 benchmark's N = 320 at 1, 2 and 3 workers (p = 1 also as a residual
 energy, so the sin and sin-residual requests of c10-kernels-pool), whose
-pooled levels split into two and three tasks; jumps whose plane runs
+pooled calls split into two and three tasks; jumps whose plane runs
 through a row of outer midpoints, and the 3-d planar jump of the
 benchmark's d3-jump-study at seed 0 (eps 0.4, N = 24, inner level 4). The
 outputs are the energy value and error bar, the residual energy value and
@@ -94,8 +94,8 @@ def _study_field():
 def _extra_requests():
     """(name, request) pairs beyond the family grid.
 
-    The criterion-10 linear, sin and jump requests at N = 64 (two tiles per
-    level) at 1 and 2 workers, and at N = 320 (the benchmark's grid, 63
+    The criterion-10 linear, sin and jump requests at N = 64 (three tiles per
+    call) at 1 and 2 workers, and at N = 320 (the benchmark's grid, 63
     tiles per call) at 1, 2 and 3 workers; linear-sided jumps whose plane <x, e_1> = s passes exactly
     through a row of outer midpoints, so those cells sit on the interface,
     and the d3-jump-study field at its largest eps.
