@@ -99,11 +99,11 @@ class MollifierSpec:
         })
         if self.dim not in (1, 2, 3):
             raise DimensionError(f"dimension {self.dim} unsupported, need 1..3")
-        # _scale warms the bump constant's cache, so workers never race on quad
-        _check_rules(self, {"eps": (0.0 < self._scale() < math.inf,
+        # _norm_const warms the bump constant's cache, so workers never race on quad
+        _check_rules(self, {"eps": (0.0 < self._norm_const() < math.inf,
                                     "such that the normalising constant is finite and > 0")})
 
-    def _scale(self) -> float:
+    def _norm_const(self) -> float:
         """The family's normalising constant at eps; inf where it under- or overflows."""
         eps, d = self.eps, self.dim
         try:
@@ -118,7 +118,7 @@ class MollifierSpec:
     # radial profile rho_hat(r), vectorized in r >= 0
     def radial_profile(self, r):
         r = np.asarray(r, dtype=np.float64)
-        eps, c = self.eps, self._scale()
+        eps, c = self.eps, self._norm_const()
         if self.family == "shell":
             return np.where((r >= 0.5 * eps) & (r <= eps), c, 0.0)
         if self.family == "gaussian":
