@@ -75,13 +75,16 @@ from .errors import (
     WorkerError,
 )
 from .fields import (
+    _GAUSS_CAP,
+    _REFERENCE_LEVEL,
     DomainBox,
     FieldSpec,
     PlanarJumpField,
     SampledField,
-    _adaptive_box_integral,
+    _cell_integrals,
+    _gauss,
     _polar_rule,
-    _tensor_gauss_nodes,
+    _refined,
     _tensor_grid,
     ground_truth,
 )
@@ -124,8 +127,10 @@ class EnergyRequest:
     p finite and >= 1, outer_grid >= 2 with outer_grid^d < 2^63 cells (the
     engine's int64 cell index), inner_mode 'radial_spherical' or
     'tensor', inner_level >= 1, trunc_tol in (0, 1e-2], workers None or >= 1
-    (sizes are integers, not bools). A broken rule raises ParameterError
-    whose `key` names the field; unequal dimensions raise DimensionError.
+    (sizes are integers, not bools), and the mollifier's eps above
+    2e-154 (inner_level + 2)^2, which keeps the engine's 1/|h|^2 finite at
+    every inner node. A broken rule raises ParameterError whose `key` names
+    the field (`eps` for the last); unequal dimensions raise DimensionError.
     """
 
     field: FieldSpec
@@ -155,6 +160,9 @@ class EnergyRequest:
         if not (self.field.dim == self.domain.dim == self.mollifier.dim):
             raise DimensionError("field, domain and mollifier dimensions must agree")
         object.__setattr__(self, "p", float(self.p))
+        # every inner node has |h| >= eps / (2 (level + 2)^2), so 1/|h|^2 < 1e308
+        _check_rules(self.mollifier, {"eps": (2 * (level + 2) ** 2 < 1e154 * self.mollifier.eps,
+                                              "above 2e-154 (inner_level + 2)^2")})
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,9 +237,9 @@ def _pool_map(workers: int, fn, tasks: list) -> list:
 def _tensor_nodes(mollifier: MollifierSpec, level: int, trunc_tol: float):
     """Gauss grid on the truncation cube [-R, R]^d weighted by rho_eps."""
     radius = mollifier.support_radius(trunc_tol)
-    cube = DomainBox([-radius] * mollifier.dim, [radius] * mollifier.dim)
     # an even node count keeps h = 0 off the grid
-    h, w = _tensor_gauss_nodes(cube, level + (level & 1))
+    z, w = _gauss(-radius, radius, level + (level & 1))
+    h, w = _tensor_grid([z] * mollifier.dim, [w] * mollifier.dim)
     w = w * mollifier.eval(h)
     keep = w > 0.0
     h = h[keep]
@@ -480,7 +488,7 @@ def upper_bound_rhs(
         raise ModelError("the upper bound needs a closed-form field")
     if not radius > 0:
         raise ParameterError("R must be positive")
-    rule = make_sphere_rule(field.dim, 64)
+    rule = make_sphere_rule(field.dim, _REFERENCE_LEVEL)
     grad_term = ground_truth(field, box.dilate(radius), p, rule).total
     tail = mollifier.tail_mass(radius)
     if tail == 0.0:
@@ -490,5 +498,5 @@ def upper_bound_rhs(
         u = field.eval(pts)
         return ((u * u).sum(axis=-1)) ** (0.5 * p)
 
-    u_term = _adaptive_box_integral(norm_p, box)
-    return grad_term + (2.0 / radius**p) * u_term * tail
+    u_term = _refined(lambda g: _cell_integrals(norm_p, box, 1, g), 8, _GAUSS_CAP[box.dim], 1e-8)
+    return grad_term + (2.0 / radius**p) * float(u_term[0]) * tail

@@ -677,6 +677,13 @@ def exact_sym_gradient(f: FieldSpec, x) -> SymMatrix:
 
 # ---------------------------------------------------------------------------
 # ground truth
+#
+# The limit objects, `ground_truth` here, `measures.ground_truth_measure` and
+# `energy.upper_bound_rhs`, share one quadrature path with one implementation
+# per concept: `_cell_integrals` integrates a density over the equal cells of
+# a box by tensor Gauss, `_refined` doubles a node count until two totals
+# agree, and `_interface_atoms` is the jump interface's quadrature. Their sums
+# are numpy sums in a fixed order, which no BLAS thread count changes.
 
 
 def _tensor_grid(axes, weights=None):
@@ -689,45 +696,60 @@ def _tensor_grid(axes, weights=None):
     pts = np.stack([g.ravel() for g in grids], axis=1)
     if weights is None:
         return pts
-    wts = weights[0]
-    for w in weights[1:]:
-        wts = np.multiply.outer(wts, w)
-    return pts, wts.ravel()
+    return pts, reduce(np.multiply.outer, weights).ravel()
 
 
-def _tensor_gauss_nodes(box: DomainBox, n: int):
+def _gauss(a, b, n: int):
+    """n-point Gauss-Legendre nodes and weights on [a, b], one row per interval
+    when a and b are arrays (one `leggauss` call: it is slow for large n)."""
     z, w = np.polynomial.legendre.leggauss(n)
-    edges = list(zip(box.lo, box.hi))
-    return _tensor_grid(
-        [0.5 * (b - a) * z + 0.5 * (a + b) for a, b in edges],
-        [0.5 * (b - a) * w for a, b in edges],
-    )
+    half, mid = 0.5 * np.subtract(b, a), 0.5 * np.add(a, b)
+    return np.multiply.outer(half, z) + mid[..., None], np.multiply.outer(half, w)
 
 
 _GAUSS_CAP = {1: 4096, 2: 512, 3: 128}
+_CELL_NODE_BUDGET = 1 << 16  # Gauss points per block of cells in _cell_integrals
+_REFERENCE_LEVEL = 64  # sphere-rule level of the limit objects' Q_p sums
 
 
-def _doubling(integral, cap: int) -> float:
-    """integral(n) for n = 8, 16, .. up to cap, stopped once two successive
-    values agree to 1e-8 relative; the last value computed."""
-    n, prev = 8, None
+def _cell_integrals(func, box: DomainBox, n: int, g: int) -> np.ndarray:
+    """Integrals (n^d,) of func(points (m, d)) -> (m,) over the n^d equal cells
+    of box, first axis slowest, by g-point tensor Gauss in each cell.
+
+    Cells go in blocks of at most _CELL_NODE_BUDGET Gauss points (one cell at
+    least), so memory stays flat in n. A block's points are broadcast from the
+    per-axis nodes, and a cell's integral is a numpy sum of weight times value
+    in the cell's node order, which no BLAS thread count changes.
+    """
+    d = box.dim
+    step = (box.hi - box.lo) / n
+    z, w = np.polynomial.legendre.leggauss(g)
+    # per axis: node a of cell k sits at [k, a]
+    nodes = [box.lo[i] + step[i] * (np.arange(n)[:, None] + 0.5 * (z[None, :] + 1.0))
+             for i in range(d)]
+    wts = reduce(np.multiply.outer, [0.5 * step[i] * w for i in range(d)]).ravel()
+    per_block = max(1, _CELL_NODE_BUDGET // g**d)
+    out = np.empty(n**d)
+    for s in range(0, n**d, per_block):
+        cells = np.unravel_index(np.arange(s, min(s + per_block, n**d)), (n,) * d)
+        pts = np.empty((len(cells[0]),) + (g,) * d + (d,))
+        for i in range(d):
+            pts[..., i] = nodes[i][cells[i]].reshape((-1,) + (1,) * i + (g,) + (1,) * (d - 1 - i))
+        vals = func(pts.reshape(-1, d))
+        out[s : s + per_block] = (vals.reshape(-1, g**d) * wts).sum(axis=1)
+    return out
+
+
+def _refined(make, k: int, cap: int, tol: float) -> np.ndarray:
+    """make(k) for k, 2k, .. up to cap, stopped once the sums of two successive
+    results agree to tol relative; the last result made."""
+    prev = None
     while True:
-        val = integral(n)
-        if n >= cap or prev is not None and abs(val - prev) <= 1e-8 * max(abs(val), 1e-30):
+        val = make(k)
+        total = val.sum()
+        if k >= cap or prev is not None and abs(total - prev) <= tol * max(abs(total), 1e-30):
             return val
-        prev, n = val, 2 * n
-
-
-def _adaptive_box_integral(func, box: DomainBox) -> float:
-    """Tensor Gauss integral of func(points)->(m,) with doubling refinement."""
-    if box.is_empty:
-        return 0.0
-
-    def integral(n: int) -> float:
-        pts, wts = _tensor_gauss_nodes(box, n)
-        return float(wts @ func(pts))
-
-    return _doubling(integral, _GAUSS_CAP[box.dim])
+        prev, k = total, 2 * k
 
 
 def _qp_pow_of_sym(e: np.ndarray, p: float, rule: SphereRule) -> np.ndarray:
@@ -802,16 +824,11 @@ def _interface_nodes(box: DomainBox, normal: np.ndarray, offset: float, n: int):
         cut = offset / normal[j]
         if not (box.lo[j] <= cut <= box.hi[j]):
             return np.zeros((0, d)), np.zeros(0)
-        rest_axes = [i for i in range(d) if i != j]
-        if not rest_axes:
+        rest = [i for i in range(d) if i != j]
+        if not rest:
             return np.array([[cut]]), np.array([1.0])
-        sub = DomainBox(box.lo[rest_axes], box.hi[rest_axes])
-        sub_pts, sub_w = _tensor_gauss_nodes(sub, n)
-        pts = np.empty((sub_pts.shape[0], d))
-        pts[:, j] = cut
-        for k, i in enumerate(rest_axes):
-            pts[:, i] = sub_pts[:, k]
-        return pts, sub_w
+        sub_pts, wts = _tensor_grid(*_gauss(box.lo[rest], box.hi[rest], n))
+        return np.insert(sub_pts, j, cut, axis=1), wts
     if d == 2:
         tau = np.array([-normal[1], normal[0]])
         p0 = offset * normal
@@ -827,9 +844,8 @@ def _interface_nodes(box: DomainBox, normal: np.ndarray, offset: float, n: int):
                 tmax = min(tmax, max(t0, t1))
         if not tmax > tmin:
             return np.zeros((0, 2)), np.zeros(0)
-        z, w = np.polynomial.legendre.leggauss(n)
-        t = 0.5 * (tmax - tmin) * z + 0.5 * (tmax + tmin)
-        return p0 + t[:, None] * tau, 0.5 * (tmax - tmin) * w
+        t, w = _gauss(tmin, tmax, n)
+        return p0 + t[:, None] * tau, w
     raise ModelError("general jump normals are unsupported in d=3 ground truth")
 
 
@@ -848,32 +864,24 @@ def _jump_volume_masses(
     return q_minus * vol_minus + q_plus * vol_plus
 
 
-def _interface_density(f: PlanarJumpField, pts: np.ndarray, rule: SphereRule) -> np.ndarray:
-    """Q_1(a ⊙ normal) at interface points: the singular part's density."""
+def _interface_atoms(f: PlanarJumpField, box: DomainBox, rule: SphereRule, n: int):
+    """Interface atoms (points, masses) on the patch inside the box: the n-point
+    nodes of `_interface_nodes`, each weight times the singular part's density
+    Q_1(a ⊙ normal) at its node."""
+    pts, wts = _interface_nodes(box, f.normal, f.offset, n)
     a = f.jump_at(pts)
-    m = 0.5 * (
-        a[:, :, None] * f.normal[None, None, :]
-        + f.normal[None, :, None] * a[:, None, :]
-    )
-    return _qp_pow_of_sym(m, 1.0, rule)
-
-
-def _jump_singular_value(f: PlanarJumpField, box: DomainBox, rule: SphereRule) -> float:
-    def patch_integral(n: int) -> float:
-        pts, wts = _interface_nodes(box, f.normal, f.offset, n)
-        if len(wts) == 0:
-            return 0.0
-        return float(wts @ _interface_density(f, pts, rule))
-
-    return _doubling(patch_integral, 256)
+    m = 0.5 * (a[:, :, None] * f.normal[None, None, :] + f.normal[None, :, None] * a[:, None, :])
+    return pts, wts * _qp_pow_of_sym(m, 1.0, rule)
 
 
 def ground_truth(f: FieldSpec, box: DomainBox, p: float, rule: SphereRule) -> GroundTruth:
     """Limit of the nonlocal energies for a catalog field on a box.
 
-    ac_value integrates Q_p(sym gradient)^p over the box (adaptive tensor
-    Gauss, closed forms for Q where available); for planar jumps at p = 1
-    singular_value integrates Q_1(a ⊙ normal) over the interface patch.
+    ac_value integrates Q_p(sym gradient)^p over the box (closed forms for Q
+    where available) as the one cell of `_cell_integrals`, g = 8, 16, .. Gauss
+    points per axis up to _GAUSS_CAP, refined to 1e-8. For planar jumps at
+    p = 1 it is closed-form per side, and singular_value sums the
+    `_interface_atoms` with n = 8, 16, .. 256 nodes, refined to 1e-8.
     """
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
@@ -885,12 +893,14 @@ def ground_truth(f: FieldSpec, box: DomainBox, p: float, rule: SphereRule) -> Gr
         if p > 1:
             raise ModelError("jump fields are not in W^{1,p} for p > 1")
         ac = float(_jump_volume_masses(f, box, box.lo[None], box.hi[None], rule)[0])
-        sing = _jump_singular_value(f, box, rule)
+        sing = float(_refined(lambda n: _interface_atoms(f, box, rule, n)[1], 8, 256, 1e-8).sum())
         return GroundTruth(p=p, ac_value=ac, singular_value=sing, total=ac + sing)
-    ac = _adaptive_box_integral(
-        lambda pts: _qp_pow_of_sym(f.sym_gradient(pts), p, rule), box
-    )
-    return GroundTruth(p=p, ac_value=ac, singular_value=0.0, total=ac)
+
+    def density(pts):
+        return _qp_pow_of_sym(f.sym_gradient(pts), p, rule)
+
+    ac = _refined(lambda g: _cell_integrals(density, box, 1, g), 8, _GAUSS_CAP[box.dim], 1e-8)
+    return GroundTruth(p=p, ac_value=float(ac[0]), singular_value=0.0, total=float(ac[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -956,15 +966,14 @@ def mollify(
     pts = _tensor_grid(axes)
     step = np.array([ax[1] - ax[0] for ax in axes])
 
-    values = np.zeros((pts.shape[0], f.dim))
-    # offsets z = r * omega; u_eta(x) = sum_w u(x - z); chunk over sample points
+    # offsets z = r * omega: u_eta(x) = sum of w u(x - z), one offset at a time
+    # in rule order; x - z goes in one reused buffer, w into eval's fresh values
     offsets, wmat, _ = _polar_rule(kernel, angular_level, radial_nodes, 1e-12)
-    chunk = max(1, (1 << 20) // max(1, offsets.shape[0] * offsets.shape[1]))
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]  # (B, d)
-        y = block[:, None, None, :] - offsets[None, :, :, :]
-        vals = f.eval(y)  # (B, R, M, d)
-        values[start : start + chunk] = (wmat[None, :, :, None] * vals).sum(axis=(1, 2))
+    values, y = np.zeros_like(pts), np.empty_like(pts)
+    for z, w in zip(offsets.reshape(-1, f.dim), wmat.ravel()):
+        vals = f.eval(np.subtract(pts, z, out=y))
+        vals *= w
+        values += vals
     values = values.reshape(tuple(counts) + (f.dim,))
     return SampledField(lo=box.lo, spacing=step, values=values)
 

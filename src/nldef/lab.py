@@ -26,6 +26,7 @@ from .errors import (
 )
 from .fields import (
     _NUMBER,
+    _REFERENCE_LEVEL,
     DomainBox,
     FieldSpec,
     GroundTruth,
@@ -285,8 +286,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                 n_outer=req.outer_grid,
             )
         )
-    rule = make_sphere_rule(cfg.dim, 64)
-    ref = ground_truth(cfg.field, cfg.domain, cfg.p, rule)
+    ref = ground_truth(cfg.field, cfg.domain, cfg.p, make_sphere_rule(cfg.dim, _REFERENCE_LEVEL))
     ref_value = ref.singular_value if cfg.residual else ref.total
     if len(records) >= 3:
         order, limit = rate_estimate(records)

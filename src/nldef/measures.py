@@ -4,8 +4,11 @@ The density measure puts the cell mass mu(x_i) * cellvol at each outer
 midpoint; by construction its total equals the energy value bit for bit. The
 ground-truth measure discretizes the limit object: Q_1 of the symmetric
 gradient as cell atoms plus, for jumps, interface quadrature atoms of
-Q_1(a ⊙ normal). Weak-* convergence is probed against a finite dictionary of
-bounded continuous test functions.
+Q_1(a ⊙ normal). Its quadrature is that of `fields.ground_truth`: a smooth
+field's atoms are `_cell_integrals` on the n_cells grid, g = 4, 8, 16 Gauss
+points per axis `_refined` to 1e-9, a jump's interface atoms one fixed fine
+`_interface_atoms` rule. Weak-* convergence is probed against a finite
+dictionary of bounded continuous test functions.
 """
 
 from __future__ import annotations
@@ -18,14 +21,16 @@ import numpy as np
 from .energy import EnergyRequest, _midpoints, density_masses, pairwise_total
 from .errors import DimensionError, ModelError, ParameterError
 from .fields import (
+    _REFERENCE_LEVEL,
     DomainBox,
     FieldSpec,
     PlanarJumpField,
     SampledField,
-    _interface_density,
-    _interface_nodes,
+    _cell_integrals,
+    _interface_atoms,
     _jump_volume_masses,
     _qp_pow_of_sym,
+    _refined,
     _tensor_grid,
     _vec,
 )
@@ -161,43 +166,6 @@ def density_measure(req: EnergyRequest) -> DiscreteMeasure:
     return DiscreteMeasure(req.domain, pts, masses)
 
 
-_CELL_NODE_BUDGET = 1 << 16  # Gauss points per block of cells in _cell_gauss_masses
-
-
-def _cell_gauss_masses(f: FieldSpec, box: DomainBox, n: int, g: int, rule: SphereRule):
-    """Per-cell integrals of Q_1(sym grad) by g-point tensor Gauss in each cell.
-
-    Cells are taken in blocks of at most _CELL_NODE_BUDGET Gauss points (at
-    least one cell), in the order of `_tensor_grid`, so memory stays flat in n.
-    """
-    d = box.dim
-    step = (box.hi - box.lo) / n
-    z, w = np.polynomial.legendre.leggauss(g)
-    # per axis: node a of cell k sits at [k, a]
-    ax_nodes = [box.lo[i] + step[i] * (np.arange(n)[:, None] + 0.5 * (z[None, :] + 1.0))
-                for i in range(d)]
-    local, wts = _tensor_grid([np.arange(g)] * d, [0.5 * step[i] * w for i in range(d)])
-    per_block = max(1, _CELL_NODE_BUDGET // g**d)
-    out = np.empty(n**d)
-    for s in range(0, n**d, per_block):
-        cells = np.unravel_index(np.arange(s, min(s + per_block, n**d)), (n,) * d)
-        pts = np.stack([ax_nodes[i][cells[i][:, None], local[None, :, i]] for i in range(d)],
-                       axis=-1)
-        vals = _qp_pow_of_sym(f.sym_gradient(pts.reshape(-1, d)), 1.0, rule)
-        out[s : s + per_block] = (vals.reshape(-1, g**d) * wts).sum(axis=1)
-    return out
-
-
-def _interface_atoms(f: PlanarJumpField, box: DomainBox, rule: SphereRule):
-    # fixed fine patch rule: the atoms also have to pair accurately against
-    # kinked test functions, which adapting on the mass total alone misses
-    n = 256 if box.dim == 2 else 64
-    pts, wts = _interface_nodes(box, f.normal, f.offset, n)
-    if len(wts) == 0:
-        return pts, wts
-    return pts, wts * _interface_density(f, pts, rule)
-
-
 def ground_truth_measure(
     f: FieldSpec, box: DomainBox, rule: SphereRule | None = None, n_cells: int = 64
 ) -> DiscreteMeasure:
@@ -206,7 +174,7 @@ def ground_truth_measure(
     if isinstance(f, SampledField):
         raise ModelError("the limit measure needs a closed-form field")
     if rule is None:
-        rule = make_sphere_rule(f.dim, 64)
+        rule = make_sphere_rule(f.dim, _REFERENCE_LEVEL)
     if box.dim != f.dim or rule.dim != f.dim:
         raise DimensionError("field, box and rule dimensions must agree")
     n = n_cells
@@ -215,21 +183,16 @@ def ground_truth_measure(
     if isinstance(f, PlanarJumpField):
         lo = box.lo + step * _tensor_grid([np.arange(n)] * box.dim)
         cell_masses = _jump_volume_masses(f, box, lo, lo + step, rule)
-        ipts, imasses = _interface_atoms(f, box, rule)
-        points = np.vstack([mids, ipts]) if len(imasses) else mids
+        # a fixed fine patch rule: the atoms also have to pair accurately against
+        # kinked test functions, which refining on the mass total alone misses
+        ipts, imasses = _interface_atoms(f, box, rule, 256 if box.dim == 2 else 64)
         masses = np.concatenate([cell_masses, imasses])
-        return DiscreteMeasure(box, points, masses)
-    g = 4
-    cell_masses = _cell_gauss_masses(f, box, n, g, rule)
-    total = cell_masses.sum()
-    while g < 16:
-        g *= 2
-        refined = _cell_gauss_masses(f, box, n, g, rule)
-        new_total = refined.sum()
-        done = abs(new_total - total) <= 1e-9 * max(abs(new_total), 1e-30)
-        cell_masses, total = refined, new_total
-        if done:
-            break
+        return DiscreteMeasure(box, np.vstack([mids, ipts]), masses)
+
+    def density(pts):
+        return _qp_pow_of_sym(f.sym_gradient(pts), 1.0, rule)
+
+    cell_masses = _refined(lambda g: _cell_integrals(density, box, n, g), 4, 16, 1e-9)
     return DiscreteMeasure(box, mids, cell_masses)
 
 

@@ -181,6 +181,11 @@ def test_bool_for_number_is_config_error(tmp_path, capsys, path, override):
     ("config.outer.n", {"dim": 3, "field": {"id": "rigid", "params": {"spin": _SPIN3}},
                         "domain": {"lo": [0.0] * 3, "hi": [1.0] * 3},
                         "outer": {"n": 2_100_000}}),
+    # eps whose inner nodes' 1/|h|^2 overflows: a 1-d shell, a 2-d bump
+    ("config.eps[0]", {"dim": 1, "field": {"id": "rigid", "params": {"spin": [[0.0]]}},
+                       "domain": {"lo": [0.0], "hi": [1.0]}, "eps": [1e-300]}),
+    ("config.eps[0]", {"field": LINEAR_FIELD, "mollifier": {"family": "bump"},
+                       "eps": [1e-153], "inner": {"level": 16}}),
 ])
 def test_non_finite_number_is_config_error(tmp_path, capsys, path, override):
     # json.load reads NaN and Infinity; neither may pass as a number

@@ -26,6 +26,7 @@ Core claims:
 """
 
 import importlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -126,6 +127,40 @@ def test_request_grid_must_fit_the_int64_cell_index():
         with pytest.raises(ParameterError) as err:
             en.EnergyRequest(**req, outer_grid=n + 1)
         assert err.value.key == "outer_grid"
+
+
+def test_inner_nodes_keep_the_eps_rule_bound():
+    """Every inner node of both levels has |h| >= eps / (2 (level + 2)^2), the
+    bound behind the request's eps rule, in every family, mode and dimension.
+    The polar rule's smallest radius is the first Gauss node of its first band
+    (at least eps/2 wide), the tensor grid's the smallest node in each axis."""
+    for d, family, mode in itertools.product((1, 2, 3), ("shell", "gaussian", "scaled_bump"),
+                                             ("radial_spherical", "tensor")):
+        for level, tol in itertools.product((1, 2, 3, 5, 16), (1e-2, 1e-10)):
+            req = en.EnergyRequest(
+                field=LinearField(np.eye(d), np.zeros(d)), domain=DomainBox([0.0] * d, [1.0] * d),
+                p=1.0, mollifier=MollifierSpec(family, 0.1, d), outer_grid=4, inner_mode=mode,
+                inner_level=level, trunc_tol=tol)
+            for k in (level, 2 * level):
+                inv_r2 = en._inner_nodes(req, k)[2]
+                assert np.all(inv_r2 <= (2 * (level + 2) ** 2 / 0.1) ** 2)
+
+
+@pytest.mark.parametrize("d, family, tiny, mode", [
+    (1, "shell", 1e-300, "radial_spherical"),
+    (2, "scaled_bump", 1e-153, "radial_spherical"),
+    (2, "scaled_bump", 1e-153, "tensor"),
+])
+def test_request_rejects_an_eps_whose_inner_nodes_overflow(d, family, tiny, mode):
+    """A 1-d shell at eps = 1e-300 (|h|^2 underflows to 0) and a 2-d bump at
+    eps = 1e-153 (its nodes nearest 0 overflow 1/|h|^2) fail the eps rule at
+    the key eps, and pass at eps = 1e-100."""
+    req = dict(field=LinearField(np.eye(d), np.zeros(d)), p=1.0, outer_grid=8,
+               domain=DomainBox([0.0] * d, [1.0] * d), inner_mode=mode)
+    en.EnergyRequest(**req, mollifier=MollifierSpec(family, 1e-100, d))
+    with pytest.raises(ParameterError) as err:
+        en.EnergyRequest(**req, mollifier=MollifierSpec(family, tiny, d))
+    assert err.value.key == "eps"
 
 
 @pytest.mark.parametrize("kw", [

@@ -16,10 +16,15 @@ Core claims:
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nldef
 from nldef import (
     BumpField,
     ConfigError,
@@ -361,6 +366,35 @@ def test_ground_truth_model_errors():
 def test_ground_truth_rigid_zero():
     gt = ground_truth(RigidField(_skew2(0.4), np.ones(2)), DomainBox([0, 0], [1, 1]), 1.0, RULE2)
     assert gt.total == 0.0
+
+_BLAS_PROBE = """
+import importlib
+import numpy as np
+import nldef
+en = importlib.import_module("nldef.energy")
+box, rule = nldef.DomainBox([0.0, 0.0], [1.0, 1.0]), nldef.make_sphere_rule(2, 64)
+sin = nldef.SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]]))
+bump = nldef.BumpField(np.array([0.5, -0.3]), np.array([0.45, 0.45]), 0.35)
+vals = [nldef.ground_truth(sin, box, 1.0, rule).total,
+        nldef.ground_truth(bump, box, 2.0, rule).total,
+        en.upper_bound_rhs(sin, box, 0.1, 1.0, nldef.MollifierSpec("gaussian", 0.1, 2))]
+print(" ".join(float(v).hex() for v in vals))
+"""
+
+
+def test_ground_truth_bits_do_not_depend_on_blas_threads():
+    """ground_truth of a 2-d sin field at p = 1 and of a bump at p = 2, and
+    upper_bound_rhs with a gaussian tail, give the same bits under 1 and 2
+    OpenBLAS threads: their sums are fixed-order numpy sums. Each thread
+    count runs in its own interpreter, since BLAS reads it at load time."""
+    src = str(Path(nldef.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(proc.stdout.split())
+    assert len(outs[0]) == 3 and outs[0] == outs[1]
 
 
 # -- mollify -----------------------------------------------------------------

@@ -181,7 +181,8 @@ def test_smooth_cell_masses_match_whole_grid(d, n, g):
     f = SinField(rng.uniform(0.1, 0.5, d), rng.uniform(-4.0, 4.0, (d, d)))
     box = DomainBox(rng.uniform(-1.0, 0.0, d), rng.uniform(0.5, 1.5, d))
     rule = make_sphere_rule(d, 16)
-    got = me._cell_gauss_masses(f, box, n, g, rule)
+    got = fl._cell_integrals(lambda x: fl._qp_pow_of_sym(f.sym_gradient(x), 1.0, rule),
+                             box, n, g)
     want = _whole_grid_cell_masses(f, box, n, g, rule)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 

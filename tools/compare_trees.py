@@ -27,7 +27,13 @@ objects come on top: `ground_truth` (volume, interface and total values)
 and the `ground_truth_measure` masses and atom coordinates of that 3-d
 jump and of a 2-d rigid-sided jump (on 64 and 24 cells per axis) and of a
 3-d linear field (8 cells), with the atom coordinates of `density_masses`
-on the same grids, so that a change of the outer grid shows up. The environment, BLAS thread
+on the same grids, so that a change of the outer grid shows up. So do the
+other users of the limit objects' quadrature: `ground_truth` of the 2-d
+sin field (p = 1, 2, 3), the 2-d bump (p = 2), the 3-d sin field (p = 1,
+sphere level 16) and the oblique 2-d jump; `upper_bound_rhs` of the 2-d
+sin field with a gaussian tail and with none; the limit-measure masses of
+the 2-d sin field on 16 cells per axis; and `mollify` of the 2-d linear,
+sin and rigid-sided jump fields on a small box. The environment, BLAS thread
 settings included, is passed to both interpreters unchanged. The last line
 gives each tree's source size, the line count of `wc -l src/nldef/*.py`.
 Exit status 0 means every output is bitwise equal, 1 that some differ.
@@ -176,6 +182,40 @@ def _limit_outputs(out: dict) -> None:
             out[f"{key}/density_atoms/n{n}"] = np.ravel(en.density_masses(req)[0]).tolist()
 
 
+def _quadrature_outputs(out: dict) -> None:
+    """The other users of the limit objects' quadrature, on the unit box:
+    `ground_truth` of smooth fields and of an oblique jump, `upper_bound_rhs`
+    with and without a tail term, the limit measure of a smooth field, and
+    `mollify` on a small box."""
+    import nldef
+
+    en = importlib.import_module("nldef.energy")
+    fl = importlib.import_module("nldef.fields")
+    two, three = dict(_fields(2)), dict(_fields(3))
+    box2, box3 = (nldef.DomainBox([0.0] * d, [1.0] * d) for d in (2, 3))
+    rule2 = nldef.make_sphere_rule(2, 64)
+    cases = [("d2/sin", two["sin"], box2, rule2, (1.0, 2.0, 3.0)),
+             ("d2/bump", two["bump"], box2, rule2, (2.0,)),
+             ("d2/jump_oblique", two["jump_oblique"], box2, rule2, (1.0,)),
+             ("d3/sin/level16", three["sin"], box3, nldef.make_sphere_rule(3, 16), (1.0,))]
+    for key, field, box, rule, ps in cases:
+        for p in ps:
+            gt = nldef.ground_truth(field, box, p, rule)
+            out[f"{key}/p{p:g}/ground_truth"] = [gt.ac_value, gt.singular_value, gt.total]
+    for family in ("gaussian", "shell"):
+        moll = nldef.MollifierSpec(family, 0.1, 2)
+        out[f"d2/sin/upper_bound_rhs/{family}"] = [
+            en.upper_bound_rhs(two["sin"], box2, 0.15, p, moll) for p in (1.0, 2.0)]
+    limit = nldef.ground_truth_measure(two["sin"], box2, rule2, n_cells=16)
+    out["d2/sin/limit_masses/n16"] = np.asarray(limit.masses, dtype=np.float64).tolist()
+    small = nldef.DomainBox([0.3, 0.3], [0.6, 0.6])
+    for fname in ("linear", "sin", "jump_rigid"):
+        for eta in (0.02, 0.05):
+            sm = fl.mollify(two[fname], eta, nldef.MollifierSpec("scaled_bump", eta, 2), 0.05,
+                            small, angular_level=32, radial_nodes=8)
+            out[f"d2/{fname}/mollify/eta{eta:g}"] = np.ravel(sm.values).tolist()
+
+
 def _record(out: dict, key: str, req, residual: bool) -> None:
     """Energy, residual energy (p = 1 closed-form fields) and density masses."""
     en = importlib.import_module("nldef.energy")
@@ -219,6 +259,7 @@ def _outputs() -> dict:
     for key, req in _extra_requests():
         _record(out, key, req, req.p == 1.0)
     _limit_outputs(out)
+    _quadrature_outputs(out)
     return out
 
 
