@@ -10,34 +10,36 @@ the mollifier's support bands crossed with a sphere rule in direction, so the
 singular |h| factors cancel analytically and only the angular variation is
 resolved. Inner nodes leaving U are rejected (zero mask).
 
-Both inner levels, L and 2L (the value and, from the gap, the error bar),
-run in one pass: their nodes are the column blocks of one node set of K =
-K_c + K_f nodes. The outer cells are split into fixed tiles of t cells (t x
-K pairs at most). The grid is a tensor product and the mask factors per
-axis, so the engine's one mask, `_grid_mask`, is built once per call from
-each axis's N midpoints: per axis the rows x_k + h_k in [lo_k, hi_k], a flag
-per row that fails somewhere (an edge row), and, for the classes below, a
-class key per row. Only `density_masses` forms the (N^d, d) cell points. A
-scattered point is no special case: `local_density` is the one-cell grid
-over the point. Where a field has `FieldSpec.kernel_classes(axes, h)` (rigid
-and linear fields, and jump cells whose stencil stays on one side, have a
-kernel that does not involve x), the cells fall into classes with identical
-pair rows: equal kernel ids and equal mask rows, the mask classes ranked
-from the keys. Each class's first cell is evaluated in the tile that holds
-it and its mass is gathered to the others, which gives the bits of
-evaluating every cell. Fields whose kernel depends on x (sin, bump, sampled)
-evaluate every cell. The tiles go in one contiguous run per worker, one task
-per call that carries cell indices, the mask and the node scale s =
-w^(1/p)/|h|^2 (the positive weights folded in, as |q s|^p = |q|^p
+Both inner levels, L and 2L (the value and, from the gap, the error bar), run
+in one pass: their nodes are the column blocks of one node set of K = K_c +
+K_f nodes. The outer cells are split into fixed tiles of t cells (t x K pairs
+at most). The grid is a tensor product and the mask factors per axis, so the
+engine's one mask, `_grid_mask`, is built once per call from each axis's N
+midpoints: per axis the rows x_k + h_k in [lo_k, hi_k], a flag per row that
+fails somewhere (an edge row), and, for the classes below, a class key per
+row. Only `density_masses` forms the (N^d, d) cell points. A scattered point
+is no special case: `local_density` is the one-cell grid over the point.
+Where a field has `FieldSpec.kernel_classes(axes, h)` (rigid and linear
+fields, and jump cells whose stencil stays on one side, have a kernel that
+does not involve x; a jump whose sides share one matrix has a constant jump
+vector, so its band cells' kernel involves x only through x.nu), the cells
+fall into classes with identical pair rows: equal kernel ids and equal mask
+rows, the mask classes ranked from the keys. Each class's first cell is
+evaluated in the tile that holds it and its mass is gathered to the others,
+which gives the bits of evaluating every cell. Fields whose kernel depends on
+x (sin, bump, sampled) evaluate every cell, and so do the band cells of a
+jump whose sides' matrices differ. The tiles go in one contiguous run per
+worker, one task per call that carries cell indices, the mask and the node
+scale s = w^(1/p)/|h|^2 (the positive weights folded in, as |q s|^p = |q|^p
 w/|h|^(2p)); its worker rebuilds x, the mask rows and each tile's runs of
-edge cells from the indices by mixed radix. A tile runs one L2-sized block
-of at most `_BLOCK_PAIRS` pairs at a time, every step written over the
-block: the field's one kernel hook, `FieldSpec.pair_blocks(x, h, s,
-residual)`, yields the kernel times s (less <Eu(x) h, h> s for the residual)
-in one buffer it reuses, as documented per family; |q|^p is applied in
-place; the edge runs that meet the block have their pairs that leave U
-zeroed, interior cells (about 90% of the criterion-10 grid) left alone; then
-one row sum per level.
+edge cells from the indices by mixed radix. A tile runs one L2-sized block of
+at most `_BLOCK_PAIRS` pairs at a time, every step written over the block:
+the field's one kernel hook, `FieldSpec.pair_blocks(x, h, s, residual)`,
+yields the kernel times s (less <Eu(x) h, h> s for the residual) in one
+buffer it reuses, as documented per family; |q|^p is applied in place; the
+edge runs that meet the block have their pairs that leave U zeroed, interior
+cells (about 90% of the criterion-10 grid) left alone; then one row sum per
+level.
 
 Determinism: outer cells are split into fixed-size contiguous tiles, each
 tile's per-cell masses are computed with kernels that see only the tile, in
@@ -127,10 +129,11 @@ class EnergyRequest:
     p finite and >= 1, outer_grid >= 2 with outer_grid^d < 2^63 cells (the
     engine's int64 cell index), inner_mode 'radial_spherical' or
     'tensor', inner_level >= 1, trunc_tol in (0, 1e-2], workers None or >= 1
-    (sizes are integers, not bools), and the mollifier's eps above
+    (sizes are integers, not bools), the mollifier's eps above
     2e-154 (inner_level + 2)^2, which keeps the engine's 1/|h|^2 finite at
-    every inner node. A broken rule raises ParameterError whose `key` names
-    the field (`eps` for the last); unequal dimensions raise DimensionError.
+    every inner node, and in tensor mode a node of nonzero weight at both
+    levels. A broken rule raises ParameterError whose `key` names the field
+    (`eps` for the eps rule); unequal dimensions raise DimensionError.
     """
 
     field: FieldSpec
@@ -163,6 +166,10 @@ class EnergyRequest:
         # every inner node has |h| >= eps / (2 (level + 2)^2), so 1/|h|^2 < 1e308
         _check_rules(self.mollifier, {"eps": (2 * (level + 2) ** 2 < 1e154 * self.mollifier.eps,
                                               "above 2e-154 (inner_level + 2)^2")})
+        # the tensor grid drops its nodes of zero weight: both levels must keep one
+        _check_rules(self, {"inner_level": (self.inner_mode != "tensor" or all(
+            len(_tensor_nodes(self.mollifier, k, tol)[0]) for k in (level, 2 * level)),
+            "such that the tensor grids of it and of twice it keep a node of nonzero weight")})
 
 
 @dataclass(frozen=True, eq=False)

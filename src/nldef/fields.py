@@ -474,6 +474,9 @@ class PlanarJumpField(FieldSpec):
                 raise DimensionError(f"{name} side dimension mismatch")
         object.__setattr__(self, "normal", nu)
         object.__setattr__(self, "offset", float(self.offset))
+        # (A_+ - A_-, c_+ - c_-): the jump's matrix and shift, taken once
+        lin = [s.spin if isinstance(s, RigidField) else s.a for s in (self.minus, self.plus)]
+        object.__setattr__(self, "_jump", (lin[1] - lin[0], self.plus.shift - self.minus.shift))
 
     @property
     def dim(self) -> int:
@@ -496,9 +499,9 @@ class PlanarJumpField(FieldSpec):
         )
 
     def jump_at(self, x) -> np.ndarray:
-        """a(x) = u_plus(x) - u_minus(x), the (affine) jump vector."""
-        x = self._check_points(x)
-        return self.plus.eval(x) - self.minus.eval(x)
+        """a(x) = u_plus(x) - u_minus(x) as one formula, dA x + dc with dA = A_+ - A_-
+        and dc = c_+ - c_- (the sides' matrices and shifts): constant if dA == 0."""
+        return _matvec(self._jump[0], self._check_points(x)) + self._jump[1]
 
     def delta_dot_h(self, x, h) -> np.ndarray:
         # with y = x + h on side s_y: u(y) - u(x) = (u_{s_y}(x + h) - u_{s_y}(x))
@@ -554,20 +557,24 @@ class PlanarJumpField(FieldSpec):
             yield rows, q
 
     def kernel_classes(self, axes, h) -> np.ndarray:
-        """Cell i's side (0 minus, 1 plus) where every x + h stays on it, else 2 + i.
+        """Cell i's side (0 minus, 1 plus) where every x + h stays on it, else
+        2 + the dense rank of its x.nu if the sides' matrices are equal, else 2 + i.
 
-        Such a cell's kernel row is its side's affine kernel, which does not
-        involve x. A cell's x.nu is the sum of the per-axis products
-        axes[:, k] * nu_k in axis order, the float operations of `_dot` on
-        the cell. The side test of `delta_dot_h` is nondecreasing in h.nu,
-        so it is evaluated at the extremes of h.nu and at 0, which is x's
-        own test, the one `sym_gradient` makes.
+        A side cell's kernel row is its side's affine kernel, which does not
+        involve x; with equal matrices the jump is constant, and a band cell's
+        row depends on x only through x.nu. A cell's x.nu is the sum of the
+        per-axis products axes[:, k] * nu_k in axis order, the float operations
+        of `_dot` on the cell. The side test of `delta_dot_h` is nondecreasing
+        in h.nu, so it is evaluated at the extremes of h.nu and at 0, which is
+        x's own test, the one `sym_gradient` makes.
         """
         xn = reduce(np.add.outer, (axes * self.normal).T).ravel()
         hn = _dot(h, self.normal)
         low = (xn + hn.min(initial=0.0)) - self.offset > 0.0
         high = (xn + hn.max(initial=0.0)) - self.offset > 0.0
-        return np.where(low == high, low, 2 + np.arange(len(xn)))
+        same = not self._jump[0].any()  # equal matrices: a constant jump
+        band = np.unique(xn, return_inverse=True)[1] if same else np.arange(len(xn))
+        return np.where(low == high, low, 2 + band)
 
 
 @dataclass(frozen=True, eq=False)
@@ -766,24 +773,23 @@ def _axis_of(normal: np.ndarray) -> int | None:
     return None
 
 
-def _side_volumes(lo: np.ndarray, hi: np.ndarray, normal: np.ndarray, offset: float):
-    """Volumes (m,) of each cell [lo_k, hi_k] ∩ {<x,nu> < s} and ∩ {<x,nu> > s}.
-
-    `lo` and `hi` are cell corners of shape (m, d).
-    """
-    widths = hi - lo
-    total = np.prod(widths, axis=1)
+def _side_volumes(lo, hi, normal: np.ndarray, offset: float):
+    """Volumes (m,) of each cell ∩ {<x,nu> < s} and ∩ {<x,nu> > s}, the cells of the
+    tensor grid over per-axis edges lo[k], hi[k] (n_k,), first axis slowest. For
+    nu = +-e_j they are outer products of per-axis lengths in axis order."""
+    widths = [b - a for a, b in zip(lo, hi)]
+    total = reduce(np.multiply.outer, widths).ravel()
     j = _axis_of(normal)
     if j is not None:
-        sign = normal[j]
-        cut = offset / sign
-        below = np.clip(cut, lo[:, j], hi[:, j]) - lo[:, j]  # length where x_j < cut
-        rest = np.prod(np.delete(widths, j, axis=1), axis=1)
-        if sign > 0:
-            return below * rest, total - below * rest
-        return total - below * rest, below * rest
-    if lo.shape[1] == 2:
-        minus = np.array([_halfplane_area(a, b, normal, offset) for a, b in zip(lo, hi)])
+        below = np.clip(offset / normal[j], lo[j], hi[j]) - lo[j]  # length where x_j < cut
+        rest = reduce(np.multiply.outer, widths[:j] + widths[j + 1 :], 1.0)
+        part = np.moveaxis(np.multiply.outer(below, rest), 0, j).ravel()
+        if normal[j] > 0:
+            return part, total - part
+        return total - part, part
+    if len(widths) == 2:
+        cells = zip(_tensor_grid(lo), _tensor_grid(hi))
+        minus = np.array([_halfplane_area(a, b, normal, offset) for a, b in cells])
         return minus, total - minus
     raise ModelError("general jump normals are unsupported in d=3 ground truth")
 
@@ -849,10 +855,9 @@ def _interface_nodes(box: DomainBox, normal: np.ndarray, offset: float, n: int):
     raise ModelError("general jump normals are unsupported in d=3 ground truth")
 
 
-def _jump_volume_masses(
-    f: PlanarJumpField, box: DomainBox, lo: np.ndarray, hi: np.ndarray, rule: SphereRule
-) -> np.ndarray:
-    """Volume part of the limit measure on cells [lo_k, hi_k] inside box, shape (m,).
+def _jump_volume_masses(f: PlanarJumpField, box: DomainBox, lo, hi, rule: SphereRule):
+    """Volume part of the limit measure (m,) on the cells of `_side_volumes`'s
+    per-axis edges lo, hi inside box.
 
     Both sides of a jump field are affine, so Q_1 of each side's symmetric
     gradient is a constant, taken at the box center.
@@ -892,7 +897,7 @@ def ground_truth(f: FieldSpec, box: DomainBox, p: float, rule: SphereRule) -> Gr
     if isinstance(f, PlanarJumpField):
         if p > 1:
             raise ModelError("jump fields are not in W^{1,p} for p > 1")
-        ac = float(_jump_volume_masses(f, box, box.lo[None], box.hi[None], rule)[0])
+        ac = float(_jump_volume_masses(f, box, box.lo[:, None], box.hi[:, None], rule)[0])
         sing = float(_refined(lambda n: _interface_atoms(f, box, rule, n)[1], 8, 256, 1e-8).sum())
         return GroundTruth(p=p, ac_value=ac, singular_value=sing, total=ac + sing)
 

@@ -181,8 +181,8 @@ def ground_truth_measure(
     step = (box.hi - box.lo) / n
     mids = _tensor_grid(_midpoints(box, n)[0].T)
     if isinstance(f, PlanarJumpField):
-        lo = box.lo + step * _tensor_grid([np.arange(n)] * box.dim)
-        cell_masses = _jump_volume_masses(f, box, lo, lo + step, rule)
+        lo = box.lo[:, None] + step[:, None] * np.arange(n)  # per axis, the cells' low edges
+        cell_masses = _jump_volume_masses(f, box, lo, lo + step[:, None], rule)
         # a fixed fine patch rule: the atoms also have to pair accurately against
         # kinked test functions, which refining on the mass total alone misses
         ipts, imasses = _interface_atoms(f, box, rule, 256 if box.dim == 2 else 64)

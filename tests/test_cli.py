@@ -284,6 +284,16 @@ def test_weakstar_without_dictionary(tmp_path, capsys):
 
 # -- exit codes --------------------------------------------------------------
 
+def test_tensor_level_without_weighted_nodes_is_config_error(tmp_path, capsys):
+    # the d = 3 bump is 0 at the 2-point grid's nodes, so the level sums nothing
+    eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    cfg = _write_cfg(tmp_path, dim=3, field={"id": "linear", "params": {"matrix": eye}},
+                     domain={"lo": [0.0] * 3, "hi": [1.0] * 3}, eps=[0.2], outer={"n": 4},
+                     mollifier={"family": "scaled_bump"}, inner={"level": 1, "mode": "tensor"})
+    assert cli.main(["energy", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: config.inner.level:")
+
+
 def test_invalid_json_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

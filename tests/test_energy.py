@@ -137,10 +137,13 @@ def test_inner_nodes_keep_the_eps_rule_bound():
     for d, family, mode in itertools.product((1, 2, 3), ("shell", "gaussian", "scaled_bump"),
                                              ("radial_spherical", "tensor")):
         for level, tol in itertools.product((1, 2, 3, 5, 16), (1e-2, 1e-10)):
-            req = en.EnergyRequest(
-                field=LinearField(np.eye(d), np.zeros(d)), domain=DomainBox([0.0] * d, [1.0] * d),
-                p=1.0, mollifier=MollifierSpec(family, 0.1, d), outer_grid=4, inner_mode=mode,
-                inner_level=level, trunc_tol=tol)
+            moll = MollifierSpec(family, 0.1, d)
+            req = dict(field=LinearField(np.eye(d), np.zeros(d)), p=1.0, mollifier=moll,
+                       domain=DomainBox([0.0] * d, [1.0] * d), outer_grid=4, inner_mode=mode,
+                       inner_level=level, trunc_tol=tol)
+            if mode == "tensor" and _tensor_level_is_empty(moll, level, tol):
+                continue  # no node, no bound; the request raises, as tested below
+            req = en.EnergyRequest(**req)
             for k in (level, 2 * level):
                 inv_r2 = en._inner_nodes(req, k)[2]
                 assert np.all(inv_r2 <= (2 * (level + 2) ** 2 / 0.1) ** 2)
@@ -161,6 +164,20 @@ def test_request_rejects_an_eps_whose_inner_nodes_overflow(d, family, tiny, mode
     with pytest.raises(ParameterError) as err:
         en.EnergyRequest(**req, mollifier=MollifierSpec(family, tiny, d))
     assert err.value.key == "eps"
+
+
+def test_request_rejects_a_tensor_level_without_weighted_nodes():
+    """In d = 3 the 2-point grid's nodes sit at |h| = eps, where the bump is
+    0: levels 1 and 2 (whose coarse grid that is) fail at the key
+    inner_level, level 3 passes, and so does level 1 in radial mode."""
+    req = dict(field=LinearField(np.eye(3), np.zeros(3)), domain=DomainBox([0.0] * 3, [1.0] * 3),
+               p=1.0, mollifier=MollifierSpec("scaled_bump", 0.2, 3), outer_grid=4)
+    for level in (1, 2):
+        with pytest.raises(ParameterError) as err:
+            en.EnergyRequest(**req, inner_mode="tensor", inner_level=level)
+        assert err.value.key == "inner_level"
+    assert en.energy(en.EnergyRequest(**req, inner_mode="tensor", inner_level=3)).value > 0.0
+    assert en.energy(en.EnergyRequest(**req, inner_level=1)).value > 0.0
 
 
 @pytest.mark.parametrize("kw", [
@@ -571,6 +588,28 @@ def _field_pair(kind, rng, d):
             PlanarJumpField(nu, 0.5 * float(nu.sum()), *doubled))
 
 
+def _tensor_level_is_empty(moll, level, trunc_tol=1e-10):
+    """Whether rho_eps is 0 at every node of the tensor grid of `level` or of
+    2 `level`: m Gauss points (m even) per axis on [-R, R], R the support
+    radius."""
+    radius = moll.support_radius(trunc_tol)
+    for k in (level, 2 * level):
+        z = radius * np.polynomial.legendre.leggauss(k + k % 2)[0]
+        grid = np.stack(np.meshgrid(*[z] * moll.dim, indexing="ij"), axis=-1)
+        if not np.any(moll.eval(grid) > 0.0):
+            return True
+    return False
+
+
+def _every_pair_leaves(req):
+    """Whether x + h lies outside U for every outer midpoint x and inner node
+    h of both levels, so that the energy is an empty sum."""
+    axes = en._midpoints(req.domain, req.outer_grid)[0]
+    x = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, req.domain.dim)
+    return not any(req.domain.contains(x[:, None, :] + en._inner_nodes(req, k)[0]).any()
+                   for k in (req.inner_level, 2 * req.inner_level))
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(d=st.integers(1, 3), n=st.integers(2, 16), level=st.integers(1, 4),
        mode=st.sampled_from(["radial_spherical", "tensor"]),
@@ -582,11 +621,18 @@ def test_rigid_is_exactly_zero_and_doubling_scales_by_two_to_the_p(
         d, n, level, mode, family, eps, kind, seed):
     """Over small requests: a rigid field's value, error bar and residual are
     exactly 0, and F(2u) == 2^p F(u) bit for bit at p = 1 and 2, value and
-    error bar, and for the residual at p = 1."""
+    error bar, and for the residual at p = 1. A tensor-mode request with a
+    level whose grid has no node of nonzero weight is a ParameterError."""
     u, twice = _field_pair(kind, np.random.default_rng(seed), d)
-    req = en.EnergyRequest(field=u, domain=DomainBox([0.0] * d, [1.0] * d), p=1.0,
-                           mollifier=MollifierSpec(family, eps, d), outer_grid=n,
-                           inner_mode=mode, inner_level=level, workers=1)
+    moll = MollifierSpec(family, eps, d)
+    req = dict(field=u, domain=DomainBox([0.0] * d, [1.0] * d), p=1.0, mollifier=moll,
+               outer_grid=n, inner_mode=mode, inner_level=level, workers=1)
+    if mode == "tensor" and _tensor_level_is_empty(moll, level):
+        with pytest.raises(ParameterError) as err:
+            en.EnergyRequest(**req)
+        assert err.value.key == "inner_level"
+        return
+    req = en.EnergyRequest(**req)
     runs = [(en.energy, 1.0), (en.energy, 2.0), (en.residual_energy, 1.0)]
     for run, p in runs:
         res = run(replace(req, p=p))
@@ -594,7 +640,7 @@ def test_rigid_is_exactly_zero_and_doubling_scales_by_two_to_the_p(
             assert res.value == 0.0 and res.est_quadrature_error == 0.0
             continue
         res2 = run(replace(req, p=p, field=twice))
-        assert res.value > 0.0 or run is en.residual_energy
+        assert res.value > 0.0 or run is en.residual_energy or _every_pair_leaves(req)
         assert res2.value == 2.0**p * res.value
         assert res2.est_quadrature_error == 2.0**p * res.est_quadrature_error
 

@@ -33,6 +33,9 @@ Core claims:
       rows, cells in one mask class bitwise-equal mask rows, and the class
       path of the engine gives the same bits as computing every cell while
       evaluating one row per distinct pair of kernel id and mask row
+    - a jump whose sides share one matrix has a constant jump vector, and
+      its band cells evaluate one row per distinct pair of x.nu and mask
+      row: at most 600 rows per criterion-10 jump call
 """
 
 import importlib
@@ -220,7 +223,16 @@ def _jump_fields(rng, d):
         for sides in ((_rigid, _rigid), (_linear, _linear), (_rigid, _linear)):
             minus, plus = (make(rng, d) for make in sides)
             out.append(PlanarJumpField(nu, offset, minus, plus))
+        out.extend(PlanarJumpField(nu, offset, *sides) for sides in _constant_sides(rng, d))
     return out
+
+
+def _constant_sides(rng, d):
+    """Side pairs with one nonzero matrix and unequal shifts, rigid and
+    linear: their jump is constant."""
+    rigid, linear = _rigid(rng, d), _linear(rng, d)
+    return [(rigid, RigidField(rigid.spin, rng.uniform(-1.0, 1.0, d))),
+            (linear, LinearField(linear.a, rng.uniform(-1.0, 1.0, d)))]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -751,7 +763,7 @@ def test_kernel_classes_contract(d):
         assert f.kernel_classes(axes, h) is None  # x-dependent kernels opt out
     for f in (_rigid(rng, d), _linear(rng, d)):
         assert np.all(_check_kernel_classes(f, axes, h) == 0)
-    for f in _jump_fields(rng, d):
+    for f in _jump_fields(rng, d) + [f for n, f in _engine_fields(d) if n.startswith("jump")]:
         _check_kernel_classes(f, axes, h)
 
 
@@ -879,6 +891,12 @@ def _engine_fields(d):
     if d in oblique:
         out.append(("jump-oblique", PlanarJumpField(np.array(oblique[d]), 0.7,
                                                     _linear(rng, d), _linear(rng, d))))
+    # constant jumps: equal nonzero spins, equal nonzero matrices
+    spins, mats = _constant_sides(rng, d)
+    out += [("jump-equal-spin", PlanarJumpField(eye[d - 1], 0.45, *spins)),
+            ("jump-equal-linear", PlanarJumpField(-eye[0], -0.55, *mats))]
+    if d in oblique:
+        out.append(("jump-equal-oblique", PlanarJumpField(np.array(oblique[d]), 0.7, *mats)))
     return out
 
 
@@ -924,6 +942,21 @@ def test_class_path_equals_every_cell(name, p, monkeypatch):
             assert got[2] == every_cell[2]
 
 
+def _rows_evaluated(monkeypatch, run, f, *args):
+    """The number of cell rows that run(*args) passes to f's `pair_blocks`."""
+    rows = []
+    real = type(f).pair_blocks
+
+    def spy(self, x, *more):
+        rows.append(len(x))
+        return real(self, x, *more)
+
+    monkeypatch.setattr(type(f), "pair_blocks", spy)
+    run(*args)
+    monkeypatch.undo()
+    return sum(rows)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypatch):
     """The rows that reach `pair_blocks` are one per distinct pair of kernel id
@@ -933,21 +966,51 @@ def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypat
         req = en.EnergyRequest(field=f, domain=box, p=1.0,
                                mollifier=MollifierSpec("shell", 0.2, d), outer_grid=12,
                                inner_level=4, workers=1)
-        rows = []
-        real = type(f).pair_blocks
-
-        def spy(self, x, *args):
-            rows.append(len(x))
-            return real(self, x, *args)
-
-        monkeypatch.setattr(type(f), "pair_blocks", spy)
-        en._all_masses(req, (4,), 1, False, en._midpoints(box, 12))
-        monkeypatch.undo()
+        grid = en._midpoints(box, 12)
+        rows = _rows_evaluated(monkeypatch, en._all_masses, f, req, (4,), 1, False, grid)
         h = en._inner_nodes(req, 4)[0]
-        axes = en._midpoints(box, 12)[0]
-        mask = _grid_contains(box, axes, h)
-        pairs = np.column_stack([f.kernel_classes(axes, h), mask])
-        assert sum(rows) == len(np.unique(pairs, axis=0))
+        mask = _grid_contains(box, grid[0], h)
+        pairs = np.column_stack([f.kernel_classes(grid[0], h), mask])
+        assert rows == len(np.unique(pairs, axis=0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_constant_jump_band_evaluates_one_row_per_plane_distance(d, monkeypatch):
+    """A jump whose sides share one matrix evaluates one row per distinct pair
+    of (side, or x.nu in the band) and mask row, counted by brute force from
+    the side tests of `delta_dot_h` and `contains(x + h)`; for d > 1 fewer
+    band rows than band cells."""
+    box = DomainBox([0.0] * d, [1.0] * d)
+    for name, f in _engine_fields(d):
+        if not name.startswith("jump-equal"):
+            continue
+        assert np.all(np.diff(f.jump_at(np.random.default_rng(d).uniform(0, 1, (50, d))),
+                              axis=0) == 0.0)
+        req = en.EnergyRequest(field=f, domain=box, p=1.0,
+                               mollifier=MollifierSpec("shell", 0.2, d), outer_grid=12,
+                               inner_level=4, workers=1)
+        grid = en._midpoints(box, 12)
+        rows = _rows_evaluated(monkeypatch, en._all_masses, f, req, (4,), 1, False, grid)
+        h = en._inner_nodes(req, 4)[0]
+        x = fields_mod._tensor_grid(grid[0].T)
+        xn, hn = fields_mod._dot(x, f.normal), fields_mod._dot(h, f.normal)
+        side = xn - f.offset > 0.0
+        band = np.any(((xn[:, None] + hn) - f.offset > 0.0) != side[:, None], axis=1)
+        keys = np.column_stack([band, np.where(band, xn, side), _grid_contains(box, grid[0], h)])
+        assert rows == len(np.unique(keys, axis=0))
+        assert d == 1 or len(np.unique(keys[band], axis=0)) < band.sum()
+
+
+def test_criterion_10_jump_evaluates_at_most_600_rows(monkeypatch):
+    """The criterion-10 jump (zero spins, a constant jump) at N = 320: its
+    band's 5,120 cells share one class per distinct x.nu and mask row."""
+    zero = RigidField(np.zeros((2, 2)), np.zeros(2))
+    c10 = PlanarJumpField(np.array([1.0, 0.0]), 0.5, zero,
+                          RigidField(np.zeros((2, 2)), np.array([0.0, 1.0])))
+    req = en.EnergyRequest(field=c10, domain=DomainBox([0.0] * 2, [1.0] * 2), p=1.0,
+                           mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
+                           inner_level=16, workers=1)
+    assert _rows_evaluated(monkeypatch, en.energy, c10, req) <= 600
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -14,6 +14,9 @@ Core claims:
     - weak-star gaps shrink with epsilon and vanish identically for rigid
       fields
     - CSV export round-trips points and masses at full precision
+    - the per-axis side volumes of a cut grid, and the limit measure's
+      volume masses, equal the per-cell formula on the cells' corners bit
+      for bit
 """
 
 import importlib
@@ -157,6 +160,69 @@ def test_reference_cell_atoms_are_the_density_points():
                            outer_grid=n, inner_level=4, workers=1)
     pts = en.density_masses(req)[0]
     assert np.array_equal(ref.points[: n**3].view(np.uint64), pts.view(np.uint64))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _per_cell_side_volumes(lo, hi, normal, offset):
+    """Reference: the volumes of each cell [lo_k, hi_k] (corners (m, d)) below
+    and above the plane <x, +-e_j> = offset, one product of widths per cell."""
+    widths = hi - lo
+    total = np.prod(widths, axis=1)
+    j = int(np.argmax(np.abs(normal)))
+    below = np.clip(offset / normal[j], lo[:, j], hi[:, j]) - lo[:, j]
+    rest = np.prod(np.delete(widths, j, axis=1), axis=1)
+    if normal[j] > 0:
+        return below * rest, total - below * rest
+    return total - below * rest, below * rest
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_side_volumes_equal_the_per_cell_formula(d):
+    """`_side_volumes` on per-axis edges (uneven cell counts and widths) gives
+    the bits of the per-cell formula, for +-e_j and planes inside a cell, on
+    a cell face and outside the box on either side."""
+    rng = np.random.default_rng(150 + d)
+    step = rng.uniform(0.1, 0.3, d)
+    lo = [rng.uniform(-1.0, 0.0) + step[k] * np.arange(n) for k, n in enumerate((5, 7, 3)[:d])]
+    hi = [a + s for a, s in zip(lo, step)]
+    corners = fl._tensor_grid(lo), fl._tensor_grid(hi)
+    for j in range(d):
+        for cut in (lo[j][1] + 0.3 * step[j], lo[j][2], hi[j][1], lo[j][0] - 1.0, hi[j][-1] + 1.0):
+            for nu in (np.eye(d)[j], -np.eye(d)[j]):
+                got = fl._side_volumes(lo, hi, nu, cut * nu[j])
+                want = _per_cell_side_volumes(*corners, nu, cut * nu[j])
+                assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+                assert np.all(got[0] >= 0.0) and np.all(got[1] >= 0.0)
+
+
+@pytest.mark.parametrize("n", [24, 64])
+def test_jump_volume_masses_equal_the_per_cell_formula(n):
+    """The limit measure's volume atoms are Q_1 of each side times the per-cell
+    side volumes on the grid's corners, bit for bit: the d3-jump-study field,
+    and a 2-d jump across -e_2 whose plane cuts a row of cells."""
+    mat = np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]])
+    cases = [
+        (PlanarJumpField(np.eye(3)[0], 0.5, LinearField(mat, np.zeros(3)),
+                         LinearField(mat, np.array([0.2, 1.0, 0.3]))),
+         DomainBox([0.0] * 3, [1.0] * 3)),
+        (PlanarJumpField(np.array([0.0, -1.0]), -0.3, LinearField(np.eye(2), np.zeros(2)),
+                         LinearField(np.diag([2.0, -1.0]), np.ones(2))),
+         DomainBox([-0.2, 0.1], [0.9, 0.75])),
+    ]
+    for f, box in cases:
+        d = box.dim
+        rule = make_sphere_rule(d, 64)
+        step = (box.hi - box.lo) / n
+        lo = box.lo + step * fl._tensor_grid([np.arange(n)] * d)
+        vol_minus, vol_plus = _per_cell_side_volumes(lo, lo + step, f.normal, f.offset)
+        q_minus, q_plus = (fl._qp_pow_of_sym(side.sym_gradient(box.center())[None], 1.0, rule)[0]
+                           for side in (f.minus, f.plus))
+        want = q_minus * vol_minus + q_plus * vol_plus
+        got = me.ground_truth_measure(f, box, rule, n_cells=n).masses[: n**d]
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def _whole_grid_cell_masses(f, box, n, g, rule):

@@ -17,17 +17,20 @@ criterion-10 linear, sin and jump requests at N = 64, and at the
 benchmark's N = 320 at 1, 2 and 3 workers (p = 1 also as a residual
 energy, so the sin and sin-residual requests of c10-kernels-pool), whose
 pooled calls split into two and three tasks; jumps whose plane runs
-through a row of outer midpoints, and the 3-d planar jump of the
-benchmark's d3-jump-study at seed 0 (eps 0.4, N = 24, inner level 4). The
-outputs are the energy value and error bar, the residual energy value and
-error bar (p = 1, closed-form fields) and the per-cell density masses; each
-serial request of the family grid also gives `local_density` (one cell,
-cell volume 1) at an interior point and at a point near a corner. The limit
-objects come on top: `ground_truth` (volume, interface and total values)
-and the `ground_truth_measure` masses and atom coordinates of that 3-d
-jump and of a 2-d rigid-sided jump (on 64 and 24 cells per axis) and of a
-3-d linear field (8 cells), with the atom coordinates of `density_masses`
-on the same grids, so that a change of the outer grid shows up. So do the
+through a row of outer midpoints, the 3-d planar jump of the
+benchmark's d3-jump-study at seed 0 (its eps 0.4, 0.2 and 0.1, N = 24,
+inner level 4), and a 2-d jump between rigid sides with one nonzero spin
+(a constant jump, N = 24). The outputs are the energy value and error bar,
+the residual energy value and error bar (p = 1, closed-form fields) and
+the per-cell density masses; each serial request of the family grid also
+gives `local_density` (one cell, cell volume 1) at an interior point and
+at a point near a corner. The limit objects come on top: `ground_truth`
+(volume, interface and total values) and the `ground_truth_measure`
+masses (cell and interface atoms apart) and atom coordinates of that 3-d
+jump, of a 2-d rigid-sided jump and of the equal-spin jump (on 64 and 24
+cells per axis) and of a 3-d linear field (8 cells), with the atom
+coordinates of `density_masses` on the same grids, so that a change of
+the outer grid shows up. So do the
 other users of the limit objects' quadrature: `ground_truth` of the 2-d
 sin field (p = 1, 2, 3), the 2-d bump (p = 2), the 3-d sin field (p = 1,
 sphere level 16) and the oblique 2-d jump; `upper_bound_rhs` of the 2-d
@@ -97,6 +100,16 @@ def _study_field():
                                  nldef.LinearField(mat, np.array([0.2, 1.0, 0.3])))
 
 
+def _equal_spin_jump():
+    """A 2-d jump between rigid sides with one nonzero spin: a constant jump."""
+    import nldef
+
+    spin = np.array([[0.0, 0.7], [-0.7, 0.0]])
+    return nldef.PlanarJumpField(np.array([0.0, -1.0]), -0.45,
+                                 nldef.RigidField(spin, np.array([0.1, -0.2])),
+                                 nldef.RigidField(spin, np.array([0.8, 0.3])))
+
+
 def _extra_requests():
     """(name, request) pairs beyond the family grid.
 
@@ -104,7 +117,7 @@ def _extra_requests():
     call) at 1 and 2 workers, and at N = 320 (the benchmark's grid, 63
     tiles per call) at 1, 2 and 3 workers; linear-sided jumps whose plane <x, e_1> = s passes exactly
     through a row of outer midpoints, so those cells sit on the interface,
-    and the d3-jump-study field at its largest eps.
+    the d3-jump-study field at its three eps, and the equal-spin jump.
     """
     import nldef
 
@@ -140,11 +153,16 @@ def _extra_requests():
             mollifier=nldef.MollifierSpec("shell", 0.2, d), outer_grid=n,
             inner_level=level, workers=workers)
         out.append((f"d{d}/jump_on_midpoints/n{n}/w{workers}", req))
+    for eps in (0.4, 0.2, 0.1):
+        req = en.EnergyRequest(
+            field=_study_field(), domain=nldef.DomainBox([0.0] * 3, [1.0] * 3), p=1.0,
+            mollifier=nldef.MollifierSpec("shell", eps, 3), outer_grid=24, inner_level=4,
+            workers=1)
+        out.append((f"d3/study_jump/eps{eps:g}/n24", req))
     req = en.EnergyRequest(
-        field=_study_field(), domain=nldef.DomainBox([0.0] * 3, [1.0] * 3), p=1.0,
-        mollifier=nldef.MollifierSpec("shell", 0.4, 3), outer_grid=24, inner_level=4,
-        workers=1)
-    out.append(("d3/study_jump/eps0.4/n24", req))
+        field=_equal_spin_jump(), domain=box2, p=1.0,
+        mollifier=nldef.MollifierSpec("shell", 0.2, 2), outer_grid=24, inner_level=8, workers=1)
+    out.append(("d2/equal_spin_jump/n24", req))
     return out
 
 
@@ -163,6 +181,7 @@ def _limit_outputs(out: dict) -> None:
             np.array([1.0, 0.0]), 0.5, zero2,
             nldef.RigidField(np.array([[0.0, 0.5], [-0.5, 0.0]]), np.array([0.3, 1.0]))),
          (64, 24)),
+        ("d2/equal_spin_jump", _equal_spin_jump(), (64, 24)),
         # an indefinite symmetric gradient, so Q_1 goes through the sphere rule
         ("d3/linear", dict(_fields(3))["linear"], (8,)),
     ]
@@ -174,7 +193,9 @@ def _limit_outputs(out: dict) -> None:
         out[f"{key}/ground_truth"] = [gt.ac_value, gt.singular_value, gt.total]
         for n in sizes:
             limit = nldef.ground_truth_measure(field, box, rule, n_cells=n)
-            out[f"{key}/limit_masses/n{n}"] = np.asarray(limit.masses, dtype=np.float64).tolist()
+            masses = np.asarray(limit.masses, dtype=np.float64)
+            out[f"{key}/limit_masses/n{n}"] = masses[: n**d].tolist()  # the cell atoms
+            out[f"{key}/limit_interface/n{n}"] = masses[n**d :].tolist()
             out[f"{key}/limit_atoms/n{n}"] = np.ravel(limit.points).tolist()
             req = en.EnergyRequest(field=field, domain=box, p=1.0, outer_grid=n,
                                    mollifier=nldef.MollifierSpec("shell", 0.2, d),
