@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import atexit
 from bisect import bisect_left, bisect_right
+import functools
 import numbers
 import os
 import time
@@ -131,9 +132,11 @@ class EnergyRequest:
     'tensor', inner_level >= 1, trunc_tol in (0, 1e-2], workers None or >= 1
     (sizes are integers, not bools), the mollifier's eps above
     2e-154 (inner_level + 2)^2, which keeps the engine's 1/|h|^2 finite at
-    every inner node, and in tensor mode a node of nonzero weight at both
-    levels. A broken rule raises ParameterError whose `key` names the field
-    (`eps` for the eps rule); unequal dimensions raise DimensionError.
+    every inner node, and, unless the domain is empty, at both levels an inner
+    node of nonzero weight that keeps x + h in it for some outer midpoint x
+    (else the value is an empty sum with error bar 0). A broken rule raises
+    ParameterError whose `key` names the field (`eps` for the eps rule);
+    unequal dimensions raise DimensionError.
     """
 
     field: FieldSpec
@@ -166,10 +169,17 @@ class EnergyRequest:
         # every inner node has |h| >= eps / (2 (level + 2)^2), so 1/|h|^2 < 1e308
         _check_rules(self.mollifier, {"eps": (2 * (level + 2) ** 2 < 1e154 * self.mollifier.eps,
                                               "above 2e-154 (inner_level + 2)^2")})
-        # the tensor grid drops its nodes of zero weight: both levels must keep one
-        _check_rules(self, {"inner_level": (self.inner_mode != "tensor" or all(
-            len(_tensor_nodes(self.mollifier, k, tol)[0]) for k in (level, 2 * level)),
-            "such that the tensor grids of it and of twice it keep a node of nonzero weight")})
+        # the engine sums over the pairs (x, x + h) in U, and the tensor grid
+        # drops its nodes of zero weight: each level must keep a pair. Per axis
+        # fl(x_k + h_k) is nondecreasing in x_k, so h_k >= 0 fits from some
+        # midpoint iff from the first, h_k < 0 iff from the last
+        ends = _midpoints(self.domain, n, np.array([0, n - 1]))[0]
+        oks = [_grid_mask(self.domain, ends, _inner_nodes(self, k)[0])[0]
+               for k in (level, 2 * level)]
+        _check_rules(self, {"inner_level": (self.domain.is_empty or all(
+            np.logical_and.reduce([o.any(axis=0) for o in ok]).any() for ok in oks),
+            "such that at it and at twice it an inner node of nonzero weight"
+            " keeps x + h in the domain for some outer midpoint x")})
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,33 +251,41 @@ def _pool_map(workers: int, fn, tasks: list) -> list:
 # quadrature assembly
 
 
-def _tensor_nodes(mollifier: MollifierSpec, level: int, trunc_tol: float):
-    """Gauss grid on the truncation cube [-R, R]^d weighted by rho_eps."""
-    radius = mollifier.support_radius(trunc_tol)
-    # an even node count keeps h = 0 off the grid
-    z, w = _gauss(-radius, radius, level + (level & 1))
-    h, w = _tensor_grid([z] * mollifier.dim, [w] * mollifier.dim)
-    w = w * mollifier.eval(h)
-    keep = w > 0.0
-    h = h[keep]
-    w = w[keep]
-    inv_r2 = 1.0 / (h * h).sum(axis=1)
+@functools.lru_cache(maxsize=8)
+def _level_nodes(family: str, eps: float, dim: int, mode: str, level: int, trunc_tol: float):
+    """Inner nodes H (K, d), weights W (K,), inverse square radii (K,) of one
+    level, read-only and cached by value: a request's rules, its energy calls
+    and its `replace`d copies build them once. Tensor mode is a Gauss grid on
+    the truncation cube [-R, R]^d weighted by rho_eps, less its zero weights."""
+    mollifier = MollifierSpec(family, eps, dim)
+    if mode == "tensor":
+        radius = mollifier.support_radius(trunc_tol)
+        # an even node count keeps h = 0 off the grid
+        z, w = _gauss(-radius, radius, level + (level & 1))
+        h, w = _tensor_grid([z] * dim, [w] * dim)
+        w = w * mollifier.eval(h)
+        h, w = h[w > 0.0], w[w > 0.0]
+        inv_r2 = 1.0 / (h * h).sum(axis=1)
+    else:
+        h, w, r = _polar_rule(mollifier, level, max(2, level // 4), trunc_tol)
+        h, w, inv_r2 = h.reshape(-1, dim), w.reshape(-1), np.repeat(1.0 / (r * r), h.shape[1])
+    for a in (h, w, inv_r2):
+        a.flags.writeable = False
     return h, w, inv_r2
 
 
 def _inner_nodes(req: EnergyRequest, level: int):
-    """Inner nodes H (K, d), weights W (K,), inverse square radii (K,)."""
-    if req.inner_mode == "tensor":
-        return _tensor_nodes(req.mollifier, level, req.trunc_tol)
-    h, w, r = _polar_rule(req.mollifier, level, max(2, level // 4), req.trunc_tol)
-    inv_r2 = np.repeat(1.0 / (r * r), h.shape[1])
-    return h.reshape(-1, req.mollifier.dim), w.reshape(-1), inv_r2
+    """`_level_nodes` of the request's mollifier, inner mode and tolerance."""
+    m = req.mollifier
+    return _level_nodes(m.family, m.eps, m.dim, req.inner_mode, level, req.trunc_tol)
 
 
-def _midpoints(box: DomainBox, n: int):
+def _midpoints(box: DomainBox, n: int, at: np.ndarray | None = None):
     """(axes, cellvol) of the outer grid: column k of axes (n, d) holds the
-    midpoints of axis k's n cells; the cells are their tensor grid."""
-    axes = box.lo + (box.hi - box.lo) * (np.arange(n)[:, None] + 0.5) / n
+    midpoints of axis k's n cells (or of its cells `at`); the cells are their
+    tensor grid."""
+    at = np.arange(n) if at is None else at
+    axes = box.lo + (box.hi - box.lo) * (at[:, None] + 0.5) / n
     return axes, box.volume() / n**box.dim
 
 

@@ -284,12 +284,18 @@ def test_weakstar_without_dictionary(tmp_path, capsys):
 
 # -- exit codes --------------------------------------------------------------
 
-def test_tensor_level_without_weighted_nodes_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("dim, field, extra", [
     # the d = 3 bump is 0 at the 2-point grid's nodes, so the level sums nothing
-    eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    cfg = _write_cfg(tmp_path, dim=3, field={"id": "linear", "params": {"matrix": eye}},
-                     domain={"lo": [0.0] * 3, "hi": [1.0] * 3}, eps=[0.2], outer={"n": 4},
-                     mollifier={"family": "scaled_bump"}, inner={"level": 1, "mode": "tensor"})
+    (3, {"id": "linear", "params": {"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+     {"mollifier": {"family": "scaled_bump"}, "eps": [0.2], "outer": {"n": 4}}),
+    # the gaussian's 2-point grid (|h| = 1.165) leaves [0, 1] from both midpoints
+    (1, {"id": "linear", "params": {"matrix": [[1.0]]}},
+     {"mollifier": {"family": "gaussian"}, "eps": [0.3], "outer": {"n": 2}}),
+])
+def test_tensor_level_without_pairs_in_the_domain_is_config_error(tmp_path, capsys, dim, field,
+                                                                  extra):
+    cfg = _write_cfg(tmp_path, dim=dim, field=field, domain={"lo": [0.0] * dim, "hi": [1.0] * dim},
+                     inner={"level": 1, "mode": "tensor"}, **extra)
     assert cli.main(["energy", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: config.inner.level:")
 

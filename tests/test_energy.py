@@ -38,7 +38,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nldef import (
     BumpField,
@@ -137,15 +137,8 @@ def test_inner_nodes_keep_the_eps_rule_bound():
     for d, family, mode in itertools.product((1, 2, 3), ("shell", "gaussian", "scaled_bump"),
                                              ("radial_spherical", "tensor")):
         for level, tol in itertools.product((1, 2, 3, 5, 16), (1e-2, 1e-10)):
-            moll = MollifierSpec(family, 0.1, d)
-            req = dict(field=LinearField(np.eye(d), np.zeros(d)), p=1.0, mollifier=moll,
-                       domain=DomainBox([0.0] * d, [1.0] * d), outer_grid=4, inner_mode=mode,
-                       inner_level=level, trunc_tol=tol)
-            if mode == "tensor" and _tensor_level_is_empty(moll, level, tol):
-                continue  # no node, no bound; the request raises, as tested below
-            req = en.EnergyRequest(**req)
             for k in (level, 2 * level):
-                inv_r2 = en._inner_nodes(req, k)[2]
+                inv_r2 = en._level_nodes(family, 0.1, d, mode, k, tol)[2]
                 assert np.all(inv_r2 <= (2 * (level + 2) ** 2 / 0.1) ** 2)
 
 
@@ -178,6 +171,26 @@ def test_request_rejects_a_tensor_level_without_weighted_nodes():
         assert err.value.key == "inner_level"
     assert en.energy(en.EnergyRequest(**req, inner_mode="tensor", inner_level=3)).value > 0.0
     assert en.energy(en.EnergyRequest(**req, inner_level=1)).value > 0.0
+
+
+@pytest.mark.parametrize("family, eps, mode, level, n", [
+    ("gaussian", 0.3, "tensor", 1, 2),
+    ("shell", 1.6, "radial_spherical", 1, 2),
+])
+def test_request_rejects_a_level_whose_pairs_all_leave_the_domain(family, eps, mode, level, n):
+    """On [0, 1] the gaussian's 2-point grid sits at |h| = 1.165 and the
+    shell's nodes at |h| >= 0.969, so from the midpoints 0.25 and 0.75 every
+    x + h leaves U: an empty sum whatever the field, a ParameterError at the
+    key inner_level. A finer level (gaussian) or a finer outer grid (shell,
+    whose first midpoint 1/64 keeps x + 0.969 in U) gives a positive value."""
+    req = dict(field=LinearField(np.eye(1), np.zeros(1)), domain=DomainBox([0.0], [1.0]), p=1.0,
+               mollifier=MollifierSpec(family, eps, 1), inner_mode=mode)
+    with pytest.raises(ParameterError) as err:
+        en.EnergyRequest(**req, inner_level=level, outer_grid=n)
+    assert err.value.key == "inner_level"
+    fix = dict(inner_level=3, outer_grid=n) if mode == "tensor" else dict(inner_level=level,
+                                                                         outer_grid=32)
+    assert en.energy(en.EnergyRequest(**req, **fix)).value > 0.0
 
 
 @pytest.mark.parametrize("kw", [
@@ -588,29 +601,20 @@ def _field_pair(kind, rng, d):
             PlanarJumpField(nu, 0.5 * float(nu.sum()), *doubled))
 
 
-def _tensor_level_is_empty(moll, level, trunc_tol=1e-10):
-    """Whether rho_eps is 0 at every node of the tensor grid of `level` or of
-    2 `level`: m Gauss points (m even) per axis on [-R, R], R the support
-    radius."""
-    radius = moll.support_radius(trunc_tol)
-    for k in (level, 2 * level):
-        z = radius * np.polynomial.legendre.leggauss(k + k % 2)[0]
-        grid = np.stack(np.meshgrid(*[z] * moll.dim, indexing="ij"), axis=-1)
-        if not np.any(moll.eval(grid) > 0.0):
-            return True
-    return False
-
-
-def _every_pair_leaves(req):
-    """Whether x + h lies outside U for every outer midpoint x and inner node
-    h of both levels, so that the energy is an empty sum."""
-    axes = en._midpoints(req.domain, req.outer_grid)[0]
-    x = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, req.domain.dim)
-    return not any(req.domain.contains(x[:, None, :] + en._inner_nodes(req, k)[0]).any()
-                   for k in (req.inner_level, 2 * req.inner_level))
+def _no_pair_in_domain(domain, n, moll, mode, level):
+    """Whether x + h lies outside U for every cell midpoint x of the n^d grid
+    and every inner node h (of nonzero weight) of `level` or of 2 `level`."""
+    axes = (domain.lo + (domain.hi - domain.lo) * (np.arange(n)[:, None] + 0.5) / n).T
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
+    return any(not domain.contains(x[:, None, :] + en._level_nodes(
+        moll.family, moll.eps, moll.dim, mode, k, 1e-10)[0]).any() for k in (level, 2 * level))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+# a d = 3 bump's 2-point grid has no node of nonzero weight, and a gaussian's
+# leaves [0, 1] from both midpoints
+@example(d=3, n=4, level=1, mode="tensor", family="scaled_bump", eps=0.3, kind="linear", seed=0)
+@example(d=1, n=2, level=1, mode="tensor", family="gaussian", eps=0.3, kind="linear", seed=0)
 @given(d=st.integers(1, 3), n=st.integers(2, 16), level=st.integers(1, 4),
        mode=st.sampled_from(["radial_spherical", "tensor"]),
        family=st.sampled_from(["shell", "scaled_bump", "gaussian"]),
@@ -621,13 +625,14 @@ def test_rigid_is_exactly_zero_and_doubling_scales_by_two_to_the_p(
         d, n, level, mode, family, eps, kind, seed):
     """Over small requests: a rigid field's value, error bar and residual are
     exactly 0, and F(2u) == 2^p F(u) bit for bit at p = 1 and 2, value and
-    error bar, and for the residual at p = 1. A tensor-mode request with a
-    level whose grid has no node of nonzero weight is a ParameterError."""
+    error bar, and for the residual at p = 1. A request with a level none of
+    whose inner nodes (of nonzero weight) keeps some x + h in U is a
+    ParameterError."""
     u, twice = _field_pair(kind, np.random.default_rng(seed), d)
-    moll = MollifierSpec(family, eps, d)
-    req = dict(field=u, domain=DomainBox([0.0] * d, [1.0] * d), p=1.0, mollifier=moll,
-               outer_grid=n, inner_mode=mode, inner_level=level, workers=1)
-    if mode == "tensor" and _tensor_level_is_empty(moll, level):
+    moll, box = MollifierSpec(family, eps, d), DomainBox([0.0] * d, [1.0] * d)
+    req = dict(field=u, domain=box, p=1.0, mollifier=moll, outer_grid=n, inner_mode=mode,
+               inner_level=level, workers=1)
+    if _no_pair_in_domain(box, n, moll, mode, level):
         with pytest.raises(ParameterError) as err:
             en.EnergyRequest(**req)
         assert err.value.key == "inner_level"
@@ -640,7 +645,7 @@ def test_rigid_is_exactly_zero_and_doubling_scales_by_two_to_the_p(
             assert res.value == 0.0 and res.est_quadrature_error == 0.0
             continue
         res2 = run(replace(req, p=p, field=twice))
-        assert res.value > 0.0 or run is en.residual_energy or _every_pair_leaves(req)
+        assert res.value > 0.0 or run is en.residual_energy
         assert res2.value == 2.0**p * res.value
         assert res2.est_quadrature_error == 2.0**p * res.est_quadrature_error
 

@@ -223,7 +223,6 @@ def _jump_fields(rng, d):
         for sides in ((_rigid, _rigid), (_linear, _linear), (_rigid, _linear)):
             minus, plus = (make(rng, d) for make in sides)
             out.append(PlanarJumpField(nu, offset, minus, plus))
-        out.extend(PlanarJumpField(nu, offset, *sides) for sides in _constant_sides(rng, d))
     return out
 
 
@@ -763,7 +762,7 @@ def test_kernel_classes_contract(d):
         assert f.kernel_classes(axes, h) is None  # x-dependent kernels opt out
     for f in (_rigid(rng, d), _linear(rng, d)):
         assert np.all(_check_kernel_classes(f, axes, h) == 0)
-    for f in _jump_fields(rng, d) + [f for n, f in _engine_fields(d) if n.startswith("jump")]:
+    for f in _jump_fields(rng, d) + [f for n, f in _engine_fields(d) if n.startswith("jump-equal")]:
         _check_kernel_classes(f, axes, h)
 
 
