@@ -159,38 +159,28 @@ def test_request_rejects_an_eps_whose_inner_nodes_overflow(d, family, tiny, mode
     assert err.value.key == "eps"
 
 
-def test_request_rejects_a_tensor_level_without_weighted_nodes():
-    """In d = 3 the 2-point grid's nodes sit at |h| = eps, where the bump is
-    0: levels 1 and 2 (whose coarse grid that is) fail at the key
-    inner_level, level 3 passes, and so does level 1 in radial mode."""
-    req = dict(field=LinearField(np.eye(3), np.zeros(3)), domain=DomainBox([0.0] * 3, [1.0] * 3),
-               p=1.0, mollifier=MollifierSpec("scaled_bump", 0.2, 3), outer_grid=4)
-    for level in (1, 2):
-        with pytest.raises(ParameterError) as err:
-            en.EnergyRequest(**req, inner_mode="tensor", inner_level=level)
-        assert err.value.key == "inner_level"
-    assert en.energy(en.EnergyRequest(**req, inner_mode="tensor", inner_level=3)).value > 0.0
-    assert en.energy(en.EnergyRequest(**req, inner_level=1)).value > 0.0
-
-
-@pytest.mark.parametrize("family, eps, mode, level, n", [
-    ("gaussian", 0.3, "tensor", 1, 2),
-    ("shell", 1.6, "radial_spherical", 1, 2),
+@pytest.mark.parametrize("d, family, eps, mode, level, n, fix", [
+    (3, "scaled_bump", 0.2, "tensor", 1, 4, {"inner_level": 3}),
+    (3, "scaled_bump", 0.2, "tensor", 2, 4, {"inner_mode": "radial_spherical"}),
+    (1, "gaussian", 0.3, "tensor", 1, 2, {"inner_level": 3}),
+    (1, "shell", 1.6, "radial_spherical", 1, 2, {"outer_grid": 32}),
 ])
-def test_request_rejects_a_level_whose_pairs_all_leave_the_domain(family, eps, mode, level, n):
-    """On [0, 1] the gaussian's 2-point grid sits at |h| = 1.165 and the
-    shell's nodes at |h| >= 0.969, so from the midpoints 0.25 and 0.75 every
-    x + h leaves U: an empty sum whatever the field, a ParameterError at the
-    key inner_level. A finer level (gaussian) or a finer outer grid (shell,
-    whose first midpoint 1/64 keeps x + 0.969 in U) gives a positive value."""
-    req = dict(field=LinearField(np.eye(1), np.zeros(1)), domain=DomainBox([0.0], [1.0]), p=1.0,
-               mollifier=MollifierSpec(family, eps, 1), inner_mode=mode)
+def test_request_rejects_a_level_without_pairs_in_the_domain(d, family, eps, mode, level, n, fix):
+    """A level, or twice it, none of whose inner nodes of nonzero weight keeps
+    x + h in U from some outer midpoint would be an empty sum whatever the
+    field: a ParameterError at the key inner_level. In d = 3 the bump is 0 at
+    the nodes of the 2-point grid (|h| = eps), the coarse grid of levels 1 and
+    2. On [0, 1] the gaussian's 2-point grid sits at |h| = 1.165 and the
+    shell's nodes at |h| >= 0.969, so every x + h leaves U from the midpoints
+    0.25 and 0.75 (not from the first midpoint 1/64 of 32 cells). `fix` gives
+    a positive value."""
+    req = dict(field=LinearField(np.eye(d), np.zeros(d)), domain=DomainBox([0.0] * d, [1.0] * d),
+               p=1.0, mollifier=MollifierSpec(family, eps, d), inner_mode=mode,
+               inner_level=level, outer_grid=n)
     with pytest.raises(ParameterError) as err:
-        en.EnergyRequest(**req, inner_level=level, outer_grid=n)
+        en.EnergyRequest(**req)
     assert err.value.key == "inner_level"
-    fix = dict(inner_level=3, outer_grid=n) if mode == "tensor" else dict(inner_level=level,
-                                                                         outer_grid=32)
-    assert en.energy(en.EnergyRequest(**req, **fix)).value > 0.0
+    assert en.energy(en.EnergyRequest(**{**req, **fix})).value > 0.0
 
 
 @pytest.mark.parametrize("kw", [
