@@ -68,9 +68,9 @@ def _cmd_qnorm(args) -> int:
 
 def _cmd_energy(args) -> int:
     cfg = _load_config(args.config)
-    req = _request(cfg, cfg.eps_list[0])[0]
+    req, under_policy, _ = _request(cfg, cfg.eps_list[0])
     res = residual_energy(req) if cfg.residual else energy(req)
-    print(_json_text(res))
+    print(_json_text(res, under_policy=under_policy))
     return 0
 
 

@@ -15,9 +15,13 @@ in one pass: their nodes are the column blocks of one node set of K = K_c +
 K_f nodes. The outer cells are split into fixed tiles of t cells (t x K pairs
 at most). The grid is a tensor product and the mask factors per axis, so the
 engine's one mask, `_grid_mask`, is built once per call from each axis's N
-midpoints: per axis the rows x_k + h_k in [lo_k, hi_k], a flag per row that
-fails somewhere (an edge row), and, for the classes below, a class key per
-row. Only `density_masses` forms the (N^d, d) cell points. A scattered point
+midpoints. Per axis it tests each midpoint against the extremes of h_k,
+which finds the edge rows, those whose x_k + h_k leaves [lo_k, hi_k] for
+some node (about 2(eps N + 1) of them); it builds the rows x_k + h_k in
+[lo_k, hi_k] of those alone, one all-true row that the interior rows share,
+a map from each midpoint to its row, and, for the classes below, a class
+key per midpoint. The work is O(N + edge rows x K) per axis, not O(N K).
+Only `density_masses` forms the (N^d, d) cell points. A scattered point
 is no special case: `local_density` is the one-cell grid over the point.
 Where a field has `FieldSpec.kernel_classes(axes, h)` (rigid and linear
 fields, and jump cells whose stencil stays on one side, have a kernel that
@@ -31,15 +35,17 @@ x (sin, bump, sampled) evaluate every cell, and so do the band cells of a
 jump whose sides' matrices differ. The tiles go in one contiguous run per
 worker, one task per call that carries cell indices, the mask and the node
 scale s = w^(1/p)/|h|^2 (the positive weights folded in, as |q s|^p = |q|^p
-w/|h|^(2p)); its worker rebuilds x, the mask rows and each tile's runs of
-edge cells from the indices by mixed radix. A tile runs one L2-sized block of
-at most `_BLOCK_PAIRS` pairs at a time, every step written over the block:
-the field's one kernel hook, `FieldSpec.pair_blocks(x, h, s, residual)`,
-yields the kernel times s (less <Eu(x) h, h> s for the residual) in one
-buffer it reuses, as documented per family; |q|^p is applied in place; the
-edge runs that meet the block have their pairs that leave U zeroed, interior
-cells (about 90% of the criterion-10 grid) left alone; then one row sum per
-level.
+w/|h|^(2p)); its worker rebuilds x, the mask rows (through the maps) and
+each tile's runs of edge cells from the indices by mixed radix. A tile runs
+one L2-sized block of at most `_BLOCK_PAIRS` pairs at a time, every step
+written over the block: the field's one kernel hook,
+`FieldSpec.pair_blocks(x, h, s, residual)`, yields the kernel times s (less
+<Eu(x) h, h> s for the residual) in one buffer it reuses, as documented per
+family; |q|^p is applied in place; the edge runs that meet the block have
+their pairs that leave U zeroed, interior cells (about 90% of the
+criterion-10 grid) left alone; then one row sum per level. The value is the
+pairwise total of the fine level's masses, taken once, which the error bar
+reuses.
 
 Determinism: outer cells are split into fixed-size contiguous tiles, each
 tile's per-cell masses are computed with kernels that see only the tile, in
@@ -113,7 +119,7 @@ def pairwise_total(values) -> float:
     n = buf.size
     while n > 1:
         half = n // 2
-        buf[:half] = buf[:half] + buf[half : 2 * half]
+        np.add(buf[:half], buf[half : 2 * half], out=buf[:half])
         if n & 1:
             buf[half] = buf[2 * half]
             n = half + 1
@@ -172,12 +178,14 @@ class EnergyRequest:
         # the engine sums over the pairs (x, x + h) in U, and the tensor grid
         # drops its nodes of zero weight: each level must keep a pair. Per axis
         # fl(x_k + h_k) is nondecreasing in x_k, so h_k >= 0 fits from some
-        # midpoint iff from the first, h_k < 0 iff from the last
+        # midpoint iff from the first, h_k < 0 iff from the last. One mask over
+        # both levels' nodes, tested per level's column block
         ends = _midpoints(self.domain, n, np.array([0, n - 1]))[0]
-        oks = [_grid_mask(self.domain, ends, _inner_nodes(self, k)[0])[0]
-               for k in (level, 2 * level)]
-        _check_rules(self, {"inner_level": (self.domain.is_empty or all(
-            np.logical_and.reduce([o.any(axis=0) for o in ok]).any() for ok in oks),
+        h = [_inner_nodes(self, k)[0] for k in (level, 2 * level)]
+        ok, edge, _ = _grid_mask(self.domain, ends, np.concatenate(h))
+        fits = np.logical_and.reduce([o[e].any(axis=0) for o, e in zip(ok, edge)])
+        _check_rules(self, {"inner_level": (self.domain.is_empty or (
+            fits[: len(h[0])].any() and fits[len(h[0]) :].any()),
             "such that at it and at twice it an inner node of nonzero weight"
             " keeps x + h in the domain for some outer midpoint x")})
 
@@ -298,24 +306,34 @@ def _grid_mask(domain: DomainBox, axes: np.ndarray, h: np.ndarray, keys: bool = 
     tensor grid over `axes` (n, d) and offsets h (K, d), per axis k over its n
     coordinates as given.
 
-    ok[k] (n, K) holds lo_k <= x_k + h_k <= hi_k, so a cell's mask row is the
-    AND over k of ok[k] at its digits: bitwise `contains(x + h)` without the
-    (n^d, K, d) sum. edge[k] (n,) flags the rows that fail somewhere. fl(x_k +
-    h_k) is nondecreasing in h_k, so the nodes of a row that pass lo_k are
-    those with the largest h_k, and those that pass hi_k the smallest: the two
-    counts fix the row, and they are its class key key[k] (n,), counted only
-    with `keys` (the grid classes), else key is None.
+    fl(x_k + h_k) is nondecreasing in h_k, so a row x_k passes at every node
+    (an interior row) iff x_k + min h_k >= lo_k and x_k + max h_k <= hi_k;
+    the other rows are the edge rows. ok[k] (1 + e_k, K) holds the all-true
+    row, then lo_k <= x_k + h_k <= hi_k for each of the e_k edge rows, and
+    edge[k] (n,) maps each row to its ok[k] row (0 for an interior row). A
+    cell's mask row is the AND over k of ok[k][edge[k]] at its digits:
+    bitwise `contains(x + h)` without the (n^d, K, d) sum. By the same order,
+    the nodes of a row that pass lo_k are those with the largest h_k, and
+    those that pass hi_k the smallest: the two counts fix the row (K and K
+    for an interior row), and they are its class key key[k] (n,), counted
+    only with `keys` (the grid classes), else key is None.
     """
     ok, edge, key = [], [], []
+    n, nodes = len(axes), len(h)
     for k in range(domain.dim):
-        y = np.add.outer(axes[:, k], h[:, k])
-        above, below = y >= domain.lo[k], y <= domain.hi[k]
+        x, hk, lo, hi = axes[:, k], h[:, k], domain.lo[k], domain.hi[k]
+        at = np.flatnonzero((x + np.minimum.reduce(hk, initial=np.inf) < lo)
+                            | (x + np.maximum.reduce(hk, initial=-np.inf) > hi))
+        y = np.add.outer(x[at], hk)
+        above, below = y >= lo, y <= hi
         if keys:
+            key.append(np.full(n, nodes * (nodes + 1) + nodes, dtype=np.int64))
             # row counts in int32: a bool row sum into int64 is ~2.5x slower
             n_above = above.sum(axis=1, dtype=np.int32).astype(np.int64)
-            key.append(n_above * (h.shape[0] + 1) + below.sum(axis=1, dtype=np.int32))
-        ok.append(np.logical_and(above, below, out=above))
-        edge.append(~ok[-1].all(axis=1))
+            key[-1][at] = n_above * (nodes + 1) + below.sum(axis=1, dtype=np.int32)
+        ok.append(np.concatenate([np.ones((1, nodes), dtype=bool), above & below]))
+        edge.append(np.zeros(n, dtype=np.intp))
+        edge[-1][at] = np.arange(1, len(at) + 1)
     return tuple(ok), tuple(edge), tuple(key) if keys else None
 
 
@@ -348,12 +366,13 @@ def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual
     """Masses (densities times cell volume), one row per node block
     split[j]:split[j + 1], of one run of whole tiles of `tile` cells of the
     grid over `axes` (n, d): the cells (start, stop), or a sorted index
-    array; (ok, edge) is the grid's `_grid_mask`.
+    array; (ok, edge) is the grid's `_grid_mask`, edge rows only.
 
-    A cell's x and mask row come from its mixed-radix digits, first axis
-    slowest, and a tile's runs of edge cells from the digits and edge. Each
-    block of `pair_blocks` takes |q|^p in place, has the pairs that leave U
-    zeroed in the runs that meet it (found by bisection), then its row sums.
+    A cell's x comes from its mixed-radix digits, first axis slowest, and
+    through edge its per-axis mask rows; a tile's runs of edge cells are
+    its cells with an edge row on some axis. Each block of `pair_blocks`
+    takes |q|^p in place, has the pairs that leave U zeroed in the runs that
+    meet it (found by bisection), then its row sums.
     """
     idx = np.arange(*cells) if isinstance(cells, tuple) else cells
     (n, d), masses = axes.shape, np.empty((len(split) - 1, len(idx)))
@@ -361,7 +380,8 @@ def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual
     for a, b in zip(cuts[:-1], cuts[1:]):
         digits = [idx[a:b] // n ** (d - 1 - k) % n for k in range(d)]
         x = np.stack([axes[i, k] for k, i in enumerate(digits)], axis=1)
-        at_edge = np.logical_or.reduce([e[i] for e, i in zip(edge, digits)])
+        maps = [e[i] for e, i in zip(edge, digits)]  # each cell's ok[k] rows
+        at_edge = np.logical_or.reduce(maps)
         flips = np.flatnonzero(np.diff(at_edge, prepend=False, append=False)).tolist()
         starts, stops = flips[::2], flips[1::2]
         for rows, q in field.pair_blocks(x, h, scale, residual):
@@ -370,9 +390,9 @@ def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual
             meet = slice(bisect_right(stops, lo), bisect_left(starts, hi))
             for r0, r1 in zip(starts[meet], stops[meet]):
                 r0, r1 = max(r0, lo), min(r1, hi)
-                inside = ok[0][digits[0][r0:r1]]
-                for o, i in zip(ok[1:], digits[1:]):
-                    inside &= o[i[r0:r1]]
+                inside = ok[0][maps[0][r0:r1]]
+                for o, r in zip(ok[1:], maps[1:]):
+                    inside &= o[r[r0:r1]]
                 np.copyto(q[r0 - lo : r1 - lo], 0.0, where=np.logical_not(inside, out=inside))
             for j, m in enumerate(masses):
                 q[:, split[j] : split[j + 1]].sum(axis=1, out=m[a + lo : a + hi])
@@ -428,11 +448,13 @@ def _all_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool,
 
 
 def _masses(req: EnergyRequest, residual: bool):
-    """(axes of `_midpoints`, masses, inner node count, est_quadrature_error).
+    """(axes of `_midpoints`, masses, inner node count, total,
+    est_quadrature_error).
 
-    Both inner levels run in one pass; the masses and the node count are the
-    finer level's (2 x inner_level), the error estimate the gap between the
-    totals of the two levels."""
+    Both inner levels run in one pass; the masses, the node count and the
+    total (`pairwise_total` of the masses) are the finer level's (2 x
+    inner_level), the error estimate the gap between the totals of the two
+    levels."""
     if residual:
         if req.p != 1.0:
             raise ParameterError("residual energy is defined for p = 1 only")
@@ -440,18 +462,19 @@ def _masses(req: EnergyRequest, residual: bool):
             raise ModelError("residual energy needs a closed-form gradient")
     workers = _resolve_workers(req.workers)
     if req.domain.is_empty:
-        return np.zeros((0, req.domain.dim)), np.zeros(0), 0, 0.0
+        return np.zeros((0, req.domain.dim)), np.zeros(0), 0, 0.0, 0.0
     grid = _midpoints(req.domain, req.outer_grid)
     levels = (req.inner_level, 2 * req.inner_level)
     (coarse, fine), k_fine = _all_masses(req, levels, workers, residual, grid)
-    return grid[0], fine, k_fine, abs(pairwise_total(fine) - pairwise_total(coarse))
+    total = pairwise_total(fine)
+    return grid[0], fine, k_fine, total, abs(total - pairwise_total(coarse))
 
 
 def _evaluate(req: EnergyRequest, residual: bool) -> EnergyResult:
     t0 = time.perf_counter()
-    _, masses, k_fine, est = _masses(req, residual)
+    _, masses, k_fine, total, est = _masses(req, residual)
     return EnergyResult(
-        value=pairwise_total(masses),
+        value=total,
         truncation_radius=req.mollifier.support_radius(req.trunc_tol),
         samples_outer=masses.shape[0],
         samples_inner=k_fine,
@@ -494,7 +517,7 @@ def density_masses(req: EnergyRequest, residual: bool = False):
     Shares the energy pipeline so pairwise_total(masses) equals
     energy(req).value bit for bit.
     """
-    axes, masses, _, est = _masses(req, residual)
+    axes, masses, _, _, est = _masses(req, residual)
     return _tensor_grid(axes.T), masses, est
 
 

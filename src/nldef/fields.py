@@ -14,8 +14,9 @@ hand-code `delta_dot_h` so no field is evaluated at x + h and algebraic
 identities hold exactly in floating point; in particular a rigid field
 reports an exactly zero kernel, which is what makes the zero-energy test
 bitwise. Bump and sampled fields use the generic difference. The sin field
-alone has `pair_factors(x, h)`, low-rank factors of its kernel, from which
-it builds its `pair_blocks`. Products with x (A x, k.x, x.nu) are `_dot` sums.
+alone has `pair_factors(x, h)`, low-rank factors of its kernel (or of its
+residual), from which it builds its `pair_blocks`. Products with x (A x,
+k.x, x.nu) are `_dot` sums.
 
 `ground_truth` returns the limit value the energy sweep converges to: the
 volume integral of Q_p of the symmetric gradient plus, for jump fields at
@@ -370,12 +371,14 @@ class SinField(FieldSpec):
         du = cos[..., :, None] * (self.amplitude[:, None] * self.waves)
         return 0.5 * (du + np.swapaxes(du, -1, -2))
 
-    def pair_factors(self, x, h):
+    def pair_factors(self, x, h, residual=False):
         """A = [a sin(k.x), a cos(k.x)] and B = [-2 sin^2(k.h / 2) h, sin(k.h) h].
 
         By sin(k.x + k.h) - sin(k.x) = sin(k.x) (cos(k.h) - 1) + cos(k.x) sin(k.h),
         with cos(k.h) - 1 = -2 sin^2(k.h / 2) to avoid the cancellation, the
-        kernel is sum_r A_r B_r; the factors broadcast over leading axes.
+        kernel is sum_r A_r B_r; the factors broadcast over leading axes. The
+        first-order term is <Du(x) h, h> = sum_i a_i cos(k_i.x) (k_i.h) h_i,
+        so with `residual` B's second half is (sin(k.h) - k.h) h instead.
         """
         x = np.asarray(x, dtype=np.float64)
         h = np.asarray(h, dtype=np.float64)
@@ -384,18 +387,15 @@ class SinField(FieldSpec):
         half = np.sin(0.5 * kh)
         amp = np.tile(self.amplitude, 2)
         a = amp * np.concatenate([np.sin(kx), np.cos(kx)], axis=-1)
-        b = np.concatenate([-2.0 * half * half * h, np.sin(kh) * h], axis=-1)
+        node = np.sin(kh) - kh if residual else np.sin(kh)
+        b = np.concatenate([-2.0 * half * half * h, node * h], axis=-1)
         return a, b
 
     def pair_blocks(self, x, h, scale, residual=False):
-        """Each block as one (m, r) x (r, K) product of the `pair_factors`; once
-        per tile the scale goes into B, and the residual appends -Eu(x) to A
-        and h_i h_j * scale to B (d^2 more columns)."""
-        a, b = self.pair_factors(x, h)
+        """Each block as one (m, 2d) x (2d, K) product of the `pair_factors`
+        (with `residual`, the residual's); once per tile the scale goes into B."""
+        a, b = self.pair_factors(x, h, residual)
         bt = np.ascontiguousarray(b.T * scale)
-        if residual:
-            e, hht = _first_order(self, x, h, scale)
-            a, bt = np.concatenate([a, -e], axis=1), np.concatenate([bt, hht])
         for rows, q in _row_blocks(x.shape[0], h.shape[0]):
             yield rows, _matmul_rows(a[rows], bt, q)
 
@@ -566,15 +566,24 @@ class PlanarJumpField(FieldSpec):
         per-axis products axes[:, k] * nu_k in axis order, the float operations
         of `_dot` on the cell. The side test of `delta_dot_h` is nondecreasing
         in h.nu, so it is evaluated at the extremes of h.nu and at 0, which is
-        x's own test, the one `sym_gradient` makes.
+        x's own test, the one `sym_gradient` makes. For nu = +-e_j and equal
+        matrices, x.nu is x_j nu_j (the other terms add a zero, which changes
+        no test or rank), so the ids are made over the n values of axis j and
+        broadcast to the grid.
         """
-        xn = reduce(np.add.outer, (axes * self.normal).T).ravel()
+        same = not self._jump[0].any()  # equal matrices: a constant jump
+        j = _axis_of(self.normal) if same else None
+        xn = (reduce(np.add.outer, (axes * self.normal).T).ravel() if j is None
+              else axes[:, j] * self.normal[j])
         hn = _dot(h, self.normal)
         low = (xn + hn.min(initial=0.0)) - self.offset > 0.0
         high = (xn + hn.max(initial=0.0)) - self.offset > 0.0
-        same = not self._jump[0].any()  # equal matrices: a constant jump
         band = np.unique(xn, return_inverse=True)[1] if same else np.arange(len(xn))
-        return np.where(low == high, low, 2 + band)
+        ids = np.where(low == high, low, 2 + band)
+        if j is not None:  # axis j's ids, broadcast to the grid
+            n, d = axes.shape
+            ids = np.broadcast_to(ids.reshape((-1,) + (1,) * (d - 1 - j)), (n,) * d).flatten()
+        return ids
 
 
 @dataclass(frozen=True, eq=False)

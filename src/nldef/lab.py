@@ -362,9 +362,10 @@ def rate_estimate(records):
     return float(slope), limit1
 
 
-def _json_text(obj, indent=None) -> str:
-    """A dataclass as JSON; floats are written as their repr, NaN as NaN."""
-    return json.dumps(asdict(obj), indent=indent, default=lambda v: v.item())
+def _json_text(obj, indent=None, **extra) -> str:
+    """A dataclass, then the `extra` keys, as JSON; floats are written as
+    their repr, NaN as NaN."""
+    return json.dumps({**asdict(obj), **extra}, indent=indent, default=lambda v: v.item())
 
 
 def _report_rows(r: SweepReport):

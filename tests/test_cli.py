@@ -94,9 +94,23 @@ def test_energy_json_line(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"value", "truncation_radius", "samples_outer",
-                        "samples_inner", "elapsed", "est_quadrature_error"}
+                        "samples_inner", "elapsed", "est_quadrature_error", "under_policy"}
     assert doc["value"] == 0.0
     assert doc["samples_outer"] == 64
+
+
+@pytest.mark.parametrize("outer, n, under", [
+    ({"n": 8}, 8, True),  # the policy's N at eps 0.2 is max(64, ceil(8 / 0.2)) = 64
+    ({"n": 64}, 64, False),
+    ({}, 64, False),
+    ({"c": 16.0}, 80, False),
+])
+def test_energy_json_line_flags_a_grid_under_the_policy(tmp_path, capsys, outer, n, under):
+    rc = cli.main(["energy", "--config", _write_cfg(tmp_path, outer=outer)])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["samples_outer"] == n * n
+    assert doc["under_policy"] is under
 
 
 @pytest.mark.parametrize("path, override", [

@@ -183,6 +183,21 @@ def test_request_rejects_a_level_without_pairs_in_the_domain(d, family, eps, mod
     assert en.energy(en.EnergyRequest(**{**req, **fix})).value > 0.0
 
 
+def test_request_fit_rule_makes_one_mask_over_both_levels(monkeypatch):
+    """The rule tests both levels in one `_grid_mask` call: over the two end
+    midpoints of each axis and the two levels' nodes concatenated."""
+    calls, grid_mask = [], en._grid_mask
+
+    def spy(domain, axes, h, keys=False):
+        calls.append((axes.shape, h.shape))
+        return grid_mask(domain, axes, h, keys)
+
+    monkeypatch.setattr(en, "_grid_mask", spy)
+    req = _req()
+    nodes = sum(len(en._inner_nodes(req, level)[0]) for level in (4, 8))
+    assert calls == [((2, 2), (nodes, 2))]
+
+
 @pytest.mark.parametrize("kw", [
     {"p": True},
     {"outer_grid": 8.5},
@@ -204,6 +219,35 @@ def test_pairwise_total():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(10001)
     assert abs(en.pairwise_total(v) - math.fsum(v)) < 1e-12
+
+
+def _pairwise_by_new_arrays(values) -> float:
+    """The pairwise tree with each level's sums in a new array."""
+    buf = np.array(values, dtype=np.float64).ravel()
+    n = buf.size
+    while n > 1:
+        half = n // 2
+        buf[:half] = buf[:half] + buf[half : 2 * half]
+        if n & 1:
+            buf[half] = buf[2 * half]
+            n = half + 1
+        else:
+            n = half
+    return float(buf[0]) if n else 0.0
+
+
+def test_pairwise_total_in_place_is_bitwise():
+    """The in-place halving gives the bits of the tree built from new
+    arrays, for every length 0..1025 (odd tails at every level), on values
+    spread over 16 decades with both signs, and leaves its input alone."""
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(1025) * 10.0 ** rng.uniform(-8, 8, 1025)
+    v[::97] = -0.0
+    kept = v.copy()
+    for n in range(1026):
+        got, want = en.pairwise_total(v[:n]), _pairwise_by_new_arrays(v[:n])
+        assert got.hex() == want.hex()
+    assert np.array_equal(v, kept)
 
 
 # -- exact kernel ------------------------------------------------------------

@@ -39,7 +39,9 @@ Core claims:
 """
 
 import importlib
+import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -165,8 +167,8 @@ def test_folded_sin_rows_match_unfolded_reference(d):
     """Each family's `pair_blocks`, plain and residual, against the unfolded
     reference delta_dot_h / |h|^2 - <Eu(x) h, h>/|h|^2 built here.
 
-    The sin rows are one product with 1/|h|^2 scaled into B and, for the
-    residual, -Eu(x) and h_i h_j/|h|^2 appended as d^2 columns. The default
+    The sin rows are one product with 1/|h|^2 scaled into B; for the
+    residual, B's cos factor sin(k.h) h is (sin(k.h) - k.h) h. The default
     hook (bump, linear) subtracts the first-order product from its rows.
     Linear-sided jumps (axis and oblique normals) subtract it after the
     signed band product, and also in a call in which no pair crosses the
@@ -206,6 +208,42 @@ def test_folded_sin_rows_match_unfolded_reference(d):
             got = _rows(f, x, h, inv_r2, residual)
             assert got.shape == (n, 70)
             assert np.max(np.abs(got - ref)) <= 1e-15 * scale
+
+
+def _sin_minus_identity(t):
+    """sin(t) - t by its alternating series (|t| < 1), smallest terms first."""
+    terms = [(-1) ** k * t ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(1, 11)]
+    return sum(reversed(terms))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sin_residual_rows_at_small_phases(d):
+    """The residual's rows at |h| from 1e-1 down to 1e-12 (phases |k.h| down
+    to ~1e-12) against sum_i a_i [sin(k_i.x) (cos(k_i.h) - 1) + cos(k_i.x)
+    (sin(k_i.h) - k_i.h)] h_i / |h|^2 with sin - identity by its series:
+    within a few ulps of the terms and of k.h h / |h|^2 (one rounding of sin),
+    although the residual is of order |k.h|^2 / |h| and the kernel of order
+    |k.h| / |h|. Where sin(k.h) rounds to k.h, the cos factor is exactly 0."""
+    rng = np.random.default_rng(250 + d)
+    f = _sin_field(rng, d)
+    x = rng.uniform(0.0, 1.0, (20, d))
+    u = rng.standard_normal((6, d))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    h = np.vstack([10.0 ** -e * u for e in range(1, 13)])
+    scale = 1.0 / (h * h).sum(axis=1)
+    got = _rows(f, x, h, scale, residual=True)
+    kx, t = fields_mod._matvec(f.waves, x), h @ f.waves.T
+    assert 0.0 < np.abs(t).min() < 1e-10 and np.abs(t).max() < 1.0
+    parts = [f.amplitude * np.sin(kx), f.amplitude * np.cos(kx)]
+    nodes = [-2.0 * np.sin(0.5 * t) ** 2 * h, _sin_minus_identity(t) * h]
+    terms = [a[:, None, :] * (b * scale[:, None])[None] for a, b in zip(parts, nodes)]
+    ref = sum(terms).sum(axis=2)
+    size = sum(np.abs(terms)).sum(axis=2) + np.abs(parts[1]) @ (np.abs(t * h) * scale[:, None]).T
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - ref) <= 4 * d * eps * size)
+    tiny = np.all(np.abs(t) < 1e-9, axis=1)
+    assert tiny.sum() >= 18
+    assert np.all(f.pair_factors(x, h[tiny], residual=True)[1][:, d:] == 0.0)
 
 
 # -- planar jump -------------------------------------------------------------
@@ -361,10 +399,39 @@ class _OnesField(FieldSpec):
             self.seen[rows] = q == 1.0
 
 
+def _check_compact_mask(box, axes, h):
+    """`_grid_mask` against the brute-force per-axis rows lo_k <= x_k + h_k
+    <= hi_k: ok[k] holds the all-true row, then one row per edge row (a row
+    that fails somewhere) in axis order, edge[k] maps every row to its ok[k]
+    row (0 for the others), and the keys are the rows' (pass lo, pass hi)
+    counts. Without `keys` the mask is the same and key is None."""
+    ok, edge, keys = en._grid_mask(box, axes, h, keys=True)
+    plain = en._grid_mask(box, axes, h)
+    assert plain[2] is None
+    k_nodes = h.shape[0]
+    for k in range(box.dim):
+        y = np.add.outer(axes[:, k], h[:, k])
+        above, below = y >= box.lo[k], y <= box.hi[k]
+        rows = above & below
+        at_edge = ~rows.all(axis=1)
+        m = int(at_edge.sum())
+        assert ok[k].dtype == bool and ok[k].shape == (1 + m, k_nodes) and ok[k][0].all()
+        assert edge[k].shape == (len(axes),)
+        assert np.array_equal(edge[k][at_edge], np.arange(1, 1 + m))
+        assert not edge[k][~at_edge].any()
+        assert np.array_equal(ok[k][edge[k]], rows)
+        want = above.sum(axis=1) * (k_nodes + 1) + below.sum(axis=1)
+        assert keys[k].dtype == np.int64 and np.array_equal(keys[k], want)
+        assert np.array_equal(plain[0][k], ok[k]) and np.array_equal(plain[1][k], edge[k])
+    return ok
+
+
 def _mask_rows(box, axes, h):
     """The engine's mask as a bool (m^d, K) array over the tensor grid over
     axes (m, d): blocks of ones that `energy._run_masses`, given the grid's
-    `_grid_mask` and the grid as one tile, zeroed outside the box."""
+    `_grid_mask` and the grid as one tile, zeroed outside the box. The
+    compact mask is checked first (`_check_compact_mask`)."""
+    _check_compact_mask(box, axes, h)
     cells = axes.shape[0] ** axes.shape[1]
     ones = _OnesField(cells, h.shape[0])
     ok, edge, _ = en._grid_mask(box, axes, h)
@@ -486,6 +553,34 @@ def test_edge_row_mask_on_interior_edge_and_mixed_tiles(d, chunk, monkeypatch):
         assert np.array_equal(got, want)
     assert _mask_rows(box, interior[:m], h[:3]).all()
     assert not _mask_rows(box, edge[:m], h).all(axis=1).any()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_compact_mask_on_no_nodes_all_interior_all_edge_and_extremes_on_the_faces(d):
+    """The compact mask and the masked rows on no offsets (K = 0: every row
+    is interior, and the all-true row has no columns), on grids whose rows
+    are all interior (x + min h_k exactly on lo, x + max h_k exactly on hi on
+    some rows) or all edge, and with x one ulp beyond those interior rows."""
+    rng = np.random.default_rng(230 + d)
+    box = DomainBox([-0.5] * d, [0.75] * d)
+    h = rng.integers(-16, 17, (30, d)) / 64
+    h[0], h[1] = 0.25, -0.25  # min and max of every h_k
+    interior = rng.integers(-4, 9, (12, d)) / 16
+    interior[0], interior[1] = -0.25, 0.5  # min lands on lo, max on hi
+    edge = np.array([-0.5, -0.4375, 0.625, 0.75])[rng.integers(0, 4, (12, d))]
+    beyond = np.vstack([np.nextafter(interior[:2], [[-1.0], [1.0]]), interior[2:]])
+    m = {1: 12, 2: 8, 3: 5}[d]
+    for axes in (interior[:m], edge[:m], beyond[:m], interior[:0]):
+        for offsets in (h, h[:0]):
+            got = _mask_rows(box, axes, offsets)
+            assert np.array_equal(got, _grid_contains(box, axes, offsets))
+    ok = _check_compact_mask(box, interior[:m], h)
+    assert all(o.shape == (1, 30) for o in ok)  # all interior
+    ok = _check_compact_mask(box, edge[:m], h)
+    assert all(o.shape == (1 + m, 30) for o in ok)  # all edge
+    ok, edge_map, keys = en._grid_mask(box, edge[:m], h[:0], keys=True)
+    assert all(o.shape == (1, 0) for o in ok)  # no nodes: nothing fails
+    assert not any(e.any() for e in edge_map) and not any(k.any() for k in keys)
 
 
 # -- blocks ------------------------------------------------------------------
@@ -791,6 +886,58 @@ def test_jump_kernel_classes_on_the_plane(d):
             ids = _check_kernel_classes(f, axes, h)
             assert ids[i] >= 2 if want == "band" else ids[i] == want
             assert np.any(ids < 2) and np.any(ids >= 2)
+
+
+def _grid_jump_ids(f, axes, h):
+    """A jump's kernel ids as the whole grid forms them: x.nu of each of the
+    n^d cells, its side tests, and for a constant jump one np.unique over
+    the cells' x.nu (else 2 + the cell index)."""
+    xn = reduce(np.add.outer, (axes * f.normal).T).ravel()
+    hn = fields_mod._dot(h, f.normal)
+    low = (xn + hn.min(initial=0.0)) - f.offset > 0.0
+    high = (xn + hn.max(initial=0.0)) - f.offset > 0.0
+    constant = not f._jump[0].any()
+    band = np.unique(xn, return_inverse=True)[1] if constant else np.arange(len(xn))
+    return np.where(low == high, low, 2 + band)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_axis_jump_ids_equal_the_grid_ids(d):
+    """For nu = +-e_j and a constant jump, `kernel_classes` ranks the n
+    values of axis j and broadcasts them: the ids equal those ranked over
+    every cell's x.nu, with the plane on a cell boundary, on a midpoint, on
+    0 (where the axes hold 0.0 and -0.0) and outside the box, on midpoint
+    axes and on shuffled ones with repeats. Oblique normals and unequal
+    matrices, which rank over the grid, give those ids too."""
+    rng = np.random.default_rng(240 + d)
+    box = DomainBox([-0.5] * d, [0.5] * d)
+    n = {1: 40, 2: 16, 3: 8}[d]
+    axes = en._midpoints(box, n)[0]
+    shuffled = axes[rng.permutation(n)]
+    shuffled[1], shuffled[2], shuffled[3] = shuffled[0], 0.0, -0.0
+    h = rng.uniform(-0.1, 0.1, (30, d))
+    constant = _constant_sides(rng, d)
+    unequal = (_linear(rng, d), _linear(rng, d))
+    normals = _axis_normals(d)
+    if d > 1:
+        nu = rng.standard_normal(d)
+        normals.append(nu / np.linalg.norm(nu))
+    for nu in normals:
+        j = int(np.argmax(np.abs(nu)))
+        s = float(nu[j])
+        offsets = (s * (-0.5 + 3 / n), s * float(axes[5, j]), 0.0, 0.7, -0.7)
+        for offset in offsets:
+            for sides in (*constant, unequal):
+                f = PlanarJumpField(nu, offset, *sides)
+                for grid in (axes, shuffled):
+                    got = f.kernel_classes(grid, h)
+                    assert got.dtype == np.int64 and got.flags.writeable
+                    assert np.array_equal(got, _grid_jump_ids(f, grid, h))
+                if offset in (0.7, -0.7):
+                    assert np.all(got < 2)  # no x + h crosses the plane
+                elif sides is unequal:
+                    assert len(np.unique(got[got >= 2])) == np.count_nonzero(got >= 2)
+        _check_kernel_classes(PlanarJumpField(nu, 0.0, *constant[1]), shuffled, h)
 
 
 @pytest.mark.parametrize("d", [2, 3])
