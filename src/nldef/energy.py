@@ -91,7 +91,6 @@ from .fields import (
     PlanarJumpField,
     SampledField,
     _cell_integrals,
-    _gauss,
     _polar_rule,
     _refined,
     _tensor_grid,
@@ -134,13 +133,12 @@ class EnergyRequest:
 
     Construction checks each value rule of a request, here and nowhere else:
     p finite and >= 1, outer_grid >= 2 with outer_grid^d < 2^63 cells (the
-    engine's int64 cell index), inner_mode 'radial_spherical' or
-    'tensor', inner_level >= 1, trunc_tol in (0, 1e-2], workers None or >= 1
-    (sizes are integers, not bools), the mollifier's eps above
-    2e-154 (inner_level + 2)^2, which keeps the engine's 1/|h|^2 finite at
-    every inner node, and, unless the domain is empty, at both levels an inner
-    node of nonzero weight that keeps x + h in it for some outer midpoint x
-    (else the value is an empty sum with error bar 0). A broken rule raises
+    engine's int64 cell index), inner_level >= 1, trunc_tol in (0, 1e-2],
+    workers None or >= 1 (sizes are integers, not bools), the mollifier's eps
+    above 2e-154 (inner_level + 2)^2, which keeps the engine's 1/|h|^2 finite
+    at every inner node, and, unless the domain is empty, at both levels an
+    inner node that keeps x + h in it for some outer midpoint x (else the
+    value is an empty sum with error bar 0). A broken rule raises
     ParameterError whose `key` names the field (`eps` for the eps rule);
     unequal dimensions raise DimensionError.
     """
@@ -150,7 +148,6 @@ class EnergyRequest:
     p: float
     mollifier: MollifierSpec
     outer_grid: int
-    inner_mode: str = "radial_spherical"
     inner_level: int = 16
     trunc_tol: float = 1e-10
     workers: int | None = None
@@ -163,8 +160,6 @@ class EnergyRequest:
             "p": (_is(real, p) and 1 <= p < float("inf"), "a finite number >= 1"),
             "outer_grid": (_is(whole, n) and 2 <= n and n ** self.domain.dim < 2**63,
                            "an integer >= 2 with fewer than 2^63 cells"),
-            "inner_mode": (self.inner_mode in ("radial_spherical", "tensor"),
-                           "'radial_spherical' or 'tensor'"),
             "inner_level": (_is(whole, level) and level >= 1, "an integer >= 1"),
             "trunc_tol": (_is(real, tol) and 0 < tol <= 1e-2, "a number in (0, 1e-2]"),
             "workers": (w is None or (_is(whole, w) and w >= 1), "None or an integer >= 1"),
@@ -175,19 +170,18 @@ class EnergyRequest:
         # every inner node has |h| >= eps / (2 (level + 2)^2), so 1/|h|^2 < 1e308
         _check_rules(self.mollifier, {"eps": (2 * (level + 2) ** 2 < 1e154 * self.mollifier.eps,
                                               "above 2e-154 (inner_level + 2)^2")})
-        # the engine sums over the pairs (x, x + h) in U, and the tensor grid
-        # drops its nodes of zero weight: each level must keep a pair. Per axis
-        # fl(x_k + h_k) is nondecreasing in x_k, so h_k >= 0 fits from some
-        # midpoint iff from the first, h_k < 0 iff from the last. One mask over
-        # both levels' nodes, tested per level's column block
+        # the engine sums over the pairs (x, x + h) in U: each level must keep
+        # a pair. Per axis fl(x_k + h_k) is nondecreasing in x_k, so h_k >= 0
+        # fits from some midpoint iff from the first, h_k < 0 iff from the
+        # last. One mask over both levels' nodes, tested per level's column block
         ends = _midpoints(self.domain, n, np.array([0, n - 1]))[0]
         h = [_inner_nodes(self, k)[0] for k in (level, 2 * level)]
         ok, edge, _ = _grid_mask(self.domain, ends, np.concatenate(h))
         fits = np.logical_and.reduce([o[e].any(axis=0) for o, e in zip(ok, edge)])
         _check_rules(self, {"inner_level": (self.domain.is_empty or (
             fits[: len(h[0])].any() and fits[len(h[0]) :].any()),
-            "such that at it and at twice it an inner node of nonzero weight"
-            " keeps x + h in the domain for some outer midpoint x")})
+            "such that at it and at twice it an inner node keeps x + h in the"
+            " domain for some outer midpoint x")})
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,32 +254,23 @@ def _pool_map(workers: int, fn, tasks: list) -> list:
 
 
 @functools.lru_cache(maxsize=8)
-def _level_nodes(family: str, eps: float, dim: int, mode: str, level: int, trunc_tol: float):
+def _level_nodes(family: str, eps: float, dim: int, level: int, trunc_tol: float):
     """Inner nodes H (K, d), weights W (K,), inverse square radii (K,) of one
     level, read-only and cached by value: a request's rules, its energy calls
-    and its `replace`d copies build them once. Tensor mode is a Gauss grid on
-    the truncation cube [-R, R]^d weighted by rho_eps, less its zero weights."""
+    and its `replace`d copies build them once: the polar rule's sphere rule of
+    `level` crossed with max(2, level // 4) Gauss radii per support band."""
     mollifier = MollifierSpec(family, eps, dim)
-    if mode == "tensor":
-        radius = mollifier.support_radius(trunc_tol)
-        # an even node count keeps h = 0 off the grid
-        z, w = _gauss(-radius, radius, level + (level & 1))
-        h, w = _tensor_grid([z] * dim, [w] * dim)
-        w = w * mollifier.eval(h)
-        h, w = h[w > 0.0], w[w > 0.0]
-        inv_r2 = 1.0 / (h * h).sum(axis=1)
-    else:
-        h, w, r = _polar_rule(mollifier, level, max(2, level // 4), trunc_tol)
-        h, w, inv_r2 = h.reshape(-1, dim), w.reshape(-1), np.repeat(1.0 / (r * r), h.shape[1])
+    h, w, r = _polar_rule(mollifier, level, max(2, level // 4), trunc_tol)
+    h, w, inv_r2 = h.reshape(-1, dim), w.reshape(-1), np.repeat(1.0 / (r * r), h.shape[1])
     for a in (h, w, inv_r2):
         a.flags.writeable = False
     return h, w, inv_r2
 
 
 def _inner_nodes(req: EnergyRequest, level: int):
-    """`_level_nodes` of the request's mollifier, inner mode and tolerance."""
+    """`_level_nodes` of the request's mollifier and tolerance."""
     m = req.mollifier
-    return _level_nodes(m.family, m.eps, m.dim, req.inner_mode, level, req.trunc_tol)
+    return _level_nodes(m.family, m.eps, m.dim, level, req.trunc_tol)
 
 
 def _midpoints(box: DomainBox, n: int, at: np.ndarray | None = None):
@@ -301,7 +286,7 @@ def _midpoints(box: DomainBox, n: int, at: np.ndarray | None = None):
 # outer-grid mask and tile kernel
 
 
-def _grid_mask(domain: DomainBox, axes: np.ndarray, h: np.ndarray, keys: bool = False):
+def _grid_mask(domain: DomainBox, axes: np.ndarray, h: np.ndarray):
     """(ok, edge, key): whether x + h_j lies in the box, for the cells x of the
     tensor grid over `axes` (n, d) and offsets h (K, d), per axis k over its n
     coordinates as given.
@@ -316,7 +301,7 @@ def _grid_mask(domain: DomainBox, axes: np.ndarray, h: np.ndarray, keys: bool = 
     the nodes of a row that pass lo_k are those with the largest h_k, and
     those that pass hi_k the smallest: the two counts fix the row (K and K
     for an interior row), and they are its class key key[k] (n,), counted
-    only with `keys` (the grid classes), else key is None.
+    over the edge rows alone.
     """
     ok, edge, key = [], [], []
     n, nodes = len(axes), len(h)
@@ -326,15 +311,14 @@ def _grid_mask(domain: DomainBox, axes: np.ndarray, h: np.ndarray, keys: bool = 
                             | (x + np.maximum.reduce(hk, initial=-np.inf) > hi))
         y = np.add.outer(x[at], hk)
         above, below = y >= lo, y <= hi
-        if keys:
-            key.append(np.full(n, nodes * (nodes + 1) + nodes, dtype=np.int64))
-            # row counts in int32: a bool row sum into int64 is ~2.5x slower
-            n_above = above.sum(axis=1, dtype=np.int32).astype(np.int64)
-            key[-1][at] = n_above * (nodes + 1) + below.sum(axis=1, dtype=np.int32)
+        key.append(np.full(n, nodes * (nodes + 1) + nodes, dtype=np.int64))
+        # row counts in int32: a bool row sum into int64 is ~2.5x slower
+        n_above = above.sum(axis=1, dtype=np.int32).astype(np.int64)
+        key[-1][at] = n_above * (nodes + 1) + below.sum(axis=1, dtype=np.int32)
         ok.append(np.concatenate([np.ones((1, nodes), dtype=bool), above & below]))
         edge.append(np.zeros(n, dtype=np.intp))
         edge[-1][at] = np.arange(1, len(at) + 1)
-    return tuple(ok), tuple(edge), tuple(key) if keys else None
+    return tuple(ok), tuple(edge), tuple(key)
 
 
 def _grid_classes(keys: tuple):
@@ -421,7 +405,7 @@ def _all_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool,
     cells = len(axes) ** axes.shape[1]
     tile = max(1, _TILE_NODE_BUDGET // max(1, len(h)))
     kernel = req.field.kernel_classes(axes, h)
-    ok, edge, keys = _grid_mask(req.domain, axes, h, keys=kernel is not None)
+    ok, edge, keys = _grid_mask(req.domain, axes, h)
     if kernel is None:
         edges = np.r_[0:cells:tile, cells]
     else:

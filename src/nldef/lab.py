@@ -61,8 +61,8 @@ _FAMILY_ALIASES = {
 CSV_HEADER = "eps,p,value,reference,rel_err,est_quad_err,trunc_radius,n_outer,runtime_ms"
 
 # config keys of the request and mollifier fields, where the names differ
-_REQUEST_KEYS = {"outer_grid": "outer.n", "inner_mode": "inner.mode",
-                 "inner_level": "inner.level", "family": "mollifier.family"}
+_REQUEST_KEYS = {"outer_grid": "outer.n", "inner_level": "inner.level",
+                 "family": "mollifier.family"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +76,6 @@ class SweepConfig:
     outer_c: float = 8.0
     outer_n_min: int = 64
     outer_n: int | None = None
-    inner_mode: str = "radial_spherical"
     inner_level: int = 16
     trunc_tol: float = 1e-10
     aligned: bool = False
@@ -91,7 +90,8 @@ class SweepConfig:
 
         Values are read by the one config reader, `fields._config_value`. Here
         sit only the config's own rules: schema 1, dim 1..3, lo < hi, eps
-        strictly decreasing, outer.c > 0, outer.n_min >= 2, family aliases.
+        strictly decreasing, outer.c > 0, outer.n_min >= 2, family aliases,
+        inner.mode absent or 'radial_spherical' (the engine's one inner rule).
         The other rules belong to EnergyRequest and MollifierSpec: each eps's
         request is built here once, its ParameterError mapped to the key.
         """
@@ -134,6 +134,9 @@ class SweepConfig:
         if outer_n_min < 2:
             raise ConfigError(f"config.outer.n_min: must be >= 2, got {outer_n_min}")
         inner = _config_value(raw, "inner", "config", dict, default={})
+        mode = _config_value(inner, "mode", "config.inner", str, default="radial_spherical")
+        if mode != "radial_spherical":
+            raise ConfigError(f"config.inner.mode: only 'radial_spherical' exists, got {mode!r}")
         wk = _config_value(raw, "weakstar", "config", dict, default={})
         items = _config_value(wk, "dictionary", "config.weakstar", list, default=[])
         cfg = cls(
@@ -146,8 +149,6 @@ class SweepConfig:
             outer_c=outer_c,
             outer_n_min=outer_n_min,
             outer_n=_config_value(outer, "n", "config.outer", (int, type(None)), default=None),
-            inner_mode=_config_value(inner, "mode", "config.inner", str,
-                                     default="radial_spherical"),
             inner_level=_config_value(inner, "level", "config.inner", int, default=16),
             trunc_tol=float(_config_value(raw, "trunc_tol", "config", _NUMBER, default=1e-10)),
             aligned=_config_value(raw, "aligned", "config", bool, default=False),
@@ -255,7 +256,6 @@ def _request(cfg: SweepConfig, eps: float):
         p=cfg.p,
         mollifier=mollifier,
         outer_grid=n,
-        inner_mode=cfg.inner_mode,
         inner_level=cfg.inner_level,
         trunc_tol=cfg.trunc_tol,
         workers=cfg.workers,

@@ -298,20 +298,27 @@ def test_weakstar_without_dictionary(tmp_path, capsys):
 
 # -- exit codes --------------------------------------------------------------
 
-@pytest.mark.parametrize("dim, field, extra", [
-    # the d = 3 bump is 0 at the 2-point grid's nodes, so the level sums nothing
-    (3, {"id": "linear", "params": {"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
-     {"mollifier": {"family": "scaled_bump"}, "eps": [0.2], "outer": {"n": 4}}),
-    # the gaussian's 2-point grid (|h| = 1.165) leaves [0, 1] from both midpoints
-    (1, {"id": "linear", "params": {"matrix": [[1.0]]}},
-     {"mollifier": {"family": "gaussian"}, "eps": [0.3], "outer": {"n": 2}}),
-])
-def test_tensor_level_without_pairs_in_the_domain_is_config_error(tmp_path, capsys, dim, field,
-                                                                  extra):
-    cfg = _write_cfg(tmp_path, dim=dim, field=field, domain={"lo": [0.0] * dim, "hi": [1.0] * dim},
-                     inner={"level": 1, "mode": "tensor"}, **extra)
+def test_level_without_pairs_in_the_domain_is_config_error(tmp_path, capsys):
+    # the 1-d shell's nodes at eps = 1.6 (|h| >= 0.969) leave [0, 1] from both midpoints
+    cfg = _write_cfg(tmp_path, dim=1, field={"id": "linear", "params": {"matrix": [[1.0]]}},
+                     domain={"lo": [0.0], "hi": [1.0]}, eps=[1.6], outer={"n": 2},
+                     inner={"level": 1})
     assert cli.main(["energy", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: config.inner.level:")
+
+
+def test_tensor_inner_mode_is_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, field=LINEAR_FIELD, inner={"level": 4, "mode": "tensor"})
+    assert cli.main(["energy", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.inner.mode:") and "radial_spherical" in err
+    # the one inner rule may be named or left out, with the same value
+    values = []
+    for inner in ({"level": 4}, {"level": 4, "mode": "radial_spherical"}):
+        cfg = _write_cfg(tmp_path, field=LINEAR_FIELD, inner=inner)
+        assert cli.main(["energy", "--config", cfg]) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    assert values[0] == values[1] > 0.0
 
 
 def test_invalid_json_config(tmp_path, capsys):

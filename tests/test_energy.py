@@ -21,7 +21,6 @@ Core claims:
       only p = 1
     - over small requests (Hypothesis): rigid fields give exactly 0, and
       doubling a field multiplies its energy by exactly 2^p
-    - the tensor inner mode converges to the radial-spherical value
     - the compactness bound combines the gradient mass with a tail term
 """
 
@@ -108,8 +107,6 @@ def test_request_validation():
     with pytest.raises(ParameterError):
         _req(inner_level=0)
     with pytest.raises(ParameterError):
-        _req(inner_mode="simpson")
-    with pytest.raises(ParameterError):
         _req(workers=0)
     with pytest.raises(DimensionError):
         _req(domain=DomainBox([0.0] * 3, [1.0] * 3))
@@ -131,56 +128,45 @@ def test_request_grid_must_fit_the_int64_cell_index():
 
 def test_inner_nodes_keep_the_eps_rule_bound():
     """Every inner node of both levels has |h| >= eps / (2 (level + 2)^2), the
-    bound behind the request's eps rule, in every family, mode and dimension.
-    The polar rule's smallest radius is the first Gauss node of its first band
-    (at least eps/2 wide), the tensor grid's the smallest node in each axis."""
-    for d, family, mode in itertools.product((1, 2, 3), ("shell", "gaussian", "scaled_bump"),
-                                             ("radial_spherical", "tensor")):
+    bound behind the request's eps rule, in every family and dimension. The
+    polar rule's smallest radius is the first Gauss node of its first band
+    (at least eps/2 wide)."""
+    for d, family in itertools.product((1, 2, 3), ("shell", "gaussian", "scaled_bump")):
         for level, tol in itertools.product((1, 2, 3, 5, 16), (1e-2, 1e-10)):
             for k in (level, 2 * level):
-                inv_r2 = en._level_nodes(family, 0.1, d, mode, k, tol)[2]
+                inv_r2 = en._level_nodes(family, 0.1, d, k, tol)[2]
                 assert np.all(inv_r2 <= (2 * (level + 2) ** 2 / 0.1) ** 2)
 
 
-@pytest.mark.parametrize("d, family, tiny, mode", [
-    (1, "shell", 1e-300, "radial_spherical"),
-    (2, "scaled_bump", 1e-153, "radial_spherical"),
-    (2, "scaled_bump", 1e-153, "tensor"),
+@pytest.mark.parametrize("d, family, tiny", [
+    (1, "shell", 1e-300),
+    (2, "scaled_bump", 1e-153),
 ])
-def test_request_rejects_an_eps_whose_inner_nodes_overflow(d, family, tiny, mode):
+def test_request_rejects_an_eps_whose_inner_nodes_overflow(d, family, tiny):
     """A 1-d shell at eps = 1e-300 (|h|^2 underflows to 0) and a 2-d bump at
     eps = 1e-153 (its nodes nearest 0 overflow 1/|h|^2) fail the eps rule at
     the key eps, and pass at eps = 1e-100."""
     req = dict(field=LinearField(np.eye(d), np.zeros(d)), p=1.0, outer_grid=8,
-               domain=DomainBox([0.0] * d, [1.0] * d), inner_mode=mode)
+               domain=DomainBox([0.0] * d, [1.0] * d))
     en.EnergyRequest(**req, mollifier=MollifierSpec(family, 1e-100, d))
     with pytest.raises(ParameterError) as err:
         en.EnergyRequest(**req, mollifier=MollifierSpec(family, tiny, d))
     assert err.value.key == "eps"
 
 
-@pytest.mark.parametrize("d, family, eps, mode, level, n, fix", [
-    (3, "scaled_bump", 0.2, "tensor", 1, 4, {"inner_level": 3}),
-    (3, "scaled_bump", 0.2, "tensor", 2, 4, {"inner_mode": "radial_spherical"}),
-    (1, "gaussian", 0.3, "tensor", 1, 2, {"inner_level": 3}),
-    (1, "shell", 1.6, "radial_spherical", 1, 2, {"outer_grid": 32}),
-])
-def test_request_rejects_a_level_without_pairs_in_the_domain(d, family, eps, mode, level, n, fix):
-    """A level, or twice it, none of whose inner nodes of nonzero weight keeps
-    x + h in U from some outer midpoint would be an empty sum whatever the
-    field: a ParameterError at the key inner_level. In d = 3 the bump is 0 at
-    the nodes of the 2-point grid (|h| = eps), the coarse grid of levels 1 and
-    2. On [0, 1] the gaussian's 2-point grid sits at |h| = 1.165 and the
-    shell's nodes at |h| >= 0.969, so every x + h leaves U from the midpoints
-    0.25 and 0.75 (not from the first midpoint 1/64 of 32 cells). `fix` gives
-    a positive value."""
-    req = dict(field=LinearField(np.eye(d), np.zeros(d)), domain=DomainBox([0.0] * d, [1.0] * d),
-               p=1.0, mollifier=MollifierSpec(family, eps, d), inner_mode=mode,
-               inner_level=level, outer_grid=n)
+def test_request_rejects_a_level_without_pairs_in_the_domain():
+    """A level, or twice it, none of whose inner nodes keeps x + h in U from
+    some outer midpoint would be an empty sum whatever the field: a
+    ParameterError at the key inner_level. On [0, 1] the 1-d shell's nodes
+    at eps = 1.6 sit at |h| >= 0.969, so every x + h leaves U from the
+    midpoints 0.25 and 0.75 of 2 cells, but not from the first midpoint 1/64
+    of 32 cells, which gives a positive value."""
+    req = dict(field=LinearField(np.eye(1), np.zeros(1)), domain=DomainBox([0.0], [1.0]),
+               p=1.0, mollifier=MollifierSpec("shell", 1.6, 1), inner_level=1, outer_grid=2)
     with pytest.raises(ParameterError) as err:
         en.EnergyRequest(**req)
     assert err.value.key == "inner_level"
-    assert en.energy(en.EnergyRequest(**{**req, **fix})).value > 0.0
+    assert en.energy(en.EnergyRequest(**{**req, "outer_grid": 32})).value > 0.0
 
 
 def test_request_fit_rule_makes_one_mask_over_both_levels(monkeypatch):
@@ -188,9 +174,9 @@ def test_request_fit_rule_makes_one_mask_over_both_levels(monkeypatch):
     midpoints of each axis and the two levels' nodes concatenated."""
     calls, grid_mask = [], en._grid_mask
 
-    def spy(domain, axes, h, keys=False):
+    def spy(domain, axes, h):
         calls.append((axes.shape, h.shape))
-        return grid_mask(domain, axes, h, keys)
+        return grid_mask(domain, axes, h)
 
     monkeypatch.setattr(en, "_grid_mask", spy)
     req = _req()
@@ -278,15 +264,14 @@ def test_rigid_energy_exact_zero_3d():
 def test_rigid_energy_exact_zero_with_weights_in_the_scale(p, monkeypatch):
     """The weights are folded into the node scale w^(1/p)/|h|^2, which needs
     them positive; rigid rows stay exactly 0 through it, on the class path
-    and the per-cell path, for every mollifier family and both inner modes."""
-    cases = [(d, fam, eps, mode) for d in (1, 2, 3)
-             for fam, eps in (("shell", 0.3), ("scaled_bump", 0.2), ("gaussian", 0.1))
-             for mode in ("radial_spherical", "tensor")]
+    and the per-cell path, for every mollifier family."""
+    cases = [(d, fam, eps) for d in (1, 2, 3)
+             for fam, eps in (("shell", 0.3), ("scaled_bump", 0.2), ("gaussian", 0.1))]
     reqs = []
-    for d, fam, eps, mode in cases:
+    for d, fam, eps in cases:
         req = en.EnergyRequest(field=_rigid(d), domain=DomainBox([0.0] * d, [1.0] * d),
                                p=p, mollifier=MollifierSpec(fam, eps, d), outer_grid=5,
-                               inner_mode=mode, inner_level=4, workers=1)
+                               inner_level=4, workers=1)
         for level in (4, 8):
             assert np.all(en._inner_nodes(req, level)[1] > 0.0)
         reqs.append(req)
@@ -635,38 +620,34 @@ def _field_pair(kind, rng, d):
             PlanarJumpField(nu, 0.5 * float(nu.sum()), *doubled))
 
 
-def _no_pair_in_domain(domain, n, moll, mode, level):
+def _no_pair_in_domain(domain, n, moll, level):
     """Whether x + h lies outside U for every cell midpoint x of the n^d grid
-    and every inner node h (of nonzero weight) of `level` or of 2 `level`."""
+    and every inner node h of `level` or of 2 `level`."""
     axes = (domain.lo + (domain.hi - domain.lo) * (np.arange(n)[:, None] + 0.5) / n).T
     x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
     return any(not domain.contains(x[:, None, :] + en._level_nodes(
-        moll.family, moll.eps, moll.dim, mode, k, 1e-10)[0]).any() for k in (level, 2 * level))
+        moll.family, moll.eps, moll.dim, k, 1e-10)[0]).any() for k in (level, 2 * level))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-# a d = 3 bump's 2-point grid has no node of nonzero weight, and a gaussian's
-# leaves [0, 1] from both midpoints
-@example(d=3, n=4, level=1, mode="tensor", family="scaled_bump", eps=0.3, kind="linear", seed=0)
-@example(d=1, n=2, level=1, mode="tensor", family="gaussian", eps=0.3, kind="linear", seed=0)
+# the 1-d shell's nodes at eps = 1.6 leave [0, 1] from both midpoints
+@example(d=1, n=2, level=1, family="shell", eps=1.6, kind="linear", seed=0)
 @given(d=st.integers(1, 3), n=st.integers(2, 16), level=st.integers(1, 4),
-       mode=st.sampled_from(["radial_spherical", "tensor"]),
        family=st.sampled_from(["shell", "scaled_bump", "gaussian"]),
        eps=st.sampled_from([0.15, 0.3, 0.6]),
        kind=st.sampled_from(["rigid", "linear", "sin", "bump", "jump"]),
        seed=st.integers(0, 2**16))
 def test_rigid_is_exactly_zero_and_doubling_scales_by_two_to_the_p(
-        d, n, level, mode, family, eps, kind, seed):
+        d, n, level, family, eps, kind, seed):
     """Over small requests: a rigid field's value, error bar and residual are
     exactly 0, and F(2u) == 2^p F(u) bit for bit at p = 1 and 2, value and
     error bar, and for the residual at p = 1. A request with a level none of
-    whose inner nodes (of nonzero weight) keeps some x + h in U is a
-    ParameterError."""
+    whose inner nodes keeps some x + h in U is a ParameterError."""
     u, twice = _field_pair(kind, np.random.default_rng(seed), d)
     moll, box = MollifierSpec(family, eps, d), DomainBox([0.0] * d, [1.0] * d)
-    req = dict(field=u, domain=box, p=1.0, mollifier=moll, outer_grid=n, inner_mode=mode,
+    req = dict(field=u, domain=box, p=1.0, mollifier=moll, outer_grid=n,
                inner_level=level, workers=1)
-    if _no_pair_in_domain(box, n, moll, mode, level):
+    if _no_pair_in_domain(box, n, moll, level):
         with pytest.raises(ParameterError) as err:
             en.EnergyRequest(**req)
         assert err.value.key == "inner_level"
@@ -682,21 +663,6 @@ def test_rigid_is_exactly_zero_and_doubling_scales_by_two_to_the_p(
         assert res.value > 0.0 or run is en.residual_energy
         assert res2.value == 2.0**p * res.value
         assert res2.est_quadrature_error == 2.0**p * res.est_quadrature_error
-
-
-# -- inner modes -------------------------------------------------------------
-
-def test_tensor_mode_converges_to_radial():
-    lin = LinearField(np.diag([1.0, -1.0]), np.zeros(2))
-    moll = MollifierSpec("scaled_bump", 0.1, 2)
-    ref = en.energy(_req(field=lin, mollifier=moll, outer_grid=16,
-                         inner_mode="radial_spherical", inner_level=32)).value
-    coarse = en.energy(_req(field=lin, mollifier=moll, outer_grid=16,
-                            inner_mode="tensor", inner_level=12)).value
-    fine = en.energy(_req(field=lin, mollifier=moll, outer_grid=16,
-                          inner_mode="tensor", inner_level=24)).value
-    assert abs(fine - ref) / ref < 0.02
-    assert abs(fine - ref) < abs(coarse - ref)
 
 
 # -- compactness bound -------------------------------------------------------

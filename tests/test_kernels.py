@@ -404,10 +404,8 @@ def _check_compact_mask(box, axes, h):
     <= hi_k: ok[k] holds the all-true row, then one row per edge row (a row
     that fails somewhere) in axis order, edge[k] maps every row to its ok[k]
     row (0 for the others), and the keys are the rows' (pass lo, pass hi)
-    counts. Without `keys` the mask is the same and key is None."""
-    ok, edge, keys = en._grid_mask(box, axes, h, keys=True)
-    plain = en._grid_mask(box, axes, h)
-    assert plain[2] is None
+    counts."""
+    ok, edge, keys = en._grid_mask(box, axes, h)
     k_nodes = h.shape[0]
     for k in range(box.dim):
         y = np.add.outer(axes[:, k], h[:, k])
@@ -422,7 +420,6 @@ def _check_compact_mask(box, axes, h):
         assert np.array_equal(ok[k][edge[k]], rows)
         want = above.sum(axis=1) * (k_nodes + 1) + below.sum(axis=1)
         assert keys[k].dtype == np.int64 and np.array_equal(keys[k], want)
-        assert np.array_equal(plain[0][k], ok[k]) and np.array_equal(plain[1][k], edge[k])
     return ok
 
 
@@ -456,7 +453,7 @@ def _grid_mask_classes(box, axes, h):
     over axes (m, d), after checking the class contract: ids dense in
     [0, C), `first` the first cell of each class, and bitwise-equal mask
     rows within a class."""
-    ids, first = en._grid_classes(en._grid_mask(box, axes, h, keys=True)[2])
+    ids, first = en._grid_classes(en._grid_mask(box, axes, h)[2])
     rows = _mask_rows(box, axes, h)
     assert ids.shape == (axes.shape[0] ** axes.shape[1],) and ids.dtype == np.int64
     classes, start = np.unique(ids, return_index=True)
@@ -578,7 +575,7 @@ def test_compact_mask_on_no_nodes_all_interior_all_edge_and_extremes_on_the_face
     assert all(o.shape == (1, 30) for o in ok)  # all interior
     ok = _check_compact_mask(box, edge[:m], h)
     assert all(o.shape == (1 + m, 30) for o in ok)  # all edge
-    ok, edge_map, keys = en._grid_mask(box, edge[:m], h[:0], keys=True)
+    ok, edge_map, keys = en._grid_mask(box, edge[:m], h[:0])
     assert all(o.shape == (1, 0) for o in ok)  # no nodes: nothing fails
     assert not any(e.any() for e in edge_map) and not any(k.any() for k in keys)
 
@@ -991,8 +988,6 @@ def test_offset_classes_contract(d):
         if box is unit:
             diagonal = sum(len(axes) ** k for k in range(d))  # cell (i, .., i) = i * diagonal
             assert rows[0, 2] and rows[diagonal, 3] and rows[2 * diagonal, 4]
-        # the keys are counted only on request (the grid classes)
-        assert en._grid_mask(box, axes, h)[2] is None
 
 
 def test_offset_class_ids_stay_below_cells_cubed():
@@ -1066,7 +1061,7 @@ def test_class_path_equals_every_cell(name, p, monkeypatch):
                                    mollifier=MollifierSpec("shell", eps, d), outer_grid=n,
                                    inner_level=level)
         h = en._inner_nodes(reqs[d], 2 * level)[0]
-        keys = en._grid_mask(box, en._midpoints(box, n)[0], h, keys=True)[2]
+        keys = en._grid_mask(box, en._midpoints(box, n)[0], h)[2]
         _, first = en._grid_classes(keys)
         assert first.max() >= en._TILE_NODE_BUDGET // h.shape[0]  # past the first tile
     runs = [en.energy] + ([en.residual_energy] if p == 1.0 else [])

@@ -75,7 +75,6 @@ def test_config_defaults():
     cfg = lab.SweepConfig.from_dict(dict(BASE_CFG))
     assert cfg.family == "shell"
     assert cfg.outer_c == 8.0
-    assert cfg.inner_mode == "radial_spherical"
     assert cfg.trunc_tol == 1e-10
     assert cfg.tol_accept == 0.02
     assert not cfg.aligned and not cfg.residual
@@ -121,8 +120,10 @@ def test_config_error_paths():
         _cfg(domain={"lo": [0.0, 0.0], "hi": [0.0, 1.0]})
     with pytest.raises(ConfigError, match="trunc_tol"):
         _cfg(trunc_tol=0.5)
-    with pytest.raises(ConfigError, match="config.inner.mode"):
-        _cfg(inner={"mode": "simpson"})
+    assert _cfg(inner={"mode": "radial_spherical"}).inner_level == 16
+    for mode in ("simpson", "tensor", "RADIAL_SPHERICAL"):
+        with pytest.raises(ConfigError, match="config.inner.mode: only 'radial_spherical'"):
+            _cfg(inner={"mode": mode})
     with pytest.raises(ConfigError, match="config.workers"):
         _cfg(workers=0)
     with pytest.raises(ConfigError, match="config.outer"):
@@ -147,7 +148,7 @@ FULL_CFG = {
     "mollifier": {"family": "shell"},
     "eps": [0.2, 0.1, 0.05],
     "outer": {"c": 4.0, "n_min": 8, "n": 16},
-    "inner": {"mode": "tensor", "level": 4},
+    "inner": {"mode": "radial_spherical", "level": 4},
     "trunc_tol": 1e-8,
     "aligned": False,
     "residual": False,
