@@ -21,7 +21,6 @@ from .errors import ConfigError, NldefError
 from .lab import (
     SweepConfig,
     _json_text,
-    _request,
     report_write,
     run_sweep,
     run_weakstar,
@@ -68,7 +67,7 @@ def _cmd_qnorm(args) -> int:
 
 def _cmd_energy(args) -> int:
     cfg = _load_config(args.config)
-    req, under_policy, _ = _request(cfg, cfg.eps_list[0])
+    req, under_policy, _ = cfg.requests[0]
     res = residual_energy(req) if cfg.residual else energy(req)
     print(_json_text(res, under_policy=under_policy))
     return 0

@@ -261,7 +261,7 @@ def _level_nodes(family: str, eps: float, dim: int, level: int, trunc_tol: float
     `level` crossed with max(2, level // 4) Gauss radii per support band."""
     mollifier = MollifierSpec(family, eps, dim)
     h, w, r = _polar_rule(mollifier, level, max(2, level // 4), trunc_tol)
-    h, w, inv_r2 = h.reshape(-1, dim), w.reshape(-1), np.repeat(1.0 / (r * r), h.shape[1])
+    inv_r2 = 1.0 / (r * r)
     for a in (h, w, inv_r2):
         a.flags.writeable = False
     return h, w, inv_r2

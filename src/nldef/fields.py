@@ -41,7 +41,7 @@ from .errors import (
     ParameterError,
 )
 from .mollifiers import SURFACE_AREA, MollifierSpec
-from .symnorm import SphereRule, SymMatrix, make_sphere_rule, qp_pow_eigs
+from .symnorm import SphereRule, SymMatrix, _gauss, make_sphere_rule, qp_pow_eigs
 
 __all__ = [
     "DomainBox",
@@ -223,10 +223,11 @@ class FieldSpec:
         Contract: cells with equal ids get bitwise-equal rows of
         `delta_dot_h(x[:, None, :], h[None, :, :])` and bitwise-equal
         `sym_gradient(x)`, so their residual rows agree too; an id may be any
-        int64. The engine calls it once per inner level on its outer grid,
-        refines the grid's mask classes by it, evaluates one cell per class
-        and gathers its mass to the others. None, the default, means the
-        kernel depends on x: every cell is evaluated.
+        int64. The engine calls it once per call, on its outer grid against
+        the node set of both inner levels, refines the grid's mask classes by
+        it, evaluates one cell per class and gathers its mass to the others.
+        None, the default, means the kernel depends on x: every cell is
+        evaluated.
         """
         return None
 
@@ -715,14 +716,6 @@ def _tensor_grid(axes, weights=None):
     return pts, reduce(np.multiply.outer, weights).ravel()
 
 
-def _gauss(a, b, n: int):
-    """n-point Gauss-Legendre nodes and weights on [a, b], one row per interval
-    when a and b are arrays (one `leggauss` call: it is slow for large n)."""
-    z, w = np.polynomial.legendre.leggauss(n)
-    half, mid = 0.5 * np.subtract(b, a), 0.5 * np.add(a, b)
-    return np.multiply.outer(half, z) + mid[..., None], np.multiply.outer(half, w)
-
-
 _GAUSS_CAP = {1: 4096, 2: 512, 3: 128}
 _CELL_NODE_BUDGET = 1 << 16  # Gauss points per block of cells in _cell_integrals
 _REFERENCE_LEVEL = 64  # sphere-rule level of the limit objects' Q_p sums
@@ -739,7 +732,7 @@ def _cell_integrals(func, box: DomainBox, n: int, g: int) -> np.ndarray:
     """
     d = box.dim
     step = (box.hi - box.lo) / n
-    z, w = np.polynomial.legendre.leggauss(g)
+    z, w = _gauss(-1.0, 1.0, g)
     # per axis: node a of cell k sits at [k, a]
     nodes = [box.lo[i] + step[i] * (np.arange(n)[:, None] + 0.5 * (z[None, :] + 1.0))
              for i in range(d)]
@@ -924,27 +917,19 @@ def ground_truth(f: FieldSpec, box: DomainBox, p: float, rule: SphereRule) -> Gr
 def _polar_rule(mollifier: MollifierSpec, sphere_level: int, n_radial: int, trunc_tol: float):
     """Radius x sphere quadrature of rho over its truncated support.
 
-    Gauss nodes in radius on each of the mollifier's radial bands, crossed
-    with a sphere rule in direction, so integrals of g(h) rho(h) dh become
-    sums of weights times g(offsets). Returns offsets (R, M, d), weights
-    (R, M) and the radii (R,).
+    n_radial Gauss nodes in radius on each of the mollifier's radial bands,
+    crossed with a sphere rule in direction, so integrals of g(h) rho(h) dh
+    become sums of weights times g(offsets). Returns flat offsets (K, d),
+    weights (K,) and each node's radius (K,), K = R M for R radii and M
+    sphere nodes, radius slowest.
     """
     dim = mollifier.dim
     sphere = make_sphere_rule(dim, sphere_level)
-    z, gw = np.polynomial.legendre.leggauss(n_radial)
-    radii = []
-    rweights = []
-    for a, b in mollifier.radial_bands(trunc_tol):
-        r = 0.5 * (b - a) * z + 0.5 * (a + b)
-        w = 0.5 * (b - a) * gw
-        radii.append(r)
-        rweights.append(
-            SURFACE_AREA[dim] * w * r ** (dim - 1) * mollifier.radial_profile(r)
-        )
-    r_all = np.concatenate(radii)
-    w_all = np.concatenate(rweights)
-    offsets = r_all[:, None, None] * sphere.nodes[None, :, :]
-    return offsets, w_all[:, None] * sphere.weights[None, :], r_all
+    lo, hi = np.transpose(mollifier.radial_bands(trunc_tol))
+    r, w = (a.ravel() for a in _gauss(lo, hi, n_radial))
+    w = SURFACE_AREA[dim] * w * r ** (dim - 1) * mollifier.radial_profile(r)
+    offsets = np.multiply.outer(r, sphere.nodes).reshape(-1, dim)
+    return offsets, np.multiply.outer(w, sphere.weights).ravel(), np.repeat(r, len(sphere))
 
 
 def mollify(
@@ -982,9 +967,9 @@ def mollify(
 
     # offsets z = r * omega: u_eta(x) = sum of w u(x - z), one offset at a time
     # in rule order; x - z goes in one reused buffer, w into eval's fresh values
-    offsets, wmat, _ = _polar_rule(kernel, angular_level, radial_nodes, 1e-12)
+    offsets, weights, _ = _polar_rule(kernel, angular_level, radial_nodes, 1e-12)
     values, y = np.zeros_like(pts), np.empty_like(pts)
-    for z, w in zip(offsets.reshape(-1, f.dim), wmat.ravel()):
+    for z, w in zip(offsets, weights):
         vals = f.eval(np.subtract(pts, z, out=y))
         vals *= w
         values += vals

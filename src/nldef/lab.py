@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field as dc_field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -50,13 +51,7 @@ __all__ = [
     "run_weakstar",
 ]
 
-_FAMILY_ALIASES = {
-    "shell": "shell",
-    "scaled_bump": "scaled_bump",
-    "bump": "scaled_bump",
-    "gaussian": "gaussian",
-    "gauss": "gaussian",
-}
+_FAMILY_ALIASES = {"bump": "scaled_bump", "gauss": "gaussian"}
 
 CSV_HEADER = "eps,p,value,reference,rel_err,est_quad_err,trunc_radius,n_outer,runtime_ms"
 
@@ -93,7 +88,8 @@ class SweepConfig:
         strictly decreasing, outer.c > 0, outer.n_min >= 2, family aliases,
         inner.mode absent or 'radial_spherical' (the engine's one inner rule).
         The other rules belong to EnergyRequest and MollifierSpec: each eps's
-        request is built here once, its ParameterError mapped to the key.
+        request is built here once, its ParameterError mapped to the key, and
+        kept as the config's `requests`.
         """
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
@@ -111,12 +107,7 @@ class SweepConfig:
         p = _config_value(raw, "p", "config", _NUMBER)
         moll = _config_value(raw, "mollifier", "config", dict)
         fam_raw = _config_value(moll, "family", "config.mollifier", str)
-        family = _FAMILY_ALIASES.get(fam_raw)
-        if family is None:
-            raise ConfigError(
-                f"config.mollifier.family: unknown {fam_raw!r}, "
-                f"expected one of {sorted(set(_FAMILY_ALIASES))}"
-            )
+        family = _FAMILY_ALIASES.get(fam_raw, fam_raw)
         eps_raw = _config_value(raw, "eps", "config", (list, *_NUMBER))
         many = isinstance(eps_raw, list)
         if many and not eps_raw:
@@ -160,9 +151,10 @@ class SweepConfig:
             ),
             workers=_config_value(raw, "workers", "config", (int, type(None)), default=None),
         )
+        requests = []
         for i, eps in enumerate(eps_list):
             try:
-                _request(cfg, eps)
+                requests.append(_request(cfg, eps))
             except (ParameterError, DimensionError) as exc:
                 key = getattr(exc, "key", None)
                 if key == "outer_grid" and cfg.outer_n is None:
@@ -171,7 +163,15 @@ class SweepConfig:
                 if key == "eps" and many:
                     path += f"[{i}]"
                 raise ConfigError(f"{path}: {exc}") from None
+        object.__setattr__(cfg, "requests", tuple(requests))  # the cache below
         return cfg
+
+    @cached_property
+    def requests(self) -> tuple:
+        """(request, under_policy, aligned_exact) of `_request` per eps, built
+        once per config: `from_dict` keeps the ones it checked, a config made
+        otherwise builds them on first read. Every command reads them here."""
+        return tuple(_request(self, eps) for eps in self.eps_list)
 
 
 def _phi_from_config(item, dim: int, path: str) -> TestFunction:
@@ -242,8 +242,8 @@ def _request(cfg: SweepConfig, eps: float):
 
     The outer grid is outer.n when given, else the policy max(n_min,
     ceil(c / eps)); aligned configs then bump it so a jump interface lands
-    on cell boundaries. Every command builds its requests here, so one
-    config gives the same grid everywhere.
+    on cell boundaries. `SweepConfig.requests` builds them here, and every
+    command reads those, so one config gives the same grid everywhere.
     """
     mollifier = MollifierSpec(cfg.family, eps, cfg.dim)  # checks eps before c / eps
     policy = _policy_n(cfg, eps)
@@ -266,12 +266,7 @@ def _request(cfg: SweepConfig, eps: float):
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Energy (or residual) per eps, ground-truth reference, extrapolation."""
     records = []
-    warned_policy = False
-    aligned_ok = True
-    for eps in cfg.eps_list:
-        req, under_policy, exact = _request(cfg, eps)
-        warned_policy = warned_policy or under_policy
-        aligned_ok = aligned_ok and exact
+    for eps, (req, _, _) in zip(cfg.eps_list, cfg.requests):
         try:
             res = residual_energy(req) if cfg.residual else energy(req)
         except ModelError as exc:
@@ -298,8 +293,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         b <= a + s for a, b, s in zip(gaps, gaps[1:], slack[1:])
     )
     flags = {
-        "n_policy_warning": warned_policy,
-        "aligned_exact": aligned_ok,
+        "n_policy_warning": any(under for _, under, _ in cfg.requests),
+        "aligned_exact": all(exact for _, _, exact in cfg.requests),
         "converged": len(records) >= 3 and _settled(records),
         "monotone_gap": monotone,
         "limit_within_tol": abs(limit - ref_value) <= cfg.tol_accept,
@@ -395,7 +390,7 @@ def run_weakstar(cfg: SweepConfig, path) -> list:
     """Dictionary gap table for the config's field, written as CSV."""
     if not cfg.dictionary:
         raise ConfigError("config.weakstar.dictionary: missing or empty")
-    requests = [replace(_request(cfg, eps)[0], p=1.0) for eps in cfg.eps_list]
+    requests = [req if req.p == 1.0 else replace(req, p=1.0) for req, _, _ in cfg.requests]
     rows = weakstar_gap(requests, cfg.dictionary)
     cols = WEAKSTAR_HEADER.split(",")  # the row keys, in column order
     lines = [WEAKSTAR_HEADER] + [

@@ -27,6 +27,7 @@ from .fields import (
     PlanarJumpField,
     SampledField,
     _cell_integrals,
+    _dot,
     _interface_atoms,
     _jump_volume_masses,
     _qp_pow_of_sym,
@@ -155,7 +156,7 @@ class TestFunction:
         if self.kind == "tent":
             r = np.sqrt(((x - self.center) ** 2).sum(axis=-1))
             return np.maximum(0.0, 1.0 - r / self.radius)
-        return np.cos(2.0 * math.pi * (x @ self.wave))
+        return np.cos(2.0 * math.pi * _dot(x, self.wave))
 
 
 def density_measure(req: EnergyRequest) -> DiscreteMeasure:

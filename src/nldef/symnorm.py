@@ -151,6 +151,15 @@ class SphereRule:
         )
 
 
+def _gauss(a, b, n: int):
+    """n-point Gauss-Legendre nodes and weights on [a, b], one row per interval
+    when a and b are arrays: the one `leggauss` call of the package (it is
+    slow for large n), behind every Gauss rule."""
+    z, w = np.polynomial.legendre.leggauss(n)
+    half, mid = 0.5 * np.subtract(b, a), 0.5 * np.add(a, b)
+    return np.multiply.outer(half, z) + mid[..., None], np.multiply.outer(half, w)
+
+
 def make_sphere_rule(dim: int, level: int) -> SphereRule:
     """Build a sphere rule for the normalized average in dimension 1, 2 or 3.
 
@@ -167,7 +176,10 @@ def make_sphere_rule(dim: int, level: int) -> SphereRule:
     Returns
     -------
     SphereRule
-        Antipodally paired nodes; weights sum to 1.
+        Nodes (M, d) and weights (M,) summing to 1, antipodally paired: the
+        second half of the nodes negates the first. In d=3 the first half
+        holds the rings z > 0 from the highest down, 2*level azimuths each,
+        then for odd levels half the equator's azimuths, M = 2*level**2.
     """
     if dim not in (1, 2, 3):
         raise DimensionError(f"dimension {dim} unsupported, need 1..3")
@@ -183,33 +195,22 @@ def make_sphere_rule(dim: int, level: int) -> SphereRule:
         nodes = np.vstack([reps, -reps])
         weights = np.full(2 * level, 1.0 / (2 * level))
         return SphereRule(2, level, nodes, weights)
-    # dim == 3: rings at Gauss-Legendre polar nodes; only the upper half is
-    # generated explicitly, the lower half is the exact negation so the
-    # antipodal pairing holds bitwise.
-    z, wz = np.polynomial.legendre.leggauss(level)
-    order = np.argsort(-z)
-    z, wz = z[order], wz[order]
+    # dim == 3: rings at the Gauss-Legendre polar nodes z > 0, highest first,
+    # and for odd levels the equator with half the azimuths; the lower half
+    # is the exact negation, so the antipodal pairing holds bitwise.
+    z, wz = (a[::-1] for a in _gauss(-1.0, 1.0, level))
     m_az = 2 * level
     theta = 2.0 * np.pi * (np.arange(m_az) + 0.5) / m_az
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    reps = []
-    repw = []
-    for zi, wi in zip(z, wz):
-        if zi > 1e-14:
-            r = np.sqrt(1.0 - zi * zi)
-            ring = np.stack([r * cos_t, r * sin_t, np.full(m_az, zi)], axis=1)
-            reps.append(ring)
-            repw.append(np.full(m_az, wi / (2.0 * m_az)))
-        elif abs(zi) <= 1e-14:
-            # equator: half the azimuths, the other half comes from negation
-            half = m_az // 2
-            ring = np.stack(
-                [cos_t[:half], sin_t[:half], np.zeros(half)], axis=1
-            )
-            reps.append(ring)
-            repw.append(np.full(half, wi / (2.0 * m_az)))
-    reps = np.vstack(reps)
-    repw = np.concatenate(repw)
+    up = level // 2  # the roots z > 0; an odd level's middle root is z = 0
+    r = np.sqrt(1.0 - z[:up] * z[:up])[:, None]
+    rings = np.broadcast_arrays(r * cos_t, r * sin_t, z[:up, None])
+    reps = np.stack(rings, axis=-1).reshape(-1, 3)
+    repw = np.repeat(wz[:up] / (2.0 * m_az), m_az)
+    if level % 2:
+        equator = np.stack([cos_t[:level], sin_t[:level], np.zeros(level)], axis=1)
+        reps = np.vstack([reps, equator])
+        repw = np.append(repw, np.full(level, wz[up] / (2.0 * m_az)))
     nodes = np.vstack([reps, -reps])
     weights = np.concatenate([repw, repw])
     return SphereRule(3, level, nodes, weights)

@@ -6,6 +6,8 @@ Core claims:
       their tables to the requested paths
     - the residual subcommand forces the residual functional even when
       the config does not ask for it
+    - a command builds each eps's request once, when it reads the config;
+      weakstar adds a p = 1 copy only for a config at another p
     - failures map to documented exit codes: 2 for configuration, 3 for
       model limitations, 4 for I/O, with a prefixed stderr line
 """
@@ -17,6 +19,7 @@ import math
 import pytest
 
 cli = importlib.import_module("nldef.cli")
+en = importlib.import_module("nldef.energy")
 lab = importlib.import_module("nldef.lab")
 
 
@@ -238,6 +241,23 @@ def test_energy_sweep_weakstar_share_one_grid(tmp_path, capsys):
     eps, phi, _, pair_value = gaps_out.read_text().splitlines()[1].split(",")[:4]
     assert (float(eps), phi) == (0.2, "const_one")
     assert float(pair_value) == value
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_each_command_builds_each_request_once(tmp_path, capsys, monkeypatch, p):
+    builds = []
+    check = en.EnergyRequest.__post_init__
+    monkeypatch.setattr(en.EnergyRequest, "__post_init__",
+                        lambda self: builds.append(self) or check(self))
+    cfg = _write_cfg(tmp_path, p=p, eps=[0.2, 0.1, 0.05],
+                     weakstar={"dictionary": [{"id": "const_one"}]})
+    out = str(tmp_path / "out.csv")
+    counts = {}
+    for cmd, *rest in (["energy"], ["sweep", "--out", out], ["weakstar", "--out", out]):
+        builds.clear()
+        assert cli.main([cmd, "--config", cfg, *rest]) == 0
+        counts[cmd] = len(builds)
+    assert counts == {"energy": 3, "sweep": 3, "weakstar": 3 if p == 1.0 else 6}
 
 
 # -- sweep and residual ------------------------------------------------------

@@ -114,7 +114,7 @@ def test_config_error_paths():
         _cfg(eps=[0.1, 0.1])
     with pytest.raises(ConfigError, match="positive"):
         _cfg(eps=[0.1, -0.05])
-    with pytest.raises(ConfigError, match="family"):
+    with pytest.raises(ConfigError, match="^config.mollifier.family: .*'box'"):
         _cfg(mollifier={"family": "box"})
     with pytest.raises(ConfigError, match="config.domain"):
         _cfg(domain={"lo": [0.0, 0.0], "hi": [0.0, 1.0]})

@@ -10,7 +10,8 @@ Core claims:
       whole-grid evaluation
     - the reference measure's cell atoms are the density measure's points
     - pairings are linear, bounded by the total, and match closed forms
-      against kinked test functions on the interface
+      against kinked test functions on the interface; a cosine test function
+      gives a point the same bits alone and in a batch
     - weak-star gaps shrink with epsilon and vanish identically for rigid
       fields
     - CSV export round-trips points and masses at full precision
@@ -317,6 +318,16 @@ def test_function_eval_shapes():
     assert tent.sup_norm == 1.0
     cos = TestFunction.cosine([1.0, 0.0])
     assert abs(cos.eval(np.array([0.5, 0.3])) - math.cos(math.pi)) < 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cosine_point_alone_equals_its_batch_row(d):
+    # k.x is a fixed-order sum, so a point's value does not depend on its batch
+    rng = np.random.default_rng(40 + d)
+    x = rng.uniform(0.0, 1.0, (4000, d))
+    phi = TestFunction.cosine(rng.uniform(-3.0, 3.0, d))
+    batch = phi.eval(x)
+    assert np.array_equal([phi.eval(pt) for pt in x], batch)
 
 
 def test_pair_const_one_is_total():

@@ -4,6 +4,8 @@ Core claims:
     - SymMatrix symmetrizes exactly, validates shape/finiteness, caps dim at 3
     - eigenvalues come back non-increasing and reconstruct A to 1e-12
     - sphere rules have unit weight mass, unit nodes, and exact +- pairs
+    - the broadcast d = 3 sphere rule and the engine's flat inner nodes equal,
+      bit for bit, the ring-by-ring and band-by-band loops kept here
     - q_norm reproduces the closed-form values: 1/pi, sqrt(1/2), sqrt(1/15), tr/d
     - q_norm and q_norm_eigen agree structurally (same rule, eigen coordinates)
     - q1_trace_psd, q2_closed and the batch qp_pow_eigs match the rule values;
@@ -12,6 +14,7 @@ Core claims:
     - Q_p is invariant under orthogonal conjugation up to the rule's defect
 """
 
+import importlib
 import json
 import math
 import tracemalloc
@@ -32,6 +35,9 @@ from nldef import (
     q_norm_eigen,
     qp_pow_eigs,
 )
+from nldef.mollifiers import SURFACE_AREA, MollifierSpec
+
+en = importlib.import_module("nldef.energy")
 
 
 def _random_sym(rng, d):
@@ -117,6 +123,67 @@ def test_rule_validation():
         make_sphere_rule(4, 8)
     with pytest.raises(ParameterError):
         make_sphere_rule(2, 0)
+
+
+def _loop_sphere_rule_3d(level):
+    """The d = 3 rule ring by ring: Gauss-Legendre polar nodes sorted from the
+    top, a ring of 2 level azimuths per node z > 0, half the equator."""
+    z, wz = np.polynomial.legendre.leggauss(level)
+    order = np.argsort(-z)
+    z, wz = z[order], wz[order]
+    m_az = 2 * level
+    theta = 2.0 * np.pi * (np.arange(m_az) + 0.5) / m_az
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    reps, repw = [], []
+    for zi, wi in zip(z, wz):
+        if zi > 1e-14:
+            r = np.sqrt(1.0 - zi * zi)
+            reps.append(np.stack([r * cos_t, r * sin_t, np.full(m_az, zi)], axis=1))
+            repw.append(np.full(m_az, wi / (2.0 * m_az)))
+        elif abs(zi) <= 1e-14:
+            half = m_az // 2
+            reps.append(np.stack([cos_t[:half], sin_t[:half], np.zeros(half)], axis=1))
+            repw.append(np.full(half, wi / (2.0 * m_az)))
+    reps, repw = np.vstack(reps), np.concatenate(repw)
+    return np.vstack([reps, -reps]), np.concatenate([repw, repw])
+
+
+def _loop_level_nodes(family, eps, dim, level, trunc_tol):
+    """One inner level band by band: Gauss radii per radial band crossed with
+    the sphere rule, then flattened, radius slowest."""
+    mollifier = MollifierSpec(family, eps, dim)
+    sphere = make_sphere_rule(dim, level)
+    z, gw = np.polynomial.legendre.leggauss(max(2, level // 4))
+    radii, rweights = [], []
+    for a, b in mollifier.radial_bands(trunc_tol):
+        r = 0.5 * (b - a) * z + 0.5 * (a + b)
+        w = 0.5 * (b - a) * gw
+        radii.append(r)
+        rweights.append(SURFACE_AREA[dim] * w * r ** (dim - 1) * mollifier.radial_profile(r))
+    r, w = np.concatenate(radii), np.concatenate(rweights)
+    h = (r[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, dim)
+    w = (w[:, None] * sphere.weights[None, :]).reshape(-1)
+    return h, w, np.repeat(1.0 / (r * r), len(sphere))
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_sphere_rule_equals_the_ring_loop_bitwise():
+    for level in range(1, 80):
+        rule = make_sphere_rule(3, level)
+        nodes, weights = _loop_sphere_rule_3d(level)
+        assert _bits_equal(rule.nodes, nodes) and _bits_equal(rule.weights, weights), level
+
+
+@pytest.mark.parametrize("family", ["shell", "scaled_bump", "gaussian"])
+def test_level_nodes_equal_the_band_loop_bitwise(family):
+    for dim in (1, 2, 3):
+        for level in (1, 2, 3, 4, 7, 8, 16, 32):
+            got = en._level_nodes(family, 0.1, dim, level, 1e-10)
+            want = _loop_level_nodes(family, 0.1, dim, level, 1e-10)
+            assert all(_bits_equal(a, b) for a, b in zip(got, want)), (dim, level)
 
 
 # -- q_norm oracles ----------------------------------------------------------

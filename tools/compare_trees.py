@@ -36,7 +36,15 @@ sin field (p = 1, 2, 3), the 2-d bump (p = 2), the 3-d sin field (p = 1,
 sphere level 16) and the oblique 2-d jump; `upper_bound_rhs` of the 2-d
 sin field with a gaussian tail and with none; the limit-measure masses of
 the 2-d sin field on 16 cells per axis; and `mollify` of the 2-d linear,
-sin and rigid-sided jump fields on a small box. The environment, BLAS thread
+sin and rigid-sided jump fields on a small box. The rules themselves come
+too: `make_sphere_rule` nodes and weights (d = 1..3, odd and even levels)
+and the engine's inner nodes, weights and inverse square radii of one
+level (`energy._level_nodes`) for each mollifier family. Last, the
+benchmark's d3-jump-study runs through `cli.main` (`sweep` to JSON, then
+`weakstar`) on a config file, with the benchmark's dictionary and a cosine
+of a non-axis wave: the report's per-eps values, error bars, radii and
+grids and its reference, limit and order, and each test function's gap
+rows. The environment, BLAS thread
 settings included, is passed to both interpreters unchanged. The last line
 gives each tree's source size, the line count of `wc -l src/nldef/*.py`.
 Exit status 0 means every output is bitwise equal, 1 that some differ.
@@ -51,6 +59,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +246,57 @@ def _quadrature_outputs(out: dict) -> None:
             out[f"d2/{fname}/mollify/eta{eta:g}"] = np.ravel(sm.values).tolist()
 
 
+def _rule_outputs(out: dict) -> None:
+    """Sphere rules and one inner level's nodes per mollifier family."""
+    import nldef
+
+    en = importlib.import_module("nldef.energy")
+    for d in (1, 2, 3):
+        for level in (1, 2, 5, 8, 9, 16, 64):
+            rule = nldef.make_sphere_rule(d, level)
+            out[f"d{d}/sphere_rule/level{level}"] = [*np.ravel(rule.nodes), *rule.weights]
+    for family in ("shell", "scaled_bump", "gaussian"):
+        for d, level in ((1, 16), (2, 16), (3, 4), (3, 9)):
+            h, w, inv_r2 = en._level_nodes(family, 0.1, d, level, 1e-10)
+            out[f"d{d}/{family}/level_nodes/level{level}"] = [*np.ravel(h), *w, *inv_r2]
+
+
+def _study_cli_outputs(out: dict) -> None:
+    """The d3-jump-study at seed 0 through the command line: the sweep report
+    and the gap rows of each test function (runtimes left out)."""
+    cli = importlib.import_module("nldef.cli")
+    mat = [[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]]
+    cfg = {
+        "schema": 1, "dim": 3, "p": 1.0, "mollifier": {"family": "shell"},
+        "field": {"id": "planar_jump", "params": {
+            "normal": [1.0, 0.0, 0.0], "offset": 0.5,
+            "minus": {"id": "linear", "params": {"matrix": mat}},
+            "plus": {"id": "linear", "params": {"matrix": mat, "shift": [0.2, 1.0, 0.3]}}}},
+        "domain": {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]},
+        "eps": [0.4, 0.2, 0.1], "outer": {"n": 24}, "inner": {"level": 4},
+        "aligned": True, "workers": 1,
+        "weakstar": {"dictionary": [
+            {"id": "const_one"}, {"id": "tent", "center": [0.5, 0.5, 0.5], "radius": 0.3},
+            {"id": "cosine", "k": [1.0, 0.0, 0.0]}, {"id": "cosine", "k": [1.0, 2.0, -1.0]}]},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, sweep, gaps = (Path(tmp) / f for f in ("cfg.json", "sweep.json", "gaps.csv"))
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = [cli.main(["sweep", "--config", str(cfg_path), "--out", str(sweep),
+                        "--format", "json"]),
+              cli.main(["weakstar", "--config", str(cfg_path), "--out", str(gaps)])]
+        if rc != [0, 0]:
+            raise SystemExit(f"d3-jump-study commands exited {rc}")
+        report = json.loads(sweep.read_text(encoding="utf-8"))
+        rows = [line.split(",") for line in gaps.read_text(encoding="utf-8").splitlines()[1:]]
+    for key in ("value", "est_quadrature_error", "truncation_radius", "n_outer"):
+        out[f"d3/study_cli/sweep/{key}"] = [float(r[key]) for r in report["records"]]
+    out["d3/study_cli/sweep/limit"] = [float(report[k]) for k in (
+        "reference_value", "extrapolated_limit", "empirical_order")]
+    for eps, phi, *vals in rows:
+        out.setdefault(f"d3/study_cli/weakstar/{phi}", []).extend([float(eps), *map(float, vals)])
+
+
 def _record(out: dict, key: str, req, residual: bool) -> None:
     """Energy, residual energy (p = 1 closed-form fields) and density masses."""
     en = importlib.import_module("nldef.energy")
@@ -279,6 +339,8 @@ def _outputs() -> dict:
         _record(out, key, req, req.p == 1.0)
     _limit_outputs(out)
     _quadrature_outputs(out)
+    _rule_outputs(out)
+    _study_cli_outputs(out)
     return out
 
 
@@ -318,6 +380,8 @@ def _diff(old, new) -> tuple[float, float, float]:
     b = np.asarray(new, dtype=np.float64)
     if a.shape != b.shape:
         return float("nan"), float("inf"), float("inf")
+    kept = ~(np.isnan(a) & np.isnan(b))  # a NaN in both trees is no difference
+    a, b = a[kept], b[kept]
     if not a.size:
         return 0.0, 0.0, 0.0
     scale = float(np.max(np.abs(a)))
