@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -75,8 +74,8 @@ def _cmd_energy(args) -> int:
 
 def _cmd_sweep(args, force_residual: bool = False) -> int:
     cfg = _load_config(args.config)
-    if force_residual and not cfg.residual:
-        cfg = replace(cfg, residual=True)
+    if force_residual:  # not part of a request, so the requests from_dict built stay
+        object.__setattr__(cfg, "residual", True)
     report = run_sweep(cfg)
     report_write(report, args.out, args.format)
     return 0

@@ -12,8 +12,7 @@ resolved. Inner nodes leaving U are rejected (zero mask).
 
 Both inner levels, L and 2L (the value and, from the gap, the error bar), run
 in one pass: their nodes are the column blocks of one node set of K = K_c +
-K_f nodes. The outer cells are split into fixed tiles of t cells (t x K pairs
-at most). The grid is a tensor product and the mask factors per axis, so the
+K_f nodes. The grid is a tensor product and the mask factors per axis, so the
 engine's one mask, `_grid_mask`, is built once per call from each axis's N
 midpoints. Per axis it tests each midpoint against the extremes of h_k,
 which finds the edge rows, those whose x_k + h_k leaves [lo_k, hi_k] for
@@ -29,29 +28,30 @@ does not involve x; a jump whose sides share one matrix has a constant jump
 vector, so its band cells' kernel involves x only through x.nu), the cells
 fall into classes with identical pair rows: equal kernel ids and equal mask
 rows, the mask classes ranked from the keys. Each class's first cell is
-evaluated in the tile that holds it and its mass is gathered to the others,
-which gives the bits of evaluating every cell. Fields whose kernel depends on
-x (sin, bump, sampled) evaluate every cell, and so do the band cells of a
-jump whose sides' matrices differ. The tiles go in one contiguous run per
-worker, one task per call that carries cell indices, the mask and the node
-scale s = w^(1/p)/|h|^2 (the positive weights folded in, as |q s|^p = |q|^p
-w/|h|^(2p)); its worker rebuilds x, the mask rows (through the maps) and
-each tile's runs of edge cells from the indices by mixed radix. A tile runs
-one L2-sized block of at most `_BLOCK_PAIRS` pairs at a time, every step
-written over the block: the field's one kernel hook,
-`FieldSpec.pair_blocks(x, h, s, residual)`, yields the kernel times s (less
-<Eu(x) h, h> s for the residual) in one buffer it reuses, as documented per
-family; |q|^p is applied in place; the edge runs that meet the block have
-their pairs that leave U zeroed, interior cells (about 90% of the
-criterion-10 grid) left alone; then one row sum per level. The value is the
-pairwise total of the fine level's masses, taken once, which the error bar
-reuses.
+evaluated and its mass gathered to the others, which gives the bits of
+evaluating every cell. Fields whose kernel depends on x (sin, bump, sampled)
+evaluate every cell, and so do the band cells of a jump whose sides'
+matrices differ. A call cuts its evaluated cells (the class representatives
+in class order, or every cell) into min(workers, count) runs of equal
+shares, one task each that carries its cells, the mask and the node scale
+s = w^(1/p)/|h|^2 (the positive weights folded in, as |q s|^p = |q|^p
+w/|h|^(2p)); its worker cuts the run into tiles of t cells (t x K pairs at
+most) and rebuilds a tile's x, mask rows (through the maps) and runs of edge
+cells from the cell indices by mixed radix. A tile runs one L2-sized block
+of at most `_BLOCK_PAIRS` pairs at a time, every step written over the
+block: the field's one kernel hook, `FieldSpec.pair_blocks(x, h, s,
+residual)`, yields the kernel times s (less <Eu(x) h, h> s for the
+residual) in one buffer it reuses, as documented per family; |q|^p is
+applied in place; the edge runs that meet the block have their pairs that
+leave U zeroed, interior cells (about 90% of the criterion-10 grid) left
+alone; then one row sum per level. The value is the pairwise total of the
+fine level's masses, taken once, which the error bar reuses.
 
-Determinism: outer cells are split into fixed-size contiguous tiles, each
-tile's per-cell masses are computed with kernels that see only the tile, in
-a fixed node order, and the final reduction is one pairwise tree over the
-full cell array. Neither the tiling nor a cell's x and mask row depends on
-the worker count, so results are bitwise reproducible across 1, 2 or 8
+Determinism: a cell's x and mask row do not depend on the worker count, and
+`pair_blocks` gives its row, in a fixed node order, bits that do not depend
+on its tile or its block, so its mass is the same however the evaluated
+cells are cut into runs and tiles; the final reduction is one pairwise tree
+over the full cell array. Results are bitwise reproducible across 1, 2 or 8
 workers. The default worker count is the number of CPUs this process may
 run on. A pool whose worker died is rebuilt once; a second death raises
 WorkerError.
@@ -224,14 +224,6 @@ def _shutdown_pools():
 atexit.register(_shutdown_pools)
 
 
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    ex = _POOLS.get(workers)
-    if ex is None:
-        ex = ProcessPoolExecutor(max_workers=workers)
-        _POOLS[workers] = ex
-    return ex
-
-
 def _pool_map(workers: int, fn, tasks: list) -> list:
     """[fn(*task) for task in tasks] on the cached pool of `workers` processes.
 
@@ -240,8 +232,10 @@ def _pool_map(workers: int, fn, tasks: list) -> list:
     too, WorkerError is raised.
     """
     for _ in range(2):
+        if workers not in _POOLS:
+            _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
         try:
-            return list(_get_pool(workers).map(fn, *zip(*tasks)))
+            return list(_POOLS[workers].map(fn, *zip(*tasks)))
         except BrokenProcessPool:
             _POOLS.pop(workers).shutdown(wait=False, cancel_futures=True)
     raise WorkerError(
@@ -348,9 +342,9 @@ def _abs_pow(q: np.ndarray, p: float) -> np.ndarray:
 
 def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual, cellvol):
     """Masses (densities times cell volume), one row per node block
-    split[j]:split[j + 1], of one run of whole tiles of `tile` cells of the
-    grid over `axes` (n, d): the cells (start, stop), or a sorted index
-    array; (ok, edge) is the grid's `_grid_mask`, edge rows only.
+    split[j]:split[j + 1], of cells (start, stop), or an index array in any
+    order, of the grid over `axes` (n, d), in consecutive tiles of `tile`
+    cells; (ok, edge) is the grid's `_grid_mask`, edge rows only.
 
     A cell's x comes from its mixed-radix digits, first axis slowest, and
     through edge its per-axis mask rows; a tile's runs of edge cells are
@@ -360,9 +354,8 @@ def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual
     """
     idx = np.arange(*cells) if isinstance(cells, tuple) else cells
     (n, d), masses = axes.shape, np.empty((len(split) - 1, len(idx)))
-    cuts = [0, *(np.flatnonzero(np.diff(idx // tile)) + 1).tolist(), len(idx)]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        digits = [idx[a:b] // n ** (d - 1 - k) % n for k in range(d)]
+    for a in range(0, len(idx), tile):
+        digits = [idx[a : a + tile] // n ** (d - 1 - k) % n for k in range(d)]
         x = np.stack([axes[i, k] for k, i in enumerate(digits)], axis=1)
         maps = [e[i] for e, i in zip(edge, digits)]  # each cell's ok[k] rows
         at_edge = np.logical_or.reduce(maps)
@@ -391,43 +384,35 @@ def _all_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool,
 
     The levels' nodes are the blocks split[j]:split[j + 1] of one node set,
     whose mask, node scale w^(1/p)/|h|^2 and, with kernel classes, the grid's
-    mask classes refined by the kernel ids are built once; a class is
-    evaluated at its first cell, in the fixed tile holding it, and gathered
-    to every cell, and otherwise every cell of every tile is evaluated. The
-    nonempty tiles go in min(workers, tiles) runs, one `_run_masses` task
-    each, on the pool when there are several. No node's pair rows depend on
-    the others, so a level has the bits of its run alone.
+    mask classes refined by the kernel ids are built once. The evaluated cells,
+    each class's first cell in class order (its mass gathered to the class) or
+    else every cell, go in min(workers, count) runs of equal shares, one
+    `_run_masses` task each, on the pool when there are several. No node's
+    pair rows depend on the others, so a level has the bits of its run alone.
     """
     nodes = [_inner_nodes(req, level) for level in levels]
     split = np.cumsum([0] + [len(n[0]) for n in nodes]).tolist()
     h, w, inv_r2 = (np.concatenate(a) for a in zip(*nodes))
     axes, cellvol = grid
-    cells = len(axes) ** axes.shape[1]
     tile = max(1, _TILE_NODE_BUDGET // max(1, len(h)))
     kernel = req.field.kernel_classes(axes, h)
     ok, edge, keys = _grid_mask(req.domain, axes, h)
-    if kernel is None:
-        edges = np.r_[0:cells:tile, cells]
-    else:
+    count = len(axes) ** axes.shape[1]
+    if kernel is not None:
         ids, first = _grid_classes(keys)
         if np.any(kernel != kernel[0]):
             ids = kernel * len(first) + ids
             _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
-        reps = np.sort(first)
-        edges = np.r_[0, np.flatnonzero(np.diff(reps // tile)) + 1, len(reps)]
-    runs, cuts = min(workers, len(edges) - 1), [0]
-    for r in range(1, runs):  # at the tile edge nearest an equal share of the cells
-        near = int(np.abs(edges - edges[-1] * r / runs).argmin())
-        cuts.append(min(max(near, cuts[-1] + 1), len(edges) - 1 - runs + r))
-    cuts = edges[cuts + [len(edges) - 1]].tolist()
+        count = len(first)
+    runs = min(workers, count)
+    cuts = [count * r // runs for r in range(runs + 1)]
     scale = w ** (1.0 / req.p) * inv_r2
-    tasks = [(req.field, tile, (a, b) if kernel is None else reps[a:b], axes, h, scale,
+    tasks = [(req.field, tile, (a, b) if kernel is None else first[a:b], axes, h, scale,
               split, ok, edge, req.p, residual, cellvol) for a, b in zip(cuts[:-1], cuts[1:])]
     parts = _pool_map(workers, _run_masses, tasks) if len(tasks) > 1 else [_run_masses(*tasks[0])]
     masses = np.concatenate(parts, axis=1)
     if kernel is not None:  # per level: one 2-d fancy index makes c10-linear slower
-        at = np.searchsorted(reps, first)
-        masses = [m[at][ids] for m in masses]
+        masses = [m[ids] for m in masses]
     return list(masses), split[-1] - split[-2]
 
 

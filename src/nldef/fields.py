@@ -27,6 +27,7 @@ jump with the interface normal.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -40,7 +41,7 @@ from .errors import (
     ModelError,
     ParameterError,
 )
-from .mollifiers import SURFACE_AREA, MollifierSpec
+from .mollifiers import SURFACE_AREA, MollifierSpec, _check_rules, _is
 from .symnorm import SphereRule, SymMatrix, _gauss, make_sphere_rule, qp_pow_eigs
 
 __all__ = [
@@ -945,10 +946,17 @@ def mollify(
 
     The convolution integral is evaluated in polar form over the kernel's
     radial bands (Gauss nodes in radius, a sphere rule in direction). The
-    kernel must be the mollification family at scale eta.
+    kernel must be the mollification family at scale eta. A broken value
+    rule raises ParameterError keyed by the argument.
     """
-    if not eta > 0:
-        raise ParameterError("eta must be positive")
+    real, whole = numbers.Real, numbers.Integral
+    _check_rules(dict(eta=eta, spacing=spacing, angular_level=angular_level,
+                      radial_nodes=radial_nodes), {
+        "eta": (_is(real, eta) and 0 < eta < math.inf, "positive and finite"),
+        "spacing": (_is(real, spacing) and 0 < spacing < math.inf, "positive and finite"),
+        "angular_level": (_is(whole, angular_level) and angular_level >= 1, "an integer >= 1"),
+        "radial_nodes": (_is(whole, radial_nodes) and radial_nodes >= 1, "an integer >= 1"),
+    })
     if kernel.dim != f.dim or box.dim != f.dim:
         raise DimensionError("field, kernel and box dimensions must agree")
     if abs(kernel.eps - eta) > 1e-12 * max(eta, 1.0):

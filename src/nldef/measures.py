@@ -14,6 +14,7 @@ dictionary of bounded continuous test functions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .fields import (
     _tensor_grid,
     _vec,
 )
+from .mollifiers import _check_rules, _is
 from .symnorm import SphereRule, make_sphere_rule
 
 __all__ = [
@@ -171,7 +173,9 @@ def ground_truth_measure(
     f: FieldSpec, box: DomainBox, rule: SphereRule | None = None, n_cells: int = 64
 ) -> DiscreteMeasure:
     """The limit measure: Q_1 density atoms per cell, at the points of
-    `density_masses` on an n_cells grid, plus interface atoms."""
+    `density_masses` on an n_cells (an integer >= 1) grid, plus interface atoms."""
+    _check_rules({"n_cells": n_cells}, {"n_cells": (
+        _is(numbers.Integral, n_cells) and n_cells >= 1, "an integer >= 1")})
     if isinstance(f, SampledField):
         raise ModelError("the limit measure needs a closed-form field")
     if rule is None:

@@ -70,10 +70,12 @@ def _is(kind, v) -> bool:
 
 def _check_rules(obj, rules: dict) -> None:
     """Raise ParameterError for the first of `rules` (field -> (holds, need))
-    that fails; its `key` is the field, for callers that report it elsewhere."""
+    that fails; its `key` is the field, for callers that report it elsewhere.
+    obj holds the values: as attributes, or a dict of a function's arguments."""
     for key, (ok, need) in rules.items():
         if not ok:
-            exc = ParameterError(f"{key} must be {need}, got {getattr(obj, key)!r}")
+            got = obj[key] if isinstance(obj, dict) else getattr(obj, key)
+            exc = ParameterError(f"{key} must be {need}, got {got!r}")
             exc.key = key
             raise exc
 

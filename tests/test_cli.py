@@ -260,6 +260,17 @@ def test_each_command_builds_each_request_once(tmp_path, capsys, monkeypatch, p)
     assert counts == {"energy": 3, "sweep": 3, "weakstar": 3 if p == 1.0 else 6}
 
 
+@pytest.mark.parametrize("residual", [False, True])
+def test_residual_command_builds_each_request_once(tmp_path, monkeypatch, residual):
+    builds = []
+    check = en.EnergyRequest.__post_init__
+    monkeypatch.setattr(en.EnergyRequest, "__post_init__",
+                        lambda self: builds.append(self) or check(self))
+    cfg = _write_cfg(tmp_path, eps=[0.2, 0.1, 0.05], residual=residual)
+    assert cli.main(["residual", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(builds) == 3
+
+
 # -- sweep and residual ------------------------------------------------------
 
 def test_sweep_writes_csv(tmp_path):

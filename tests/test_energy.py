@@ -12,9 +12,9 @@ Core claims:
       rigid energies stay exactly zero at p = 1, 1.5 and 2
     - a criterion-10 sin tile's traced peak stays within four float64
       blocks of `_BLOCK_PAIRS` pairs, half its (cells x nodes) pair array
-    - both inner levels go out in one pool dispatch of min(workers, tiles)
-      tasks, each carrying cell indices and per-axis mask rows but no
-      per-cell arrays
+    - both inner levels go out in one pool dispatch of min(workers,
+      evaluated cells) tasks, each carrying its cells and the per-axis mask
+      rows but no per-cell arrays of the grid
     - a pool whose worker died is rebuilt once, then a typed error is raised;
       the default worker count is the CPU affinity of the process
     - the residual variant subtracts the local linearization and accepts
@@ -423,14 +423,45 @@ def test_sin_tile_peak_memory_is_bounded_by_the_block(level):
             assert peak <= 4 * fields._BLOCK_PAIRS * 8 < t * k * 8
 
 
+def test_oblique_jump_tile_peak_memory_is_bounded_by_the_tile():
+    """A tile of band cells of an oblique jump whose sides' matrices differ
+    (one x.nu per cell, so its per-x.nu side rows and signs are (tile, K)
+    tables) peaks within two float64 tables of `_TILE_NODE_BUDGET` pairs
+    plus four blocks at the criterion-10 request, with and without the
+    residual."""
+    jump = PlanarJumpField(np.array([np.cos(0.3), np.sin(0.3)]), 0.7,
+                           LinearField(np.array([[1.0, 0.5], [-0.3, 0.2]]), np.zeros(2)),
+                           LinearField(np.array([[-0.4, 0.1], [0.6, 1.2]]), np.ones(2)))
+    req = en.EnergyRequest(field=jump, domain=BOX, p=1.0,
+                           mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
+                           inner_level=16, workers=1)
+    nodes = [en._inner_nodes(req, level) for level in (16, 32)]
+    h, w, inv_r2 = (np.concatenate(a) for a in zip(*nodes))
+    axes, cellvol = en._midpoints(BOX, 320)
+    ok, edge, _ = en._grid_mask(BOX, axes, h)
+    t = en._TILE_NODE_BUDGET // len(h)
+    band = np.flatnonzero(jump.kernel_classes(axes, h) >= 2)[:t]
+    assert len(np.unique(fields._dot(fields._tensor_grid(axes.T)[band], jump.normal))) == t
+    for residual in (False, True):
+        tracemalloc.start()
+        try:
+            en._run_masses(jump, t, band, axes, h, w * inv_r2, (0, len(h)),
+                           ok, edge, 1.0, residual, cellvol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * en._TILE_NODE_BUDGET * 8 + 4 * fields._BLOCK_PAIRS * 8
+
+
 class _Sent(Exception):
     pass
 
 
 def test_level_tasks_are_one_per_worker_and_carry_no_cell_arrays(monkeypatch):
-    """A criterion-10 sin call's two levels go out as min(workers, tiles)
-    tasks over their K_c + K_f nodes, each pickling to at most d N (K_c +
-    K_f) bytes (the per-axis mask rows) plus 64 KiB."""
+    """A criterion-10 sin call's two levels go out as min(workers, evaluated
+    cells) tasks over their K_c + K_f nodes, every cell evaluated, each task
+    a (start, stop) cell range pickling to at most d N (K_c + K_f) bytes (the
+    per-axis mask rows) plus 64 KiB."""
     sin = SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]]))
     req = en.EnergyRequest(field=sin, domain=BOX, p=1.0,
                            mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
@@ -445,21 +476,20 @@ def test_level_tasks_are_one_per_worker_and_carry_no_cell_arrays(monkeypatch):
     monkeypatch.setattr(en, "_pool_map", lambda workers, fn, tasks: record(tasks))
     monkeypatch.setattr(en, "_run_masses", lambda *task: record([task]))
     k = sum(en._inner_nodes(req, level)[0].shape[0] for level in (16, 32))
-    tiles = -(-320**2 // (en._TILE_NODE_BUDGET // k))
-    assert tiles > 3
     for workers in (1, 2, 3, 1000):
         with pytest.raises(_Sent):
             en._all_masses(req, (16, 32), workers, False, grid)
         tasks = sent.pop()
-        assert len(tasks) == min(workers, tiles)
+        assert len(tasks) == min(workers, 320**2)
         for task in tasks:
+            assert isinstance(task[2], tuple)
             assert len(pickle.dumps(task)) <= 2 * 320 * k + 64 * 1024
 
 
 def test_energy_call_is_one_pool_dispatch(monkeypatch):
-    """A 2-worker energy() or residual_energy() call runs both inner levels
-    through one `_pool_map` call of min(workers, tiles) tasks, with the
-    serial call's bits."""
+    """A 2-worker energy() or residual_energy() call of a sin field or a
+    jump runs both inner levels through one `_pool_map` call of two tasks,
+    with the serial call's bits."""
     sin = SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]]))
     calls = []
 
@@ -468,23 +498,19 @@ def test_energy_call_is_one_pool_dispatch(monkeypatch):
         return [fn(*task) for task in tasks]
 
     monkeypatch.setattr(en, "_pool_map", in_process)
-    req = _req(field=sin, outer_grid=128, inner_level=16, workers=2)
-    k = sum(en._inner_nodes(req, level)[0].shape[0] for level in (16, 32))
-    tiles = -(-128**2 // (en._TILE_NODE_BUDGET // k))
-    # the jump's class representatives lie in at least two tiles
-    for req, tasks in ((req, min(2, tiles)), (_pooled_req(), 2)):
+    for req in (_req(field=sin, outer_grid=128, inner_level=16, workers=2), _pooled_req()):
         for run in (en.energy, en.residual_energy):
             serial = run(replace(req, workers=1))
             assert calls == []
             pooled = run(req)
-            assert calls == [(2, tasks)]
+            assert calls == [(2, 2)]
             calls.clear()
             assert pooled.value == serial.value
             assert pooled.est_quadrature_error == serial.est_quadrature_error
 
 
 def _pooled_req():
-    # 11 tiles of the two levels' nodes, so workers=2 goes through the pool
+    # a jump on 128^2 cells: workers=2 sends two runs of its evaluated cells
     return en.EnergyRequest(field=_jump(), domain=BOX, p=1.0, mollifier=SHELL,
                             outer_grid=128, inner_level=16, workers=2)
 
@@ -510,9 +536,9 @@ def test_killed_pool_worker_is_replaced():
 
 
 def test_two_tile_linear_request_forks_both_workers():
-    # N = 64 at level 16 has 3 tiles of the two levels' nodes, representatives
-    # in 2: the class path keeps the tiling, so workers=2 still runs through a
-    # pool of 2 live processes
+    # perfbench's warm-up request: N = 64 at level 16 evaluates its class
+    # representatives, all in one tile, but workers=2 still cuts them into two
+    # runs, so it runs through a pool of 2 live processes
     en._shutdown_pools()
     for child in multiprocessing.active_children():
         child.join(timeout=30)

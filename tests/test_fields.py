@@ -11,7 +11,8 @@ Core claims:
     - SampledField interpolates affine fields exactly and range-checks eval
     - ground_truth reproduces the frozen oracle values, is additive over
       box splits, and refuses the cases outside its model
-    - mollify preserves affine fields and smooths jumps plausibly
+    - mollify preserves affine fields and smooths jumps plausibly; it and
+      the limit measure reject bad sizes, scales and spacings by argument
     - field_from_config builds every catalog id and reports paths on errors
 """
 
@@ -429,6 +430,26 @@ def test_mollify_validation():
     with pytest.raises(DomainError):
         # sampled on [0,1]^2 only: eroding by eta cannot cover [0,1]^2
         mollify(samp, 0.05, MollifierSpec("scaled_bump", 0.05, 2), 0.1, box)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("spacing", -0.1), ("spacing", 0.0), ("spacing", float("nan")), ("spacing", float("inf")),
+    ("spacing", True), ("eta", -0.05), ("eta", float("inf")), ("radial_nodes", 0),
+    ("radial_nodes", 2.0), ("angular_level", 0), ("angular_level", 1.5), ("n_cells", 0),
+    ("n_cells", -2), ("n_cells", 1.5), ("n_cells", True),
+])
+def test_mollify_and_limit_measure_value_rules(key, value):
+    """Each bad size, scale or spacing is a ParameterError keyed by its argument."""
+    lin = LinearField(np.eye(2), np.zeros(2))
+    box = DomainBox([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ParameterError) as info:
+        if key == "n_cells":
+            nldef.measures.ground_truth_measure(lin, box, n_cells=value)
+        else:
+            args = {"eta": 0.05, "spacing": 0.5, "angular_level": 8, "radial_nodes": 4,
+                    key: value}
+            mollify(lin, kernel=MollifierSpec("scaled_bump", 0.05, 2), box=box, **args)
+    assert info.value.key == key
 
 
 # -- config factory ----------------------------------------------------------

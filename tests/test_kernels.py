@@ -12,8 +12,9 @@ Core claims:
       the generic kernel to roundoff
     - every family's pair rows, plain and residual (the sin field's folded
       into one product), agree with an unfolded reference to roundoff
-    - a level's masses do not depend on how its fixed tiles group into
-      runs (pool tasks), and equal those of each tile run alone
+    - a level's masses do not depend on how its evaluated cells split into
+      runs (pool tasks) of equal shares, and equal those of each tile of
+      the serial run alone
     - `local_density` is the one-cell grid: at a grid midpoint it is the
       cell's mass over the cell volume, bitwise for every closed-form
       family but sin
@@ -638,53 +639,70 @@ def test_block_size_leaves_masses_unchanged(d, monkeypatch):
 
 
 # outer grid, inner level, shell eps and tile size per dimension: the last
-# tile is partial, and in d = 2, 3 tiles (so runs) end in the middle of a row
-_RUN_GRIDS = {1: (300, 16, 0.1, 41), 2: (24, 8, 0.2, 83), 3: (6, 4, 0.3, 29)}
+# tile of a run is partial, in d = 2, 3 per-cell tiles end in the middle of a
+# row, and every class path fills at least two tiles
+_RUN_GRIDS = {1: (300, 16, 0.1, 13), 2: (24, 8, 0.2, 83), 3: (6, 4, 0.3, 29)}
+_RUN_MASSES = en._run_masses
+
+
+def _cell_count(task):
+    """The number of cells in a `_run_masses` task."""
+    cells = task[2]
+    return cells[1] - cells[0] if isinstance(cells, tuple) else len(cells)
+
+
+def _tiles_alone(task):
+    """`_run_masses` on each tile of a task's cells alone, concatenated."""
+    f, t, cells, *rest = task
+    idx = np.arange(*cells) if isinstance(cells, tuple) else cells
+    return np.concatenate([_RUN_MASSES(f, t, idx[a : a + t], *rest)
+                           for a in range(0, len(idx), t)], axis=1)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
-    """The fine level's tiles grouped into 1, 2, 3 and one run per tile, run
-    in-process: bitwise-equal masses for every family, plain (p = 1.5) and
-    residual (p = 1), and on the per-cell path the masses of `_run_masses`
-    on each tile alone; class-path representatives lie in several tiles."""
+    """The fine level's evaluated cells in 1, 2 and 3 runs and in one run per
+    tile of the serial run, run in-process: bitwise-equal masses for every
+    family, plain (p = 1.5) and residual (p = 1), in min(runs, cells) tasks
+    whose cell counts differ by at most 1. The serial run's masses are those
+    of `_run_masses` on each of its tiles alone; per-cell runs hold every
+    cell, and class-path runs fill several tiles."""
     n, level, eps, t = _RUN_GRIDS[d]
     box = DomainBox([0.0] * d, [1.0] * d)
     grid = en._midpoints(box, n)
-    calls = []
+    runs = []
 
-    def in_process(workers, fn, tasks):
-        calls.append(len(tasks))
-        return [fn(*task) for task in tasks]
+    def record(*task):
+        runs.append((task, _RUN_MASSES(*task)))
+        return runs[-1][1]
 
-    monkeypatch.setattr(en, "_pool_map", in_process)
+    monkeypatch.setattr(en, "_run_masses", record)
+    monkeypatch.setattr(en, "_pool_map", lambda workers, fn, tasks: [fn(*a) for a in tasks])
     spread = []
     for name, f in _block_fields(d):
         req = en.EnergyRequest(field=f, domain=box, p=1.5,
                                mollifier=MollifierSpec("shell", eps, d), outer_grid=n,
                                inner_level=level)
-        h, w, inv_r2 = en._inner_nodes(req, 2 * level)
+        h = en._inner_nodes(req, 2 * level)[0]
         monkeypatch.setattr(en, "_TILE_NODE_BUDGET", t * h.shape[0])
         cases = [(req, False)] + ([] if name == "sampled" else [(replace(req, p=1.0), True)])
         for r, residual in cases:
-            en._all_masses(r, (2 * level,), 10**6, residual, grid)
-            tiles = calls.pop()
-            got = [en._all_masses(r, (2 * level,), g, residual, grid)[0][0]
-                   for g in (1, 2, 3, tiles)]
-            assert calls == [m for m in (min(2, tiles), min(3, tiles), tiles) if m > 1]
-            calls.clear()
-            for masses in got[1:]:
-                assert np.array_equal(_bits(masses), _bits(got[0]))
+            serial = en._all_masses(r, (2 * level,), 1, residual, grid)[0][0]
+            (task, masses), = runs
+            runs.clear()
+            assert task[1] == t
+            assert np.array_equal(_bits(masses), _bits(_tiles_alone(task)))
+            count = _cell_count(task)
+            tiles = -(-count // t)
+            for workers in (2, 3, tiles):
+                got = en._all_masses(r, (2 * level,), workers, residual, grid)[0][0]
+                sizes = [_cell_count(task) for task, _ in runs]
+                runs.clear()
+                assert len(sizes) == min(workers, count) and sum(sizes) == count
+                assert max(sizes) - min(sizes) <= 1
+                assert np.array_equal(_bits(got), _bits(serial))
             if f.kernel_classes(grid[0], h) is None:
-                assert tiles == -(-n**d // t)
-                axes, cellvol = grid
-                ok, edge, _ = en._grid_mask(box, axes, h)
-                scale = w ** (1.0 / r.p) * inv_r2
-                ref = np.concatenate([
-                    en._run_masses(f, t, (a, min(a + t, n**d)), axes, h, scale,
-                                   (0, len(h)), ok, edge, r.p, residual, cellvol)[0]
-                    for a in range(0, n**d, t)])
-                assert np.array_equal(_bits(got[0]), _bits(ref))
+                assert count == n**d
             else:
                 spread.append(tiles)
     assert min(spread) >= 2 and max(spread) >= 3
@@ -1083,8 +1101,9 @@ def test_class_path_equals_every_cell(name, p, monkeypatch):
             assert got[2] == every_cell[2]
 
 
-def _rows_evaluated(monkeypatch, run, f, *args):
-    """The number of cell rows that run(*args) passes to f's `pair_blocks`."""
+def _pair_block_rows(monkeypatch, run, f, *args):
+    """The number of cell rows in each call that run(*args) makes to f's
+    `pair_blocks`, one call per tile."""
     rows = []
     real = type(f).pair_blocks
 
@@ -1095,7 +1114,12 @@ def _rows_evaluated(monkeypatch, run, f, *args):
     monkeypatch.setattr(type(f), "pair_blocks", spy)
     run(*args)
     monkeypatch.undo()
-    return sum(rows)
+    return rows
+
+
+def _rows_evaluated(monkeypatch, run, f, *args):
+    """The number of cell rows that run(*args) passes to f's `pair_blocks`."""
+    return sum(_pair_block_rows(monkeypatch, run, f, *args))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -1142,16 +1166,60 @@ def test_constant_jump_band_evaluates_one_row_per_plane_distance(d, monkeypatch)
         assert d == 1 or len(np.unique(keys[band], axis=0)) < band.sum()
 
 
-def test_criterion_10_jump_evaluates_at_most_600_rows(monkeypatch):
-    """The criterion-10 jump (zero spins, a constant jump) at N = 320: its
-    band's 5,120 cells share one class per distinct x.nu and mask row."""
+def _c10_fields():
+    """The criterion-10 linear, jump (zero spins, a constant jump) and sin fields."""
     zero = RigidField(np.zeros((2, 2)), np.zeros(2))
-    c10 = PlanarJumpField(np.array([1.0, 0.0]), 0.5, zero,
-                          RigidField(np.zeros((2, 2)), np.array([0.0, 1.0])))
-    req = en.EnergyRequest(field=c10, domain=DomainBox([0.0] * 2, [1.0] * 2), p=1.0,
-                           mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
-                           inner_level=16, workers=1)
-    assert _rows_evaluated(monkeypatch, en.energy, c10, req) <= 600
+    return [("linear", LinearField(np.eye(2), np.zeros(2))),
+            ("jump", PlanarJumpField(np.array([1.0, 0.0]), 0.5, zero,
+                                     RigidField(np.zeros((2, 2)), np.array([0.0, 1.0])))),
+            ("sin", SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]])))]
+
+
+def _c10_request(f, workers=1):
+    return en.EnergyRequest(field=f, domain=DomainBox([0.0] * 2, [1.0] * 2), p=1.0,
+                            mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
+                            inner_level=16, workers=workers)
+
+
+def test_criterion_10_jump_evaluates_at_most_600_rows(monkeypatch):
+    """The criterion-10 jump at N = 320: its band's 5,120 cells share one
+    class per distinct x.nu and mask row."""
+    c10 = dict(_c10_fields())["jump"]
+    assert _rows_evaluated(monkeypatch, en.energy, c10, _c10_request(c10)) <= 600
+
+
+def test_serial_criterion_10_class_call_runs_one_tile(monkeypatch):
+    """A serial criterion-10 linear or jump call evaluates its class
+    representatives (under 1,638 cells, one tile of the two levels' 640
+    nodes) in one `pair_blocks` call."""
+    for _, f in _c10_fields()[:2]:
+        assert len(_pair_block_rows(monkeypatch, en.energy, f, _c10_request(f))) == 1
+
+
+class _Sent(Exception):
+    pass
+
+
+def test_criterion_10_runs_are_equal_shares_of_the_evaluated_cells(monkeypatch):
+    """At 2, 3 and 8 workers the criterion-10 linear, jump and sin calls send
+    min(workers, evaluated cells) tasks, counted by the rows the serial call
+    passes to `pair_blocks`, whose cell counts differ by at most 1."""
+    sent = []
+
+    def record(workers, fn, tasks):
+        sent.append([_cell_count(task) for task in tasks])
+        raise _Sent
+
+    for _, f in _c10_fields():
+        evaluated = _rows_evaluated(monkeypatch, en.energy, f, _c10_request(f))
+        monkeypatch.setattr(en, "_pool_map", record)
+        for workers in (2, 3, 8):
+            with pytest.raises(_Sent):
+                en.energy(_c10_request(f, workers))
+            sizes = sent.pop()
+            assert len(sizes) == min(workers, evaluated) and sum(sizes) == evaluated
+            assert max(sizes) - min(sizes) <= 1
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -11,12 +11,15 @@ and their ratio, the relative difference, over the output's elements.
 
 The requests cover d = 1..3, every field family (rigid, linear, sin, bump,
 planar jump with rigid and with linear sides, sampled), p = 1 and 2, and
-1 and 2 workers; requests at 2 workers have several tiles per call, so
-they run through the process pool. On top of these come the
+1 and 2 workers; a request at 2 workers cuts its evaluated cells into
+two runs, so it runs through the process pool. On top of these come the
 criterion-10 linear, sin and jump requests at N = 64, and at the
 benchmark's N = 320 at 1, 2 and 3 workers (p = 1 also as a residual
 energy, so the sin and sin-residual requests of c10-kernels-pool), whose
-pooled calls split into two and three tasks; jumps whose plane runs
+pooled calls split into two and three tasks, and at N = 320 an oblique
+jump whose sides' matrices differ, at 1, 2 and 3 workers (its evaluated
+cells are side-class representatives and every band cell in one list,
+in uneven shares); jumps whose plane runs
 through a row of outer midpoints, the 3-d planar jump of the
 benchmark's d3-jump-study at seed 0 (its eps 0.4, 0.2 and 0.1, N = 24,
 inner level 4), and a 2-d jump between rigid sides with one nonzero spin
@@ -122,9 +125,11 @@ def _equal_spin_jump():
 def _extra_requests():
     """(name, request) pairs beyond the family grid.
 
-    The criterion-10 linear, sin and jump requests at N = 64 (three tiles per
-    call) at 1 and 2 workers, and at N = 320 (the benchmark's grid, 63
-    tiles per call) at 1, 2 and 3 workers; linear-sided jumps whose plane <x, e_1> = s passes exactly
+    The criterion-10 linear, sin and jump requests at N = 64 at 1 and 2
+    workers, and at N = 320 (the benchmark's grid; the sin call runs its
+    102,400 cells in 63 tiles when serial) at 1, 2 and 3 workers; the
+    oblique unequal-matrix jump on the N = 320 request at 1, 2 and 3
+    workers; linear-sided jumps whose plane <x, e_1> = s passes exactly
     through a row of outer midpoints, so those cells sit on the interface,
     the d3-jump-study field at its three eps, and the equal-spin jump.
     """
@@ -150,6 +155,15 @@ def _extra_requests():
                         outer_grid=n, inner_level=16, workers=workers)
                     suffix = "" if n == 64 else f"/n{n}"
                     out.append((f"c10/{fname}/p{p:g}/w{workers}{suffix}", req))
+    oblique = nldef.PlanarJumpField(
+        np.array([np.cos(0.3), np.sin(0.3)]), 0.7,
+        nldef.LinearField(np.array([[1.0, 0.5], [-0.3, 0.2]]), np.zeros(2)),
+        nldef.LinearField(np.array([[-0.4, 0.1], [0.6, 1.2]]), np.ones(2)))
+    for workers in (1, 2, 3):
+        req = en.EnergyRequest(
+            field=oblique, domain=box2, p=1.0, mollifier=nldef.MollifierSpec("shell", 0.025, 2),
+            outer_grid=320, inner_level=16, workers=workers)
+        out.append((f"c10/jump_oblique/p1/w{workers}/n320", req))
     for d, n, level, workers in ((2, 24, 8, 1), (3, 8, 4, 1), (2, 128, 16, 2)):
         rng = np.random.default_rng(200 + d)
         sides = [nldef.LinearField(rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, d))
