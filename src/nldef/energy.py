@@ -26,26 +26,27 @@ Where a field has `FieldSpec.kernel_classes(axes, h)` (rigid and linear
 fields, and jump cells whose stencil stays on one side, have a kernel that
 does not involve x; a jump whose sides share one matrix has a constant jump
 vector, so its band cells' kernel involves x only through x.nu), the cells
-fall into classes with identical pair rows: equal kernel ids and equal mask
-rows, the mask classes ranked from the keys. Each class's first cell is
-evaluated and its mass gathered to the others, which gives the bits of
-evaluating every cell. Fields whose kernel depends on x (sin, bump, sampled)
-evaluate every cell, and so do the band cells of a jump whose sides'
-matrices differ. A call cuts its evaluated cells (the class representatives
-in class order, or every cell) into min(workers, count) runs of equal
-shares, one task each that carries its cells, the mask and the node scale
-s = w^(1/p)/|h|^2 (the positive weights folded in, as |q s|^p = |q|^p
-w/|h|^(2p)); its worker cuts the run into tiles of t cells (t x K pairs at
-most) and rebuilds a tile's x, mask rows (through the maps) and runs of edge
-cells from the cell indices by mixed radix. A tile runs one L2-sized block
-of at most `_BLOCK_PAIRS` pairs at a time, every step written over the
-block: the field's one kernel hook, `FieldSpec.pair_blocks(x, h, s,
-residual)`, yields the kernel times s (less <Eu(x) h, h> s for the
-residual) in one buffer it reuses, as documented per family; |q|^p is
-applied in place; the edge runs that meet the block have their pairs that
-leave U zeroed, interior cells (about 90% of the criterion-10 grid) left
-alone; then one row sum per level. The value is the pairwise total of the
-fine level's masses, taken once, which the error bar reuses.
+fall into classes with identical pair rows: equal kernel ids and mask rows.
+Ids that vary along one axis alone (an axis normal's) join its mask keys as
+their dense rank, and the classes are ranked per axis; other ids refine them
+over the N^d cells. Each class's first cell is evaluated and its mass gathered
+to the others, which gives the bits of evaluating every cell. Fields whose
+kernel depends on x (sin, bump, sampled) evaluate every cell, and so do the
+band cells of a jump whose sides' matrices differ. A call cuts its evaluated
+cells (the class representatives in class order, or every cell) into
+min(workers, count) runs of equal shares, one task each that carries its
+cells, the mask and the node scale s = w^(1/p)/|h|^2 (the positive weights
+folded in, as |q s|^p = |q|^p w/|h|^(2p)); its worker cuts the run into tiles
+of t cells (t x K pairs at most) and rebuilds a tile's x, mask rows (through
+the maps) and runs of edge cells from the cell indices by mixed radix. A tile
+runs one L2-sized block of at most `_BLOCK_PAIRS` pairs at a time, every step
+written over the block: the field's one kernel hook, `FieldSpec.pair_blocks(x,
+h, s, residual)`, yields the kernel times s (less <Eu(x) h, h> s for the
+residual) in one buffer it reuses, as documented per family; |q|^p is applied
+in place; the edge runs that meet the block have their pairs that leave U
+zeroed, interior cells (about 90% of the criterion-10 grid) left alone; then
+one row sum per level. The value is the pairwise total of the fine level's
+masses, taken once, which the error bar reuses.
 
 Determinism: a cell's x and mask row do not depend on the worker count, and
 `pair_blocks` gives its row, in a fixed node order, bits that do not depend
@@ -399,9 +400,14 @@ def _all_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool,
     ok, edge, keys = _grid_mask(req.domain, axes, h)
     count = len(axes) ** axes.shape[1]
     if kernel is not None:
+        varies = [k for k, m in enumerate(kernel.shape) if m > 1]
+        if len(varies) == 1:  # the ids' dense rank joins that axis's mask keys
+            rank = np.unique(kernel, return_inverse=True)[1].ravel()
+            keys = [key + (key.max() + 1) * rank if [k] == varies else key
+                    for k, key in enumerate(keys)]
         ids, first = _grid_classes(keys)
-        if np.any(kernel != kernel[0]):
-            ids = kernel * len(first) + ids
+        if len(varies) > 1:
+            ids = (kernel * len(first) + ids.reshape((len(axes),) * kernel.ndim)).ravel()
             _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
         count = len(first)
     runs = min(workers, count)

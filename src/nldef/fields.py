@@ -218,17 +218,19 @@ class FieldSpec:
             yield rows, q
 
     def kernel_classes(self, axes: np.ndarray, h: np.ndarray) -> np.ndarray | None:
-        """Kernel classes (n^d,) of the cells x of the tensor grid over `axes`
-        (n, d), first axis slowest, against offsets h (K, d), or None.
+        """Kernel classes of the cells x of the tensor grid over `axes` (n, d),
+        first axis slowest, against offsets h (K, d), or None.
 
-        Contract: cells with equal ids get bitwise-equal rows of
-        `delta_dot_h(x[:, None, :], h[None, :, :])` and bitwise-equal
-        `sym_gradient(x)`, so their residual rows agree too; an id may be any
-        int64. The engine calls it once per call, on its outer grid against
-        the node set of both inner levels, refines the grid's mask classes by
-        it, evaluates one cell per class and gathers its mass to the others.
-        None, the default, means the kernel depends on x: every cell is
-        evaluated.
+        Ids: int64 of ndim d, extent 1 or n per axis, broadcast against the
+        grid, so given only along the axes the kernel varies on. Contract:
+        cells with equal ids get bitwise-equal rows of `delta_dot_h(x[:, None],
+        h[None])` and `sym_gradient(x)`, so their residual rows agree too. The
+        engine calls it once per call, on its outer grid against both inner
+        levels' nodes, and refines the grid's mask classes by it: ids along one
+        axis by their dense rank (any int64), along more as id * C + mask class
+        (C <= n^d classes; exact for |id| < 2^63 / n^d). It evaluates one cell
+        per class and gathers its mass to the others. None, the default, means
+        the kernel depends on x: every cell is evaluated.
         """
         return None
 
@@ -293,7 +295,7 @@ class RigidField(FieldSpec):
         return np.broadcast_to(0.0, shape)
 
     def kernel_classes(self, axes, h) -> np.ndarray:
-        return np.zeros(len(axes) ** axes.shape[1], dtype=np.int64)  # the kernel is 0
+        return np.zeros((1,) * axes.shape[1], dtype=np.int64)  # the kernel is 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,38 +524,35 @@ class PlanarJumpField(FieldSpec):
     def pair_blocks(self, x, h, scale, residual=False):
         """`delta_dot_h` * scale as k_{p_x}(h) s + sigma [1, a(x)].[dk(h), h] s.
 
-        x lies on side p_x and x + h on side p_y, and sigma = p_y - p_x is -1,
-        0 or 1; k_- and k_+ are the side kernels, functions of h alone for
-        affine sides, dk = k_+ - k_-, a(x) = u_+(x) - u_-(x) and s the
-        scale. Once per tile, the side tests of `delta_dot_h` and x's side
-        rows are made per distinct x.nu, on which alone sigma and the side
-        row depend. A block is one (m, d + 1) x (d + 1, K) product, times
-        sigma, plus x's side row (a pair with sigma = 0 gets the bits of
-        `delta_dot_h(...) * scale`, and a tile with no crossing pair skips
-        the product), less the residual's first-order rows.
+        x lies on side p_x and x + h on side p_y, and sigma = p_y - p_x is -1, 0
+        or 1; k_- and k_+ are the side kernels, functions of h alone for affine
+        sides, dk = k_+ - k_-, a(x) = u_+(x) - u_-(x) and s the scale. A tile
+        takes x.nu, k_- s, k_+ s and [1, a(x)] once. A block makes the side
+        tests of `delta_dot_h` per distinct x.nu of its cells, an int8 sigma
+        table that `_BLOCK_PAIRS` bounds, then one (m, d + 1) x (d + 1, K)
+        product, times sigma, plus x's side row (a pair with sigma = 0 gets the
+        bits of `delta_dot_h(...) * scale`; no crossing pair, no product), less
+        the residual's first-order rows.
         """
-        xn, at = np.unique(_dot(x, self.normal), return_inverse=True)
-        px = (xn > self.offset)[:, None]
-        same = np.add.outer(xn, _dot(h, self.normal)) > self.offset
-        np.equal(same, px, out=same)
+        xn, hn = _dot(x, self.normal), _dot(h, self.normal)
         # the side kernels do not involve x, so x = 0 stands for every cell
         k_minus, k_plus = (side.delta_dot_h(np.zeros((1, 1, self.dim)), h[None])[0]
                            for side in (self.minus, self.plus))
-        side_rows = np.where(px, k_plus * scale, k_minus * scale)
-        crossing = not same.all()
-        if crossing:
-            sigma = np.where(same, 0.0, np.where(px, -1.0, 1.0))
-            a = np.concatenate([np.ones((x.shape[0], 1)), self.jump_at(x)], axis=1)
-            bt = np.vstack([k_plus - k_minus, h.T]) * scale
+        sides = np.stack([k_minus, k_plus]) * scale  # x's side row by p_x
+        a = np.concatenate([np.ones((x.shape[0], 1)), self.jump_at(x)], axis=1)
+        bt = np.vstack([k_plus - k_minus, h.T]) * scale
         if residual:
             e, hht = _first_order(self, x, h, scale)
         for rows, q in _row_blocks(x.shape[0], h.shape[0]):
-            if crossing:
+            xb, at = np.unique(xn[rows], return_inverse=True)
+            px = (xb > self.offset).view(np.int8)  # 0 minus, 1 plus
+            sigma = (np.add.outer(xb, hn) > self.offset).view(np.int8) - px[:, None]
+            if sigma.any():
                 _matmul_rows(a[rows], bt, q)
-                q *= sigma[at[rows]]
-                q += side_rows[at[rows]]
+                q *= sigma[at]
+                q += sides[px[at]]
             else:
-                np.take(side_rows, at[rows], axis=0, out=q)
+                np.take(sides, px[at], axis=0, out=q)
             if residual:
                 q -= _matmul_rows(e[rows], hht)
             yield rows, q
@@ -564,28 +563,22 @@ class PlanarJumpField(FieldSpec):
 
         A side cell's kernel row is its side's affine kernel, which does not
         involve x; with equal matrices the jump is constant, and a band cell's
-        row depends on x only through x.nu. A cell's x.nu is the sum of the
-        per-axis products axes[:, k] * nu_k in axis order, the float operations
-        of `_dot` on the cell. The side test of `delta_dot_h` is nondecreasing
-        in h.nu, so it is evaluated at the extremes of h.nu and at 0, which is
-        x's own test, the one `sym_gradient` makes. For nu = +-e_j and equal
-        matrices, x.nu is x_j nu_j (the other terms add a zero, which changes
-        no test or rank), so the ids are made over the n values of axis j and
-        broadcast to the grid.
+        row depends on x only through x.nu, the broadcast sum of the products
+        axes[:, k] * nu_k over the nonzero nu_k in axis order: `_dot`'s float
+        operations less its zero terms, which change no test or rank. So the
+        ids vary along the axes where nu_k != 0 (axis j alone for nu = +-e_j),
+        or along every axis for unequal matrices. The side test of
+        `delta_dot_h` is nondecreasing in h.nu, so it is evaluated at the
+        extremes of h.nu and at 0, which is x's own test (`sym_gradient`'s).
         """
-        same = not self._jump[0].any()  # equal matrices: a constant jump
-        j = _axis_of(self.normal) if same else None
-        xn = (reduce(np.add.outer, (axes * self.normal).T).ravel() if j is None
-              else axes[:, j] * self.normal[j])
+        xn = reduce(np.add, [a * v for a, v in zip(np.ix_(*axes.T), self.normal) if v != 0.0])
         hn = _dot(h, self.normal)
         low = (xn + hn.min(initial=0.0)) - self.offset > 0.0
         high = (xn + hn.max(initial=0.0)) - self.offset > 0.0
-        band = np.unique(xn, return_inverse=True)[1] if same else np.arange(len(xn))
-        ids = np.where(low == high, low, 2 + band)
-        if j is not None:  # axis j's ids, broadcast to the grid
-            n, d = axes.shape
-            ids = np.broadcast_to(ids.reshape((-1,) + (1,) * (d - 1 - j)), (n,) * d).flatten()
-        return ids
+        n, d = axes.shape  # with unequal matrices a band row involves all of x
+        band = (np.arange(n**d).reshape((n,) * d) if self._jump[0].any()
+                else np.unique(xn, return_inverse=True)[1].reshape(xn.shape))
+        return np.where(low == high, low, 2 + band)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,9 @@ Core claims:
     - the inner weights are positive, so they fold into the node scale, and
       rigid energies stay exactly zero at p = 1, 1.5 and 2
     - a criterion-10 sin tile's traced peak stays within four float64
-      blocks of `_BLOCK_PAIRS` pairs, half its (cells x nodes) pair array
+      blocks of `_BLOCK_PAIRS` pairs, half its (cells x nodes) pair array,
+      and a serial criterion-10 call of an oblique jump whose sides'
+      matrices differ stays under 8 MiB
     - both inner levels go out in one pool dispatch of min(workers,
       evaluated cells) tasks, each carrying its cells and the per-axis mask
       rows but no per-cell arrays of the grid
@@ -423,18 +425,24 @@ def test_sin_tile_peak_memory_is_bounded_by_the_block(level):
             assert peak <= 4 * fields._BLOCK_PAIRS * 8 < t * k * 8
 
 
-def test_oblique_jump_tile_peak_memory_is_bounded_by_the_tile():
-    """A tile of band cells of an oblique jump whose sides' matrices differ
-    (one x.nu per cell, so its per-x.nu side rows and signs are (tile, K)
-    tables) peaks within two float64 tables of `_TILE_NODE_BUDGET` pairs
-    plus four blocks at the criterion-10 request, with and without the
-    residual."""
+def _oblique_jump_request():
+    """The criterion-10 request of an oblique jump whose sides' matrices
+    differ, so that every band cell is evaluated with its own x.nu."""
     jump = PlanarJumpField(np.array([np.cos(0.3), np.sin(0.3)]), 0.7,
                            LinearField(np.array([[1.0, 0.5], [-0.3, 0.2]]), np.zeros(2)),
                            LinearField(np.array([[-0.4, 0.1], [0.6, 1.2]]), np.ones(2)))
-    req = en.EnergyRequest(field=jump, domain=BOX, p=1.0,
-                           mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
-                           inner_level=16, workers=1)
+    return en.EnergyRequest(field=jump, domain=BOX, p=1.0,
+                            mollifier=MollifierSpec("shell", 0.025, 2), outer_grid=320,
+                            inner_level=16, workers=1)
+
+
+def test_oblique_jump_tile_peak_memory_is_bounded_by_the_tile():
+    """A tile of band cells of an oblique jump whose sides' matrices differ
+    (one x.nu per cell) peaks within two float64 tables of
+    `_TILE_NODE_BUDGET` pairs plus four blocks at the criterion-10 request,
+    with and without the residual."""
+    req = _oblique_jump_request()
+    jump = req.field
     nodes = [en._inner_nodes(req, level) for level in (16, 32)]
     h, w, inv_r2 = (np.concatenate(a) for a in zip(*nodes))
     axes, cellvol = en._midpoints(BOX, 320)
@@ -451,6 +459,21 @@ def test_oblique_jump_tile_peak_memory_is_bounded_by_the_tile():
         finally:
             tracemalloc.stop()
         assert peak <= 2 * en._TILE_NODE_BUDGET * 8 + 4 * fields._BLOCK_PAIRS * 8
+
+
+def test_oblique_jump_call_peak_memory_is_bounded_by_the_blocks():
+    """A serial criterion-10 `energy()` call of that jump peaks under 8 MiB:
+    its side tests and signs are made per block of `pair_blocks`, so
+    `_BLOCK_PAIRS` bounds them, not its tiles of up to 1,638 band cells."""
+    req = _oblique_jump_request()
+    en.energy(req)  # the inner nodes are cached, as in a sweep
+    tracemalloc.start()
+    try:
+        en.energy(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 class _Sent(Exception):

@@ -848,13 +848,22 @@ def _class_grid(rng, d):
     return axes, np.vstack([h, h[:6]])
 
 
+def _grid_ids(f, axes, h):
+    """`kernel_classes` ids of the tensor grid over axes (n, d), checked to
+    be int64 of ndim d with extent 1 or n per axis, broadcast to the grid
+    and flattened, first axis slowest."""
+    ids = f.kernel_classes(axes, h)
+    n, d = axes.shape
+    assert ids.dtype == np.int64 and ids.ndim == d and set(ids.shape) <= {1, n}
+    return np.broadcast_to(ids, (n,) * d).ravel()
+
+
 def _check_kernel_classes(f, axes, h):
     """Contract of kernel_classes on the cells of the tensor grid over axes;
     kernel rows compared as |q| (the engine takes |q|^p), so a zero may
     differ in sign."""
-    ids = f.kernel_classes(axes, h)
+    ids = _grid_ids(f, axes, h)
     x = fields_mod._tensor_grid(axes.T)
-    assert ids.shape == (x.shape[0],) and ids.dtype == np.int64
     q = f.delta_dot_h(x[:, None, :], h[None, :, :])
     _assert_rows_equal_per_class(ids, _bits(np.abs(q)))
     e = f.sym_gradient(x).reshape(x.shape[0], -1)
@@ -874,6 +883,34 @@ def test_kernel_classes_contract(d):
         assert np.all(_check_kernel_classes(f, axes, h) == 0)
     for f in _jump_fields(rng, d) + [f for n, f in _engine_fields(d) if n.startswith("jump-equal")]:
         _check_kernel_classes(f, axes, h)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_ids_vary_only_along_the_axes_the_kernel_does(d):
+    """Ids come at the resolution they vary on: one id for rigid and linear
+    fields; an axis-normal constant jump's along its axis alone, a 3-d
+    constant jump across (0.6, 0, 0.8) along axes 0 and 2 alone; a jump
+    whose sides' matrices differ along every axis."""
+    rng = np.random.default_rng(230 + d)
+    axes, h = _class_grid(rng, d)
+    n = len(axes)
+    for f in (_rigid(rng, d), _linear(rng, d)):
+        assert f.kernel_classes(axes, h).shape == (1,) * d
+    constant, unequal = _constant_sides(rng, d), (_linear(rng, d), _linear(rng, d))
+    for j, nu in enumerate(np.eye(d)):
+        for sign, sides in ((1.0, constant[0]), (-1.0, constant[1])):
+            f = PlanarJumpField(sign * nu, sign * 0.5, *sides)
+            ids = _check_kernel_classes(f, axes, h)
+            assert f.kernel_classes(axes, h).shape == (1,) * j + (n,) + (1,) * (d - 1 - j)
+            assert np.any(ids < 2) and np.any(ids >= 2)
+        f = PlanarJumpField(nu, 0.5, *unequal)
+        assert f.kernel_classes(axes, h).shape == (n,) * d
+    if d == 3:
+        for sides, shape in ((constant[1], (n, 1, n)), (unequal, (n, n, n))):
+            f = PlanarJumpField(np.array([0.6, 0.0, 0.8]), 0.7, *sides)
+            ids = _check_kernel_classes(f, axes, h)
+            assert f.kernel_classes(axes, h).shape == shape
+            assert np.any(ids < 2) and np.any(ids >= 2)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -919,11 +956,12 @@ def _grid_jump_ids(f, axes, h):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_axis_jump_ids_equal_the_grid_ids(d):
     """For nu = +-e_j and a constant jump, `kernel_classes` ranks the n
-    values of axis j and broadcasts them: the ids equal those ranked over
-    every cell's x.nu, with the plane on a cell boundary, on a midpoint, on
-    0 (where the axes hold 0.0 and -0.0) and outside the box, on midpoint
-    axes and on shuffled ones with repeats. Oblique normals and unequal
-    matrices, which rank over the grid, give those ids too."""
+    values of axis j alone: broadcast to the grid, the ids equal those
+    ranked over every cell's full x.nu, with the plane on a cell boundary,
+    on a midpoint, on 0 (where the axes hold 0.0 and -0.0) and outside the
+    box, on midpoint axes and on shuffled ones with repeats. Oblique normals
+    and unequal matrices, whose ids vary along more axes, give those ids
+    too."""
     rng = np.random.default_rng(240 + d)
     box = DomainBox([-0.5] * d, [0.5] * d)
     n = {1: 40, 2: 16, 3: 8}[d]
@@ -945,8 +983,8 @@ def test_axis_jump_ids_equal_the_grid_ids(d):
             for sides in (*constant, unequal):
                 f = PlanarJumpField(nu, offset, *sides)
                 for grid in (axes, shuffled):
-                    got = f.kernel_classes(grid, h)
-                    assert got.dtype == np.int64 and got.flags.writeable
+                    assert f.kernel_classes(grid, h).flags.writeable
+                    got = _grid_ids(f, grid, h)
                     assert np.array_equal(got, _grid_jump_ids(f, grid, h))
                 if offset in (0.7, -0.7):
                     assert np.all(got < 2)  # no x + h crosses the plane
@@ -980,7 +1018,7 @@ def test_jump_side_coordinate_is_one_value_per_point(d):
             # just above it with every x + h above: all on the plus side
             for s, offsets, side in ((alone, below, 0), (np.nextafter(alone, -np.inf), above, 1)):
                 f = PlanarJumpField(nu, float(s), _linear(rng, d), _linear(rng, d))
-                assert f.kernel_classes(axes, offsets)[i] == side
+                assert _grid_ids(f, axes, offsets)[i] == side
                 assert f._plus_side(x[i]) == side == f._plus_side(x)[i]
 
 
@@ -1135,8 +1173,44 @@ def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypat
         rows = _rows_evaluated(monkeypatch, en._all_masses, f, req, (4,), 1, False, grid)
         h = en._inner_nodes(req, 4)[0]
         mask = _grid_contains(box, grid[0], h)
-        pairs = np.column_stack([f.kernel_classes(grid[0], h), mask])
+        pairs = np.column_stack([_grid_ids(f, grid[0], h), mask])
         assert rows == len(np.unique(pairs, axis=0))
+
+
+def _engine_classes(monkeypatch, req, grid):
+    """Each cell's class representative as `_all_masses` gathers it (one
+    level, serial), with `_run_masses` replaced by a stand-in whose mass of
+    a cell is the cell's index."""
+    with monkeypatch.context() as m:
+        m.setattr(en, "_run_masses", lambda field, tile, cells, *rest: np.array([cells], float))
+        return en._all_masses(req, (4,), 1, False, grid)[0][0].astype(np.int64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_class_partition_equals_the_brute_force_one(d, monkeypatch):
+    """The engine's classes, and each class's first cell, are those of one
+    np.unique over the (kernel id, mask row) pairs of every grid cell, the
+    mask by brute force from `contains(x + h)`: for ids along no axis, one
+    axis and more, on midpoint axes and on shuffled ones with a repeat."""
+    rng = np.random.default_rng(250 + d)
+    box = DomainBox([0.0] * d, [1.0] * d)
+    fields = [f for _, f in _engine_fields(d)]
+    if d == 3:
+        fields += [PlanarJumpField(np.array([0.6, 0.0, 0.8]), 0.7, *sides)
+                   for sides in (_constant_sides(rng, 3)[1], (_linear(rng, 3), _linear(rng, 3)))]
+    axes = en._midpoints(box, 12)[0]
+    shuffled = axes[rng.permutation(12)]
+    shuffled[1] = shuffled[0]
+    for f in fields:
+        req = en.EnergyRequest(field=f, domain=box, p=1.0,
+                               mollifier=MollifierSpec("shell", 0.2, d), outer_grid=12,
+                               inner_level=4, workers=1)
+        h = en._inner_nodes(req, 4)[0]
+        for grid in (axes, shuffled):
+            pairs = np.column_stack([_grid_ids(f, grid, h), _grid_contains(box, grid, h)])
+            _, first, inv = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+            assert np.array_equal(_engine_classes(monkeypatch, req, (grid, 1.0)),
+                                  first[inv.ravel()])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -1194,6 +1268,23 @@ def test_serial_criterion_10_class_call_runs_one_tile(monkeypatch):
     nodes) in one `pair_blocks` call."""
     for _, f in _c10_fields()[:2]:
         assert len(_pair_block_rows(monkeypatch, en.energy, f, _c10_request(f))) == 1
+
+
+def test_axis_normal_jump_call_ranks_no_more_than_n_values(monkeypatch):
+    """An N = 64 criterion-10 jump call (nu = e_1) hands np.unique no array
+    longer than N: its kernel ids are ranked over axis 0's N values, not
+    over the N^2 cells."""
+    c10 = dict(_c10_fields())["jump"]
+    req = replace(_c10_request(c10), outer_grid=64)
+    sizes, unique = [], np.unique
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    en.energy(req)
+    assert sizes and max(sizes) <= 64
 
 
 class _Sent(Exception):

@@ -19,7 +19,10 @@ energy, so the sin and sin-residual requests of c10-kernels-pool), whose
 pooled calls split into two and three tasks, and at N = 320 an oblique
 jump whose sides' matrices differ, at 1, 2 and 3 workers (its evaluated
 cells are side-class representatives and every band cell in one list,
-in uneven shares); jumps whose plane runs
+in uneven shares); at N = 64 an axis-normal jump with those unequal sides;
+a 3-d jump across nu = (0.6, 0, 0.8) with equal and with unequal matrices
+(N = 8, 1 and 2 workers), so every branch of the kernel-class step runs:
+ids along no axis, one axis, two axes and all axes; jumps whose plane runs
 through a row of outer midpoints, the 3-d planar jump of the
 benchmark's d3-jump-study at seed 0 (its eps 0.4, 0.2 and 0.1, N = 24,
 inner level 4), and a 2-d jump between rigid sides with one nonzero spin
@@ -129,9 +132,13 @@ def _extra_requests():
     workers, and at N = 320 (the benchmark's grid; the sin call runs its
     102,400 cells in 63 tiles when serial) at 1, 2 and 3 workers; the
     oblique unequal-matrix jump on the N = 320 request at 1, 2 and 3
-    workers; linear-sided jumps whose plane <x, e_1> = s passes exactly
-    through a row of outer midpoints, so those cells sit on the interface,
-    the d3-jump-study field at its three eps, and the equal-spin jump.
+    workers; an axis-normal jump with those unequal sides on the N = 64
+    request; a 3-d jump across nu = (0.6, 0, 0.8) with equal and with
+    unequal matrices at N = 8 on 1 and 2 workers (its kernel ids vary along
+    axes 0 and 2, or along all three); linear-sided jumps whose plane
+    <x, e_1> = s passes exactly through a row of outer midpoints, so those
+    cells sit on the interface, the d3-jump-study field at its three eps,
+    and the equal-spin jump.
     """
     import nldef
 
@@ -164,6 +171,27 @@ def _extra_requests():
             field=oblique, domain=box2, p=1.0, mollifier=nldef.MollifierSpec("shell", 0.025, 2),
             outer_grid=320, inner_level=16, workers=workers)
         out.append((f"c10/jump_oblique/p1/w{workers}/n320", req))
+    # kernel ids along one axis with unequal matrices take the grid-wide path
+    axis_unequal = nldef.PlanarJumpField(np.array([0.0, -1.0]), -0.4,
+                                         oblique.minus, oblique.plus)
+    req = en.EnergyRequest(
+        field=axis_unequal, domain=box2, p=1.0, mollifier=nldef.MollifierSpec("shell", 0.025, 2),
+        outer_grid=64, inner_level=16, workers=1)
+    out.append(("c10/jump_axis_unequal/p1/w1", req))
+    # a 3-d normal in the x_1-x_3 plane: ids along axes 0 and 2 only
+    mat = np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]])
+    x0z_sides = {"equal": (nldef.LinearField(mat, np.zeros(3)),
+                           nldef.LinearField(mat, np.array([0.2, 1.0, 0.3]))),
+                 "unequal": (nldef.LinearField(mat, np.zeros(3)),
+                             nldef.LinearField(mat.T, np.array([0.2, 1.0, 0.3])))}
+    for kind, pair in x0z_sides.items():
+        for workers in (1, 2):
+            req = en.EnergyRequest(
+                field=nldef.PlanarJumpField(np.array([0.6, 0.0, 0.8]), 0.7, *pair),
+                domain=nldef.DomainBox([0.0] * 3, [1.0] * 3), p=1.0,
+                mollifier=nldef.MollifierSpec("shell", 0.2, 3), outer_grid=8, inner_level=4,
+                workers=workers)
+            out.append((f"d3/jump_x0z_{kind}/n8/w{workers}", req))
     for d, n, level, workers in ((2, 24, 8, 1), (3, 8, 4, 1), (2, 128, 16, 2)):
         rng = np.random.default_rng(200 + d)
         sides = [nldef.LinearField(rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, d))
