@@ -30,30 +30,38 @@ fall into classes with identical pair rows: equal kernel ids and mask rows.
 Ids that vary along one axis alone (an axis normal's) join its mask keys as
 their dense rank, and the classes are ranked per axis; other ids refine them
 over the N^d cells. Each class's first cell is evaluated and its mass gathered
-to the others, which gives the bits of evaluating every cell. Fields whose
-kernel depends on x (sin, bump, sampled) evaluate every cell, and so do the
-band cells of a jump whose sides' matrices differ. A call cuts its evaluated
-cells (the class representatives in class order, or every cell) into
+to the others, which gives the bits of evaluating every cell. Classes share
+few kernel ids (the criterion-10 jump: 578 classes, 18 ids), so if the ids'
+rows fit one block of `_BLOCK_PAIRS` pairs, the call builds them once, |q|^p
+taken, from one cell per id into a read-only table that a class's first
+cell reads its row from; a jump whose sides' matrices differ has one id per
+band cell, so on large grids its classes go through `pair_blocks` one by
+one. Fields whose kernel depends on x (sin, bump, sampled) evaluate every
+cell. A call cuts its evaluated cells
+(the class representatives in class order, or every cell) into
 min(workers, count) runs of equal shares, one task each that carries its
-cells, the mask and the node scale s = w^(1/p)/|h|^2 (the positive weights
-folded in, as |q s|^p = |q|^p w/|h|^(2p)); its worker cuts the run into tiles
-of t cells (t x K pairs at most) and rebuilds a tile's x, mask rows (through
-the maps) and runs of edge cells from the cell indices by mixed radix. A tile
-runs one L2-sized block of at most `_BLOCK_PAIRS` pairs at a time, every step
-written over the block: the field's one kernel hook, `FieldSpec.pair_blocks(x,
-h, s, residual)`, yields the kernel times s (less <Eu(x) h, h> s for the
-residual) in one buffer it reuses, as documented per family; |q|^p is applied
-in place; the edge runs that meet the block have their pairs that leave U
-zeroed, interior cells (about 90% of the criterion-10 grid) left alone; then
-one row sum per level. The value is the pairwise total of the fine level's
-masses, taken once, which the error bar reuses.
+cells (and their table rows), the mask and the node scale s = w^(1/p)/|h|^2
+(the positive weights folded in, as |q s|^p = |q|^p w/|h|^(2p)); its worker
+cuts the run into tiles of t cells (t x K pairs at most) and rebuilds a
+tile's x, mask rows (through the maps) and runs of edge cells from the cell
+indices by mixed radix. A tile runs one L2-sized block of at most
+`_BLOCK_PAIRS` pairs at a time, every step written over the block: the
+field's one kernel hook, `FieldSpec.pair_blocks(x, h, s, residual)`, yields
+the kernel times s (less <Eu(x) h, h> s for the residual) in one buffer it
+reuses, as documented per family, and |q|^p is applied in place, or the
+block gathers its rows from the table; the edge runs that meet the block
+have their pairs that leave U zeroed, interior cells (about 90% of the
+criterion-10 grid) left alone; then one row sum per level. The value is the
+pairwise total of the fine level's masses, taken once, which the error bar
+reuses.
 
 Determinism: a cell's x and mask row do not depend on the worker count, and
 `pair_blocks` gives its row, in a fixed node order, bits that do not depend
-on its tile or its block, so its mass is the same however the evaluated
-cells are cut into runs and tiles; the final reduction is one pairwise tree
-over the full cell array. Results are bitwise reproducible across 1, 2 or 8
-workers. The default worker count is the number of CPUs this process may
+on its tile or its block (nor, for equal kernel ids, on the cell), so its
+mass is the same however the evaluated cells are cut into runs and tiles
+and whether its row comes from the table; the final reduction is one
+pairwise tree over the full cell array. Results are bitwise reproducible
+across 1, 2 or 8 workers. The default worker count is the number of CPUs this process may
 run on. A pool whose worker died is rebuilt once; a second death raises
 WorkerError.
 
@@ -84,6 +92,7 @@ from .errors import (
     ParameterError,
     WorkerError,
 )
+from . import fields
 from .fields import (
     _GAUSS_CAP,
     _REFERENCE_LEVEL,
@@ -94,6 +103,7 @@ from .fields import (
     _cell_integrals,
     _polar_rule,
     _refined,
+    _row_blocks,
     _tensor_grid,
     ground_truth,
 )
@@ -341,7 +351,27 @@ def _abs_pow(q: np.ndarray, p: float) -> np.ndarray:
     return q
 
 
-def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual, cellvol):
+def _pow_blocks(field, x, h, scale, residual, p):
+    """The blocks of `pair_blocks`, |q|^p taken in place."""
+    for rows, q in field.pair_blocks(x, h, scale, residual):
+        yield rows, _abs_pow(q, p)
+
+
+def _table_blocks(table, row):
+    """(rows, q) blocks of table[row] over len(row) cells, in one reused
+    buffer of at most `_BLOCK_PAIRS` pairs, as `pair_blocks` gives them."""
+    for rows, q in _row_blocks(len(row), table.shape[1]):
+        # mode="clip": the rows are in range, and "raise" copies through a temporary
+        yield rows, np.take(table, row[rows], axis=0, out=q, mode="clip")
+
+
+def _points(axes, digits):
+    """The points (m, d) of grid cells given by their per-axis digits."""
+    return np.stack([axes[i, k] for k, i in enumerate(digits)], axis=1)
+
+
+def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual, cellvol,
+                table=None, row=None):
     """Masses (densities times cell volume), one row per node block
     split[j]:split[j + 1], of cells (start, stop), or an index array in any
     order, of the grid over `axes` (n, d), in consecutive tiles of `tile`
@@ -350,21 +380,22 @@ def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual
     A cell's x comes from its mixed-radix digits, first axis slowest, and
     through edge its per-axis mask rows; a tile's runs of edge cells are
     its cells with an edge row on some axis. Each block of `pair_blocks`
-    takes |q|^p in place, has the pairs that leave U zeroed in the runs that
-    meet it (found by bisection), then its row sums.
+    takes |q|^p in place (or, given a `table` of |q|^p rows, gathers cell
+    i's row table[row[i]]), has the pairs that leave U zeroed in the runs
+    that meet it (found by bisection), then its row sums.
     """
     idx = np.arange(*cells) if isinstance(cells, tuple) else cells
     (n, d), masses = axes.shape, np.empty((len(split) - 1, len(idx)))
     for a in range(0, len(idx), tile):
         digits = [idx[a : a + tile] // n ** (d - 1 - k) % n for k in range(d)]
-        x = np.stack([axes[i, k] for k, i in enumerate(digits)], axis=1)
         maps = [e[i] for e, i in zip(edge, digits)]  # each cell's ok[k] rows
         at_edge = np.logical_or.reduce(maps)
         flips = np.flatnonzero(np.diff(at_edge, prepend=False, append=False)).tolist()
         starts, stops = flips[::2], flips[1::2]
-        for rows, q in field.pair_blocks(x, h, scale, residual):
+        blocks = (_pow_blocks(field, _points(axes, digits), h, scale, residual, p)
+                  if table is None else _table_blocks(table, row[a : a + tile]))
+        for rows, q in blocks:
             lo, hi = rows.start, rows.stop
-            _abs_pow(q, p)
             meet = slice(bisect_right(stops, lo), bisect_left(starts, hi))
             for r0, r1 in zip(starts[meet], stops[meet]):
                 r0, r1 = max(r0, lo), min(r1, hi)
@@ -388,8 +419,10 @@ def _all_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool,
     mask classes refined by the kernel ids are built once. The evaluated cells,
     each class's first cell in class order (its mass gathered to the class) or
     else every cell, go in min(workers, count) runs of equal shares, one
-    `_run_masses` task each, on the pool when there are several. No node's
-    pair rows depend on the others, so a level has the bits of its run alone.
+    `_run_masses` task each, on the pool when there are several, with the
+    table of the distinct kernel ids' |q|^p rows if they fit one block. No
+    node's pair rows depend on the others, so a level has the bits of its
+    run alone.
     """
     nodes = [_inner_nodes(req, level) for level in levels]
     split = np.cumsum([0] + [len(n[0]) for n in nodes]).tolist()
@@ -399,22 +432,38 @@ def _all_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool,
     kernel = req.field.kernel_classes(axes, h)
     ok, edge, keys = _grid_mask(req.domain, axes, h)
     count = len(axes) ** axes.shape[1]
+    scale = w ** (1.0 / req.p) * inv_r2
+    table = row = None
     if kernel is not None:
+        shape = (len(axes),) * kernel.ndim
         varies = [k for k, m in enumerate(kernel.shape) if m > 1]
-        if len(varies) == 1:  # the ids' dense rank joins that axis's mask keys
-            rank = np.unique(kernel, return_inverse=True)[1].ravel()
-            keys = [key + (key.max() + 1) * rank if [k] == varies else key
+        if len(varies) <= 1:  # the ids' dense rank joins the varying axis's mask keys
+            _, start, rank = np.unique(kernel, return_index=True, return_inverse=True)
+            keys = [key + (key.max() + 1) * rank.ravel() if [k] == varies else key
                     for k, key in enumerate(keys)]
         ids, first = _grid_classes(keys)
         if len(varies) > 1:
-            ids = (kernel * len(first) + ids.reshape((len(axes),) * kernel.ndim)).ravel()
+            ids = (kernel * len(first) + ids.reshape(shape)).ravel()
             _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
-        count = len(first)
+        count, at = len(first), np.unravel_index(first, shape)  # the classes' first cells
+        # row: each class's kernel id as its rank; reps: a cell of each rank
+        if len(varies) > 1:  # ranked over the classes
+            _, start, row = np.unique(np.broadcast_to(kernel, shape)[at],
+                                      return_index=True, return_inverse=True)
+            reps = tuple(i[start] for i in at)
+        else:
+            row = np.broadcast_to(rank.reshape(kernel.shape), shape)[at]
+            reps = np.unravel_index(start, kernel.shape)
+        if len(start) * len(h) <= fields._BLOCK_PAIRS:
+            table = np.empty((len(start), len(h)))
+            for rows, q in _pow_blocks(req.field, _points(axes, reps), h, scale, residual, req.p):
+                table[rows] = q
+            table.flags.writeable = False
     runs = min(workers, count)
     cuts = [count * r // runs for r in range(runs + 1)]
-    scale = w ** (1.0 / req.p) * inv_r2
-    tasks = [(req.field, tile, (a, b) if kernel is None else first[a:b], axes, h, scale,
-              split, ok, edge, req.p, residual, cellvol) for a, b in zip(cuts[:-1], cuts[1:])]
+    tasks = [(req.field, tile, (a, b) if kernel is None else first[a:b], axes, h, scale, split,
+              ok, edge, req.p, residual, cellvol, table, None if table is None else row[a:b])
+             for a, b in zip(cuts[:-1], cuts[1:])]
     parts = _pool_map(workers, _run_masses, tasks) if len(tasks) > 1 else [_run_masses(*tasks[0])]
     masses = np.concatenate(parts, axis=1)
     if kernel is not None:  # per level: one 2-d fancy index makes c10-linear slower

@@ -224,13 +224,16 @@ class FieldSpec:
         Ids: int64 of ndim d, extent 1 or n per axis, broadcast against the
         grid, so given only along the axes the kernel varies on. Contract:
         cells with equal ids get bitwise-equal rows of `delta_dot_h(x[:, None],
-        h[None])` and `sym_gradient(x)`, so their residual rows agree too. The
-        engine calls it once per call, on its outer grid against both inner
-        levels' nodes, and refines the grid's mask classes by it: ids along one
-        axis by their dense rank (any int64), along more as id * C + mask class
-        (C <= n^d classes; exact for |id| < 2^63 / n^d). It evaluates one cell
-        per class and gathers its mass to the others. None, the default, means
-        the kernel depends on x: every cell is evaluated.
+        h[None])` and `sym_gradient(x)`, so their residual rows agree too, and
+        bitwise-equal rows of `pair_blocks` (plain and residual) in whatever
+        block and among whatever cells. The engine calls it once per call, on
+        its outer grid against both inner levels' nodes, and refines the grid's
+        mask classes by it: ids along one axis by their dense rank (any int64),
+        along more as id * C + mask class (C <= n^d classes; exact for |id| <
+        2^63 / n^d). It gathers each class's mass to the others from one cell,
+        whose `pair_blocks` row it takes from one cell per distinct id when
+        those rows fit one block, else from the class's own first cell. None,
+        the default, means the kernel depends on x: every cell is evaluated.
         """
         return None
 
@@ -551,8 +554,8 @@ class PlanarJumpField(FieldSpec):
                 _matmul_rows(a[rows], bt, q)
                 q *= sigma[at]
                 q += sides[px[at]]
-            else:
-                np.take(sides, px[at], axis=0, out=q)
+            else:  # mode="clip": px is 0 or 1, and "raise" copies through a temporary
+                np.take(sides, px[at], axis=0, out=q, mode="clip")
             if residual:
                 q -= _matmul_rows(e[rows], hht)
             yield rows, q
@@ -703,8 +706,11 @@ def _tensor_grid(axes, weights=None):
     With per-axis `weights` also returns the product weights (n,) in the
     same order.
     """
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    d = len(axes)
+    pts = np.empty([len(a) for a in axes] + [d], dtype=np.result_type(*axes))
+    for k, a in enumerate(axes):  # axis k's values broadcast into column k
+        pts[..., k] = np.reshape(a, (-1,) + (1,) * (d - 1 - k))
+    pts = pts.reshape(-1, d)
     if weights is None:
         return pts
     return pts, reduce(np.multiply.outer, weights).ravel()

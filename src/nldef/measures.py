@@ -156,8 +156,14 @@ class TestFunction:
         if self.kind == "const_one":
             return np.ones(x.shape[:-1])
         if self.kind == "tent":
-            r = np.sqrt(((x - self.center) ** 2).sum(axis=-1))
-            return np.maximum(0.0, 1.0 - r / self.radius)
+            if x.shape[-1] != len(self.center):
+                raise DimensionError(f"points have dimension {x.shape[-1]}, the tent "
+                                     f"center {len(self.center)}")
+            # |x - c|^2 as column terms in axis order, numpy's order for a short last-axis sum
+            r2 = (x[..., 0] - self.center[0]) ** 2
+            for k in range(1, x.shape[-1]):
+                r2 += (x[..., k] - self.center[k]) ** 2
+            return np.maximum(0.0, 1.0 - np.sqrt(r2) / self.radius)
         return np.cos(2.0 * math.pi * _dot(x, self.wave))
 
 

@@ -14,8 +14,10 @@ Core claims:
     - mollify preserves affine fields and smooths jumps plausibly; it and
       the limit measure reject bad sizes, scales and spacings by argument
     - field_from_config builds every catalog id and reports paths on errors
+    - the tensor-grid points have the bits and dtype of meshgrid-and-stack
 """
 
+import importlib
 import math
 import os
 import subprocess
@@ -363,6 +365,27 @@ def test_ground_truth_model_errors():
     )
     with pytest.raises(ModelError):
         ground_truth(jump3, DomainBox([0, 0, 0], [1, 1, 1]), 1.0, make_sphere_rule(3, 16))
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tensor_grid_equals_the_meshgrid_stack(d):
+    """`_tensor_grid` writes each axis into its column of one (n, d) array:
+    the bits and dtype of the meshgrid-and-stack points, first axis slowest,
+    for float axes (of unequal lengths, and as the rows of one array), int
+    axes, and with the product weights."""
+    rng = np.random.default_rng(60 + d)
+    fl = importlib.import_module("nldef.fields")
+
+    def meshgrid_stack(axes):
+        return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+    ragged = [rng.uniform(-1.0, 1.0, n) for n in (7, 5, 3)[:d]]
+    for axes in (ragged, rng.uniform(-1.0, 1.0, (d, 6)), [np.arange(4)] * d):
+        got, want = fl._tensor_grid(axes), meshgrid_stack(axes)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    pts, w = fl._tensor_grid(ragged, [np.ones(len(a)) for a in ragged])
+    assert np.array_equal(pts, meshgrid_stack(ragged)) and np.array_equal(w, np.ones(len(pts)))
+
 
 def test_ground_truth_rigid_zero():
     gt = ground_truth(RigidField(_skew2(0.4), np.ones(2)), DomainBox([0, 0], [1, 1]), 1.0, RULE2)

@@ -33,10 +33,14 @@ Core claims:
     - cells in one kernel class have bitwise-equal kernel and sym_gradient
       rows, cells in one mask class bitwise-equal mask rows, and the class
       path of the engine gives the same bits as computing every cell while
-      evaluating one row per distinct pair of kernel id and mask row
+      evaluating one class per distinct pair of kernel id and mask row
+    - a class call hands `pair_blocks` one row per distinct kernel id when
+      those rows fit one block (1 for the criterion-10 linear call, 18 for
+      its jump and for the d3-jump-study request at eps 0.4), else one per
+      class (an axis-normal jump whose sides' matrices differ)
     - a jump whose sides share one matrix has a constant jump vector, and
-      its band cells evaluate one row per distinct pair of x.nu and mask
-      row: at most 600 rows per criterion-10 jump call
+      its band cells evaluate one class per distinct pair of x.nu and mask
+      row: at most 600 per criterion-10 jump call
 """
 
 import importlib
@@ -652,10 +656,12 @@ def _cell_count(task):
 
 
 def _tiles_alone(task):
-    """`_run_masses` on each tile of a task's cells alone, concatenated."""
-    f, t, cells, *rest = task
+    """`_run_masses` on each tile of a task's cells alone, concatenated; a
+    class task's per-class table rows are sliced with its cells."""
+    f, t, cells, *rest, table, row = task
     idx = np.arange(*cells) if isinstance(cells, tuple) else cells
-    return np.concatenate([_RUN_MASSES(f, t, idx[a : a + t], *rest)
+    return np.concatenate([_RUN_MASSES(f, t, idx[a : a + t], *rest, table,
+                                       None if row is None else row[a : a + t])
                            for a in range(0, len(idx), t)], axis=1)
 
 
@@ -1160,21 +1166,41 @@ def _rows_evaluated(monkeypatch, run, f, *args):
     return sum(_pair_block_rows(monkeypatch, run, f, *args))
 
 
+def _cells_evaluated(monkeypatch, run, *args):
+    """The number of cells in the `_run_masses` tasks of run(*args): a class
+    call's evaluated classes."""
+    tasks = []
+
+    def record(*task):
+        tasks.append(task)
+        return _RUN_MASSES(*task)
+
+    with monkeypatch.context() as m:
+        m.setattr(en, "_run_masses", record)
+        run(*args)
+    return sum(_cell_count(task) for task in tasks)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypatch):
-    """The rows that reach `pair_blocks` are one per distinct pair of kernel id
-    and mask row, the mask taken by brute force from `contains(x + h)`."""
+    """The evaluated classes are one per distinct pair of kernel id and mask
+    row, the mask taken by brute force from `contains(x + h)`, and the rows
+    that reach `pair_blocks` one per distinct kernel id."""
     box = DomainBox([0.0] * d, [1.0] * d)
     for _, f in _engine_fields(d):
         req = en.EnergyRequest(field=f, domain=box, p=1.0,
                                mollifier=MollifierSpec("shell", 0.2, d), outer_grid=12,
                                inner_level=4, workers=1)
         grid = en._midpoints(box, 12)
-        rows = _rows_evaluated(monkeypatch, en._all_masses, f, req, (4,), 1, False, grid)
+        args = (req, (4,), 1, False, grid)
+        classes = _cells_evaluated(monkeypatch, en._all_masses, *args)
+        rows = _rows_evaluated(monkeypatch, en._all_masses, f, *args)
         h = en._inner_nodes(req, 4)[0]
-        mask = _grid_contains(box, grid[0], h)
-        pairs = np.column_stack([_grid_ids(f, grid[0], h), mask])
-        assert rows == len(np.unique(pairs, axis=0))
+        ids = _grid_ids(f, grid[0], h)
+        pairs = np.column_stack([ids, _grid_contains(box, grid[0], h)])
+        assert classes == len(np.unique(pairs, axis=0))
+        assert len(np.unique(ids)) * len(h) <= fields_mod._BLOCK_PAIRS
+        assert rows == len(np.unique(ids))
 
 
 def _engine_classes(monkeypatch, req, grid):
@@ -1229,15 +1255,18 @@ def test_constant_jump_band_evaluates_one_row_per_plane_distance(d, monkeypatch)
                                mollifier=MollifierSpec("shell", 0.2, d), outer_grid=12,
                                inner_level=4, workers=1)
         grid = en._midpoints(box, 12)
-        rows = _rows_evaluated(monkeypatch, en._all_masses, f, req, (4,), 1, False, grid)
+        args = (req, (4,), 1, False, grid)
+        classes = _cells_evaluated(monkeypatch, en._all_masses, *args)
+        rows = _rows_evaluated(monkeypatch, en._all_masses, f, *args)
         h = en._inner_nodes(req, 4)[0]
         x = fields_mod._tensor_grid(grid[0].T)
         xn, hn = fields_mod._dot(x, f.normal), fields_mod._dot(h, f.normal)
         side = xn - f.offset > 0.0
         band = np.any(((xn[:, None] + hn) - f.offset > 0.0) != side[:, None], axis=1)
         keys = np.column_stack([band, np.where(band, xn, side), _grid_contains(box, grid[0], h)])
-        assert rows == len(np.unique(keys, axis=0))
+        assert classes == len(np.unique(keys, axis=0))
         assert d == 1 or len(np.unique(keys[band], axis=0)) < band.sum()
+        assert rows == len(np.unique(keys[:, :2], axis=0))
 
 
 def _c10_fields():
@@ -1260,6 +1289,75 @@ def test_criterion_10_jump_evaluates_at_most_600_rows(monkeypatch):
     class per distinct x.nu and mask row."""
     c10 = dict(_c10_fields())["jump"]
     assert _rows_evaluated(monkeypatch, en.energy, c10, _c10_request(c10)) <= 600
+
+
+def _d3_study_request(eps=0.4, workers=1):
+    """The request of the benchmark's d3-jump-study at seed 0 and one of its
+    eps: a 3-d jump across x_1 = 1/2 between linear sides that share one
+    matrix, N = 24, inner level 4."""
+    a = np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]])
+    jump = PlanarJumpField(np.array([1.0, 0.0, 0.0]), 0.5, LinearField(a, np.zeros(3)),
+                           LinearField(a, np.array([0.2, 1.0, 0.3])))
+    return en.EnergyRequest(field=jump, domain=DomainBox([0.0] * 3, [1.0] * 3), p=1.0,
+                            mollifier=MollifierSpec("shell", eps, 3), outer_grid=24,
+                            inner_level=4, workers=workers)
+
+
+def test_class_calls_evaluate_each_distinct_kernel_row_once(monkeypatch):
+    """A class call hands `pair_blocks` one row per distinct kernel id, not
+    one per evaluated class: the criterion-10 linear call 1 row for its 289
+    classes, the jump 18 (its two sides and 16 columns of x.nu) for 578, and
+    the d3-jump-study request at eps 0.4 18 for 6,120."""
+    c10 = dict(_c10_fields())
+    for req, want, classes in ((_c10_request(c10["linear"]), 1, 289),
+                               (_c10_request(c10["jump"]), 18, 578),
+                               (_d3_study_request(), 18, 6120)):
+        levels = (req.inner_level, 2 * req.inner_level)
+        h = np.concatenate([en._inner_nodes(req, level)[0] for level in levels])
+        axes = en._midpoints(req.domain, req.outer_grid)[0]
+        assert len(np.unique(req.field.kernel_classes(axes, h))) == want
+        assert _cells_evaluated(monkeypatch, en.energy, req) == classes
+        assert _rows_evaluated(monkeypatch, en.energy, req.field, req) == want
+
+
+def test_d3_jump_study_class_call_has_the_bits_of_every_cell(monkeypatch):
+    """The d3-jump-study request at eps 0.4, through its table of distinct
+    kernel rows at 1 and 2 workers, gives the bits of the per-cell path:
+    value, error bar, density masses and the residual's value, error bar and
+    density masses."""
+    def outputs(workers):
+        req = _d3_study_request(workers=workers)
+        plain, res = en.energy(req), en.residual_energy(req)
+        masses = [en.density_masses(req, residual)[1] for residual in (False, True)]
+        return ((plain.value, plain.est_quadrature_error, res.value, res.est_quadrature_error),
+                [_bits(m) for m in masses])
+
+    classed = [outputs(1), outputs(2)]
+    monkeypatch.setattr(PlanarJumpField, "kernel_classes", lambda self, x, h: None)
+    every_cell = outputs(1)
+    for values, masses in classed:
+        assert values == every_cell[0]
+        assert all(np.array_equal(a, b) for a, b in zip(masses, every_cell[1]))
+
+
+def test_unequal_matrix_axis_jump_evaluates_its_classes_one_by_one(monkeypatch):
+    """An axis-normal jump whose sides' matrices differ has one kernel id per
+    band cell. At N = 64 on the criterion-10 request its distinct rows do not
+    fit one block of `_BLOCK_PAIRS` pairs, so each evaluated class reaches
+    `pair_blocks`: one row per distinct pair of kernel id and mask row, the
+    mask by brute force from `contains(x + h)`."""
+    jump = PlanarJumpField(np.array([0.0, -1.0]), -0.5,
+                           LinearField(np.array([[1.0, 0.5], [-0.3, 0.2]]), np.zeros(2)),
+                           LinearField(np.array([[-0.4, 0.1], [0.6, 1.2]]), np.ones(2)))
+    req = replace(_c10_request(jump), outer_grid=64)
+    axes = en._midpoints(req.domain, 64)[0]
+    h = np.concatenate([en._inner_nodes(req, level)[0] for level in (16, 32)])
+    ids = _grid_ids(jump, axes, h)
+    assert len(np.unique(ids)) * len(h) > fields_mod._BLOCK_PAIRS
+    pairs = np.column_stack([ids, _grid_contains(req.domain, axes, h)])
+    classes = len(np.unique(pairs, axis=0))
+    assert _cells_evaluated(monkeypatch, en.energy, req) == classes
+    assert _rows_evaluated(monkeypatch, en.energy, jump, req) == classes
 
 
 def test_serial_criterion_10_class_call_runs_one_tile(monkeypatch):
@@ -1293,8 +1391,8 @@ class _Sent(Exception):
 
 def test_criterion_10_runs_are_equal_shares_of_the_evaluated_cells(monkeypatch):
     """At 2, 3 and 8 workers the criterion-10 linear, jump and sin calls send
-    min(workers, evaluated cells) tasks, counted by the rows the serial call
-    passes to `pair_blocks`, whose cell counts differ by at most 1."""
+    min(workers, evaluated cells) tasks, counted by the cells of the serial
+    call's task, whose cell counts differ by at most 1."""
     sent = []
 
     def record(workers, fn, tasks):
@@ -1302,7 +1400,7 @@ def test_criterion_10_runs_are_equal_shares_of_the_evaluated_cells(monkeypatch):
         raise _Sent
 
     for _, f in _c10_fields():
-        evaluated = _rows_evaluated(monkeypatch, en.energy, f, _c10_request(f))
+        evaluated = _cells_evaluated(monkeypatch, en.energy, _c10_request(f))
         monkeypatch.setattr(en, "_pool_map", record)
         for workers in (2, 3, 8):
             with pytest.raises(_Sent):

@@ -11,7 +11,8 @@ Core claims:
     - the reference measure's cell atoms are the density measure's points
     - pairings are linear, bounded by the total, and match closed forms
       against kinked test functions on the interface; a cosine test function
-      gives a point the same bits alone and in a batch
+      gives a point the same bits alone and in a batch, and so does a tent,
+      whose values have the bits of numpy's last-axis sum of squares
     - weak-star gaps shrink with epsilon and vanish identically for rigid
       fields
     - CSV export round-trips points and masses at full precision
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 
 from nldef import (
+    DimensionError,
     DomainBox,
     LinearField,
     ModelError,
@@ -318,6 +320,25 @@ def test_function_eval_shapes():
     assert tent.sup_norm == 1.0
     cos = TestFunction.cosine([1.0, 0.0])
     assert abs(cos.eval(np.array([0.5, 0.3])) - math.cos(math.pi)) < 1e-15
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tent_equals_the_last_axis_sum_and_a_point_its_batch_row(d):
+    """The tent's |x - c|^2, summed as column terms in axis order, has the
+    bits of numpy's last-axis sum of the squared differences, and a point
+    alone gets the bits of its batch row."""
+    rng = np.random.default_rng(40 + d)
+    tent = TestFunction.tent(rng.uniform(0.0, 1.0, d), 0.3)
+    x = rng.uniform(-0.5, 1.5, (5000, d))
+    x[:20] = tent.center + rng.uniform(-0.3, 0.3, (20, d))  # inside the support
+    old = np.maximum(0.0, 1.0 - np.sqrt(((x - tent.center) ** 2).sum(axis=-1)) / tent.radius)
+    got = tent.eval(x)
+    assert (got[:20] > 0.0).any() and np.array_equal(_bits(got), _bits(old))
+    assert all(_bits(tent.eval(p)) == _bits(v) for p, v in zip(x[:50], got[:50]))
+    for wrong in (1, 2, 3, 4):  # points of another dimension than the center's
+        if wrong != d:
+            with pytest.raises(DimensionError):
+                tent.eval(x[:, :1].repeat(wrong, axis=1))
 
 
 @pytest.mark.parametrize("d", [2, 3])
