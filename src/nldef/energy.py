@@ -258,12 +258,17 @@ def _pool_map(workers: int, fn, tasks: list) -> list:
 # quadrature assembly
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=16)
 def _level_nodes(family: str, eps: float, dim: int, level: int, trunc_tol: float):
     """Inner nodes H (K, d), weights W (K,), inverse square radii (K,) of one
     level, read-only and cached by value: a request's rules, its energy calls
     and its `replace`d copies build them once: the polar rule's sphere rule of
-    `level` crossed with max(2, level // 4) Gauss radii per support band."""
+    `level` crossed with max(2, level // 4) Gauss radii per support band.
+
+    A request takes two levels, and a sweep builds its requests, then reads
+    their levels again in the same order, so the cache holds the 16 entries
+    of an 8-eps sweep: an LRU cache any smaller misses on every lookup of
+    such a sweep."""
     mollifier = MollifierSpec(family, eps, dim)
     h, w, r = _polar_rule(mollifier, level, max(2, level // 4), trunc_tol)
     inv_r2 = 1.0 / (r * r)

@@ -874,9 +874,10 @@ def _jump_volume_masses(f: PlanarJumpField, box: DomainBox, lo, hi, rule: Sphere
 def _interface_atoms(f: PlanarJumpField, box: DomainBox, rule: SphereRule, n: int):
     """Interface atoms (points, masses) on the patch inside the box: the n-point
     nodes of `_interface_nodes`, each weight times the singular part's density
-    Q_1(a ⊙ normal) at its node."""
+    Q_1(a ⊙ normal) at its node. If the sides share one matrix, a is dc at
+    every node (`jump_at`), and the density is taken once for all of them."""
     pts, wts = _interface_nodes(box, f.normal, f.offset, n)
-    a = f.jump_at(pts)
+    a = f.jump_at(pts) if f._jump[0].any() else f._jump[1][None]
     m = 0.5 * (a[:, :, None] * f.normal[None, None, :] + f.normal[None, :, None] * a[:, None, :])
     return pts, wts * _qp_pow_of_sym(m, 1.0, rule)
 

@@ -155,10 +155,10 @@ class TestFunction:
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "const_one":
             return np.ones(x.shape[:-1])
+        vec = self.center if self.kind == "tent" else self.wave
+        if x.shape[-1] != len(vec):
+            raise DimensionError(f"points have dimension {x.shape[-1]}, the {self.kind} {len(vec)}")
         if self.kind == "tent":
-            if x.shape[-1] != len(self.center):
-                raise DimensionError(f"points have dimension {x.shape[-1]}, the tent "
-                                     f"center {len(self.center)}")
             # |x - c|^2 as column terms in axis order, numpy's order for a short last-axis sum
             r2 = (x[..., 0] - self.center[0]) ** 2
             for k in range(1, x.shape[-1]):

@@ -11,6 +11,7 @@ forms available at p = 1 (positive semidefinite case) and p = 2.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -151,17 +152,30 @@ class SphereRule:
         )
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only and cached:
+    `leggauss` is slow for large n and its result never changes. Keyed by type
+    too, so a float n still raises in `leggauss`."""
+    return tuple(_lock(a) for a in np.polynomial.legendre.leggauss(n))
+
+
 def _gauss(a, b, n: int):
     """n-point Gauss-Legendre nodes and weights on [a, b], one row per interval
-    when a and b are arrays: the one `leggauss` call of the package (it is
-    slow for large n), behind every Gauss rule."""
-    z, w = np.polynomial.legendre.leggauss(n)
+    when a and b are arrays, behind every Gauss rule. The [-1, 1] rule is
+    built once per n (`_legendre`); the returned arrays are fresh and the
+    caller's to write."""
+    z, w = _legendre(n)
     half, mid = 0.5 * np.subtract(b, a), 0.5 * np.add(a, b)
     return np.multiply.outer(half, z) + mid[..., None], np.multiply.outer(half, w)
 
 
 def make_sphere_rule(dim: int, level: int) -> SphereRule:
     """Build a sphere rule for the normalized average in dimension 1, 2 or 3.
+
+    The arguments are checked on every call; the rule is built once per
+    process for each (dim, level) of the same types and then shared, its
+    arrays read-only.
 
     Parameters
     ----------
@@ -185,6 +199,13 @@ def make_sphere_rule(dim: int, level: int) -> SphereRule:
         raise DimensionError(f"dimension {dim} unsupported, need 1..3")
     if level < 1:
         raise ParameterError("level must be >= 1")
+    return _sphere_rule(dim, level)
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _sphere_rule(dim: int, level: int) -> SphereRule:
+    """The rule of `make_sphere_rule` for checked arguments; `__wrapped__`
+    builds it afresh."""
     if dim == 1:
         nodes = np.array([[1.0], [-1.0]])
         weights = np.array([0.5, 0.5])
@@ -317,8 +338,7 @@ def _sphere_pow_sum(eigs: np.ndarray, p: float, rule: SphereRule) -> np.ndarray:
     Each distinct row is evaluated once and its value copied to its repeats.
     `np.unique(..., axis=0)` finds them by exact float comparison (it merges
     -0.0 with 0.0, which changes no |sum|), and the batches that reach this
-    sum often repeat one row: a jump's interface density, the gradient of an
-    affine field. Blocks of distinct rows bound the (rows x nodes)
+    sum often repeat one row: the gradient of an affine field. Blocks of distinct rows bound the (rows x nodes)
     temporaries to _SPHERE_NODE_BUDGET entries. Each row takes the same
     operations as in one whole-batch product; BLAS may still round a row
     differently in its last bit when it falls at another position within a

@@ -8,6 +8,7 @@ Core claims:
       value's path or an enclosing one
     - the outer resolution policy is N = max(n_min, ceil(c / eps)) and
       alignment bumps N by at most 16 to put the interface on cell lines
+    - a sweep of up to 8 eps builds each of its inner levels once
     - rate_estimate recovers first and second order limits from clean
       geometric sweeps and degrades to (NaN, last value) when the
       sequence has converged or is non-monotone
@@ -243,6 +244,17 @@ def test_rigid_sweep_all_zero():
     assert rep.flags["converged"]
     assert rep.flags["aligned_exact"] and not rep.flags["n_policy_warning"]
     assert [r.truncation_radius for r in rep.records] == [0.2, 0.1, 0.05]
+
+
+def test_five_eps_sweep_builds_each_inner_level_once():
+    """A sweep reads its requests' inner levels again, in the order its
+    config built them; the level cache holds them all, so a 5-eps sweep
+    builds each of its 10 levels once."""
+    en = importlib.import_module("nldef.energy")
+    en._level_nodes.cache_clear()
+    rep = lab.run_sweep(_cfg(eps=[0.2, 0.15, 0.1, 0.075, 0.05]))
+    assert len(rep.records) == 5
+    assert en._level_nodes.cache_info().misses == 10
 
 
 def test_oscillating_sweep_is_not_converged(monkeypatch):

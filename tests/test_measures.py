@@ -12,13 +12,15 @@ Core claims:
     - pairings are linear, bounded by the total, and match closed forms
       against kinked test functions on the interface; a cosine test function
       gives a point the same bits alone and in a batch, and so does a tent,
-      whose values have the bits of numpy's last-axis sum of squares
+      whose values have the bits of numpy's last-axis sum of squares; both
+      reject points of another dimension
     - weak-star gaps shrink with epsilon and vanish identically for rigid
       fields
     - CSV export round-trips points and masses at full precision
     - the per-axis side volumes of a cut grid, and the limit measure's
       volume masses, equal the per-cell formula on the cells' corners bit
-      for bit
+      for bit; a constant jump's interface atoms, whose density is taken
+      once, equal the per-node formula bit for bit
 """
 
 import importlib
@@ -228,6 +230,52 @@ def test_jump_volume_masses_equal_the_per_cell_formula(n):
         assert np.array_equal(_bits(got), _bits(want))
 
 
+def _per_node_interface_atoms(f, box, rule, n):
+    """Reference: the jump a(x) at every interface node, one Q_1(a ⊙ normal)
+    per node."""
+    pts, wts = fl._interface_nodes(box, f.normal, f.offset, n)
+    a = f.jump_at(pts)
+    m = 0.5 * (a[:, :, None] * f.normal[None, None, :] + f.normal[None, :, None] * a[:, None, :])
+    return pts, wts * fl._qp_pow_of_sym(m, 1.0, rule)
+
+
+def test_interface_atoms_of_a_constant_jump_equal_the_per_node_formula(monkeypatch):
+    """Sides with one matrix give a constant jump, whose interface density is
+    taken once and has the bits of the per-node formula: a 2-d axis normal
+    (rigid sides, one spin), a 2-d oblique normal and the d3-jump-study
+    field (its density goes through the sphere rule). Unequal matrices still
+    evaluate a(x) at every node."""
+    mat = np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]])
+    spin = np.array([[0.0, 0.7], [-0.7, 0.0]])
+    lin2 = np.array([[1.0, 0.5], [-0.3, 0.2]])
+    nu = np.array([np.cos(0.3), np.sin(0.3)])
+    box2, box3 = DomainBox([0.0, 0.0], [1.0, 1.0]), DomainBox([0.0] * 3, [1.0] * 3)
+    constant = [
+        (PlanarJumpField(np.array([0.0, -1.0]), -0.45, RigidField(spin, np.array([0.1, -0.2])),
+                         RigidField(spin, np.array([0.8, 0.3]))), box2, 256),
+        (PlanarJumpField(nu, 0.7, LinearField(lin2, np.zeros(2)),
+                         LinearField(lin2, np.ones(2))), box2, 256),
+        (PlanarJumpField(np.eye(3)[0], 0.5, LinearField(mat, np.zeros(3)),
+                         LinearField(mat, np.array([0.2, 1.0, 0.3]))), box3, 64),
+    ]
+    unequal = [(PlanarJumpField(nu, 0.7, LinearField(lin2, np.zeros(2)),
+                                LinearField(lin2.T, np.ones(2))), box2, 256)]
+    calls = []
+    jump_at = PlanarJumpField.jump_at
+    monkeypatch.setattr(PlanarJumpField, "jump_at",
+                        lambda self, x: calls.append(len(x)) or jump_at(self, x))
+    for f, box, n in constant + unequal:
+        rule = make_sphere_rule(box.dim, 64)
+        calls.clear()
+        pts, masses = fl._interface_atoms(f, box, rule, n)
+        per_node = sum(calls)  # points handed to jump_at
+        want_pts, want = _per_node_interface_atoms(f, box, rule, n)
+        assert len(masses) == n ** (box.dim - 1) and masses.min() > 0.0
+        assert np.array_equal(_bits(pts), _bits(want_pts))
+        assert np.array_equal(_bits(masses), _bits(want))
+        assert per_node == (len(pts) if f._jump[0].any() else 0)
+
+
 def _whole_grid_cell_masses(f, box, n, g, rule):
     """Reference: every (n g)^d Gauss point at once, summed per cell."""
     d = box.dim
@@ -339,6 +387,17 @@ def test_tent_equals_the_last_axis_sum_and_a_point_its_batch_row(d):
         if wrong != d:
             with pytest.raises(DimensionError):
                 tent.eval(x[:, :1].repeat(wrong, axis=1))
+
+
+def test_cosine_rejects_points_of_another_dimension():
+    """A cosine evaluated on points whose dimension is not its wave's raises
+    DimensionError, as the tent does, instead of dropping wave components."""
+    assert TestFunction.cosine([1.0, 0.0, 0.5]).eval(np.full((2, 3), 0.25)).shape == (2,)
+    for wave, x in (([1.0, 0.0, 0.5], np.full((2, 2), 0.25)),
+                    ([1.0, 2.0], np.full((4, 3), 0.25)),
+                    ([1.0, 2.0], np.array([0.25]))):
+        with pytest.raises(DimensionError):
+            TestFunction.cosine(wave).eval(x)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -3,7 +3,10 @@
 Core claims:
     - SymMatrix symmetrizes exactly, validates shape/finiteness, caps dim at 3
     - eigenvalues come back non-increasing and reconstruct A to 1e-12
-    - sphere rules have unit weight mass, unit nodes, and exact +- pairs
+    - sphere rules have unit weight mass, unit nodes, and exact +- pairs;
+      a rule is built once, read-only, with the bits of an uncached build,
+      and bad arguments raise on every call; a Gauss rule's arrays are the
+      caller's to write
     - the broadcast d = 3 sphere rule and the engine's flat inner nodes equal,
       bit for bit, the ring-by-ring and band-by-band loops kept here
     - q_norm reproduces the closed-form values: 1/pi, sqrt(1/2), sqrt(1/15), tr/d
@@ -38,6 +41,7 @@ from nldef import (
 from nldef.mollifiers import SURFACE_AREA, MollifierSpec
 
 en = importlib.import_module("nldef.energy")
+sym = importlib.import_module("nldef.symnorm")
 
 
 def _random_sym(rng, d):
@@ -119,10 +123,44 @@ def test_rule_json_roundtrip():
     assert np.array_equal(back.weights, rule.weights)
 
 def test_rule_validation():
-    with pytest.raises(DimensionError):
-        make_sphere_rule(4, 8)
-    with pytest.raises(ParameterError):
-        make_sphere_rule(2, 0)
+    # the arguments are checked on every call, before the rule cache
+    for _ in range(2):
+        for dim in (0, 4, 3.5):
+            with pytest.raises(DimensionError):
+                make_sphere_rule(dim, 8)
+        for level in (0, -3):
+            with pytest.raises(ParameterError):
+                make_sphere_rule(2, level)
+
+
+@pytest.mark.parametrize("dim,level", [(1, 3), (2, 17), (3, 9), (3, 64)])
+def test_repeated_sphere_rule_is_one_read_only_build(dim, level):
+    """make_sphere_rule builds a rule once and then returns that object; its
+    arrays are read-only and have the bits of an uncached build."""
+    rule = make_sphere_rule(dim, level)
+    assert make_sphere_rule(dim, level) is rule
+    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+    fresh = sym._sphere_rule.__wrapped__(dim, level)
+    assert fresh is not rule and (fresh.dim, fresh.level) == (rule.dim, rule.level)
+    assert _bits_equal(fresh.nodes, rule.nodes) and _bits_equal(fresh.weights, rule.weights)
+
+
+def test_writing_a_gauss_result_changes_no_later_call():
+    """_gauss returns fresh, writable arrays over a cached read-only [-1, 1]
+    rule, with the bits of the uncached formula."""
+    a, b = np.array([0.0, 1.0]), np.array([1.0, 3.0])
+    for lo, hi in ((-1.0, 1.0), (a, b)):
+        first = sym._gauss(lo, hi, 7)
+        want = [x.copy() for x in first]
+        for x in first:
+            x[...] = np.nan
+        again = sym._gauss(lo, hi, 7)
+        assert all(_bits_equal(x, y) for x, y in zip(again, want))
+        z, w = np.polynomial.legendre.leggauss(7)
+        half, mid = 0.5 * np.subtract(hi, lo), 0.5 * np.add(lo, hi)
+        uncached = np.multiply.outer(half, z) + mid[..., None], np.multiply.outer(half, w)
+        assert all(_bits_equal(x, y) for x, y in zip(again, uncached))
+    assert not any(x.flags.writeable for x in sym._legendre(7))
 
 
 def _loop_sphere_rule_3d(level):

@@ -50,7 +50,8 @@ benchmark's d3-jump-study runs through `cli.main` (`sweep` to JSON, then
 `weakstar`) on a config file, with the benchmark's dictionary and a cosine
 of a non-axis wave: the report's per-eps values, error bars, radii and
 grids and its reference, limit and order, and each test function's gap
-rows. The environment, BLAS thread
+rows; and the same config with the five eps 0.4, 0.3, 0.2, 0.15 and 0.1
+through `run_sweep`, its records, reference, limit and order. The environment, BLAS thread
 settings included, is passed to both interpreters unchanged. The last line
 gives each tree's source size, the line count of `wc -l src/nldef/*.py`.
 Exit status 0 means every output is bitwise equal, 1 that some differ.
@@ -303,12 +304,10 @@ def _rule_outputs(out: dict) -> None:
             out[f"d{d}/{family}/level_nodes/level{level}"] = [*np.ravel(h), *w, *inv_r2]
 
 
-def _study_cli_outputs(out: dict) -> None:
-    """The d3-jump-study at seed 0 through the command line: the sweep report
-    and the gap rows of each test function (runtimes left out)."""
-    cli = importlib.import_module("nldef.cli")
+def _study_config() -> dict:
+    """The d3-jump-study config at seed 0."""
     mat = [[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]]
-    cfg = {
+    return {
         "schema": 1, "dim": 3, "p": 1.0, "mollifier": {"family": "shell"},
         "field": {"id": "planar_jump", "params": {
             "normal": [1.0, 0.0, 0.0], "offset": 0.5,
@@ -321,6 +320,13 @@ def _study_cli_outputs(out: dict) -> None:
             {"id": "const_one"}, {"id": "tent", "center": [0.5, 0.5, 0.5], "radius": 0.3},
             {"id": "cosine", "k": [1.0, 0.0, 0.0]}, {"id": "cosine", "k": [1.0, 2.0, -1.0]}]},
     }
+
+
+def _study_cli_outputs(out: dict) -> None:
+    """The d3-jump-study at seed 0 through the command line: the sweep report
+    and the gap rows of each test function (runtimes left out)."""
+    cli = importlib.import_module("nldef.cli")
+    cfg = _study_config()
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, sweep, gaps = (Path(tmp) / f for f in ("cfg.json", "sweep.json", "gaps.csv"))
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -337,6 +343,18 @@ def _study_cli_outputs(out: dict) -> None:
         "reference_value", "extrapolated_limit", "empirical_order")]
     for eps, phi, *vals in rows:
         out.setdefault(f"d3/study_cli/weakstar/{phi}", []).extend([float(eps), *map(float, vals)])
+
+
+def _study_sweep5_outputs(out: dict) -> None:
+    """The d3-jump-study config with five eps, through `run_sweep`: the
+    records (runtimes left out), the reference and the limit."""
+    lab = importlib.import_module("nldef.lab")
+    rep = lab.run_sweep(lab.SweepConfig.from_dict(
+        dict(_study_config(), eps=[0.4, 0.3, 0.2, 0.15, 0.1])))
+    for key in ("value", "est_quadrature_error", "truncation_radius", "n_outer"):
+        out[f"d3/study_sweep5/{key}"] = [float(getattr(r, key)) for r in rep.records]
+    out["d3/study_sweep5/limit"] = [rep.reference_value, rep.extrapolated_limit,
+                                    rep.empirical_order]
 
 
 def _record(out: dict, key: str, req, residual: bool) -> None:
@@ -383,6 +401,7 @@ def _outputs() -> dict:
     _quadrature_outputs(out)
     _rule_outputs(out)
     _study_cli_outputs(out)
+    _study_sweep5_outputs(out)
     return out
 
 
