@@ -331,19 +331,57 @@ def _grid_mask(domain: DomainBox, axes: np.ndarray, h: np.ndarray):
     return tuple(ok), tuple(edge), tuple(key)
 
 
+def _radix(digits, sizes) -> np.ndarray:
+    """Row-major flat indices, first axis slowest, of the tensor product of the
+    per-axis index arrays `digits`, axis k of size sizes[k]."""
+    out = np.zeros(1, dtype=np.int64)
+    for dig, size in zip(digits, sizes):
+        out = np.add.outer(out * size, dig).ravel()
+    return out
+
+
 def _grid_classes(keys: tuple):
-    """Mask classes (ids, first) of the tensor grid, given the per-axis class
+    """Mask classes (ranks, first) of the tensor grid, given the per-axis class
     keys of `_grid_mask`.
 
-    ids (n^d,) are dense in [0, C), and equal ids have bitwise-equal mask
-    rows; first (C,) holds each class's first cell. An id is the mixed radix
-    of the cell's per-axis dense key ranks."""
-    ids = first = np.zeros(1, dtype=np.int64)
+    ranks[k] (n,) holds each row's dense rank among the distinct keys[k]; a
+    class is a tuple of per-axis ranks, and cells with equal ranks have
+    bitwise-equal mask rows. first (C_0, .., C_{d-1}), C_k the distinct
+    keys[k], holds at [r_0, .., r_{d-1}] the first cell of that class."""
+    ranks, starts = [], []
     for key in keys:
         _, start, rank = np.unique(key, return_index=True, return_inverse=True)
-        ids = np.add.outer(ids * len(start), rank).ravel()
-        first = np.add.outer(first * len(key), start).ravel()
-    return ids, first
+        ranks.append(rank)
+        starts.append(start)
+    return tuple(ranks), _radix(starts, [len(k) for k in keys]).reshape([len(s) for s in starts])
+
+
+def _expand(masses: np.ndarray, ranks) -> np.ndarray:
+    """The per-cell masses, first axis slowest, of class masses (C_0, ..,
+    C_{k-1}) indexed by per-axis ranks (k index arrays), or `masses` itself
+    when ranks is None (masses per cell)."""
+    return masses if ranks is None else masses[np.ix_(*ranks)].ravel()
+
+
+def _rank_total(masses: np.ndarray, ranks=None) -> float:
+    """`pairwise_total(_expand(masses, ranks))`, bit for bit, without the
+    per-cell array while the tree halves whole rows.
+
+    The expanded array is R = len(ranks[0]) rows of W cells. While R is
+    even, the tree's step adds row i + R/2 to row i elementwise, and a row's
+    entry at column j is its class row's entry at j's class, the mixed radix
+    of j's ranks on the other axes: the step runs on the (R, C_rest) class
+    rows with the same additions. Once R is odd (at once for odd R), the
+    R x W remainder is expanded by the column ranks and the tree finishes it.
+    """
+    if ranks is None:
+        return pairwise_total(masses)
+    rows = masses.reshape(len(masses), -1)[ranks[0]]  # a fresh (R, C_rest) copy
+    n = len(rows)
+    while n and n % 2 == 0:
+        n //= 2
+        np.add(rows[:n], rows[n : 2 * n], out=rows[:n])
+    return pairwise_total(rows[:n, _radix(ranks[1:], masses.shape[1:])])
 
 
 def _abs_pow(q: np.ndarray, p: float) -> np.ndarray:
@@ -414,20 +452,21 @@ def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual
     return masses * cellvol
 
 
-def _all_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool, grid):
-    """(masses per level, the last level's inner node count): mu^p(x_i) *
-    cellvol for every cell of the (axes, cellvol) grid of `_midpoints`, first
-    axis slowest.
+def _class_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool, grid):
+    """(class masses per level, ranks, the last level's inner node count):
+    mu^p(x_i) * cellvol of the cells of the (axes, cellvol) grid of
+    `_midpoints`, in the form `_expand` takes: per cell (ranks None), or per
+    class with each cell's class given by per-axis ranks (d arrays, when the
+    kernel ids vary along at most one axis) or by one class id per cell.
 
     The levels' nodes are the blocks split[j]:split[j + 1] of one node set,
     whose mask, node scale w^(1/p)/|h|^2 and, with kernel classes, the grid's
     mask classes refined by the kernel ids are built once. The evaluated cells,
-    each class's first cell in class order (its mass gathered to the class) or
-    else every cell, go in min(workers, count) runs of equal shares, one
-    `_run_masses` task each, on the pool when there are several, with the
-    table of the distinct kernel ids' |q|^p rows if they fit one block. No
-    node's pair rows depend on the others, so a level has the bits of its
-    run alone.
+    each class's first cell in class order or else every cell, go in
+    min(workers, count) runs of equal shares, one `_run_masses` task each, on
+    the pool when there are several, with the table of the distinct kernel
+    ids' |q|^p rows if they fit one block. No node's pair rows depend on the
+    others, so a level has the bits of its run alone.
     """
     nodes = [_inner_nodes(req, level) for level in levels]
     split = np.cumsum([0] + [len(n[0]) for n in nodes]).tolist()
@@ -438,26 +477,29 @@ def _all_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool,
     ok, edge, keys = _grid_mask(req.domain, axes, h)
     count = len(axes) ** axes.shape[1]
     scale = w ** (1.0 / req.p) * inv_r2
-    table = row = None
+    table = row = ranks = None
+    shape = (count,)
     if kernel is not None:
-        shape = (len(axes),) * kernel.ndim
+        grid_shape = (len(axes),) * kernel.ndim
         varies = [k for k, m in enumerate(kernel.shape) if m > 1]
         if len(varies) <= 1:  # the ids' dense rank joins the varying axis's mask keys
             _, start, rank = np.unique(kernel, return_index=True, return_inverse=True)
             keys = [key + (key.max() + 1) * rank.ravel() if [k] == varies else key
                     for k, key in enumerate(keys)]
-        ids, first = _grid_classes(keys)
-        if len(varies) > 1:
-            ids = (kernel * len(first) + ids.reshape(shape)).ravel()
-            _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
-        count, at = len(first), np.unravel_index(first, shape)  # the classes' first cells
+        ranks, first = _grid_classes(keys)
+        if len(varies) > 1:  # the classes refined by the ids over the cells
+            ids = kernel * first.size + _radix(ranks, first.shape).reshape(grid_shape)
+            _, first, ids = np.unique(ids.ravel(), return_index=True, return_inverse=True)
+            ranks = (ids,)
+        shape, first = first.shape, first.ravel()
+        count, at = len(first), np.unravel_index(first, grid_shape)  # the classes' first cells
         # row: each class's kernel id as its rank; reps: a cell of each rank
         if len(varies) > 1:  # ranked over the classes
-            _, start, row = np.unique(np.broadcast_to(kernel, shape)[at],
+            _, start, row = np.unique(np.broadcast_to(kernel, grid_shape)[at],
                                       return_index=True, return_inverse=True)
             reps = tuple(i[start] for i in at)
         else:
-            row = np.broadcast_to(rank.reshape(kernel.shape), shape)[at]
+            row = np.broadcast_to(rank.reshape(kernel.shape), grid_shape)[at]
             reps = np.unravel_index(start, kernel.shape)
         if len(start) * len(h) <= fields._BLOCK_PAIRS:
             table = np.empty((len(start), len(h)))
@@ -471,19 +513,25 @@ def _all_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool,
              for a, b in zip(cuts[:-1], cuts[1:])]
     parts = _pool_map(workers, _run_masses, tasks) if len(tasks) > 1 else [_run_masses(*tasks[0])]
     masses = np.concatenate(parts, axis=1)
-    if kernel is not None:  # per level: one 2-d fancy index makes c10-linear slower
-        masses = [m[ids] for m in masses]
-    return list(masses), split[-1] - split[-2]
+    return [m.reshape(shape) for m in masses], ranks, split[-1] - split[-2]
+
+
+def _all_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool, grid):
+    """(masses per level, the last level's inner node count): the masses of
+    `_class_masses` for every cell of the grid, first axis slowest."""
+    masses, ranks, k = _class_masses(req, levels, workers, residual, grid)
+    return [_expand(m, ranks) for m in masses], k
 
 
 def _masses(req: EnergyRequest, residual: bool):
-    """(axes of `_midpoints`, masses, inner node count, total,
+    """(axes of `_midpoints`, the finer level's class masses and ranks (as
+    `_class_masses` gives them), inner node count, total,
     est_quadrature_error).
 
     Both inner levels run in one pass; the masses, the node count and the
-    total (`pairwise_total` of the masses) are the finer level's (2 x
-    inner_level), the error estimate the gap between the totals of the two
-    levels."""
+    total (`pairwise_total` of the per-cell masses, taken on the classes by
+    `_rank_total`) are the finer level's (2 x inner_level), the error
+    estimate the gap between the totals of the two levels."""
     if residual:
         if req.p != 1.0:
             raise ParameterError("residual energy is defined for p = 1 only")
@@ -491,21 +539,21 @@ def _masses(req: EnergyRequest, residual: bool):
             raise ModelError("residual energy needs a closed-form gradient")
     workers = _resolve_workers(req.workers)
     if req.domain.is_empty:
-        return np.zeros((0, req.domain.dim)), np.zeros(0), 0, 0.0, 0.0
+        return np.zeros((0, req.domain.dim)), np.zeros(0), None, 0, 0.0, 0.0
     grid = _midpoints(req.domain, req.outer_grid)
     levels = (req.inner_level, 2 * req.inner_level)
-    (coarse, fine), k_fine = _all_masses(req, levels, workers, residual, grid)
-    total = pairwise_total(fine)
-    return grid[0], fine, k_fine, total, abs(total - pairwise_total(coarse))
+    (coarse, fine), ranks, k_fine = _class_masses(req, levels, workers, residual, grid)
+    total = _rank_total(fine, ranks)
+    return grid[0], fine, ranks, k_fine, total, abs(total - _rank_total(coarse, ranks))
 
 
 def _evaluate(req: EnergyRequest, residual: bool) -> EnergyResult:
     t0 = time.perf_counter()
-    _, masses, k_fine, total, est = _masses(req, residual)
+    axes, _, _, k_fine, total, est = _masses(req, residual)
     return EnergyResult(
         value=total,
         truncation_radius=req.mollifier.support_radius(req.trunc_tol),
-        samples_outer=masses.shape[0],
+        samples_outer=len(axes) ** req.domain.dim,
         samples_inner=k_fine,
         elapsed=time.perf_counter() - t0,
         est_quadrature_error=est,
@@ -546,8 +594,8 @@ def density_masses(req: EnergyRequest, residual: bool = False):
     Shares the energy pipeline so pairwise_total(masses) equals
     energy(req).value bit for bit.
     """
-    axes, masses, _, _, est = _masses(req, residual)
-    return _tensor_grid(axes.T), masses, est
+    axes, masses, ranks, _, _, est = _masses(req, residual)
+    return _tensor_grid(axes.T), _expand(masses, ranks), est
 
 
 def upper_bound_rhs(

@@ -8,6 +8,8 @@ Core claims:
     - the energy is monotone in the domain, blind to added spin, and
       invariant under quarter-turn frame rotations
     - totals are bitwise reproducible across reruns and worker counts
+    - class calls total their masses on per-axis ranks with the bits of the
+      pairwise tree over the per-cell masses
     - the inner weights are positive, so they fold into the node scale, and
       rigid energies stay exactly zero at p = 1, 1.5 and 2
     - a criterion-10 sin tile's traced peak stays within four float64
@@ -238,6 +240,33 @@ def test_pairwise_total_in_place_is_bitwise():
     assert np.array_equal(v, kept)
 
 
+
+# per-axis cell counts: odd, even, powers of two (the tree halves rows to the
+# end) and 1 (a single row or column)
+_AXIS_SIZES = st.one_of(st.integers(1, 70), st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@example(sizes=[320, 5], seed=0)
+@example(sizes=[64, 64], seed=1)
+@example(sizes=[1, 63, 2], seed=2)
+@example(sizes=[24, 24, 24], seed=3)
+@given(sizes=st.lists(_AXIS_SIZES, min_size=1, max_size=3), seed=st.integers(0, 2**16))
+def test_rank_total_is_the_tree_of_the_expanded_masses(sizes, seed):
+    """`_rank_total` of random class masses (values over 16 decades, both
+    signs) and random per-axis ranks, d = 1..3 and 1..70 cells per axis, has
+    the bits of `pairwise_total` of the per-cell array that `_expand` forms,
+    and leaves its masses alone."""
+    rng = np.random.default_rng(seed)
+    shape = [int(rng.integers(1, min(n, 9) + 1)) for n in sizes]
+    ranks = tuple(rng.integers(0, c, n) for c, n in zip(shape, sizes))
+    masses = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    kept = masses.copy()
+    cells = en._expand(masses, ranks)
+    assert np.array_equal(cells, masses[np.ix_(*ranks)].ravel())
+    assert en._rank_total(masses, ranks).hex() == en.pairwise_total(cells).hex()
+    assert np.array_equal(masses, kept)
+
 # -- exact kernel ------------------------------------------------------------
 
 def test_rigid_energy_exact_zero():
@@ -368,6 +397,36 @@ def test_worker_count_does_not_change_totals():
     assert serial.value == pooled.value
     assert serial.est_quadrature_error == pooled.est_quadrature_error
 
+
+
+@pytest.mark.parametrize("d, n", [(2, 25), (2, 32), (3, 9), (3, 8)])
+def test_class_totals_are_the_trees_of_the_density_masses(d, n):
+    """For the fields whose kernel ids vary along at most one axis (rigid,
+    linear, and equal-matrix jumps normal to the first and to the last axis),
+    the class path totals on per-axis ranks: the value and error bar of
+    `energy` and `residual_energy` are, bit for bit, the pairwise totals of
+    the per-cell masses of both levels, the fine ones those of
+    `density_masses`; samples_outer is N^d. N odd and even, 1 and 2 workers."""
+    rng = np.random.default_rng(60 + d)
+    a, eye = rng.uniform(-1, 1, (d, d)), np.eye(d)
+    sides = LinearField(a, np.zeros(d)), LinearField(a, rng.uniform(-1, 1, d))
+    box = DomainBox([0.0] * d, [1.0] * d)
+    grid = en._midpoints(box, n)
+    for f in (RigidField(a - a.T, rng.uniform(-1, 1, d)), LinearField(a, rng.uniform(-1, 1, d)),
+              PlanarJumpField(eye[0], 0.43, *sides), PlanarJumpField(-eye[d - 1], -0.57, *sides)):
+        for workers in (1, 2):
+            req = en.EnergyRequest(field=f, domain=box, p=1.0, outer_grid=n, inner_level=4,
+                                   mollifier=MollifierSpec("shell", 0.2, d), workers=workers)
+            assert len(en._class_masses(req, (4, 8), workers, False, grid)[1]) == d
+            for residual, run in ((False, en.energy), (True, en.residual_energy)):
+                res = run(req)
+                (coarse, fine), _ = en._all_masses(req, (4, 8), workers, residual, grid)
+                total = en.pairwise_total(fine)
+                assert res.value.hex() == total.hex()
+                assert res.est_quadrature_error == abs(total - en.pairwise_total(coarse))
+                assert res.samples_outer == n**d
+                masses = en.density_masses(req, residual)[1]
+                assert np.array_equal(masses.view(np.uint64), fine.view(np.uint64))
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_sin_energy_bitwise_across_reruns_and_workers(p):

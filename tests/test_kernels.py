@@ -455,15 +455,20 @@ def _diagonal(axes):
 
 def _grid_mask_classes(box, axes, h):
     """Mask classes (`energy._grid_classes`) and mask rows of the tensor grid
-    over axes (m, d), after checking the class contract: ids dense in
-    [0, C), `first` the first cell of each class, and bitwise-equal mask
-    rows within a class."""
-    ids, first = en._grid_classes(en._grid_mask(box, axes, h)[2])
+    over axes (m, d), after checking the class contract: per-axis ranks
+    dense in [0, C_k), `first` (C_0, .., C_{d-1}) the first cell of each
+    class, and bitwise-equal mask rows within a class. The classes come back
+    as one id per cell, the mixed radix of its ranks."""
+    ranks, first = en._grid_classes(en._grid_mask(box, axes, h)[2])
     rows = _mask_rows(box, axes, h)
+    assert len(ranks) == first.ndim == axes.shape[1]
+    for rank, size in zip(ranks, first.shape):
+        assert rank.shape == (axes.shape[0],) and np.array_equal(np.unique(rank), np.arange(size))
+    ids = en._radix(ranks, first.shape)
     assert ids.shape == (axes.shape[0] ** axes.shape[1],) and ids.dtype == np.int64
     classes, start = np.unique(ids, return_index=True)
-    assert np.array_equal(classes, np.arange(len(first)))
-    assert np.array_equal(start, first)
+    assert np.array_equal(classes, np.arange(first.size))
+    assert np.array_equal(start, first.ravel())
     _assert_rows_equal_per_class(ids, rows)
     return ids, rows
 

@@ -26,7 +26,12 @@ ids along no axis, one axis, two axes and all axes; jumps whose plane runs
 through a row of outer midpoints, the 3-d planar jump of the
 benchmark's d3-jump-study at seed 0 (its eps 0.4, 0.2 and 0.1, N = 24,
 inner level 4), and a 2-d jump between rigid sides with one nonzero spin
-(a constant jump, N = 24). The outputs are the energy value and error bar,
+(a constant jump, N = 24). The class requests above all have even N, so
+the class calls' total starts by halving whole rows of the grid; at odd N
+it has none to halve, and so come the linear field and the axis-normal
+constant jumps at N = 25 and 63 in d = 2 (the criterion-10 linear field and
+jump, and the equal-spin jump) and at N = 9 in d = 3 (a linear field and the
+d3-jump-study jump), at 1 and 2 workers. The outputs are the energy value and error bar,
 the residual energy value and error bar (p = 1, closed-form fields) and
 the per-cell density masses; each serial request of the family grid also
 gives `local_density` (one cell, cell volume 1) at an interior point and
@@ -139,7 +144,10 @@ def _extra_requests():
     axes 0 and 2, or along all three); linear-sided jumps whose plane
     <x, e_1> = s passes exactly through a row of outer midpoints, so those
     cells sit on the interface, the d3-jump-study field at its three eps,
-    and the equal-spin jump.
+    and the equal-spin jump; and class calls at odd N, where the total has
+    no whole-row halvings: the criterion-10 linear field and jump (nu = e_1)
+    and the equal-spin jump (nu = -e_2) at N = 25 and 63, and a 3-d linear
+    field and the d3-jump-study jump at N = 9, each at 1 and 2 workers.
     """
     import nldef
 
@@ -215,6 +223,19 @@ def _extra_requests():
         field=_equal_spin_jump(), domain=box2, p=1.0,
         mollifier=nldef.MollifierSpec("shell", 0.2, 2), outer_grid=24, inner_level=8, workers=1)
     out.append(("d2/equal_spin_jump/n24", req))
+    # class calls at odd N, where the rank-form total has no row halving to do
+    mat = np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]])
+    odd = [(2, n, 8, 0.1, name, f) for n in (25, 63) for name, f in (
+        ("linear", c10["linear"]), ("jump_e0", c10["jump"]), ("equal_spin_jump", _equal_spin_jump()))]
+    odd += [(3, 9, 4, 0.4, "linear", nldef.LinearField(mat, np.zeros(3))),
+            (3, 9, 4, 0.4, "study_jump", _study_field())]
+    for d, n, level, eps, name, field in odd:
+        for workers in (1, 2):
+            req = en.EnergyRequest(
+                field=field, domain=nldef.DomainBox([0.0] * d, [1.0] * d), p=1.0,
+                mollifier=nldef.MollifierSpec("shell", eps, d), outer_grid=n,
+                inner_level=level, workers=workers)
+            out.append((f"d{d}/odd_n/{name}/n{n}/w{workers}", req))
     return out
 
 
