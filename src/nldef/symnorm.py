@@ -31,7 +31,7 @@ __all__ = [
 
 # PSD test: smallest eigenvalue may dip slightly negative in floating point
 PSD_TOL = 1e-12
-_SPHERE_NODE_BUDGET = 1 << 20  # matrix rows x sphere nodes per block in qp_pow_eigs
+_SPHERE_NODE_BUDGET = 1 << 15  # matrix rows x sphere nodes per block in _sphere_pow_sum
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -338,17 +338,26 @@ def _sphere_pow_sum(eigs: np.ndarray, p: float, rule: SphereRule) -> np.ndarray:
     Each distinct row is evaluated once and its value copied to its repeats.
     `np.unique(..., axis=0)` finds them by exact float comparison (it merges
     -0.0 with 0.0, which changes no |sum|), and the batches that reach this
-    sum often repeat one row: the gradient of an affine field. Blocks of distinct rows bound the (rows x nodes)
-    temporaries to _SPHERE_NODE_BUDGET entries. Each row takes the same
-    operations as in one whole-batch product; BLAS may still round a row
-    differently in its last bit when it falls at another position within a
-    block.
+    sum often repeat one row: the gradient of an affine field. The sums are
+    numpy's, in a fixed order: the d products added in axis order, then one
+    pairwise row sum over the nodes, so a row's bits depend neither on its
+    place in the batch nor on the BLAS build or its threads. Blocks of
+    _SPHERE_NODE_BUDGET (rows x nodes) entries reuse two buffers.
     """
     eigs, at = np.unique(eigs, axis=0, return_inverse=True)
-    w2 = rule.nodes * rule.nodes
-    rows = max(1, _SPHERE_NODE_BUDGET // w2.shape[0])
+    w2 = np.ascontiguousarray((rule.nodes * rule.nodes).T)  # (d, nodes)
+    rows = max(1, _SPHERE_NODE_BUDGET // w2.shape[1])
     out = np.empty(eigs.shape[0])
+    buf, tmp = np.empty((2, min(rows, eigs.shape[0]), w2.shape[1]))
     for s in range(0, eigs.shape[0], rows):
-        vals = np.abs(eigs[s : s + rows] @ w2.T)
-        out[s : s + rows] = vals**p @ rule.weights
+        lam = eigs[s : s + rows]
+        vals, prod = buf[: len(lam)], tmp[: len(lam)]
+        np.multiply(lam[:, :1], w2[0], out=vals)
+        for i in range(1, len(w2)):
+            vals += np.multiply(lam[:, i : i + 1], w2[i], out=prod)
+        np.abs(vals, out=vals)
+        if p != 1.0:
+            np.power(vals, p, out=vals)
+        vals *= rule.weights
+        vals.sum(axis=1, out=out[s : s + rows])
     return out[at.reshape(-1)]

@@ -399,18 +399,30 @@ en = importlib.import_module("nldef.energy")
 box, rule = nldef.DomainBox([0.0, 0.0], [1.0, 1.0]), nldef.make_sphere_rule(2, 64)
 sin = nldef.SinField(np.array([0.3, 0.2]), np.array([[3.0, 1.0], [1.0, 2.0]]))
 bump = nldef.BumpField(np.array([0.5, -0.3]), np.array([0.45, 0.45]), 0.35)
+box3 = nldef.DomainBox([0.0] * 3, [1.0] * 3)
+lin3 = nldef.LinearField(np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]]),
+                         np.zeros(3))
+# sorted eigenvalue rows of both signs: 3,074 of them, which the BLAS
+# product used to round by their thread split
+rows = np.sort(np.random.default_rng(5).uniform(-1.0, 1.0, (4099, 3)), axis=1)
+rows = rows[(rows[:, 0] < 0.0) & (rows[:, 2] > 0.0)]
 vals = [nldef.ground_truth(sin, box, 1.0, rule).total,
         nldef.ground_truth(bump, box, 2.0, rule).total,
-        en.upper_bound_rhs(sin, box, 0.1, 1.0, nldef.MollifierSpec("gaussian", 0.1, 2))]
+        en.upper_bound_rhs(sin, box, 0.1, 1.0, nldef.MollifierSpec("gaussian", 0.1, 2)),
+        nldef.ground_truth(lin3, box3, 1.0, nldef.make_sphere_rule(3, 64)).total,
+        *nldef.qp_pow_eigs(rows, 1.0, nldef.make_sphere_rule(3, 16))]
 print(" ".join(float(v).hex() for v in vals))
 """
 
 
 def test_ground_truth_bits_do_not_depend_on_blas_threads():
-    """ground_truth of a 2-d sin field at p = 1 and of a bump at p = 2, and
-    upper_bound_rhs with a gaussian tail, give the same bits under 1 and 2
-    OpenBLAS threads: their sums are fixed-order numpy sums. Each thread
-    count runs in its own interpreter, since BLAS reads it at load time."""
+    """ground_truth of a 2-d sin field at p = 1, of a bump at p = 2 and of
+    a 3-d linear field with an indefinite gradient at p = 1 (through the
+    sphere rule), upper_bound_rhs with a gaussian tail, and Q_1^1 of 3,074
+    indefinite 3-d eigenvalue rows in one batch give the same bits under 1
+    and 2 OpenBLAS threads: their sums are fixed-order numpy sums. Each
+    thread count runs in its own interpreter, since BLAS reads it at load
+    time."""
     src = str(Path(nldef.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
@@ -418,7 +430,7 @@ def test_ground_truth_bits_do_not_depend_on_blas_threads():
         proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
                               capture_output=True, text=True, check=True)
         outs.append(proc.stdout.split())
-    assert len(outs[0]) == 3 and outs[0] == outs[1]
+    assert len(outs[0]) == 4 + 3074 and outs[0] == outs[1]
 
 
 # -- mollify -----------------------------------------------------------------

@@ -355,6 +355,19 @@ def test_qp_pow_eigs_shuffled_repeats_match_single_rows(p):
     assert np.array_equal(got.view(np.uint64), got[first][inv].view(np.uint64))
 
 
+
+@pytest.mark.parametrize("level, p", [(16, 1.0), (64, 1.0), (16, 3.0)])
+def test_qp_pow_eigs_row_alone_has_its_bits_in_a_batch(level, p):
+    """Each of 1,000 distinct indefinite 3-d rows, evaluated alone, has the
+    bits of its row in the batch of all of them: the sphere sum's order does
+    not depend on the row's place in the batch."""
+    rng = np.random.default_rng(41)
+    rule = make_sphere_rule(3, level)
+    rows = _indefinite_rows(rng, 1000)
+    batch = qp_pow_eigs(rows, p, rule)
+    alone = np.array([qp_pow_eigs(r[None], p, rule)[0] for r in rows])
+    assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
+
 # -- invariance --------------------------------------------------------------
 
 def _rotation_2d(theta):
