@@ -29,8 +29,8 @@ vector, so its band cells' kernel involves x only through x.nu), the cells
 fall into classes with identical pair rows: equal kernel ids and mask rows.
 Ids that vary along one axis alone (an axis normal's) join its mask keys as
 their dense rank, and the classes are ranked per axis; other ids refine them
-over the N^d cells. Each class's first cell is evaluated and its mass gathered
-to the others, which gives the bits of evaluating every cell. Classes share
+over the N^d cells. Each class's first cell is evaluated and its mass stands
+for the others, which gives the bits of evaluating every cell. Classes share
 few kernel ids (the criterion-10 jump: 578 classes, 18 ids), so if the ids'
 rows fit one block of `_BLOCK_PAIRS` pairs, the call builds them once, |q|^p
 taken, from one cell per id into a read-only table that a class's first
@@ -52,18 +52,25 @@ reuses, as documented per family, and |q|^p is applied in place, or the
 block gathers its rows from the table; the edge runs that meet the block
 have their pairs that leave U zeroed, interior cells (about 90% of the
 criterion-10 grid) left alone; then one row sum per level. The value is the
-pairwise total of the fine level's masses, taken once, which the error bar
-reuses.
+pairwise total of the fine level's masses over the N^d cells, first axis
+slowest, taken once, which the error bar reuses.
 
 Determinism: a cell's x and mask row do not depend on the worker count, and
 `pair_blocks` gives its row, in a fixed node order, bits that do not depend
 on its tile or its block (nor, for equal kernel ids, on the cell), so its
 mass is the same however the evaluated cells are cut into runs and tiles
-and whether its row comes from the table; the final reduction is one
-pairwise tree over the full cell array. Results are bitwise reproducible
-across 1, 2 or 8 workers. The default worker count is the number of CPUs this process may
-run on. A pool whose worker died is rebuilt once; a second death raises
-WorkerError.
+and whether its row comes from the table. Each level's total is the one
+pairwise tree of `pairwise_total` over the per-cell masses, the same
+additions in the same order at any worker count. When the classes are
+ranked per axis, `_rank_total` takes that tree without the per-cell
+array: while the N rows of the grid halve evenly the tree adds whole rows,
+whose cells repeat the classes of their columns, so those additions run
+on the class masses, and only the rows left when their count is odd (5 of
+320 at criterion 10, 3 of 24 in the 3-d study, all N for odd N) are
+expanded per cell. Results are bitwise reproducible across reruns and
+across 1, 2 or 8 workers. The default worker count is the number of CPUs
+this process may run on. A pool whose worker died is rebuilt once; a
+second death raises WorkerError.
 
 The residual variant subtracts the first-order term <Eu(x) h, h>/|h|^2 before
 taking absolute values; its small-eps limit isolates the singular part of the
@@ -348,12 +355,9 @@ def _grid_classes(keys: tuple):
     class is a tuple of per-axis ranks, and cells with equal ranks have
     bitwise-equal mask rows. first (C_0, .., C_{d-1}), C_k the distinct
     keys[k], holds at [r_0, .., r_{d-1}] the first cell of that class."""
-    ranks, starts = [], []
-    for key in keys:
-        _, start, rank = np.unique(key, return_index=True, return_inverse=True)
-        ranks.append(rank)
-        starts.append(start)
-    return tuple(ranks), _radix(starts, [len(k) for k in keys]).reshape([len(s) for s in starts])
+    starts, ranks = zip(*(np.unique(key, return_index=True, return_inverse=True)[1:]
+                          for key in keys))
+    return ranks, _radix(starts, [len(k) for k in keys]).reshape([len(s) for s in starts])
 
 
 def _expand(masses: np.ndarray, ranks) -> np.ndarray:
@@ -363,7 +367,7 @@ def _expand(masses: np.ndarray, ranks) -> np.ndarray:
     return masses if ranks is None else masses[np.ix_(*ranks)].ravel()
 
 
-def _rank_total(masses: np.ndarray, ranks=None) -> float:
+def _rank_total(masses: np.ndarray, ranks) -> float:
     """`pairwise_total(_expand(masses, ranks))`, bit for bit, without the
     per-cell array while the tree halves whole rows.
 

@@ -221,6 +221,11 @@ def weakstar_gap(requests, phis):
     same objects), typically one per eps. Returns a list of row dicts with
     keys eps, phi, gap, pair_value, ref_value, est_quad_err, ordered by the
     given requests then by phi.
+
+    The limit measure is `ground_truth_measure` at its default of 64 cells
+    per axis, whatever the requests' outer grid N: the density atoms sit on
+    the N-cell midpoints, so the atoms of the two measures coincide only
+    when N = 64.
     """
     requests = list(requests)
     if not requests:

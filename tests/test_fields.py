@@ -402,8 +402,8 @@ bump = nldef.BumpField(np.array([0.5, -0.3]), np.array([0.45, 0.45]), 0.35)
 box3 = nldef.DomainBox([0.0] * 3, [1.0] * 3)
 lin3 = nldef.LinearField(np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]]),
                          np.zeros(3))
-# sorted eigenvalue rows of both signs: 3,074 of them, which the BLAS
-# product used to round by their thread split
+# sorted eigenvalue rows of both signs: 3,074 of them, a batch that a BLAS
+# matrix product would split across threads and round apart
 rows = np.sort(np.random.default_rng(5).uniform(-1.0, 1.0, (4099, 3)), axis=1)
 rows = rows[(rows[:, 0] < 0.0) & (rows[:, 2] > 0.0)]
 vals = [nldef.ground_truth(sin, box, 1.0, rule).total,

@@ -226,7 +226,8 @@ def _extra_requests():
     # class calls at odd N, where the rank-form total has no row halving to do
     mat = np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]])
     odd = [(2, n, 8, 0.1, name, f) for n in (25, 63) for name, f in (
-        ("linear", c10["linear"]), ("jump_e0", c10["jump"]), ("equal_spin_jump", _equal_spin_jump()))]
+        ("linear", c10["linear"]), ("jump_e0", c10["jump"]),
+        ("equal_spin_jump", _equal_spin_jump()))]
     odd += [(3, 9, 4, 0.4, "linear", nldef.LinearField(mat, np.zeros(3))),
             (3, 9, 4, 0.4, "study_jump", _study_field())]
     for d, n, level, eps, name, field in odd:
