@@ -27,40 +27,50 @@ fields, and jump cells whose stencil stays on one side, have a kernel that
 does not involve x; a jump whose sides share one matrix has a constant jump
 vector, so its band cells' kernel involves x only through x.nu), the cells
 fall into classes with identical pair rows: equal kernel ids and mask rows.
-Ids that vary along one axis alone (an axis normal's) join its mask keys as
-their dense rank, and the classes are ranked per axis; other ids refine them
-over the N^d cells. Each class's first cell is evaluated and its mass stands
-for the others, which gives the bits of evaluating every cell. Classes share
-few kernel ids (the criterion-10 jump: 578 classes, 18 ids), so if the ids'
-rows fit one block of `_BLOCK_PAIRS` pairs, the call builds them once, |q|^p
-taken, from one cell per id into a read-only table that a class's first
-cell reads its row from; a jump whose sides' matrices differ has one id per
-band cell, so on large grids its classes go through `pair_blocks` one by
-one. Fields whose kernel depends on x (sin, bump, sampled) evaluate every
-cell. A call cuts its evaluated cells
-(the class representatives in class order, or every cell) into
-min(workers, count) runs of equal shares, one task each that carries its
-cells (and their table rows), the mask and the node scale s = w^(1/p)/|h|^2
-(the positive weights folded in, as |q s|^p = |q|^p w/|h|^(2p)); its worker
-cuts the run into tiles of t cells (t x K pairs at most) and rebuilds a
-tile's x, mask rows (through the maps) and runs of edge cells from the cell
-indices by mixed radix. A tile runs one L2-sized block of at most
-`_BLOCK_PAIRS` pairs at a time, every step written over the block: the
-field's one kernel hook, `FieldSpec.pair_blocks(x, h, s, residual)`, yields
-the kernel times s (less <Eu(x) h, h> s for the residual) in one buffer it
-reuses, as documented per family, and |q|^p is applied in place, or the
-block gathers its rows from the table; the edge runs that meet the block
-have their pairs that leave U zeroed, interior cells (about 90% of the
-criterion-10 grid) left alone; then one row sum per level. The value is the
-pairwise total of the fine level's masses over the N^d cells, first axis
-slowest, taken once, which the error bar reuses.
+Ids that vary along at most one axis v (an axis normal's) join its mask keys
+as their dense rank, and the classes are ranked per axis. Those ids are few
+(the criterion-10 jump: 578 classes, 18 ids), and if their rows fit one
+block of `_BLOCK_PAIRS` pairs the call builds them once, |q|^p taken, from
+one cell per id: the rank form. There a class's masked row is its kernel
+row times the d per-axis mask rows of its ranks, so each axis gives one
+factor row per rank (0/1 mask rows; on axis v, v = 0 if no axis varies,
+the rank's kernel row where its mask holds and +0.0 elsewhere), and the
+masses are the products over the class grid, a block of whole grid rows at
+a time. Other ids (a jump across an oblique plane, or whose sides' matrices
+differ: one id per band cell) refine the classes over the N^d cells, and
+each class's first cell is evaluated, its row read from a table of the
+ids' rows if that fits one block, else through `pair_blocks`. Fields whose
+kernel depends on x (sin, bump, sampled) evaluate every cell. A call cuts
+its classes, or its evaluated cells, into min(workers, count) runs of equal
+shares, one task each. A product task carries the factor rows and computes
+each grid row its share meets. A cell task carries its cells (and their
+table rows), the mask and the node scale s = w^(1/p)/|h|^2 (the positive
+weights folded in, as |q s|^p = |q|^p w/|h|^(2p)); its worker cuts the run
+into tiles of t cells (t x K pairs at most) and rebuilds a tile's x, mask
+rows (through the maps) and runs of edge cells from the cell indices by
+mixed radix. A tile runs one L2-sized block of at most `_BLOCK_PAIRS` pairs
+at a time, every step written over the block: the field's one kernel hook,
+`FieldSpec.pair_blocks(x, h, s, residual)`, yields the kernel times s (less
+<Eu(x) h, h> s for the residual) in one buffer it reuses, as documented per
+family, and |q|^p is applied in place, or the block gathers its rows from
+the table; the edge runs that meet the block have their pairs that leave U
+zeroed, interior cells (about 90% of the criterion-10 grid) left alone;
+then one row sum per level. The value is the pairwise total of the fine
+level's masses over the N^d cells, first axis slowest, taken once, which
+the error bar reuses.
 
 Determinism: a cell's x and mask row do not depend on the worker count, and
 `pair_blocks` gives its row, in a fixed node order, bits that do not depend
-on its tile or its block (nor, for equal kernel ids, on the cell), so its
-mass is the same however the evaluated cells are cut into runs and tiles
-and whether its row comes from the table. Each level's total is the one
-pairwise tree of `pairwise_total` over the per-cell masses, the same
+on its tile or its block (nor, for equal kernel ids, on the cell). A masked
+row holds the |q|^p entries where the mask holds and +0.0 elsewhere, however
+it is made: by zeroing a cell's row, gathering from the table, or taking a
+product of factor rows. The table's entries are >= 0, and when they are
+finite a product with 1.0 is exact and with 0.0 is +0.0; when some are inf
+or NaN, whose product with 0.0 is NaN, the products zero the entries that
+meet a 0 instead. Each row sum then adds the same floats in the same
+pairwise order, so a class's mass is that of each of its cells, however the
+classes or cells are cut into runs, tiles and blocks. Each level's total is
+the one pairwise tree of `pairwise_total` over the per-cell masses, the same
 additions in the same order at any worker count. When the classes are
 ranked per axis, `_rank_total` takes that tree without the per-cell
 array: while the N rows of the grid halve evenly the tree adds whole rows,
@@ -82,6 +92,7 @@ from __future__ import annotations
 import atexit
 from bisect import bisect_left, bisect_right
 import functools
+import math
 import numbers
 import os
 import time
@@ -348,16 +359,16 @@ def _radix(digits, sizes) -> np.ndarray:
 
 
 def _grid_classes(keys: tuple):
-    """Mask classes (ranks, first) of the tensor grid, given the per-axis class
-    keys of `_grid_mask`.
+    """Mask classes (ranks, starts) of the tensor grid, given the per-axis
+    class keys of `_grid_mask`.
 
-    ranks[k] (n,) holds each row's dense rank among the distinct keys[k]; a
-    class is a tuple of per-axis ranks, and cells with equal ranks have
-    bitwise-equal mask rows. first (C_0, .., C_{d-1}), C_k the distinct
-    keys[k], holds at [r_0, .., r_{d-1}] the first cell of that class."""
+    ranks[k] (n,) holds each row's dense rank among the distinct keys[k], and
+    starts[k] (C_k,) the first row of each rank. A class is a tuple of
+    per-axis ranks; cells with equal ranks have bitwise-equal mask rows, and
+    the first cell of class (r_0, .., r_{d-1}) has the rows starts[k][r_k]."""
     starts, ranks = zip(*(np.unique(key, return_index=True, return_inverse=True)[1:]
                           for key in keys))
-    return ranks, _radix(starts, [len(k) for k in keys]).reshape([len(s) for s in starts])
+    return ranks, starts
 
 
 def _expand(masses: np.ndarray, ranks) -> np.ndarray:
@@ -456,6 +467,68 @@ def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual
     return masses * cellvol
 
 
+def _zeroing_multiply(a, b, out):
+    """a * b with +0.0 wherever a or b is 0, also against inf or NaN (whose
+    product with 0 is NaN)."""
+    zero = (a == 0.0) | (b == 0.0)
+    with np.errstate(invalid="ignore"):  # the NaNs it makes are zeroed
+        np.multiply(a, b, out=out)
+    np.copyto(out, 0.0, where=zero)
+    return out
+
+
+def _product_masses(factors, cells, split, cellvol, finite):
+    """Masses, one row per node block split[j]:split[j + 1], of the classes
+    cells (start, stop), in class order (first axis slowest), of the class
+    grid whose class (r_0, .., r_{d-1}) has the masked |q|^p row of the
+    product over k of factors[k][r_k].
+
+    One axis's factor rows are kernel rows with their masked entries +0.0,
+    the others 0/1 mask rows, so every product entry is a kernel entry or
+    +0.0: multiplying is exact when the kernel rows are `finite`, else
+    `_zeroing_multiply` keeps a masked inf or NaN from turning the entry
+    into NaN. A block holds whole grid rows (the last axis's classes at one
+    class of the others), or part of one that exceeds `_BLOCK_PAIRS` pairs;
+    the run computes each grid row it meets and keeps its share.
+    """
+    *lead, last = factors
+    width, k = last.shape
+    top = cells[0] // width
+    rows = -(-cells[1] // width) - top  # the grid rows the run meets
+    step = max(1, fields._BLOCK_PAIRS // max(1, width * k))  # grid rows per block
+    cols = min(width, max(1, fields._BLOCK_PAIRS // max(1, k)))  # last-axis classes per block
+    times = np.multiply if finite else _zeroing_multiply
+    buf = np.empty(min(step, rows) * cols * k)
+    masses = np.empty((len(split) - 1, rows * width))
+    for g in range(0, rows, step):
+        at = top + np.arange(g, min(g + step, rows))
+        if lead:  # the product of the other axes' rows, one per grid row
+            digits = np.unravel_index(at, [len(f) for f in lead])
+            head = lead[0][digits[0]]
+            for f, i in zip(lead[1:], digits[1:]):
+                times(head, f[i], out=head)
+        for c in range(0, width, cols):
+            q = last[c : c + cols]
+            if lead:  # heads copied along the row, then times its rows: one broadcast operand
+                out = buf[: len(at) * len(q) * k].reshape(len(at), -1, k)
+                np.copyto(out, head[:, None])
+                q = times(out, q, out=out).reshape(-1, k)
+            for j, m in enumerate(masses):
+                q[:, split[j] : split[j + 1]].sum(axis=1, out=m[g * width + c :][: len(q)])
+    masses = masses[:, cells[0] - top * width : cells[1] - top * width]
+    masses *= cellvol
+    return masses
+
+
+def _pow_table(field, x, h, scale, residual, p):
+    """The |q|^p rows (len(x), K) of `pair_blocks` at the points x, read-only."""
+    table = np.empty((len(x), len(h)))
+    for rows, q in _pow_blocks(field, x, h, scale, residual, p):
+        table[rows] = q
+    table.flags.writeable = False
+    return table
+
+
 def _class_masses(req: EnergyRequest, levels: tuple, workers: int, residual: bool, grid):
     """(class masses per level, ranks, the last level's inner node count):
     mu^p(x_i) * cellvol of the cells of the (axes, cellvol) grid of
@@ -465,58 +538,72 @@ def _class_masses(req: EnergyRequest, levels: tuple, workers: int, residual: boo
 
     The levels' nodes are the blocks split[j]:split[j + 1] of one node set,
     whose mask, node scale w^(1/p)/|h|^2 and, with kernel classes, the grid's
-    mask classes refined by the kernel ids are built once. The evaluated cells,
-    each class's first cell in class order or else every cell, go in
-    min(workers, count) runs of equal shares, one `_run_masses` task each, on
-    the pool when there are several, with the table of the distinct kernel
-    ids' |q|^p rows if they fit one block. No node's pair rows depend on the
+    mask classes refined by the kernel ids are built once. In the rank form
+    (ids along at most one axis v, their |q|^p table in one block) the
+    classes go to `_product_masses` with each axis's mask row per rank as
+    0/1, and on axis v (0 if no axis varies) the table row of the rank's id
+    where its mask holds, +0.0 elsewhere. Otherwise the evaluated cells, each
+    class's first cell in class order or else every cell, go to
+    `_run_masses`, with the table of the ids' rows if it fits one block.
+    Either way min(workers, count) runs of equal shares go one task each, on
+    the pool when there are several. No node's pair rows depend on the
     others, so a level has the bits of its run alone.
     """
     nodes = [_inner_nodes(req, level) for level in levels]
     split = np.cumsum([0] + [len(n[0]) for n in nodes]).tolist()
     h, w, inv_r2 = (np.concatenate(a) for a in zip(*nodes))
     axes, cellvol = grid
-    tile = max(1, _TILE_NODE_BUDGET // max(1, len(h)))
     kernel = req.field.kernel_classes(axes, h)
     ok, edge, keys = _grid_mask(req.domain, axes, h)
-    count = len(axes) ** axes.shape[1]
     scale = w ** (1.0 / req.p) * inv_r2
-    table = row = ranks = None
-    shape = (count,)
+    first = table = row = ranks = factors = None
+    shape = (len(axes) ** axes.shape[1],)
     if kernel is not None:
         grid_shape = (len(axes),) * kernel.ndim
         varies = [k for k, m in enumerate(kernel.shape) if m > 1]
         if len(varies) <= 1:  # the ids' dense rank joins the varying axis's mask keys
             _, start, rank = np.unique(kernel, return_index=True, return_inverse=True)
-            keys = [key + (key.max() + 1) * rank.ravel() if [k] == varies else key
+            rank = rank.ravel()
+            keys = [key + (key.max() + 1) * rank if [k] == varies else key
                     for k, key in enumerate(keys)]
-        ranks, first = _grid_classes(keys)
+        ranks, starts = _grid_classes(keys)
+        shape = tuple(map(len, starts))
+        if len(varies) <= 1 and len(start) * len(h) <= fields._BLOCK_PAIRS:  # the rank form
+            table = _pow_table(req.field, _points(axes, np.unravel_index(start, kernel.shape)),
+                               h, scale, residual, req.p)
+            finite = bool(np.isfinite(table).all())
+            v = varies[0] if varies else 0
+            by_rank = table[np.broadcast_to(rank, len(axes))[starts[v]]]  # axis v's ranks
+            factors = [np.where(m, by_rank, 0.0) if k == v else m.astype(np.float64)
+                       for k, m in enumerate(o[e[s]] for o, e, s in zip(ok, edge, starts))]
+        else:
+            first = _radix(starts, grid_shape)  # each class's first cell
         if len(varies) > 1:  # the classes refined by the ids over the cells
-            ids = kernel * first.size + _radix(ranks, first.shape).reshape(grid_shape)
+            ids = kernel * first.size + _radix(ranks, shape).reshape(grid_shape)
             _, first, ids = np.unique(ids.ravel(), return_index=True, return_inverse=True)
-            ranks = (ids,)
-        shape, first = first.shape, first.ravel()
-        count, at = len(first), np.unravel_index(first, grid_shape)  # the classes' first cells
-        # row: each class's kernel id as its rank; reps: a cell of each rank
-        if len(varies) > 1:  # ranked over the classes
+            ranks, shape = (ids,), first.shape
+            # row: each class's kernel id as its rank; start: a class of each rank
+            at = np.unravel_index(first, grid_shape)
             _, start, row = np.unique(np.broadcast_to(kernel, grid_shape)[at],
                                       return_index=True, return_inverse=True)
-            reps = tuple(i[start] for i in at)
-        else:
-            row = np.broadcast_to(rank.reshape(kernel.shape), grid_shape)[at]
-            reps = np.unravel_index(start, kernel.shape)
-        if len(start) * len(h) <= fields._BLOCK_PAIRS:
-            table = np.empty((len(start), len(h)))
-            for rows, q in _pow_blocks(req.field, _points(axes, reps), h, scale, residual, req.p):
-                table[rows] = q
-            table.flags.writeable = False
+            if len(start) * len(h) <= fields._BLOCK_PAIRS:
+                table = _pow_table(req.field, _points(axes, tuple(i[start] for i in at)), h,
+                                   scale, residual, req.p)
+    count = math.prod(shape)
     runs = min(workers, count)
     cuts = [count * r // runs for r in range(runs + 1)]
-    tasks = [(req.field, tile, (a, b) if kernel is None else first[a:b], axes, h, scale, split,
-              ok, edge, req.p, residual, cellvol, table, None if table is None else row[a:b])
-             for a, b in zip(cuts[:-1], cuts[1:])]
-    parts = _pool_map(workers, _run_masses, tasks) if len(tasks) > 1 else [_run_masses(*tasks[0])]
-    masses = np.concatenate(parts, axis=1)
+    cuts = list(zip(cuts[:-1], cuts[1:]))
+    if factors is not None:
+        run = _product_masses
+        tasks = [(factors, cut, split, cellvol, finite) for cut in cuts]
+    else:
+        run, tile = _run_masses, max(1, _TILE_NODE_BUDGET // max(1, len(h)))
+        tasks = [(req.field, tile, (a, b) if first is None else first[a:b], axes, h, scale,
+                  split, ok, edge, req.p, residual, cellvol, table,
+                  None if table is None else row[a:b])
+                 for a, b in cuts]
+    parts = _pool_map(workers, run, tasks) if len(tasks) > 1 else [run(*tasks[0])]
+    masses = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return [m.reshape(shape) for m in masses], ranks, split[-1] - split[-2]
 
 

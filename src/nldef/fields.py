@@ -230,10 +230,12 @@ class FieldSpec:
         its outer grid against both inner levels' nodes, and refines the grid's
         mask classes by it: ids along one axis by their dense rank (any int64),
         along more as id * C + mask class (C <= n^d classes; exact for |id| <
-        2^63 / n^d). It gathers each class's mass to the others from one cell,
-        whose `pair_blocks` row it takes from one cell per distinct id when
-        those rows fit one block, else from the class's own first cell. None,
-        the default, means the kernel depends on x: every cell is evaluated.
+        2^63 / n^d). It takes one `pair_blocks` row per distinct id when
+        those rows fit one block, else one per class at its first cell. With
+        ids along at most one axis and rows in one block, a class's row is
+        its id's row times the per-axis mask rows of its ranks; otherwise its
+        first cell's masked row stands for the class. None, the default,
+        means the kernel depends on x: every cell is evaluated.
         """
         return None
 

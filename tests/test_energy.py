@@ -535,6 +535,31 @@ def test_oblique_jump_call_peak_memory_is_bounded_by_the_blocks():
     assert peak < 8 * 2**20
 
 
+def test_class_product_call_peak_memory_is_bounded_by_the_blocks():
+    """A serial d = 3 class call whose products of per-axis rows span many
+    blocks of `_BLOCK_PAIRS` pairs (the d3-jump-study jump at N = 48, shell
+    eps 0.4, inner level 4: 48 x 31 x 21 classes of 320 nodes, 80 MB as one
+    array) peaks within three blocks, plain and residual."""
+    a = np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]])
+    jump = PlanarJumpField(np.array([1.0, 0.0, 0.0]), 0.5, LinearField(a, np.zeros(3)),
+                           LinearField(a, np.array([0.2, 1.0, 0.3])))
+    req = en.EnergyRequest(field=jump, domain=DomainBox([0.0] * 3, [1.0] * 3), p=1.0,
+                           mollifier=MollifierSpec("shell", 0.4, 3), outer_grid=48,
+                           inner_level=4, workers=1)
+    grid = en._midpoints(req.domain, 48)
+    masses, ranks, _ = en._class_masses(req, (4, 8), 1, False, grid)  # the nodes are cached
+    k = sum(en._inner_nodes(req, level)[0].shape[0] for level in (4, 8))
+    assert len(ranks) == 3 and masses[0].size * k > 64 * fields._BLOCK_PAIRS
+    for run in (en.energy, en.residual_energy):
+        tracemalloc.start()
+        try:
+            run(req)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * fields._BLOCK_PAIRS * 8
+
+
 class _Sent(Exception):
     pass
 
@@ -618,9 +643,9 @@ def test_killed_pool_worker_is_replaced():
 
 
 def test_two_tile_linear_request_forks_both_workers():
-    # perfbench's warm-up request: N = 64 at level 16 evaluates its class
-    # representatives, all in one tile, but workers=2 still cuts them into two
-    # runs, so it runs through a pool of 2 live processes
+    # perfbench's warm-up request: N = 64 at level 16 has few classes, but
+    # workers=2 still cuts them into two runs, so it runs through a pool of 2
+    # live processes
     en._shutdown_pools()
     for child in multiprocessing.active_children():
         child.join(timeout=30)
@@ -633,17 +658,18 @@ def test_two_tile_linear_request_forks_both_workers():
 
 
 _PARENT_PID = os.getpid()
-_RUN_MASSES = en._run_masses
+_PRODUCT_MASSES = en._product_masses
 
 
 def _die_in_worker(*args):
     if os.getpid() != _PARENT_PID:
         os._exit(1)
-    return _RUN_MASSES(*args)
+    return _PRODUCT_MASSES(*args)
 
 
 def test_pool_that_keeps_dying_raises_worker_error(monkeypatch):
-    monkeypatch.setattr(en, "_run_masses", _die_in_worker)
+    # the pooled jump's classes are products of per-axis rows (`_product_masses`)
+    monkeypatch.setattr(en, "_product_masses", _die_in_worker)
     with pytest.raises(WorkerError):
         en.energy(_pooled_req())
     assert 2 not in en._POOLS  # no broken pool stays cached

@@ -406,10 +406,17 @@ lin3 = nldef.LinearField(np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0
 # matrix product would split across threads and round apart
 rows = np.sort(np.random.default_rng(5).uniform(-1.0, 1.0, (4099, 3)), axis=1)
 rows = rows[(rows[:, 0] < 0.0) & (rows[:, 2] > 0.0)]
+# the engine's sin path (one BLAS product per block) on the criterion-10
+# request at N = 64: value, error bar, residual value and density masses
+c10 = en.EnergyRequest(field=sin, domain=box, p=1.0,
+                       mollifier=nldef.MollifierSpec("shell", 0.025, 2), outer_grid=64,
+                       inner_level=16, workers=1)
+plain, res = en.energy(c10), en.residual_energy(c10)
 vals = [nldef.ground_truth(sin, box, 1.0, rule).total,
         nldef.ground_truth(bump, box, 2.0, rule).total,
         en.upper_bound_rhs(sin, box, 0.1, 1.0, nldef.MollifierSpec("gaussian", 0.1, 2)),
         nldef.ground_truth(lin3, box3, 1.0, nldef.make_sphere_rule(3, 64)).total,
+        plain.value, plain.est_quadrature_error, res.value, *en.density_masses(c10)[1],
         *nldef.qp_pow_eigs(rows, 1.0, nldef.make_sphere_rule(3, 16))]
 print(" ".join(float(v).hex() for v in vals))
 """
@@ -420,9 +427,11 @@ def test_ground_truth_bits_do_not_depend_on_blas_threads():
     a 3-d linear field with an indefinite gradient at p = 1 (through the
     sphere rule), upper_bound_rhs with a gaussian tail, and Q_1^1 of 3,074
     indefinite 3-d eigenvalue rows in one batch give the same bits under 1
-    and 2 OpenBLAS threads: their sums are fixed-order numpy sums. Each
-    thread count runs in its own interpreter, since BLAS reads it at load
-    time."""
+    and 2 OpenBLAS threads: their sums are fixed-order numpy sums. So do the
+    engine's sin value, error bar, residual value and 4,096 density masses
+    on the criterion-10 request at N = 64, whose blocks are BLAS products.
+    Each thread count runs in its own interpreter, since BLAS reads it at
+    load time."""
     src = str(Path(nldef.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
@@ -430,7 +439,7 @@ def test_ground_truth_bits_do_not_depend_on_blas_threads():
         proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
                               capture_output=True, text=True, check=True)
         outs.append(proc.stdout.split())
-    assert len(outs[0]) == 4 + 3074 and outs[0] == outs[1]
+    assert len(outs[0]) == 4 + 3 + 64**2 + 3074 and outs[0] == outs[1]
 
 
 # -- mollify -----------------------------------------------------------------

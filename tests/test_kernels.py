@@ -33,11 +33,20 @@ Core claims:
     - cells in one kernel class have bitwise-equal kernel and sym_gradient
       rows, cells in one mask class bitwise-equal mask rows, and the class
       path of the engine gives the same bits as computing every cell while
-      evaluating one class per distinct pair of kernel id and mask row
+      computing one class per distinct pair of kernel id and mask row
     - a class call hands `pair_blocks` one row per distinct kernel id when
       those rows fit one block (1 for the criterion-10 linear call, 18 for
       its jump and for the d3-jump-study request at eps 0.4), else one per
       class (an axis-normal jump whose sides' matrices differ)
+    - with ids along at most one axis and their rows in one block (the rank
+      form), a class's masked row is the product of its per-axis factor
+      rows: `_product_masses` has the bits of the brute-force product at
+      any block size and over any share of the classes, kernel rows with
+      inf and NaN included; over small rigid, linear and axis-normal
+      constant-jump requests (Hypothesis) the value, error bar and density
+      masses have the bits of the per-cell path, and their pairwise total
+      is the value; kernel rows that overflow to inf stay masked, so the
+      masses stay finite
     - a jump whose sides share one matrix has a constant jump vector, and
       its band cells evaluate one class per distinct pair of x.nu and mask
       row: at most 600 per criterion-10 jump call
@@ -50,6 +59,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nldef import (
     BumpField,
@@ -457,9 +467,11 @@ def _grid_mask_classes(box, axes, h):
     """Mask classes (`energy._grid_classes`) and mask rows of the tensor grid
     over axes (m, d), after checking the class contract: per-axis ranks
     dense in [0, C_k), `first` (C_0, .., C_{d-1}) the first cell of each
-    class, and bitwise-equal mask rows within a class. The classes come back
-    as one id per cell, the mixed radix of its ranks."""
-    ranks, first = en._grid_classes(en._grid_mask(box, axes, h)[2])
+    class (the mixed radix of each rank's first row, `starts`), and
+    bitwise-equal mask rows within a class. The classes come back as one id
+    per cell, the mixed radix of its ranks."""
+    ranks, starts = en._grid_classes(en._grid_mask(box, axes, h)[2])
+    first = en._radix(starts, [len(r) for r in ranks]).reshape([len(s) for s in starts])
     rows = _mask_rows(box, axes, h)
     assert len(ranks) == first.ndim == axes.shape[1]
     for rank, size in zip(ranks, first.shape):
@@ -649,20 +661,34 @@ def test_block_size_leaves_masses_unchanged(d, monkeypatch):
 
 # outer grid, inner level, shell eps and tile size per dimension: the last
 # tile of a run is partial, in d = 2, 3 per-cell tiles end in the middle of a
-# row, and every class path fills at least two tiles
+# row, and every class path fills at least two tiles (or blocks of as many
+# classes)
 _RUN_GRIDS = {1: (300, 16, 0.1, 13), 2: (24, 8, 0.2, 83), 3: (6, 4, 0.3, 29)}
 _RUN_MASSES = en._run_masses
+_PRODUCT_MASSES = en._product_masses
+
+
+def _is_product(task):
+    """Whether a task is a `_product_masses` task, whose first argument is
+    its list of per-axis factors (a `_run_masses` task starts with a field)."""
+    return isinstance(task[0], list)
 
 
 def _cell_count(task):
-    """The number of cells in a `_run_masses` task."""
-    cells = task[2]
+    """The number of cells in a `_run_masses` task, or of classes in a
+    `_product_masses` task."""
+    cells = task[1] if _is_product(task) else task[2]
     return cells[1] - cells[0] if isinstance(cells, tuple) else len(cells)
 
 
 def _tiles_alone(task):
-    """`_run_masses` on each tile of a task's cells alone, concatenated; a
-    class task's per-class table rows are sliced with its cells."""
+    """`_run_masses` on each tile of a task's cells alone, concatenated (a
+    class task's per-class table rows sliced with its cells), or
+    `_product_masses` on each class of its share alone."""
+    if _is_product(task):
+        factors, (a, b), *rest = task
+        return np.concatenate([_PRODUCT_MASSES(factors, (i, i + 1), *rest)
+                               for i in range(a, b)], axis=1)
     f, t, cells, *rest, table, row = task
     idx = np.arange(*cells) if isinstance(cells, tuple) else cells
     return np.concatenate([_RUN_MASSES(f, t, idx[a : a + t], *rest, table,
@@ -672,22 +698,27 @@ def _tiles_alone(task):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
-    """The fine level's evaluated cells in 1, 2 and 3 runs and in one run per
-    tile of the serial run, run in-process: bitwise-equal masses for every
-    family, plain (p = 1.5) and residual (p = 1), in min(runs, cells) tasks
-    whose cell counts differ by at most 1. The serial run's masses are those
-    of `_run_masses` on each of its tiles alone; per-cell runs hold every
-    cell, and class-path runs fill several tiles."""
+    """The fine level's evaluated cells (or classes) in 1, 2 and 3 runs and
+    in one run per tile of the serial run, run in-process: bitwise-equal
+    masses for every family, plain (p = 1.5) and residual (p = 1), in
+    min(runs, cells) tasks whose cell counts differ by at most 1. The serial
+    run's masses are those of `_run_masses` on each of its tiles alone, or
+    of `_product_masses` on each of its classes alone; per-cell runs hold
+    every cell, and class-path runs fill several tiles, or blocks of at
+    most a tile's pairs."""
     n, level, eps, t = _RUN_GRIDS[d]
     box = DomainBox([0.0] * d, [1.0] * d)
     grid = en._midpoints(box, n)
     runs = []
 
-    def record(*task):
-        runs.append((task, _RUN_MASSES(*task)))
-        return runs[-1][1]
+    def spy(real):
+        def record(*task):
+            runs.append((task, real(*task)))
+            return runs[-1][1]
+        return record
 
-    monkeypatch.setattr(en, "_run_masses", record)
+    monkeypatch.setattr(en, "_run_masses", spy(_RUN_MASSES))
+    monkeypatch.setattr(en, "_product_masses", spy(_PRODUCT_MASSES))
     monkeypatch.setattr(en, "_pool_map", lambda workers, fn, tasks: [fn(*a) for a in tasks])
     spread = []
     for name, f in _block_fields(d):
@@ -696,12 +727,13 @@ def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
                                inner_level=level)
         h = en._inner_nodes(req, 2 * level)[0]
         monkeypatch.setattr(en, "_TILE_NODE_BUDGET", t * h.shape[0])
+        monkeypatch.setattr(fields_mod, "_BLOCK_PAIRS", t * h.shape[0])
         cases = [(req, False)] + ([] if name == "sampled" else [(replace(req, p=1.0), True)])
         for r, residual in cases:
             serial = en._all_masses(r, (2 * level,), 1, residual, grid)[0][0]
             (task, masses), = runs
             runs.clear()
-            assert task[1] == t
+            assert _is_product(task) or task[1] == t
             assert np.array_equal(_bits(masses), _bits(_tiles_alone(task)))
             count = _cell_count(task)
             tiles = -(-count // t)
@@ -1129,7 +1161,7 @@ def test_class_path_equals_every_cell(name, p, monkeypatch):
                                    inner_level=level)
         h = en._inner_nodes(reqs[d], 2 * level)[0]
         keys = en._grid_mask(box, en._midpoints(box, n)[0], h)[2]
-        _, first = en._grid_classes(keys)
+        first = en._radix(en._grid_classes(keys)[1], [n] * d)
         assert first.max() >= en._TILE_NODE_BUDGET // h.shape[0]  # past the first tile
     runs = [en.energy] + ([en.residual_energy] if p == 1.0 else [])
 
@@ -1172,16 +1204,19 @@ def _rows_evaluated(monkeypatch, run, f, *args):
 
 
 def _cells_evaluated(monkeypatch, run, *args):
-    """The number of cells in the `_run_masses` tasks of run(*args): a class
-    call's evaluated classes."""
+    """The number of cells in the `_run_masses` tasks of run(*args), and of
+    classes in its `_product_masses` tasks: a class call's evaluated classes."""
     tasks = []
 
-    def record(*task):
-        tasks.append(task)
-        return _RUN_MASSES(*task)
+    def spy(real):
+        def record(*task):
+            tasks.append(task)
+            return real(*task)
+        return record
 
     with monkeypatch.context() as m:
-        m.setattr(en, "_run_masses", record)
+        m.setattr(en, "_run_masses", spy(_RUN_MASSES))
+        m.setattr(en, "_product_masses", spy(_PRODUCT_MASSES))
         run(*args)
     return sum(_cell_count(task) for task in tasks)
 
@@ -1209,12 +1244,24 @@ def test_grid_classes_evaluate_one_row_per_distinct_kernel_and_mask(d, monkeypat
 
 
 def _engine_classes(monkeypatch, req, grid):
-    """Each cell's class representative as `_all_masses` gathers it (one
-    level, serial), with `_run_masses` replaced by a stand-in whose mass of
-    a cell is the cell's index."""
+    """Each cell's class representative as `_all_masses` gives it (one
+    level, serial), with the tasks replaced by stand-ins: `_run_masses`
+    gives each evaluated cell its index, and `_product_masses` each class its
+    index in class order, which is then mapped to the first cell holding it."""
+    product = []
+
+    def classes(factors, cells, *rest):
+        product.append(True)
+        return np.arange(*cells, dtype=float)[None]
+
     with monkeypatch.context() as m:
         m.setattr(en, "_run_masses", lambda field, tile, cells, *rest: np.array([cells], float))
-        return en._all_masses(req, (4,), 1, False, grid)[0][0].astype(np.int64)
+        m.setattr(en, "_product_masses", classes)
+        got = en._all_masses(req, (4,), 1, False, grid)[0][0].astype(np.int64)
+    if product:
+        _, first, inv = np.unique(got, return_index=True, return_inverse=True)
+        got = first[inv]
+    return got
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -1438,3 +1485,140 @@ def test_class_path_on_merged_midpoints(d, monkeypatch):
     assert np.array_equal(classed[2], every_cell[2])
     if d == 1:
         assert classed[0] == 4.0
+
+
+def _overflow_requests():
+    """A linear field whose kernel overflows to inf at 16 of the 48 inner
+    nodes of both levels (p = 2, shell eps 0.2, N = 16, inner level 4), on a
+    box 0.05 wide along the axis of its one nonzero entry, so that every
+    cell masks those nodes: on that axis the first (where the ids' table
+    is folded into the mask), and on the last."""
+    for a, hi in (([[1e155, 0.0], [0.0, 0.0]], [0.05, 1.0]),
+                  ([[0.0, 0.0], [0.0, 1e155]], [1.0, 0.05])):
+        yield en.EnergyRequest(field=LinearField(np.array(a), np.zeros(2)),
+                               domain=DomainBox([0.0, 0.0], hi), p=2.0,
+                               mollifier=MollifierSpec("shell", 0.2, 2), outer_grid=16,
+                               inner_level=4, workers=1)
+
+
+def test_overflowing_kernel_rows_stay_masked(monkeypatch):
+    """Where the |q|^p rows hold inf, the class path zeroes the masked
+    entries without multiplying them by 0 (inf * 0 is NaN): the value, error
+    bar and density masses are finite and have the bits of the per-cell path.
+    A plain 0/1 multiply of the masks gives NaN masses instead."""
+    def outputs(req):
+        res = en.energy(req)
+        return res.value, res.est_quadrature_error, _bits(en.density_masses(req)[1])
+
+    with np.errstate(over="ignore"):
+        for req in _overflow_requests():
+            h, w, inv_r2 = (np.concatenate(a) for a in zip(*(en._inner_nodes(req, lv)
+                                                              for lv in (4, 8))))
+            row = _rows(req.field, np.zeros((1, 2)), h, np.sqrt(w) * inv_r2)[0] ** 2
+            assert np.isinf(row).sum() == 16
+            classed = outputs(req)
+            with monkeypatch.context() as m:
+                m.setattr(LinearField, "kernel_classes", lambda self, x, h: None)
+                every_cell = outputs(req)
+            assert np.isfinite(classed[0]) and np.isfinite(classed[1])
+            assert np.all(np.isfinite(classed[2].view(np.float64)))
+            assert classed[:2] == every_cell[:2]
+            assert np.array_equal(classed[2], every_cell[2])
+    assert classed[0] > 1e304
+
+
+def _product_reference(factors, split):
+    """The masses (levels, classes) of `_product_masses` by brute force: each
+    class's factor rows gathered, their product where none of them is 0 and
+    +0.0 elsewhere, one row sum per level."""
+    ranks = np.indices([len(f) for f in factors]).reshape(len(factors), -1)
+    picked = [f[r] for f, r in zip(factors, ranks)]
+    keep = np.logical_and.reduce([row != 0.0 for row in picked])
+    with np.errstate(invalid="ignore"):
+        rows = np.where(keep, reduce(np.multiply, picked), 0.0)
+    return np.stack([rows[:, a:b].sum(axis=1) for a, b in zip(split[:-1], split[1:])])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_product_masses_do_not_depend_on_block_or_share(seed, monkeypatch):
+    """`_product_masses` of random per-axis factors (d = 1..3, one axis's
+    rows kernel entries with their masked ones +0.0, with and without inf
+    and NaN, the others 0/1 with an all-ones row) has the bits of the brute
+    force product over any share of the classes, whole grid rows or not, at
+    block sizes of one pair, one row, part of a grid row, a few grid rows
+    and the default."""
+    rng = np.random.default_rng(300 + seed)
+    d = 1 + seed % 3
+    sizes, k = rng.integers(1, 8, d), int(rng.integers(1, 41))
+    split = [0, int(rng.integers(0, k + 1)), k]
+    masks = [rng.random((c, k)) < 0.7 for c in sizes]
+    for m in masks:
+        m[0] = True
+    v = int(rng.integers(0, d))
+    kernel = rng.random((sizes[v], k)) * 10.0 ** rng.uniform(-3, 3, (sizes[v], 1))
+    hard = kernel.copy()
+    hard.ravel()[rng.integers(0, hard.size, 1 + hard.size // 8)] = np.inf
+    hard.ravel()[rng.integers(0, hard.size, 1 + hard.size // 16)] = np.nan
+    width = int(sizes[-1])
+    blocks = (1, k, 2 * k + 1, max(1, width * k - 1), 3 * width * k + 1, fields_mod._BLOCK_PAIRS)
+    count = int(np.prod(sizes))
+    shares = [(0, count), (count // 3, count), (count // 2, count // 2 + 1)]
+    for rows, finite in ((kernel, True), (kernel, False), (hard, False)):
+        factors = [np.where(m, rows, 0.0) if a == v else m.astype(np.float64)
+                   for a, m in enumerate(masks)]
+        want = _product_reference(factors, split) * 0.5
+        for size in blocks:
+            monkeypatch.setattr(fields_mod, "_BLOCK_PAIRS", size)
+            for a, b in shares:
+                got = en._product_masses(factors, (a, b), split, 0.5, finite)
+                assert got.shape == (2, b - a)
+                assert np.array_equal(_bits(got), _bits(want[:, a:b]))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(2, 16), level=st.integers(1, 4),
+       eps=st.sampled_from([0.15, 0.3, 0.6]),
+       kind=st.sampled_from(["rigid", "linear", "jump-first", "jump-last"]),
+       p=st.sampled_from([1.0, 1.5, 2.0]), seed=st.integers(0, 2**16))
+def test_class_products_have_the_bits_of_every_cell(d, n, level, eps, kind, p, seed):
+    """Over small requests of rigid and linear fields and of jumps whose sides
+    share one matrix across a plane normal to the first or the last axis (so
+    the kernel ids, folded into that axis's mask rows, vary along axis 0 or
+    d - 1): the class masses are products of per-axis rows, and the value,
+    error bar and density masses, plain and at p = 1 residual, have the bits
+    of the per-cell path, with pairwise_total(density masses) == value."""
+    rng = np.random.default_rng(seed)
+    if kind == "rigid":
+        f = _rigid(rng, d)
+    elif kind == "linear":
+        f = _linear(rng, d)
+    else:
+        axis, sign = (0, 1.0) if kind == "jump-first" else (d - 1, -1.0)
+        sides = _constant_sides(rng, d)[int(rng.integers(0, 2))]
+        f = PlanarJumpField(sign * np.eye(d)[axis], sign * rng.uniform(0.2, 0.8), *sides)
+    req = en.EnergyRequest(field=f, domain=DomainBox([0.0] * d, [1.0] * d), p=p,
+                           mollifier=MollifierSpec("shell", eps, d), outer_grid=n,
+                           inner_level=level, workers=1)
+    products = []
+
+    def outputs():
+        out = []
+        for residual in (False, True) if p == 1.0 else (False,):
+            res = (en.residual_energy if residual else en.energy)(req)
+            masses = en.density_masses(req, residual)[1]
+            assert en.pairwise_total(masses) == res.value
+            out.append((res.value, res.est_quadrature_error, _bits(masses)))
+        return out
+
+    def spy(*task):
+        products.append(len(task[0]))
+        return _PRODUCT_MASSES(*task)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(en, "_product_masses", spy)
+        classed = outputs()
+        assert products and set(products) == {d}
+        m.setattr(type(f), "kernel_classes", lambda self, x, h: None)
+        every_cell = outputs()
+    for got, want in zip(classed, every_cell):
+        assert got[:2] == want[:2] and np.array_equal(got[2], want[2])

@@ -25,8 +25,11 @@ a 3-d jump across nu = (0.6, 0, 0.8) with equal and with unequal matrices
 ids along no axis, one axis, two axes and all axes; jumps whose plane runs
 through a row of outer midpoints, the 3-d planar jump of the
 benchmark's d3-jump-study at seed 0 (its eps 0.4, 0.2 and 0.1, N = 24,
-inner level 4), and a 2-d jump between rigid sides with one nonzero spin
-(a constant jump, N = 24). The class requests above all have even N, so
+inner level 4) and its sides across x_3 = 1/2 (eps 0.4, 1 and 2 workers),
+a 2-d jump between rigid sides with one nonzero spin (a constant jump
+across x_2 = 0.45, N = 24), and two 2-d linear fields whose |q|^2 rows
+overflow to inf at 16 of their 48 nodes, masked at every cell along the
+first or the last axis (N = 16). The class requests above all have even N, so
 the class calls' total starts by halving whole rows of the grid; at odd N
 it has none to halve, and so come the linear field and the axis-normal
 constant jumps at N = 25 and 63 in d = 2 (the criterion-10 linear field and
@@ -143,8 +146,9 @@ def _extra_requests():
     unequal matrices at N = 8 on 1 and 2 workers (its kernel ids vary along
     axes 0 and 2, or along all three); linear-sided jumps whose plane
     <x, e_1> = s passes exactly through a row of outer midpoints, so those
-    cells sit on the interface, the d3-jump-study field at its three eps,
-    and the equal-spin jump; and class calls at odd N, where the total has
+    cells sit on the interface, the d3-jump-study field at its three eps
+    and across x_3 = 1/2, the equal-spin jump, and the two overflowing
+    linear fields; and class calls at odd N, where the total has
     no whole-row halvings: the criterion-10 linear field and jump (nu = e_1)
     and the equal-spin jump (nu = -e_2) at N = 25 and 63, and a 3-d linear
     field and the d3-jump-study jump at N = 9, each at 1 and 2 workers.
@@ -223,6 +227,26 @@ def _extra_requests():
         field=_equal_spin_jump(), domain=box2, p=1.0,
         mollifier=nldef.MollifierSpec("shell", 0.2, 2), outer_grid=24, inner_level=8, workers=1)
     out.append(("d2/equal_spin_jump/n24", req))
+    # the d3-jump-study sides across x_3 = 1/2: a constant jump whose ids
+    # vary along the last axis
+    study = _study_field()
+    for workers in (1, 2):
+        req = en.EnergyRequest(
+            field=nldef.PlanarJumpField(np.eye(3)[2], 0.5, study.minus, study.plus),
+            domain=nldef.DomainBox([0.0] * 3, [1.0] * 3), p=1.0,
+            mollifier=nldef.MollifierSpec("shell", 0.4, 3), outer_grid=24, inner_level=4,
+            workers=workers)
+        out.append((f"d3/study_jump_e3/n24/w{workers}", req))
+    # |q|^p rows that overflow to inf at 16 of their 48 nodes, which every
+    # cell masks along the first axis, or along the last
+    for name, a, hi in (("e1", [[1e155, 0.0], [0.0, 0.0]], [0.05, 1.0]),
+                        ("e2", [[0.0, 0.0], [0.0, 1e155]], [1.0, 0.05])):
+        req = en.EnergyRequest(
+            field=nldef.LinearField(np.array(a), np.zeros(2)),
+            domain=nldef.DomainBox([0.0, 0.0], hi), p=2.0,
+            mollifier=nldef.MollifierSpec("shell", 0.2, 2), outer_grid=16, inner_level=4,
+            workers=1)
+        out.append((f"d2/overflow_{name}/n16", req))
     # class calls at odd N, where the rank-form total has no row halving to do
     mat = np.array([[0.4, 0.1, 0.0], [0.0, -0.2, 0.1], [0.05, 0.0, 0.3]])
     odd = [(2, n, 8, 0.1, name, f) for n in (25, 63) for name, f in (
