@@ -32,11 +32,12 @@ as their dense rank, and the classes are ranked per axis. Those ids are few
 (the criterion-10 jump: 578 classes, 18 ids), and if their rows fit one
 block of `_BLOCK_PAIRS` pairs the call builds them once, |q|^p taken, from
 one cell per id: the rank form. There a class's masked row is its kernel
-row times the d per-axis mask rows of its ranks, so each axis gives one
-factor row per rank (0/1 mask rows; on axis v, v = 0 if no axis varies,
-the rank's kernel row where its mask holds and +0.0 elsewhere), and the
-masses are the products over the class grid, a block of whole grid rows at
-a time. Other ids (a jump across an oblique plane, or whose sides' matrices
+row masked by the d per-axis mask rows of its ranks, so each axis gives one
+factor row per rank, in 64-bit words: its mask row as all-set and all-clear
+words, and on axis v (v = 0 if no axis varies) the bits of the rank's
+kernel row where its mask holds and of +0.0 elsewhere. The masses are the
+bitwise ANDs over the class grid, a block of whole grid rows at a time,
+read as floats. Other ids (a jump across an oblique plane, or whose sides' matrices
 differ: one id per band cell) refine the classes over the N^d cells, and
 each class's first cell is evaluated, its row read from a table of the
 ids' rows if that fits one block, else through `pair_blocks`. Fields whose
@@ -63,21 +64,19 @@ Determinism: a cell's x and mask row do not depend on the worker count, and
 `pair_blocks` gives its row, in a fixed node order, bits that do not depend
 on its tile or its block (nor, for equal kernel ids, on the cell). A masked
 row holds the |q|^p entries where the mask holds and +0.0 elsewhere, however
-it is made: by zeroing a cell's row, gathering from the table, or taking a
-product of factor rows. The table's entries are >= 0, and when they are
-finite a product with 1.0 is exact and with 0.0 is +0.0; when some are inf
-or NaN, whose product with 0.0 is NaN, the products zero the entries that
-meet a 0 instead. Each row sum then adds the same floats in the same
-pairwise order, so a class's mass is that of each of its cells, however the
-classes or cells are cut into runs, tiles and blocks. Each level's total is
-the one pairwise tree of `pairwise_total` over the per-cell masses, the same
-additions in the same order at any worker count. When the classes are
-ranked per axis, `_rank_total` takes that tree without the per-cell
-array: while the N rows of the grid halve evenly the tree adds whole rows,
-whose cells repeat the classes of their columns, so those additions run
-on the class masses, and only the rows left when their count is odd (5 of
-320 at criterion 10, 3 of 24 in the 3-d study, all N for odd N) are
-expanded per cell. Results are bitwise reproducible across reruns and
+it is made: by zeroing a cell's row, gathering from the table, or ANDing
+factor rows, where an all-set word keeps an entry's bits and an all-clear
+word gives +0.0, inf and NaN included. Each row sum then adds the same
+floats in the same pairwise order, so a class's mass is that of each of its
+cells, however the classes or cells are cut into runs, tiles and blocks.
+Each level's total is the one pairwise tree of `pairwise_total` over the
+per-cell masses, the same additions in the same order at any worker count.
+When the classes are ranked per axis, `_rank_total` takes that tree without
+the per-cell array: while the N rows of the grid halve evenly the tree adds
+whole rows, whose cells repeat the classes of their columns, so those
+additions run on the class masses, and only the rows left when their count
+is odd (5 of 320 at criterion 10, 3 of 24 in the 3-d study, all N for odd
+N) are expanded per cell. Results are bitwise reproducible across reruns and
 across 1, 2 or 8 workers. The default worker count is the number of CPUs
 this process may run on. A pool whose worker died is rebuilt once; a
 second death raises WorkerError.
@@ -467,29 +466,19 @@ def _run_masses(field, tile, cells, axes, h, scale, split, ok, edge, p, residual
     return masses * cellvol
 
 
-def _zeroing_multiply(a, b, out):
-    """a * b with +0.0 wherever a or b is 0, also against inf or NaN (whose
-    product with 0 is NaN)."""
-    zero = (a == 0.0) | (b == 0.0)
-    with np.errstate(invalid="ignore"):  # the NaNs it makes are zeroed
-        np.multiply(a, b, out=out)
-    np.copyto(out, 0.0, where=zero)
-    return out
-
-
-def _product_masses(factors, cells, split, cellvol, finite):
+def _product_masses(factors, cells, split, cellvol):
     """Masses, one row per node block split[j]:split[j + 1], of the classes
     cells (start, stop), in class order (first axis slowest), of the class
-    grid whose class (r_0, .., r_{d-1}) has the masked |q|^p row of the
-    product over k of factors[k][r_k].
+    grid whose class (r_0, .., r_{d-1}) has as its masked |q|^p row the
+    bitwise AND over k of factors[k][r_k], int64 words read as float64.
 
-    One axis's factor rows are kernel rows with their masked entries +0.0,
-    the others 0/1 mask rows, so every product entry is a kernel entry or
-    +0.0: multiplying is exact when the kernel rows are `finite`, else
-    `_zeroing_multiply` keeps a masked inf or NaN from turning the entry
-    into NaN. A block holds whole grid rows (the last axis's classes at one
-    class of the others), or part of one that exceeds `_BLOCK_PAIRS` pairs;
-    the run computes each grid row it meets and keeps its share.
+    One axis's factor rows are the bits of kernel rows with their masked
+    entries +0.0 (all bits clear), the others mask rows of all-set (-1) and
+    all-clear (0) words, so every entry is a kernel entry or +0.0, inf and
+    NaN included (a 0/1 multiply makes NaN of a masked inf). A block holds
+    whole grid rows (the last axis's classes at one class of the others), or
+    part of one that exceeds `_BLOCK_PAIRS` pairs; the run computes each
+    grid row it meets and keeps its share.
     """
     *lead, last = factors
     width, k = last.shape
@@ -497,22 +486,22 @@ def _product_masses(factors, cells, split, cellvol, finite):
     rows = -(-cells[1] // width) - top  # the grid rows the run meets
     step = max(1, fields._BLOCK_PAIRS // max(1, width * k))  # grid rows per block
     cols = min(width, max(1, fields._BLOCK_PAIRS // max(1, k)))  # last-axis classes per block
-    times = np.multiply if finite else _zeroing_multiply
-    buf = np.empty(min(step, rows) * cols * k)
+    buf = np.empty(min(step, rows) * cols * k, np.int64)
     masses = np.empty((len(split) - 1, rows * width))
     for g in range(0, rows, step):
         at = top + np.arange(g, min(g + step, rows))
-        if lead:  # the product of the other axes' rows, one per grid row
+        if lead:  # the AND of the other axes' rows, one per grid row
             digits = np.unravel_index(at, [len(f) for f in lead])
             head = lead[0][digits[0]]
             for f, i in zip(lead[1:], digits[1:]):
-                times(head, f[i], out=head)
+                head &= f[i]
         for c in range(0, width, cols):
             q = last[c : c + cols]
-            if lead:  # heads copied along the row, then times its rows: one broadcast operand
+            if lead:  # heads copied along the row, then ANDed with its rows: one broadcast operand
                 out = buf[: len(at) * len(q) * k].reshape(len(at), -1, k)
                 np.copyto(out, head[:, None])
-                q = times(out, q, out=out).reshape(-1, k)
+                q = np.bitwise_and(out, q, out=out).reshape(-1, k)
+            q = q.view(np.float64)
             for j, m in enumerate(masses):
                 q[:, split[j] : split[j + 1]].sum(axis=1, out=m[g * width + c :][: len(q)])
     masses = masses[:, cells[0] - top * width : cells[1] - top * width]
@@ -541,8 +530,9 @@ def _class_masses(req: EnergyRequest, levels: tuple, workers: int, residual: boo
     mask classes refined by the kernel ids are built once. In the rank form
     (ids along at most one axis v, their |q|^p table in one block) the
     classes go to `_product_masses` with each axis's mask row per rank as
-    0/1, and on axis v (0 if no axis varies) the table row of the rank's id
-    where its mask holds, +0.0 elsewhere. Otherwise the evaluated cells, each
+    all-set (-1) and all-clear (0) int64 words, and on axis v (0 if no axis
+    varies) the bits of the table row of the rank's id where its mask holds,
+    of +0.0 elsewhere. Otherwise the evaluated cells, each
     class's first cell in class order or else every cell, go to
     `_run_masses`, with the table of the ids' rows if it fits one block.
     Either way min(workers, count) runs of equal shares go one task each, on
@@ -571,10 +561,9 @@ def _class_masses(req: EnergyRequest, levels: tuple, workers: int, residual: boo
         if len(varies) <= 1 and len(start) * len(h) <= fields._BLOCK_PAIRS:  # the rank form
             table = _pow_table(req.field, _points(axes, np.unravel_index(start, kernel.shape)),
                                h, scale, residual, req.p)
-            finite = bool(np.isfinite(table).all())
             v = varies[0] if varies else 0
             by_rank = table[np.broadcast_to(rank, len(axes))[starts[v]]]  # axis v's ranks
-            factors = [np.where(m, by_rank, 0.0) if k == v else m.astype(np.float64)
+            factors = [np.where(m, by_rank, 0.0).view(np.int64) if k == v else -m.astype(np.int64)
                        for k, m in enumerate(o[e[s]] for o, e, s in zip(ok, edge, starts))]
         else:
             first = _radix(starts, grid_shape)  # each class's first cell
@@ -595,7 +584,7 @@ def _class_masses(req: EnergyRequest, levels: tuple, workers: int, residual: boo
     cuts = list(zip(cuts[:-1], cuts[1:]))
     if factors is not None:
         run = _product_masses
-        tasks = [(factors, cut, split, cellvol, finite) for cut in cuts]
+        tasks = [(factors, cut, split, cellvol) for cut in cuts]
     else:
         run, tile = _run_masses, max(1, _TILE_NODE_BUDGET // max(1, len(h)))
         tasks = [(req.field, tile, (a, b) if first is None else first[a:b], axes, h, scale,

@@ -233,9 +233,9 @@ class FieldSpec:
         2^63 / n^d). It takes one `pair_blocks` row per distinct id when
         those rows fit one block, else one per class at its first cell. With
         ids along at most one axis and rows in one block, a class's row is
-        its id's row times the per-axis mask rows of its ranks; otherwise its
-        first cell's masked row stands for the class. None, the default,
-        means the kernel depends on x: every cell is evaluated.
+        its id's row masked by the per-axis mask rows of its ranks;
+        otherwise its first cell's masked row stands for the class. None,
+        the default, means the kernel depends on x: every cell is evaluated.
         """
         return None
 

@@ -39,8 +39,8 @@ Core claims:
       its jump and for the d3-jump-study request at eps 0.4), else one per
       class (an axis-normal jump whose sides' matrices differ)
     - with ids along at most one axis and their rows in one block (the rank
-      form), a class's masked row is the product of its per-axis factor
-      rows: `_product_masses` has the bits of the brute-force product at
+      form), a class's masked row is the bitwise AND of its per-axis factor
+      rows: `_product_masses` has the bits of the brute-force masked rows at
       any block size and over any share of the classes, kernel rows with
       inf and NaN included; over small rigid, linear and axis-normal
       constant-jump requests (Hypothesis) the value, error bar and density
@@ -704,8 +704,10 @@ def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
     min(runs, cells) tasks whose cell counts differ by at most 1. The serial
     run's masses are those of `_run_masses` on each of its tiles alone, or
     of `_product_masses` on each of its classes alone; per-cell runs hold
-    every cell, and class-path runs fill several tiles, or blocks of at
-    most a tile's pairs."""
+    every cell, and class-path runs fill several tiles, or (the rank form,
+    with `_BLOCK_PAIRS` cut to the larger of a tile's pairs and the table's)
+    several blocks. In d = 2, 3 the jumps, whose ids vary along every axis,
+    go through `_run_masses` with their table of the ids' rows."""
     n, level, eps, t = _RUN_GRIDS[d]
     box = DomainBox([0.0] * d, [1.0] * d)
     grid = en._midpoints(box, n)
@@ -720,20 +722,27 @@ def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
     monkeypatch.setattr(en, "_run_masses", spy(_RUN_MASSES))
     monkeypatch.setattr(en, "_product_masses", spy(_PRODUCT_MASSES))
     monkeypatch.setattr(en, "_pool_map", lambda workers, fn, tasks: [fn(*a) for a in tasks])
-    spread = []
+    spread, tabled, block = [], [], fields_mod._BLOCK_PAIRS
     for name, f in _block_fields(d):
         req = en.EnergyRequest(field=f, domain=box, p=1.5,
                                mollifier=MollifierSpec("shell", eps, d), outer_grid=n,
                                inner_level=level)
         h = en._inner_nodes(req, 2 * level)[0]
+        kernel = f.kernel_classes(grid[0], h)
+        ids = 0 if kernel is None else len(np.unique(kernel))
+        rank_form = (kernel is not None and sum(m > 1 for m in kernel.shape) <= 1
+                     and ids * h.shape[0] <= block)
         monkeypatch.setattr(en, "_TILE_NODE_BUDGET", t * h.shape[0])
-        monkeypatch.setattr(fields_mod, "_BLOCK_PAIRS", t * h.shape[0])
+        # the rank form's table still in one block, its products in several
+        monkeypatch.setattr(fields_mod, "_BLOCK_PAIRS",
+                            max(t, ids) * h.shape[0] if rank_form else block)
         cases = [(req, False)] + ([] if name == "sampled" else [(replace(req, p=1.0), True)])
         for r, residual in cases:
             serial = en._all_masses(r, (2 * level,), 1, residual, grid)[0][0]
             (task, masses), = runs
             runs.clear()
-            assert _is_product(task) or task[1] == t
+            assert _is_product(task) == rank_form and (rank_form or task[1] == t)
+            tabled.append(not rank_form and task[-2] is not None)
             assert np.array_equal(_bits(masses), _bits(_tiles_alone(task)))
             count = _cell_count(task)
             tiles = -(-count // t)
@@ -744,11 +753,12 @@ def test_runs_of_tiles_leave_masses_unchanged(d, monkeypatch):
                 assert len(sizes) == min(workers, count) and sum(sizes) == count
                 assert max(sizes) - min(sizes) <= 1
                 assert np.array_equal(_bits(got), _bits(serial))
-            if f.kernel_classes(grid[0], h) is None:
+            if kernel is None:
                 assert count == n**d
             else:
                 spread.append(tiles)
     assert min(spread) >= 2 and max(spread) >= 3
+    assert any(tabled) == (d > 1)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -1527,50 +1537,52 @@ def test_overflowing_kernel_rows_stay_masked(monkeypatch):
     assert classed[0] > 1e304
 
 
-def _product_reference(factors, split):
+def _product_reference(ok, rows, v, split):
     """The masses (levels, classes) of `_product_masses` by brute force: each
-    class's factor rows gathered, their product where none of them is 0 and
+    class's mask rows gathered and ANDed, its kernel row where they hold and
     +0.0 elsewhere, one row sum per level."""
-    ranks = np.indices([len(f) for f in factors]).reshape(len(factors), -1)
-    picked = [f[r] for f, r in zip(factors, ranks)]
-    keep = np.logical_and.reduce([row != 0.0 for row in picked])
-    with np.errstate(invalid="ignore"):
-        rows = np.where(keep, reduce(np.multiply, picked), 0.0)
-    return np.stack([rows[:, a:b].sum(axis=1) for a, b in zip(split[:-1], split[1:])])
+    ranks = np.indices([len(o) for o in ok]).reshape(len(ok), -1)
+    keep = np.logical_and.reduce([o[r] for o, r in zip(ok, ranks)])
+    masked = np.where(keep, rows[ranks[v]], 0.0)
+    return np.stack([masked[:, a:b].sum(axis=1) for a, b in zip(split[:-1], split[1:])])
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_product_masses_do_not_depend_on_block_or_share(seed, monkeypatch):
-    """`_product_masses` of random per-axis factors (d = 1..3, one axis's
-    rows kernel entries with their masked ones +0.0, with and without inf
-    and NaN, the others 0/1 with an all-ones row) has the bits of the brute
-    force product over any share of the classes, whole grid rows or not, at
-    block sizes of one pair, one row, part of a grid row, a few grid rows
-    and the default."""
+    """`_product_masses` of random per-axis factors (d = 1..3: mask words of
+    random mask rows, each axis with an all-true row, and on one axis the
+    bits of kernel rows with and without inf and NaN, masked) has the bits
+    of the brute force masked rows over any share of the classes, whole grid
+    rows or not, at block sizes of one pair, one row, part of a grid row, a
+    few grid rows and the default. Masked inf and NaN entries are +0.0: the
+    masses stay finite."""
     rng = np.random.default_rng(300 + seed)
     d = 1 + seed % 3
     sizes, k = rng.integers(1, 8, d), int(rng.integers(1, 41))
     split = [0, int(rng.integers(0, k + 1)), k]
-    masks = [rng.random((c, k)) < 0.7 for c in sizes]
-    for m in masks:
+    ok = [rng.random((c, k)) < 0.7 for c in sizes]
+    for m in ok:
         m[0] = True
     v = int(rng.integers(0, d))
     kernel = rng.random((sizes[v], k)) * 10.0 ** rng.uniform(-3, 3, (sizes[v], 1))
     hard = kernel.copy()
     hard.ravel()[rng.integers(0, hard.size, 1 + hard.size // 8)] = np.inf
     hard.ravel()[rng.integers(0, hard.size, 1 + hard.size // 16)] = np.nan
+    masked = [o.copy() for o in ok]
+    masked[v] &= np.isfinite(hard)  # every inf and NaN masked on its own axis
     width = int(sizes[-1])
     blocks = (1, k, 2 * k + 1, max(1, width * k - 1), 3 * width * k + 1, fields_mod._BLOCK_PAIRS)
     count = int(np.prod(sizes))
     shares = [(0, count), (count // 3, count), (count // 2, count // 2 + 1)]
-    for rows, finite in ((kernel, True), (kernel, False), (hard, False)):
-        factors = [np.where(m, rows, 0.0) if a == v else m.astype(np.float64)
-                   for a, m in enumerate(masks)]
-        want = _product_reference(factors, split) * 0.5
+    for mask, rows in ((ok, kernel), (ok, hard), (masked, hard)):
+        want = _product_reference(mask, rows, v, split) * 0.5
+        assert mask is ok or np.all(np.isfinite(want))
+        factors = [np.where(m, rows, 0.0).view(np.int64) if a == v else -m.astype(np.int64)
+                   for a, m in enumerate(mask)]
         for size in blocks:
             monkeypatch.setattr(fields_mod, "_BLOCK_PAIRS", size)
             for a, b in shares:
-                got = en._product_masses(factors, (a, b), split, 0.5, finite)
+                got = en._product_masses(factors, (a, b), split, 0.5)
                 assert got.shape == (2, b - a)
                 assert np.array_equal(_bits(got), _bits(want[:, a:b]))
 
